@@ -9,7 +9,6 @@ output directory can be set via the FOCALRISK_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -92,10 +91,8 @@ def cmd_predict(args) -> int:
     pred_text += conformal.serialize_prediction_set(pred)
     _write(out / "prediction.txt", pred_text)
     ys = np.linspace(args.lo, args.hi, 1001)
-    lines = ["y,contour"]
-    for y in ys:
-        lines.append(f"{y:.17g},{conformal.contour(focal, float(y)):.17g}")
-    _write(out / "contour.csv", "\n".join(lines) + "\n")
+    rows = ((y, conformal.contour(focal, float(y))) for y in ys)
+    _write(out / "contour.csv", risk.format_csv("y,contour", rows))
     return 0
 
 
@@ -106,15 +103,12 @@ def cmd_risk_curve(args) -> int:
     grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
     emp = risk.risk_curve(loss, grid, risk.RiskKind.EMPIRICAL, sample=sample)
     upper = risk.risk_curve(loss, grid, risk.RiskKind.UPPER, sample=sample)
-    true_vals = None
+    true_vals = [""] * grid.count
     if args.model == "truncnorm":
         model = TrueModel.truncated_std_normal(args.lo, args.hi)
         true_vals = risk.risk_curve(loss, grid, risk.RiskKind.TRUE, model=model).values
-    lines = ["theta,empirical,upper,true"]
-    for i, t in enumerate(grid.points):
-        tv = f"{true_vals[i]:.17g}" if true_vals is not None else ""
-        lines.append(f"{t:.17g},{emp.values[i]:.17g},{upper.values[i]:.17g},{tv}")
-    _write(_out_dir(args) / "risk_curve.csv", "\n".join(lines) + "\n")
+    rows = zip(grid.points, emp.values, upper.values, true_vals)
+    _write(_out_dir(args) / "risk_curve.csv", risk.format_csv("theta,empirical,upper,true", rows))
     return 0
 
 
@@ -188,7 +182,7 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_coverage(args) -> int:
     model = TrueModel.truncated_std_normal(args.lo, args.hi)
-    lines = ["n,alpha,k,nominal,empirical,reps"]
+    rows = []
     for n in _parse_list(args.n, int):
         for alpha in _parse_list(args.alpha, float):
             for score_name in _parse_list(args.score, str):
@@ -198,11 +192,10 @@ def cmd_coverage(args) -> int:
                     model, _SCORES[score_name](), n, alpha,
                     replications=args.replications, seed=args.seed,
                 )
-                k = max(1, min(math.ceil((1.0 - alpha) * (n + 1)), n + 1))
-                lines.append(
-                    f"{n},{alpha:.17g},{k},{nominal:.17g},{emp:.17g},{args.replications}"
-                )
-    _write(_out_dir(args) / "coverage.csv", "\n".join(lines) + "\n")
+                k = conformal.nested_set_index(n, alpha)
+                rows.append((n, alpha, k, nominal, emp, args.replications))
+    header = "n,alpha,k,nominal,empirical,reps"
+    _write(_out_dir(args) / "coverage.csv", risk.format_csv(header, rows))
     return 0
 
 
@@ -256,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile-hi", type=float, default=0.95)
     p.add_argument("--bins", type=int, default=30)
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; selects nothing")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
@@ -303,23 +296,34 @@ def _load_config(path: str) -> dict:
     return out
 
 
+def _apply_config(parser, args, cfg: dict, explicit: set) -> None:
+    """Set config values the command line left unset, checked like their flags."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in commands.choices[args.command]._actions}
+    for key, val in cfg.items():
+        action = actions.get(key)
+        if key in explicit or action is None:
+            continue
+        if action.nargs == 0:  # a store_true flag
+            setattr(args, key, val.lower() in ("1", "true", "yes"))
+            continue
+        try:
+            value = action.type(val) if action.type else val
+        except ValueError:
+            raise ValidationFailure(f"BadConfigValue: {key} = {val!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ValidationFailure(f"BadConfigValue: {key} = {val!r} not in {action.choices}")
+        setattr(args, key, value)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            cfg = _load_config(args.config)
             explicit = {a.lstrip("-").replace("-", "_").split("=", 1)[0] for a in argv}
-            for key, val in cfg.items():
-                if key in explicit or not hasattr(args, key):
-                    continue
-                current = getattr(args, key)
-                cast = type(current) if current is not None and not isinstance(current, bool) else str
-                if isinstance(current, bool):
-                    setattr(args, key, val.lower() in ("1", "true", "yes"))
-                else:
-                    setattr(args, key, cast(val))
+            _apply_config(parser, args, _load_config(args.config), explicit)
         return args.func(args)
     except (FocalRiskError, ValidationFailure, ValueError) as e:
         print(f"{type(e).__name__}: {e}" if not isinstance(e, ValidationFailure) else str(e), file=sys.stderr)

@@ -207,10 +207,15 @@ def prediction_set(focal: FocalSystem, alpha: float) -> PredictionSet:
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha={alpha} not in (0, 1)")
     m = focal.n_plus_1
-    k = math.ceil((1.0 - alpha) * m)
-    k = max(1, min(k, m))
+    k = nested_set_index(m - 1, alpha)
     pieces = [iv for v in range(k) for iv in focal.sets[v]]
     return PredictionSet(k=k, region=merge_intervals(pieces), nominal_coverage=k / m)
+
+
+def nested_set_index(n: int, alpha: float) -> int:
+    """k = ceil((1 - alpha)(n + 1)) clamped to 1..n+1: the first nested
+    prediction set whose coverage k/(n+1) reaches 1 - alpha."""
+    return max(1, min(math.ceil((1.0 - alpha) * (n + 1)), n + 1))
 
 
 def contour(focal: FocalSystem, y: float) -> float:

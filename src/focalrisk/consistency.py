@@ -9,16 +9,18 @@ violation frequencies respect the bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .data_model import LossSpec, ThetaGrid, TrueModel
-from .errors import InvalidAlpha, NonpositiveEpsilon
-from .risk import true_risk, upper_risk_closed_form
-from .simulate import sample_truncated_normal, replication_rng
+from .errors import InvalidAlpha, NonConvexLoss, NonpositiveEpsilon
+from .risk import golden_section_min, true_risk, upper_risk_batch
+from .simulate import sample_chunks
+
+_XTOL = 1e-12  # argument tolerance of the refined extrema in ``constants``
 
 
 @dataclass(frozen=True)
@@ -28,57 +30,47 @@ class ConsistencyConstants:
     L_max: float
 
 
-def _refined_max(f: Callable[[float], float], grid: np.ndarray) -> float:
-    """Max of f over grid points, refined inside the bracketing cells."""
-    vals = np.array([f(t) for t in grid])
-    best = float(np.max(vals))
-    idx = int(np.argmax(vals))
-    lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, len(grid) - 1)]
-    if lo < hi:
-        res = minimize_scalar(
-            lambda t: -f(t), bounds=(lo, hi), method="bounded",
-            options={"xatol": 1e-12},
-        )
-        best = max(best, float(-res.fun))
-    return best
+def _loss_range(loss: LossSpec, thetas: np.ndarray, a: float, b: float) -> np.ndarray:
+    """sup - inf of loss(theta, .) over [a, b], for each theta."""
+    la = np.asarray(loss(thetas, a), dtype=float)
+    lb = np.asarray(loss(thetas, b), dtype=float)
+    hi = np.maximum(la, lb)
+    if loss.convex_in_y:
+        # Convex in y: sup at an endpoint, inf in the interior.
+        _, inner = golden_section_min(lambda y: np.asarray(loss(thetas, y), dtype=float),
+                                      np.full(thetas.shape, a), np.full(thetas.shape, b), _XTOL)
+        return hi - np.minimum(inner, np.minimum(la, lb))
+    vals = np.asarray(loss(thetas[:, None], np.linspace(a, b, 2049)), dtype=float)
+    return np.maximum(hi, vals.max(axis=1)) - vals.min(axis=1)
 
 
 def constants(
     loss: LossSpec, support: tuple[float, float], theta_grid: ThetaGrid
 ) -> ConsistencyConstants:
-    """M = sup loss(., a) + sup loss(., b); L(theta) = loss range over [a, b]."""
+    """M = sup loss(., a) + sup loss(., b); L(theta) = loss range over [a, b].
+
+    Each sup is the grid max, refined inside the cells bracketing it.
+    """
     a, b = support
     grid = theta_grid.points
-    sup_a = _refined_max(lambda t: float(loss(t, a)), grid)
-    sup_b = _refined_max(lambda t: float(loss(t, b)), grid)
+    ends = np.array([a, b], dtype=float)
+    vals = np.asarray(loss(grid, ends[:, None]), dtype=float)
+    idx = np.argmax(vals, axis=1)
+    lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
+    _, neg = golden_section_min(lambda t: -np.asarray(loss(t, ends), dtype=float), lo, hi, _XTOL)
+    sups = np.where(lo < hi, np.maximum(vals.max(axis=1), -neg), vals.max(axis=1))
 
     def l_of_theta(theta: float) -> float:
-        # Convex in y: sup at an endpoint, inf in the interior.
-        hi = max(float(loss(theta, a)), float(loss(theta, b)))
-        if loss.convex_in_y:
-            res = minimize_scalar(
-                lambda y: float(loss(theta, y)), bounds=(a, b), method="bounded",
-                options={"xatol": 1e-12},
-            )
-            lo = min(float(res.fun), float(loss(theta, a)), float(loss(theta, b)))
-        else:
-            ys = np.linspace(a, b, 2049)
-            vals = np.asarray(loss(theta, ys), dtype=float)
-            hi = max(hi, float(np.max(vals)))
-            lo = float(np.min(vals))
-        return hi - lo
+        return float(_loss_range(loss, np.array([theta], dtype=float), a, b)[0])
 
-    l_max = float(max(l_of_theta(t) for t in grid))
-    return ConsistencyConstants(M=sup_a + sup_b, L_of_theta=l_of_theta, L_max=l_max)
+    l_max = float(np.max(_loss_range(loss, grid, a, b)))
+    return ConsistencyConstants(M=float(sups[0] + sups[1]), L_of_theta=l_of_theta, L_max=l_max)
 
 
 def min_sample_size(epsilon: float, M: float) -> int:
     """Smallest n satisfying n >= 3M/epsilon - 1 (at least 1)."""
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon={epsilon}")
-    import math
-
     return max(1, math.ceil(3.0 * M / epsilon - 1.0))
 
 
@@ -102,17 +94,7 @@ class BoundReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "n": self.n,
-                "threshold_met": self.threshold_met,
-                "bound": self.bound,
-                "empirical_violation_rate": self.empirical_violation_rate,
-                "replications": self.replications,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def verify_pointwise(
@@ -137,14 +119,13 @@ def verify_pointwise(
         theta_grid = ThetaGrid(loss.theta_domain[0], loss.theta_domain[1], 201)
     consts = constants(loss, model.support, theta_grid)
     target = true_risk(loss, model, theta)
-    lo, hi = model.support
+    if not loss.convex_in_y:
+        raise NonConvexLoss("closed form requires the convexity attestation")
+    a, b = model.support
     violations = 0
-    for r in range(replications):
-        rng = replication_rng(seed, n, r)
-        sample = sample_truncated_normal(n, lo, hi, rng)
-        upper = upper_risk_closed_form(loss, sample, theta).total
-        if abs(upper - target) > epsilon:
-            violations += 1
+    for rows in sample_chunks(model.support, seed, n, replications, n):
+        upper = upper_risk_batch(loss, rows, a, b, [theta])
+        violations += int(np.count_nonzero(np.abs(upper - target) > epsilon))
     return BoundReport(
         epsilon=epsilon,
         n=n,
@@ -169,8 +150,6 @@ def witness_uniform(
         raise InvalidAlpha(f"alpha={alpha}")
     if L_max == 0.0:
         return 1
-    import math
-
     n = math.ceil(L_max**2 / (2.0 * epsilon**2) * math.log(2.0 * theta_grid.count / alpha))
     return max(1, n)
 
@@ -186,17 +165,7 @@ class UniformReport:
     seed: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epsilon": self.epsilon,
-                "alpha": self.alpha,
-                "n": self.n,
-                "estimated_probability": self.estimated_probability,
-                "within_alpha": self.within_alpha,
-                "replications": self.replications,
-                "seed": self.seed,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def verify_uniform(
@@ -219,16 +188,11 @@ def verify_uniform(
         min_sample_size(epsilon, consts.M) if consts.M > 0 else 1,
     )
     targets = np.array([true_risk(loss, model, t) for t in theta_grid.points])
-    lo, hi = model.support
-    from .risk import closed_form_curve
-
+    a, b = model.support
     violations = 0
-    for r in range(replications):
-        rng = replication_rng(seed, n, r)
-        sample = sample_truncated_normal(n, lo, hi, rng)
-        uppers = closed_form_curve(loss, sample, theta_grid.points)
-        if float(np.max(np.abs(uppers - targets))) > epsilon:
-            violations += 1
+    for rows in sample_chunks(model.support, seed, n, replications, n * theta_grid.count):
+        uppers = upper_risk_batch(loss, rows[:, None, :], a, b, theta_grid.points)
+        violations += int(np.count_nonzero(np.abs(uppers - targets).max(axis=1) > epsilon))
     est = violations / replications
     return UniformReport(
         epsilon=epsilon,

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateSupport,
     EmptySample,
+    NonFiniteValue,
     OutOfSupport,
     ThetaOutOfDomain,
 )
@@ -47,15 +48,25 @@ class BoundedSample:
         return out
 
 
-def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
-    """Validate and sort raw observations into a BoundedSample."""
+def check_support(lo: float, hi: float) -> None:
+    """Raise unless [lo, hi] is a finite interval with lo < hi."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFiniteValue(f"support [{lo}, {hi}] is not finite")
     if not lo < hi:
         raise DegenerateSupport(f"support [{lo}, {hi}] is degenerate")
+
+
+def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
+    """Validate and sort raw observations into a BoundedSample."""
+    check_support(lo, hi)
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptySample("need at least one observation")
-    if np.any(arr < lo) or np.any(arr > hi):
-        bad = arr[(arr < lo) | (arr > hi)][0]
+    inside = (arr >= lo) & (arr <= hi)  # false for NaN
+    if not inside.all():
+        bad = arr[~inside][0]
+        if not math.isfinite(bad):
+            raise NonFiniteValue(f"value {bad} is not finite")
         raise OutOfSupport(f"value {bad} outside [{lo}, {hi}]")
     order = np.argsort(arr, kind="stable")
     values = arr[order]
@@ -183,6 +194,8 @@ class ThetaGrid:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise NonFiniteValue(f"grid [{self.lo}, {self.hi}] is not finite")
         if self.count > 1 and not self.lo < self.hi:
             raise ValueError("need lo < hi for a multi-point grid")
         pts = np.linspace(self.lo, self.hi, self.count)
@@ -225,8 +238,7 @@ class TrueModel:
 
     @staticmethod
     def truncated_std_normal(lo: float = -3.0, hi: float = 3.0) -> "TrueModel":
-        if not lo < hi:
-            raise DegenerateSupport(f"support [{lo}, {hi}] is degenerate")
+        check_support(lo, hi)
         return TrueModel(
             kind=ModelKind.TRUNCATED_STD_NORMAL,
             density=lambda y: truncated_normal_density(y, lo, hi),

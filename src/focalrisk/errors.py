@@ -13,6 +13,10 @@ class EmptySample(FocalRiskError):
     """A sample with zero observations was supplied."""
 
 
+class NonFiniteValue(FocalRiskError):
+    """An observation, support endpoint or grid endpoint is NaN or infinite."""
+
+
 class DegenerateSupport(FocalRiskError):
     """Support endpoints do not satisfy lo < hi."""
 

@@ -15,12 +15,13 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .conformal import FocalRepresentation, FocalSystem
 from .data_model import BoundedSample, LossSpec, ModelKind, ThetaGrid, TrueModel
-from .errors import ApproximateSupremumWarning
+from .errors import ApproximateSupremumWarning, NonConvexLoss
 from .quadrature import integrate
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -39,10 +40,16 @@ class RiskCurve:
     kind: RiskKind
 
     def to_csv(self) -> str:
-        lines = ["theta,value,kind"]
-        for t, v in zip(self.grid.points, self.values):
-            lines.append(f"{t:.17g},{v:.17g},{self.kind.value}")
-        return "\n".join(lines) + "\n"
+        kinds = [self.kind.value] * self.grid.count
+        return format_csv("theta,value,kind", zip(self.grid.points, self.values, kinds))
+
+
+def format_csv(header: str, rows: Iterable[Iterable]) -> str:
+    """CSV text: numbers in 17 significant digits (round-trip exact), strings as is."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]))
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -106,42 +113,43 @@ def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> floa
     return total / focal.n_plus_1
 
 
+def _closed_form_core(loss: LossSpec, values: np.ndarray, a: float, b: float, thetas):
+    """R_n and M of the closed form, for samples sorted along the last axis of values.
+
+    thetas broadcasts against values without that axis: (k,) with (n,) is one
+    curve, (k,) with (r, 1, n) a curve per row, (r,) with (r, n) a point per row.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    la = np.asarray(loss(thetas, a), dtype=float)
+    lb = np.asarray(loss(thetas, b), dtype=float)
+    table = np.asarray(loss(thetas[..., None], values), dtype=float)
+    m_theta = la + lb - np.minimum(np.minimum(la, lb), table.min(axis=-1))
+    return table.mean(axis=-1), m_theta
+
+
+def upper_risk_batch(loss: LossSpec, values: np.ndarray, a: float, b: float, thetas):
+    """Closed-form upper risk [n R_n + M] / (n + 1), shaped as in the core."""
+    n = values.shape[-1]
+    emp, m_theta = _closed_form_core(loss, values, a, b, thetas)
+    return (n * emp + m_theta) / (n + 1)
+
+
 def upper_risk_closed_form(
     loss: LossSpec, sample: BoundedSample, theta: float
 ) -> UpperRiskDecomposition:
-    """Closed form for convex losses under the identity score."""
+    """Closed form for convex losses under the identity score, as n R_n/(n+1) + M/(n+1)."""
     loss.check_theta(theta)
     if not loss.convex_in_y:
-        from .errors import NonConvexLoss
-
         raise NonConvexLoss("closed form requires the convexity attestation")
     n = sample.n
-    a, b = sample.support_lo, sample.support_hi
-    la = float(loss(theta, a))
-    lb = float(loss(theta, b))
-    data_losses = loss(theta, sample.values)
-    m_theta = la + lb - min(la, lb, float(np.min(data_losses)))
-    emp = float(np.mean(data_losses))
-    return UpperRiskDecomposition(
-        theta=theta,
-        empirical_part=n * emp / (n + 1),
-        slack=m_theta / (n + 1),
-    )
+    emp, m_theta = _closed_form_core(loss, sample.values, sample.support_lo,
+                                     sample.support_hi, [theta])
+    return UpperRiskDecomposition(theta, float(n * emp[0] / (n + 1)), float(m_theta[0] / (n + 1)))
 
 
-def closed_form_curve(
-    loss: LossSpec, sample: BoundedSample, thetas: np.ndarray
-) -> np.ndarray:
+def closed_form_curve(loss: LossSpec, sample: BoundedSample, thetas: np.ndarray) -> np.ndarray:
     """Vectorized closed-form upper risk over an array of theta values."""
-    thetas = np.asarray(thetas, dtype=float)
-    n = sample.n
-    a, b = sample.support_lo, sample.support_hi
-    la = np.asarray(loss(thetas, a), dtype=float)
-    lb = np.asarray(loss(thetas, b), dtype=float)
-    table = np.asarray(loss(thetas[:, None], sample.values[None, :]), dtype=float)
-    emp = table.mean(axis=1)
-    m_theta = la + lb - np.minimum(np.minimum(la, lb), table.min(axis=1))
-    return (n * emp + m_theta) / (n + 1)
+    return upper_risk_batch(loss, sample.values, sample.support_lo, sample.support_hi, thetas)
 
 
 def risk_curve(
@@ -173,48 +181,60 @@ def risk_curve(
     return RiskCurve(grid=grid, values=vals, kind=kind)
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
+def golden_section_min(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float):
+    """Minimize a unimodal f on every bracket [lo[i], hi[i]] at once.
+
+    f maps one point per bracket to its value.  Each bracket takes exactly
+    the steps of scalar golden section until its width is at most tol, or
+    until a step leaves the width unchanged (the bracket is a few ulps wide
+    and can shrink no further), then stays put while the others go on.
+    Returns the final midpoints and f there.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
+    width = hi - lo
+    active = width > tol
+    while active.any():
+        # left keeps [lo, x2] and x1 moves to x2; right keeps [x1, hi] and x2 moves to x1
+        left = active & (f1 <= f2)
+        right = active & ~left
+        lo, hi = np.where(right, x1, lo), np.where(left, x2, hi)
+        x_new = np.where(left, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
+        f_new = f(x_new)
+        on_left, on_right = (x_new, x1, f_new, f1), (x2, x_new, f2, f_new)
+        x1, x2, f1, f2 = np.where(left, on_left, np.where(right, on_right, (x1, x2, f1, f2)))
+        active = (hi - lo > tol) & (hi - lo < width)
+        width = hi - lo
     x = 0.5 * (lo + hi)
     return x, f(x)
 
 
-def minimize_upper_risk(
-    loss: LossSpec,
-    sample: BoundedSample,
-    grid: ThetaGrid,
-    tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Grid argmin of the closed-form upper risk, refined by golden section.
+def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: ThetaGrid,
+                  curves: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Argmin and minimum of each sample row's upper risk, given its grid curve.
 
-    Refinement runs only when convexity in y is attested (the upper risk is
-    then a finite average of maxima of convex functions, hence unimodal for
-    the losses supported here); ties at the grid stage break to the lowest
-    index.
+    Convexity in y makes the upper risk a finite average of maxima of convex
+    functions, hence unimodal for the losses supported here; only then is the
+    grid argmin (ties to the lowest index) refined by golden section over its
+    neighbouring cells, and replaced only by a strictly lower value.
     """
-    values = closed_form_curve(loss, sample, grid.points)
-    idx = int(np.argmin(values))
-    theta0 = float(grid.points[idx])
+    idx = np.argmin(curves, axis=1)
+    theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
     if not loss.convex_in_y or grid.count == 1:
-        return theta0, float(values[idx])
-    lo = float(grid.points[max(idx - 1, 0)])
-    hi = float(grid.points[min(idx + 1, grid.count - 1)])
-    if lo == hi:
-        return theta0, float(values[idx])
-    f = lambda t: upper_risk_closed_form(loss, sample, t).total
-    theta_star, val = _golden_section_min(f, lo, hi, tol)
-    # keep the grid argmin on ties (all-tie losses would otherwise drift)
-    if val < values[idx]:
-        return theta_star, val
-    return theta0, float(values[idx])
+        return theta0, best
+    lo = grid.points[np.maximum(idx - 1, 0)]
+    hi = grid.points[np.minimum(idx + 1, grid.count - 1)]
+    theta, val = golden_section_min(
+        lambda t: upper_risk_batch(loss, rows, a, b, t), lo, hi, tol)
+    better = (lo < hi) & (val < best)
+    return np.where(better, theta, theta0), np.where(better, val, best)
+
+
+def minimize_upper_risk(loss: LossSpec, sample: BoundedSample, grid: ThetaGrid,
+                        tol: float = 1e-9) -> tuple[float, float]:
+    """Grid argmin of the closed-form upper risk, refined as in ``minimize_rows``."""
+    curves = closed_form_curve(loss, sample, grid.points)[None, :]
+    rows, a, b = sample.values[None, :], sample.support_lo, sample.support_hi
+    theta, val = minimize_rows(loss, rows, a, b, grid, curves, tol)
+    return float(theta[0]), float(val[0])

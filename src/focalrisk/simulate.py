@@ -2,26 +2,25 @@
 
 Every replication draws from its own counter-based RNG stream (numpy's
 Philox generator keyed by (master_seed, n, replication)), so results are
-bit-identical regardless of execution order or worker count.
+bit-identical however the batched path splits replications into chunks.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .conformal import NonconformityScore, rank_candidate
-from .data_model import BoundedSample, LossSpec, ThetaGrid, TrueModel
-from .errors import DegenerateSupport, EmptyInput, GridMismatch
-from .risk import RiskCurve, RiskKind, closed_form_curve, minimize_upper_risk
+from .conformal import NonconformityScore, nested_set_index, rank_candidate
+from .data_model import BoundedSample, LossSpec, ThetaGrid, TrueModel, check_support, make_sample
+from .errors import EmptyInput, GridMismatch
+from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
+_CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
 
 
 def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Generator:
@@ -38,8 +37,7 @@ def sample_truncated_normal(
     Rejection sampling: draw standard normals, keep those inside the
     support (acceptance rate ~0.9973 on [-3, 3]).
     """
-    if not lo < hi:
-        raise DegenerateSupport(f"support [{lo}, {hi}] is degenerate")
+    check_support(lo, hi)
     out = np.empty(n)
     filled = 0
     while filled < n:
@@ -48,9 +46,22 @@ def sample_truncated_normal(
         keep = batch[(batch >= lo) & (batch <= hi)][:need]
         out[filled : filled + len(keep)] = keep
         filled += len(keep)
-    from .data_model import make_sample
-
     return make_sample(out, lo, hi)
+
+
+def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
+                  row_cells: int) -> Iterator[np.ndarray]:
+    """Replications 0, 1, ... in order, as (r, n) matrices of sorted samples.
+
+    Each row is drawn on its replication's own stream.  The caller builds
+    at most row_cells cells per row, and r keeps r * row_cells within the
+    chunk budget (r >= 1).
+    """
+    lo, hi = support
+    step = max(1, _CHUNK_CELLS // row_cells)
+    for start in range(0, replications, step):
+        yield np.stack([sample_truncated_normal(n, lo, hi, replication_rng(seed, n, r)).values
+                        for r in range(start, min(start + step, replications))])
 
 
 @dataclass(frozen=True)
@@ -131,36 +142,28 @@ def histogram(
     return edges, counts
 
 
-def _one_replication(config: SimConfig, n: int, r: int):
-    rng = replication_rng(config.master_seed, n, r)
-    lo, hi = config.model.support
-    sample = sample_truncated_normal(n, lo, hi, rng)
-    curve = closed_form_curve(config.loss, sample, config.theta_grid.points)
-    theta_star, _ = minimize_upper_risk(config.loss, sample, config.theta_grid)
-    return curve, theta_star
-
-
 def run_replications(config: SimConfig, workers: int = 1) -> ReplicationSummary:
     """Replication sweep: upper-risk curves, percentile bands, minimizers.
 
-    Output is identical for any worker count: streams are keyed per
-    replication and aggregation reduces in index order.
+    All replications of one n run as one batched path, chunk by chunk;
+    ``workers`` is accepted for compatibility and selects nothing.
     """
     per_n: dict[int, NSummary] = {}
     p_lo, p_hi = config.percentiles
+    grid = config.theta_grid
+    a, b = config.model.support
     for n in config.n_values:
-        reps = range(config.replications)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda r: _one_replication(config, n, r), reps))
-        else:
-            results = [_one_replication(config, n, r) for r in reps]
-        curves = [
-            RiskCurve(grid=config.theta_grid, values=c, kind=RiskKind.UPPER)
-            for c, _ in results
-        ]
-        minimizers = np.array([t for _, t in results])
-        lo_c, med_c, hi_c = aggregate_percentiles(curves, [p_lo, 0.5, p_hi])
+        curves, minimizers = [], []
+        for rows in sample_chunks((a, b), config.master_seed, n, config.replications,
+                                  n * grid.count):
+            chunk = upper_risk_batch(config.loss, rows[:, None, :], a, b, grid.points)
+            curves.extend(chunk)
+            minimizers.extend(minimize_rows(config.loss, rows, a, b, grid, chunk)[0])
+        minimizers = np.array(minimizers)
+        lo_c, med_c, hi_c = aggregate_percentiles(
+            [RiskCurve(grid=grid, values=c, kind=RiskKind.UPPER) for c in curves],
+            [p_lo, 0.5, p_hi],
+        )
         edges, counts = histogram(minimizers, config.histogram_bins)
         per_n[n] = NSummary(
             median_curve=med_c,
@@ -187,9 +190,7 @@ def coverage_experiment(
     sets is equivalent to its rank pivot being <= k, which is what is
     tested (exact for every score, no grid discretization).
     """
-    from .data_model import make_sample
-
-    k = max(1, min(math.ceil((1.0 - alpha) * (n + 1)), n + 1))
+    k = nested_set_index(n, alpha)
     lo, hi = model.support
     hits = 0
     for r in range(replications):
@@ -201,31 +202,20 @@ def coverage_experiment(
     return hits / replications, k / (n + 1)
 
 
-def _curve_csv(curve: RiskCurve) -> str:
-    lines = ["theta,value"]
-    for t, v in zip(curve.grid.points, curve.values):
-        lines.append(f"{t:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def write_summary(summary: ReplicationSummary, out_dir: str | Path) -> None:
     """Serialize a ReplicationSummary to a directory of CSV files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = summary.config
     for n, s in summary.per_n.items():
-        (out / f"median_n{n}.csv").write_text(_curve_csv(s.median_curve))
-        (out / f"band_lo_n{n}.csv").write_text(_curve_csv(s.band_lo))
-        (out / f"band_hi_n{n}.csv").write_text(_curve_csv(s.band_hi))
-        (out / f"minimizers_n{n}.csv").write_text(
-            "".join(f"{v:.17g}\n" for v in s.minimizers)
-        )
-        hist_lines = ["bin_lo,bin_hi,count"]
-        for i, c in enumerate(s.histogram_counts):
-            hist_lines.append(
-                f"{s.histogram_edges[i]:.17g},{s.histogram_edges[i + 1]:.17g},{int(c)}"
-            )
-        (out / f"histogram_n{n}.csv").write_text("\n".join(hist_lines) + "\n")
+        for name, c in (("median", s.median_curve), ("band_lo", s.band_lo),
+                        ("band_hi", s.band_hi)):
+            text = format_csv("theta,value", zip(c.grid.points, c.values))
+            (out / f"{name}_n{n}.csv").write_text(text)
+        (out / f"minimizers_n{n}.csv").write_text("".join(f"{v:.17g}\n" for v in s.minimizers))
+        edges = s.histogram_edges
+        rows = zip(edges[:-1], edges[1:], s.histogram_counts.tolist())
+        (out / f"histogram_n{n}.csv").write_text(format_csv("bin_lo,bin_hi,count", rows))
     meta = {
         "rng": RNG_ALGORITHM,
         "master_seed": cfg.master_seed,

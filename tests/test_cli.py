@@ -55,6 +55,16 @@ class TestPredict:
         assert code == 2
 
 
+    @pytest.mark.parametrize("bad", [
+        ["--values", "1,nan"], ["--values", "1,inf"], ["--values", "1", "--lo=-inf"],
+        ["--values", "1", "--hi", "nan"],
+    ])
+    def test_non_finite_exits_2(self, tmp_path, capsys, bad):
+        assert run(["predict", *bad, "--out", str(tmp_path)]) == 2
+        assert "NonFiniteValue" in capsys.readouterr().err
+        assert not (tmp_path / "focal.txt").exists()
+
+
 class TestRiskCurve:
     def test_values(self, tmp_path):
         code = run([
@@ -188,6 +198,17 @@ class TestConfigFile:
         assert run(["--config", str(cfg), "predict", "--values", "0.2,0.8"]) == 0
         assert (tmp_path / "o2" / "prediction.txt").exists()
 
+    @pytest.mark.parametrize("line, command", [
+        ("loss = cubic", ["risk-curve", "--values", "0.5"]),
+        ("score = bogus", ["predict", "--values", "0.5"]),
+        ("theta-count = many", ["risk-curve", "--values", "0.5"]),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\nlo = 0\nhi = 1\n")
+        assert run(["--config", str(cfg), *command, "--out", str(tmp_path / "o")]) == 2
+        assert "BadConfigValue" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self):
         assert run(["--config", "/nonexistent.cfg", "predict", "--values", "1",
                     "--lo", "0", "--hi", "2"]) == 2
@@ -197,3 +218,17 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("FOCALRISK_OUT", str(tmp_path / "envout"))
     assert run(["predict", "--values", "0.5", "--lo", "0", "--hi", "1"]) == 0
     assert (tmp_path / "envout" / "prediction.txt").exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    code = "import sys, focalrisk.cli; print('scipy' in sys.modules)"
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -41,6 +41,30 @@ class TestConstants:
         # largest range over theta in [-1, 1]: (3 + 1)^2 = 16 at theta = +/-1
         assert c.L_max == pytest.approx(16.0, abs=1e-9)
 
+    def test_extrema_beyond_ulp_tolerance_terminate(self):
+        # Past |x| = 8192 one ulp exceeds the 1e-12 refinement tolerance: the sup of M at
+        # theta_hi = 1e4 and the inf of L at the support end -9000 must still be found.
+        # A fresh interpreter with a timeout turns a non-terminating search into a failure.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import focalrisk
+
+        code = (
+            "from focalrisk import ThetaGrid, constants, squared_error_loss as sq\n"
+            "c = constants(sq((-1, 1e4)), (-3, 3), ThetaGrid(-1, 1e4, 11))\n"
+            "d = constants(sq((-1, 1)), (-2e4, -9000), ThetaGrid(-1, 1, 41))\n"
+            "print(repr(c.M), repr(c.L_max), repr(d.L_of_theta(0.0)))\n"
+        )
+        env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        m, l_max, l_zero = map(float, out.stdout.split())
+        assert m == pytest.approx(10003.0**2 + 9997.0**2, rel=1e-12)
+        assert l_max == pytest.approx(10003.0**2 - 9997.0**2, rel=1e-9)
+        assert l_zero == pytest.approx(2e4**2 - 9000.0**2, rel=1e-12)
+
 
 class TestMinSampleSize:
     def test_values(self):
@@ -117,6 +141,18 @@ class TestVerifyPointwise:
             theta_grid=GRID,
         )
         assert report.threshold_met
+
+    def test_closed_form_guards(self):
+        from focalrisk import tabulated_loss
+        from focalrisk.errors import NonConvexLoss, ThetaOutOfDomain
+
+        bumpy = tabulated_loss([-1.0, 1.0], [-3.0, 3.0], np.ones((2, 2)))
+        with pytest.raises(NonConvexLoss):
+            verify_pointwise(MODEL, bumpy, 0.0, n=20, epsilon=1.0, replications=100,
+                             seed=1, theta_grid=GRID)
+        with pytest.raises(ThetaOutOfDomain):
+            verify_pointwise(MODEL, sq, 1.5, n=20, epsilon=1.0, replications=100,
+                             seed=1, theta_grid=GRID)
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):

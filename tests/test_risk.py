@@ -236,3 +236,81 @@ class TestMinimizeUpperRisk:
         grid = ThetaGrid(-1, 1, 51)
         _, value = minimize_upper_risk(sq11, s, grid)
         assert value <= np.min(closed_form_curve(sq11, s, grid.points)) + 1e-12
+
+    def test_value_is_the_curve_at_the_minimizer(self):
+        # The refinement minimizes the same rounding of the closed form as the curve.
+        rng = np.random.default_rng(4)
+        for n in (5, 20, 80):
+            s = make_sample(rng.uniform(-3, 3, n), -3, 3)
+            theta, value = minimize_upper_risk(sq11, s, ThetaGrid(-1, 1, 21))
+            assert value == closed_form_curve(sq11, s, np.array([theta]))[0]
+
+
+_INV_GOLDEN = (5 ** 0.5 - 1) / 2
+
+
+def _scalar_golden_section_min(f, lo, hi, tol):
+    """Scalar golden section: the reference the lockstep routine must match bit for bit."""
+    x1 = hi - _INV_GOLDEN * (hi - lo)
+    x2 = lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        width = hi - lo
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+        if not hi - lo < width:  # a few ulps wide: no step can shrink it
+            break
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+class TestGoldenSectionLockstep:
+    @staticmethod
+    def _check(f_vec, lo, hi, tol):
+        from focalrisk.risk import golden_section_min
+
+        x, fx = golden_section_min(f_vec, lo, hi, tol)
+        for i in range(len(lo)):
+            def f_i(t, i=i):
+                pts = np.array(lo, dtype=float)  # any values; only entry i is read
+                pts[i] = t
+                return float(f_vec(pts)[i])
+
+            ox, ofx = _scalar_golden_section_min(f_i, float(lo[i]), float(hi[i]), tol)
+            assert (x[i], fx[i]) == (ox, ofx), i
+
+    def test_random_brackets_and_centres(self):
+        rng = np.random.default_rng(3)
+        lo = rng.uniform(-2, 1, 40)
+        hi = lo + rng.uniform(1e-6, 3, 40)
+        centre = rng.uniform(-3, 4, 40)  # inside, left of and right of the brackets
+        self._check(lambda t: (t - centre) ** 2, lo, hi, 1e-9)
+
+    def test_edge_brackets(self):
+        tol = 1e-3
+        # widths: already converged, exactly tol, one step to converge, a few steps
+        widths = np.array([0.0, 0.5e-3, 1e-3, 1.2e-3, 1.6e-3, 5e-3, 1.0])
+        lo = np.linspace(-1, 1, widths.size)
+        self._check(lambda t: np.abs(t - 0.3), lo, lo + widths, tol)
+
+    def test_ties(self):
+        lo = np.array([0.0, -1.0, 0.25, 2.0])
+        hi = np.array([1.0, 1.0, 0.75, 2.5])
+        self._check(lambda t: np.zeros_like(t), lo, hi, 1e-6)  # every comparison ties
+        self._check(lambda t: np.floor(8 * t) / 8, lo, hi, 1e-6)  # plateaus
+
+    def test_brackets_wider_than_tol_in_ulps(self):
+        # Above 8192 one ulp exceeds tol, so these brackets stop when a step can no
+        # longer shrink them; minima at either end, inside, and a flat objective.
+        lo = np.array([9990.0, 9990.0, 9990.0, -1e4, 8192.0, 2.0**40])
+        hi = np.array([1e4, 1e4, 1e4, -9990.0, 8200.0, 2.0**40 + 2.0**20])
+        centre = np.array([2e4, 0.0, 9995.5, -2e4, 8195.25, 2.0**40 + 3.0])
+        self._check(lambda t: (t - centre) ** 2, lo, hi, 1e-12)
+        self._check(lambda t: -t, lo, hi, 1e-12)
+        self._check(lambda t: np.zeros_like(t), lo, hi, 1e-12)

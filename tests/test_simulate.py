@@ -156,6 +156,31 @@ class TestRunReplications:
             )
             assert np.all(upper >= 10 * emp / 11 - 1e-12)
 
+    def test_chunks_match_per_replication(self):
+        # R spans several chunks; each replication must equal the one-sample path
+        from focalrisk import minimize_upper_risk
+        from focalrisk.risk import closed_form_curve
+        from focalrisk.simulate import _CHUNK_CELLS
+
+        n, grid = 300, ThetaGrid(-1, 1, 101)
+        per_chunk = _CHUNK_CELLS // (n * grid.count)
+        cfg = SimConfig(
+            model=MODEL, loss=squared_error_loss((-1, 1)), n_values=(n,),
+            replications=2 * per_chunk + 3, theta_grid=grid, master_seed=4,
+        )
+        s = run_replications(cfg).per_n[n]
+        curves, minimizers = [], []
+        for r in range(cfg.replications):
+            sample = sample_truncated_normal(n, -3, 3, replication_rng(4, n, r))
+            curves.append(RiskCurve(grid, closed_form_curve(cfg.loss, sample, grid.points),
+                                    RiskKind.UPPER))
+            minimizers.append(minimize_upper_risk(cfg.loss, sample, grid)[0])
+        assert np.array_equal(s.minimizers, minimizers)
+        p_lo, p_hi = cfg.percentiles
+        lo, med, hi = aggregate_percentiles(curves, [p_lo, 0.5, p_hi])
+        for got, want in ((s.band_lo, lo), (s.median_curve, med), (s.band_hi, hi)):
+            assert np.array_equal(got.values, want.values)
+
     def test_serialization_deterministic(self, tmp_path):
         summary = run_replications(_small_config(reps=8))
         write_summary(summary, tmp_path / "a")
