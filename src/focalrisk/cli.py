@@ -91,7 +91,7 @@ def cmd_predict(args) -> int:
     pred_text += conformal.serialize_prediction_set(pred)
     _write(out / "prediction.txt", pred_text)
     ys = np.linspace(args.lo, args.hi, 1001)
-    rows = ((y, conformal.contour(focal, float(y))) for y in ys)
+    rows = zip(ys.tolist(), conformal.contour(focal, ys).tolist())
     _write(out / "contour.csv", risk.format_csv("y,contour", rows))
     return 0
 
@@ -125,7 +125,7 @@ def cmd_simulate(args) -> int:
         histogram_bins=args.bins,
         master_seed=args.seed,
     )
-    summary = simulate.run_replications(config, workers=args.workers)
+    summary = simulate.run_replications(config)
     out = _out_dir(args)
     simulate.write_summary(summary, out)
     if args.svg:
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile-hi", type=float, default=0.95)
     p.add_argument("--bins", type=int, default=30)
     p.add_argument("--svg", action="store_true")
-    p.add_argument("--workers", type=int, default=1, help="accepted; selects nothing")
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -27,6 +26,7 @@ from .errors import (
 )
 
 Interval = tuple[float, float]
+_CHUNK_CELLS = 1 << 15  # largest y x data (or y x piece) temporary: 256 KiB of float64
 
 
 class ScoreKind(enum.Enum):
@@ -87,51 +87,66 @@ class FocalSystem:
     def mass_each(self) -> float:
         return 1.0 / len(self.sets)
 
-    def containing_index(self, y: float) -> int:
-        """1-based index of the focal set containing y.
+    def containing_index(self, y):
+        """1-based index of the focal set containing y; elementwise for an array.
 
         Values equal to a data point (exact representation) go to the
-        lower-index adjacent set.
+        lower-index adjacent set, as do values on touching ends of grid pieces.
         """
-        if not (self.support_lo <= y <= self.support_hi):
-            raise OutOfSupport(f"y={y} outside [{self.support_lo}, {self.support_hi}]")
+        flat = _in_support(y, self.support_lo, self.support_hi)
         if self.representation is FocalRepresentation.EXACT_INTERVALS:
-            vals = list(self.sample_values)
-            v = bisect_left(vals, y) + 1
-            return min(v, self.n_plus_1)
-        for v, pieces in enumerate(self.sets, start=1):
-            for lo, hi in pieces:
-                if lo <= y <= hi:
-                    return v
-        raise OutOfSupport(f"y={y} not covered by any focal set")
+            v = np.minimum(np.searchsorted(self.sample_values, flat, "left") + 1, self.n_plus_1)
+        else:  # the first piece in scan order; the sentinel row (index 0) covers the rest
+            rows = [(v, lo, hi) for v, p in enumerate(self.sets, start=1) for lo, hi in p]
+            pv, lo, hi = (np.array(c)[:, None] for c in zip(*rows, (0, -np.inf, np.inf)))
+            v = np.concatenate([pv[((lo <= c) & (c <= hi)).argmax(axis=0), 0]
+                                for c in _chunks(flat, len(pv))])
+            if not v.all():
+                raise OutOfSupport(f"y={flat[v == 0][0]} not covered by any focal set")
+        return int(v[0]) if np.ndim(y) == 0 else v.reshape(np.shape(y))
 
 
-def rank_candidate(
-    sample: BoundedSample, y: float, score: NonconformityScore
-) -> int:
-    """Ascending rank of the candidate's score in the augmented sample.
+def _in_support(ys, lo: float, hi: float) -> np.ndarray:
+    """ys as a flat float array; OutOfSupport unless every y lies in [lo, hi]."""
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    outside = ~((ys >= lo) & (ys <= hi))  # true for NaN
+    if outside.any():
+        raise OutOfSupport(f"y={ys[outside][0]} outside [{lo}, {hi}]")
+    return ys
+
+
+def _chunks(ys: np.ndarray, width: int):
+    """Consecutive slices of ys (at least one) whose ys x width arrays fit the cell budget."""
+    step = max(1, _CHUNK_CELLS // width)
+    return (ys[i : i + step] for i in range(0, ys.size or 1, step))
+
+
+def rank_candidates(sample: BoundedSample, ys, score: NonconformityScore) -> np.ndarray:
+    """Ascending rank of each candidate y in its augmented sample.
 
     Ties go to the candidate: rank = 1 + #{data scores <= candidate score}.
     """
-    if not (sample.support_lo <= y <= sample.support_hi):
-        raise OutOfSupport(
-            f"y={y} outside [{sample.support_lo}, {sample.support_hi}]"
-        )
+    ys = _in_support(ys, sample.support_lo, sample.support_hi)
+    vals, n = sample.values, sample.n
     if score.kind is ScoreKind.IDENTITY:
-        return 1 + int(np.searchsorted(sample.values, y, side="right"))
+        return 1 + np.searchsorted(vals, ys, side="right")
     if score.kind is ScoreKind.DISTANCE_TO_LOO_MEAN:
-        vals = sample.values
-        n = len(vals)
-        total = float(np.sum(vals)) + y
-        cand = abs(y - (total - y) / n)
-        data_scores = np.abs(vals - (total - vals) / n)
-        return 1 + int(np.count_nonzero(data_scores <= cand))
-    augmented = np.append(sample.values, y)
-    cand = score.evaluate(len(augmented) - 1, augmented)
-    count = sum(
-        1 for i in range(len(augmented) - 1) if score.evaluate(i, augmented) <= cand
-    )
-    return 1 + count
+        data_sum, out = float(np.sum(vals)), []
+        for y in (c[:, None] for c in _chunks(ys, n)):  # a column of candidates
+            total = data_sum + y
+            cand = np.abs(y - (total - y) / n)
+            out.append(1 + np.count_nonzero(np.abs(vals - (total - vals) / n) <= cand, axis=1))
+        return np.concatenate(out)
+    out = []
+    for augmented in (np.append(vals, y) for y in ys):
+        cand = score.evaluate(n, augmented)
+        out.append(1 + sum(score.evaluate(i, augmented) <= cand for i in range(n)))
+    return np.array(out, dtype=int)
+
+
+def rank_candidate(sample: BoundedSample, y: float, score: NonconformityScore) -> int:
+    """``rank_candidates`` at the one candidate y."""
+    return int(rank_candidates(sample, [y], score)[0])
 
 
 def focal_sets(
@@ -160,16 +175,15 @@ def focal_sets(
     if grid.size < 2:
         raise MissingGrid("general scores need a y-grid with at least 2 points")
     half = 0.5 * (grid[1] - grid[0])
-    ranks = np.array([rank_candidate(sample, float(y), score) for y in grid])
+    ranks = rank_candidates(sample, grid, score)
 
     pieces: list[list[Interval]] = [[] for _ in range(n + 1)]
-    start = 0
-    for stop in range(1, grid.size + 1):
-        if stop == grid.size or ranks[stop] != ranks[start]:
-            lo = max(a, grid[start] - half)
-            hi = min(b, grid[stop - 1] + half)
-            pieces[ranks[start] - 1].append((float(lo), float(hi)))
-            start = stop
+    starts = np.flatnonzero(np.diff(ranks, prepend=0))
+    stops = np.append(starts[1:], grid.size)
+    los = np.maximum(a, grid[starts] - half).tolist()
+    his = np.minimum(b, grid[stops - 1] + half).tolist()
+    for rank, lo, hi in zip(ranks[starts].tolist(), los, his):
+        pieces[rank - 1].append((lo, hi))
     empty = [v + 1 for v, p in enumerate(pieces) if not p]
     if empty:
         warnings.warn(
@@ -218,8 +232,8 @@ def nested_set_index(n: int, alpha: float) -> int:
     return max(1, min(math.ceil((1.0 - alpha) * (n + 1)), n + 1))
 
 
-def contour(focal: FocalSystem, y: float) -> float:
-    """Fraction of nested prediction sets containing y: (n+2-v0)/(n+1)."""
+def contour(focal: FocalSystem, y):
+    """Fraction of nested prediction sets containing y: (n+2-v0)/(n+1); elementwise."""
     v0 = focal.containing_index(y)
     m = focal.n_plus_1
     return (m + 1 - v0) / m

@@ -140,9 +140,10 @@ def verify_pointwise(
 def witness_uniform(
     theta_grid: ThetaGrid, epsilon: float, alpha: float, L_max: float
 ) -> int:
-    """Hoeffding union-bound sample size for uniform deviation on the grid.
+    """Hoeffding union-bound sample size for uniform deviation of the empirical risk.
 
-    Smallest n with |grid| * 2 * exp(-2 n eps^2 / L_max^2) < alpha.
+    Smallest n with |grid| * 2 * exp(-2 n eps^2 / L_max^2) < alpha.  The
+    upper risk's tail bound (``hoeffding_bound``) has 2/9 for 2: ~9x this n.
     """
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon={epsilon}")
@@ -179,8 +180,9 @@ def verify_uniform(
 ) -> UniformReport:
     """Monte Carlo estimate of the uniform-deviation probability on the grid.
 
-    Uses n = max(witness_uniform, min_sample_size) so the theorem's
-    guarantee applies.
+    Uses n = max(witness_uniform, min_sample_size).  The witness n is the
+    empirical risk's, below what the upper risk's 2/9 tail bound needs, so
+    the theorem does not certify the estimate; it is an observation.
     """
     consts = constants(loss, model.support, theta_grid)
     n = max(

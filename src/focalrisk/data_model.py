@@ -18,10 +18,12 @@ from .errors import (
     EmptySample,
     NonFiniteValue,
     OutOfSupport,
+    SupportMassTooSmall,
     ThetaOutOfDomain,
 )
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_MASS_FLOOR = 1e-3  # below it, rejection sampling need not end and the density divides by ~0
 
 
 @dataclass(frozen=True)
@@ -217,12 +219,19 @@ def _std_normal_cdf(y):
     return 0.5 * (1.0 + math.erf(y / math.sqrt(2.0)))
 
 
+def normal_mass(lo: float, hi: float) -> float:
+    """Standard-normal mass of the support [lo, hi], refused below _MASS_FLOOR."""
+    check_support(lo, hi)
+    mass = _std_normal_cdf(hi) - _std_normal_cdf(lo)
+    if not mass >= _MASS_FLOOR:
+        raise SupportMassTooSmall(f"[{lo}, {hi}] has normal mass {mass:.3g} < {_MASS_FLOOR:g}")
+    return mass
+
+
 def truncated_normal_density(y, lo: float, hi: float):
     """Density of the standard normal restricted to [lo, hi]; 0 outside."""
-    if not lo < hi:
-        raise DegenerateSupport(f"support [{lo}, {hi}] is degenerate")
+    mass = normal_mass(lo, hi)
     y = np.asarray(y, dtype=float)
-    mass = _std_normal_cdf(hi) - _std_normal_cdf(lo)
     inside = (y >= lo) & (y <= hi)
     out = np.where(inside, _std_normal_pdf(y) / mass, 0.0)
     return out if out.shape else float(out)
@@ -238,7 +247,7 @@ class TrueModel:
 
     @staticmethod
     def truncated_std_normal(lo: float = -3.0, hi: float = 3.0) -> "TrueModel":
-        check_support(lo, hi)
+        normal_mass(lo, hi)
         return TrueModel(
             kind=ModelKind.TRUNCATED_STD_NORMAL,
             density=lambda y: truncated_normal_density(y, lo, hi),

@@ -21,6 +21,10 @@ class DegenerateSupport(FocalRiskError):
     """Support endpoints do not satisfy lo < hi."""
 
 
+class SupportMassTooSmall(FocalRiskError):
+    """The support holds too little standard-normal mass to sample by rejection."""
+
+
 class MissingGrid(FocalRiskError):
     """A general nonconformity score requires an explicit y-grid."""
 

@@ -214,10 +214,12 @@ def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: Th
                   curves: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Argmin and minimum of each sample row's upper risk, given its grid curve.
 
-    Convexity in y makes the upper risk a finite average of maxima of convex
-    functions, hence unimodal for the losses supported here; only then is the
-    grid argmin (ties to the lowest index) refined by golden section over its
-    neighbouring cells, and replaced only by a strictly lower value.
+    Convexity in y puts each focal set's sup at its ends, which makes the
+    closed form exact; golden section over the cells next to the grid argmin
+    (ties to the lowest index) also needs the curve unimodal in theta, which
+    holds when the loss is convex in theta (squared, absolute).  Otherwise it
+    may stop in a local minimum: the result is then still at most the grid
+    minimum, which it replaces only by a strictly lower value.
     """
     idx = np.argmin(curves, axis=1)
     theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .conformal import NonconformityScore, nested_set_index, rank_candidate
-from .data_model import BoundedSample, LossSpec, ThetaGrid, TrueModel, check_support, make_sample
+from .data_model import BoundedSample, LossSpec, ThetaGrid, TrueModel, make_sample, normal_mass
 from .errors import EmptyInput, GridMismatch
 from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
 
@@ -34,10 +34,10 @@ def sample_truncated_normal(
 ) -> BoundedSample:
     """n iid draws from the standard normal restricted to [lo, hi].
 
-    Rejection sampling: draw standard normals, keep those inside the
-    support (acceptance rate ~0.9973 on [-3, 3]).
+    Rejection sampling: draw standard normals, keep those inside the support
+    (acceptance rate ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3).
     """
-    check_support(lo, hi)
+    normal_mass(lo, hi)
     out = np.empty(n)
     filled = 0
     while filled < n:
@@ -142,11 +142,10 @@ def histogram(
     return edges, counts
 
 
-def run_replications(config: SimConfig, workers: int = 1) -> ReplicationSummary:
+def run_replications(config: SimConfig) -> ReplicationSummary:
     """Replication sweep: upper-risk curves, percentile bands, minimizers.
 
-    All replications of one n run as one batched path, chunk by chunk;
-    ``workers`` is accepted for compatibility and selects nothing.
+    All replications of one n run as one batched path, chunk by chunk.
     """
     per_n: dict[int, NSummary] = {}
     p_lo, p_hi = config.percentiles

@@ -111,7 +111,7 @@ class TestSimulate:
             "--theta-count", "11",
         ]
         assert run(common + ["--out", str(tmp_path / "a")]) == 0
-        assert run(common + ["--out", str(tmp_path / "b"), "--workers", "4"]) == 0
+        assert run(common + ["--out", str(tmp_path / "b")]) == 0
         a, b = tmp_path / "a", tmp_path / "b"
         names = {p.name for p in a.iterdir()}
         assert names == {
@@ -218,6 +218,25 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("FOCALRISK_OUT", str(tmp_path / "envout"))
     assert run(["predict", "--values", "0.5", "--lo", "0", "--hi", "1"]) == 0
     assert (tmp_path / "envout" / "prediction.txt").exists()
+
+
+@pytest.mark.parametrize("support", [("10", "11"), ("40", "41")])
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds", "coverage"])
+def test_negligible_normal_mass_exits_2(tmp_path, command, support):
+    # Rejection sampling on such a support accepts ~no draw; a fresh interpreter with
+    # a timeout turns a hang into a failure.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    argv = [command, "--lo", support[0], "--hi", support[1], "--out", str(tmp_path)]
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("SupportMassTooSmall:")
 
 
 def test_import_leaves_scipy_unloaded():

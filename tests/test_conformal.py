@@ -1,3 +1,5 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +15,12 @@ from focalrisk import (
     prediction_set,
     rank_candidate,
 )
+from focalrisk import conformal
 from focalrisk.conformal import (
     FocalRepresentation,
+    FocalSystem,
     merge_intervals,
+    rank_candidates,
     serialize_focal_system,
 )
 from focalrisk.errors import IndexOutOfRange, InvalidAlpha, OutOfSupport
@@ -205,3 +210,102 @@ def test_serialization_round_trip():
     # bit-exact: re-serializing parsed values reproduces the bytes
     text2 = "\n".join(f"{v} {lo:.17g} {hi:.17g}" for v, lo, hi in rebuilt) + "\n"
     assert text2 == text
+
+
+def _scalar_rank(sample, y, score):
+    """The one-candidate arithmetic of the scalar path, as an oracle."""
+    vals, n = sample.values, sample.n
+    if score is identity:
+        return 1 + bisect_right(list(vals), y)
+    if score is loo_mean:
+        total = float(np.sum(vals)) + y
+        cand = abs(y - (total - y) / n)
+        return 1 + int(np.count_nonzero(np.abs(vals - (total - vals) / n) <= cand))
+    augmented = np.append(vals, y)
+    cand = score.evaluate(n, augmented)
+    return 1 + sum(1 for i in range(n) if score.evaluate(i, augmented) <= cand)
+
+
+def _scalar_index(focal, y):
+    """The one-point scan of containing_index, as an oracle."""
+    if focal.representation is FocalRepresentation.EXACT_INTERVALS:
+        return min(bisect_left(list(focal.sample_values), y) + 1, focal.n_plus_1)
+    for v, pieces in enumerate(focal.sets, start=1):
+        for lo, hi in pieces:
+            if lo <= y <= hi:
+                return v
+    raise AssertionError(f"y={y} not covered")
+
+
+custom_loo = NonconformityScore.custom(
+    lambda i, vals: abs(vals[i] - (vals.sum() - vals[i]) / (len(vals) - 1))
+)
+
+
+class TestBatched:
+    @given(
+        st.lists(st.floats(-2, 2), min_size=1, max_size=25),
+        st.lists(st.floats(-2, 2), max_size=10),
+        st.sampled_from([identity, loo_mean, custom_loo]),
+    )
+    def test_rank_candidates_match_scalar(self, raw, extra, score):
+        s = make_sample(raw, -2, 2)
+        ys = np.array(raw + extra + [-2.0, 2.0])  # data points and support ends included
+        got = rank_candidates(s, ys, score)
+        assert got.tolist() == [_scalar_rank(s, float(y), score) for y in ys]
+        assert rank_candidate(s, float(ys[0]), score) == got[0]
+        assert type(rank_candidate(s, float(ys[0]), score)) is int
+
+    @pytest.mark.parametrize("cells", [1, 7, None])
+    def test_loo_mean_chunks(self, monkeypatch, cells):
+        # n=300 spans ten chunks of the real budget; tiny budgets give one y per chunk
+        if cells is not None:
+            monkeypatch.setattr(conformal, "_CHUNK_CELLS", cells)
+        raw = np.random.default_rng(3).uniform(-3, 3, 300)
+        s = make_sample(raw, -3, 3)
+        ys = np.concatenate([np.linspace(-3, 3, 1001), raw[:50]])
+        expected = [_scalar_rank(s, float(y), loo_mean) for y in ys]
+        assert rank_candidates(s, ys, loo_mean).tolist() == expected
+        assert len(list(conformal._chunks(ys, s.n))) > 1
+
+    @pytest.mark.filterwarnings("ignore::focalrisk.errors.EmptyFocalSetWarning")
+    @pytest.mark.parametrize("score", [identity, loo_mean])
+    @pytest.mark.parametrize("cells", [5, None])
+    def test_contour_array_matches_loop(self, monkeypatch, score, cells):
+        if cells is not None:
+            monkeypatch.setattr(conformal, "_CHUNK_CELLS", cells)
+        raw = [0.3, 1.1, 1.1, 2.0, 2.6, 4.2, 4.9]
+        f = focal_sets(make_sample(raw, 0, 5), score, grid_points=101)
+        edges = [e for pieces in f.sets for piece in pieces for e in piece]
+        ys = np.array(sorted(set(edges + raw + np.linspace(0, 5, 77).tolist())))
+        m = f.n_plus_1
+        got = contour(f, ys)
+        assert got.tolist() == [(m + 1 - _scalar_index(f, y)) / m for y in ys.tolist()]
+        assert got.tolist() == [contour(f, y) for y in ys.tolist()]
+        assert f.containing_index(ys).tolist() == [f.containing_index(y) for y in ys.tolist()]
+        assert type(contour(f, 1.1)) is float and type(f.containing_index(1.1)) is int
+
+    def test_grid_tie_goes_to_lower_index(self):
+        f = FocalSystem((((1.0, 2.0),), ((0.0, 1.0),), ((2.0, 3.0),)), 0.0, 3.0,
+                        FocalRepresentation.GRID_LEVEL_SETS, np.array([1.0, 2.0]))
+        assert f.containing_index(np.array([0.5, 1.0, 2.0, 2.5])).tolist() == [2, 1, 1, 3]
+
+    @pytest.mark.parametrize("score", [identity, loo_mean])
+    def test_one_out_of_support_y_raises(self, score):
+        f = focal_sets(make_sample([1, 2, 3, 4], 0, 5), score)
+        for bad in (5.5, -1e-9, np.nan):
+            with pytest.raises(OutOfSupport):
+                contour(f, np.array([0.5, 2.5, bad, 4.5]))
+            with pytest.raises(OutOfSupport):
+                rank_candidates(make_sample([1, 2, 3, 4], 0, 5), [1.0, bad], score)
+
+    def test_uncovered_y_raises(self):
+        f = FocalSystem((((0.0, 1.0),), ((2.0, 3.0),)), 0.0, 3.0,
+                        FocalRepresentation.GRID_LEVEL_SETS, np.array([1.5]))
+        assert contour(f, np.array([0.5, 2.5])).tolist() == [1.0, 0.5]
+        with pytest.raises(OutOfSupport, match="not covered"):
+            contour(f, np.array([0.5, 1.5, 2.5]))
+
+    def test_array_shape_kept(self):
+        f = focal_sets(make_sample([1, 2, 3, 4], 0, 5), identity)
+        assert contour(f, np.array([[0.5, 1.5], [2.5, 4.5]])).tolist() == [[1.0, 0.8], [0.6, 0.2]]

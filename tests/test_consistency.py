@@ -111,6 +111,19 @@ class TestWitnessUniform:
         n2 = witness_uniform(ThetaGrid(-1, 1, 82), eps, alpha, L)
         assert n2 - n1 <= math.ceil(L**2 / (2 * eps**2) * math.log(2)) + 1
 
+    @pytest.mark.parametrize("count,eps,alpha,L", [(41, 0.5, 0.05, 16.0), (11, 1.0, 0.2, 9.0),
+                                                   (101, 0.1, 0.01, 1.0), (1, 2.0, 0.5, 3.0)])
+    def test_witness_below_upper_risk_tail_bound_n(self, count, eps, alpha, L):
+        # The witness uses the empirical risk's Hoeffding constant 2; the upper risk's
+        # tail bound has 2/9, so at the witness n it does not yet reach alpha.
+        grid = ThetaGrid(-1, 1, count)
+        n = witness_uniform(grid, eps, alpha, L)
+        n_upper = math.floor(9 * L**2 / (2 * eps**2) * math.log(2 * count / alpha)) + 1
+        assert count * hoeffding_bound(n_upper, eps, L) < alpha
+        assert count * hoeffding_bound(n_upper - 1, eps, L) >= alpha
+        assert n < n_upper
+        assert count * hoeffding_bound(n, eps, L) >= alpha
+
     def test_validation(self):
         with pytest.raises(NonpositiveEpsilon):
             witness_uniform(GRID, 0.0, 0.05, 1.0)

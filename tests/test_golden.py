@@ -12,6 +12,8 @@ import pytest
 from focalrisk.cli import main
 
 VALUES = "-2.5,-1.25,-0.75,-0.3,0.1,0.4,0.45,0.9,1.3,1.75,2.2,2.9"
+# n=200 (200 distinct values in [-2.9, 2.9]): the rank and contour passes span several chunks
+VALUES_200 = ",".join(f"{((i * 7919) % 5801 - 2900) / 1000:g}" for i in range(200))
 
 CASES = {
     "simulate": (
@@ -61,6 +63,14 @@ CASES = {
             "contour.csv": "8c4f2d17bcf2410caec9eab2aa17eb15c4d4b7b6ff693b00559d28cdf1819593",
             "focal.txt": "e8ab9259275633cc2282ae5654c3f14a29ea0cb07cebc634400fc20df4f0f8ff",
             "prediction.txt": "f4d7ca070210f843fabf5f75d6cbda8cea70369d4e8a15d719612258eecad311",
+        },
+    ),
+    "predict-loo-mean-n200": (
+        ["predict", "--values=" + VALUES_200, "--alpha", "0.2", "--score", "loo-mean"],
+        {
+            "contour.csv": "dbc570fe1cb650f74642384066e235f5620cb4c58a704e8dbcb0ab119160d025",
+            "focal.txt": "6b957ad458df79228929b62bed6d66307f813bc4119a93ba126a4f9eb187fc2d",
+            "prediction.txt": "4f08cd7abfb9d2e1d47bac6a9c6c3d721c2b82af7a609faec1fce2c0e2c7b883",
         },
     ),
     "risk-curve": (

@@ -245,6 +245,24 @@ class TestMinimizeUpperRisk:
             theta, value = minimize_upper_risk(sq11, s, ThetaGrid(-1, 1, 21))
             assert value == closed_form_curve(sq11, s, np.array([theta]))[0]
 
+    def test_convex_in_y_but_not_unimodal_in_theta(self):
+        # loss = c(theta) + |y| on y knots -3, 0, 3: convex in y, while c has a shallow
+        # dip at theta=-0.1 and its deepest one at 0.4.  Golden section on [-0.5, 0.5]
+        # (around the grid argmin 0) goes left and stops in the shallow dip.
+        from focalrisk import tabulated_loss
+
+        tk = np.linspace(-1, 1, 21)
+        c = 1.0 + 2.0 * np.abs(tk)
+        c[9], c[14] = 0.9, 0.0
+        loss = tabulated_loss(tk, [-3, 0, 3], np.stack([c + 3, c, c + 3], axis=1), True)
+        s = make_sample([-1.0, 0.5, 1.0], -3, 3)
+        grid = ThetaGrid(-1, 1, 5)
+        theta, value = minimize_upper_risk(loss, s, grid)
+        assert value <= np.min(closed_form_curve(loss, s, grid.points))
+        assert value == closed_form_curve(loss, s, np.array([theta]))[0]
+        dense = closed_form_curve(loss, s, np.linspace(-0.5, 0.5, 1001))
+        assert theta == pytest.approx(-0.1, abs=1e-6) and dense.min() < value - 0.5
+
 
 _INV_GOLDEN = (5 ** 0.5 - 1) / 2
 

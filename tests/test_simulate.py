@@ -15,7 +15,7 @@ from focalrisk import (
     sample_truncated_normal,
     squared_error_loss,
 )
-from focalrisk.errors import DegenerateSupport, EmptyInput, GridMismatch
+from focalrisk.errors import DegenerateSupport, EmptyInput, GridMismatch, SupportMassTooSmall
 from focalrisk.risk import RiskCurve
 from focalrisk.simulate import write_summary
 
@@ -38,6 +38,26 @@ class TestSampleTruncatedNormal:
     def test_degenerate(self):
         with pytest.raises(DegenerateSupport):
             sample_truncated_normal(10, 1, 1, replication_rng(0, 0, 0))
+
+    def test_negligible_mass_refused(self):
+        # The sampler runs in a fresh interpreter with a timeout: without the check it hangs.
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import focalrisk
+
+        for lo, hi in [(10, 11), (40, 41), (3.2, 4)]:
+            with pytest.raises(SupportMassTooSmall):
+                TrueModel.truncated_std_normal(lo, hi)
+            code = ("from focalrisk import replication_rng, sample_truncated_normal as f\n"
+                    f"f(5, {lo}, {hi}, replication_rng(0, 5, 0))\n")
+            env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60)
+            assert "SupportMassTooSmall" in out.stderr
+        s = sample_truncated_normal(5, 3, 4, replication_rng(0, 5, 0))  # mass 1.3e-3
+        assert np.all((s.values >= 3) & (s.values <= 4))
 
     def test_stream_determinism(self):
         a = sample_truncated_normal(50, -3, 3, replication_rng(9, 20, 3))
@@ -133,12 +153,12 @@ class TestRunReplications:
         assert len(s.minimizers) == 20
         assert s.histogram_counts.sum() == 20
 
-    def test_worker_independence(self):
-        s1 = run_replications(_small_config(reps=16), workers=1)
-        s4 = run_replications(_small_config(reps=16), workers=4)
-        assert np.array_equal(s1.per_n[10].minimizers, s4.per_n[10].minimizers)
+    def test_rerun_identical(self):
+        s1 = run_replications(_small_config(reps=16))
+        s2 = run_replications(_small_config(reps=16))
+        assert np.array_equal(s1.per_n[10].minimizers, s2.per_n[10].minimizers)
         assert np.array_equal(
-            s1.per_n[10].median_curve.values, s4.per_n[10].median_curve.values
+            s1.per_n[10].median_curve.values, s2.per_n[10].median_curve.values
         )
 
     def test_domination(self):
