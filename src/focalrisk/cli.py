@@ -9,6 +9,7 @@ output directory can be set via the FOCALRISK_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -132,9 +133,7 @@ def cmd_simulate(args) -> int:
         from . import svgplot
 
         thetas = config.theta_grid.points
-        true_curve = risk.risk_curve(
-            loss, config.theta_grid, risk.RiskKind.TRUE, model=model
-        ).values
+        true_curve = risk.true_risk_curve(loss, model, thetas)
         palette = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd"]
         curves = [("true risk", "#000000", true_curve)]
         bands = []
@@ -210,7 +209,9 @@ def _add_theta(p):
     p.add_argument("--theta-count", type=int, default=101)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing and ``_apply_config`` only read it."""
     parser = argparse.ArgumentParser(
         prog="focalrisk",
         description="Focal-set predictive inference and upper-risk decision tools",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_model import LossSpec, ThetaGrid, TrueModel
 from .errors import InvalidAlpha, NonConvexLoss, NonpositiveEpsilon
-from .risk import golden_section_min, true_risk, upper_risk_batch
+from .risk import golden_section_min, true_risk, true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
 
 _XTOL = 1e-12  # argument tolerance of the refined extrema in ``constants``
@@ -189,7 +189,7 @@ def verify_uniform(
         witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
         min_sample_size(epsilon, consts.M) if consts.M > 0 else 1,
     )
-    targets = np.array([true_risk(loss, model, t) for t in theta_grid.points])
+    targets = true_risk_curve(loss, model, theta_grid.points)
     a, b = model.support
     violations = 0
     for rows in sample_chunks(model.support, seed, n, replications, n * theta_grid.count):

@@ -24,6 +24,7 @@ from .errors import (
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MASS_FLOOR = 1e-3  # below it, rejection sampling need not end and the density divides by ~0
+_NORMAL_EDGE = 38.6  # exp(-y^2 / 2) underflows to 0 in float64 just beyond it
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,15 @@ class LossKind(enum.Enum):
 class LossSpec:
     """A nonnegative loss (theta, y) -> R+ with a convexity-in-y attestation.
 
-    ``evaluate`` accepts scalars or numpy arrays (broadcasting).
+    ``evaluate`` accepts scalars or numpy arrays (broadcasting).  ``y_breaks``
+    lists the y where loss(theta, .) may have a kink, besides y = theta.
     """
 
     kind: LossKind
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     convex_in_y: bool
     theta_domain: tuple[float, float]
+    y_breaks: tuple[float, ...] = ()
 
     def __call__(self, theta, y):
         return self.evaluate(np.asarray(theta, dtype=float), np.asarray(y, dtype=float))
@@ -170,6 +173,7 @@ def tabulated_loss(
         evaluate=evaluate,
         convex_in_y=convex_in_y,
         theta_domain=(float(tk[0]), float(tk[-1])),
+        y_breaks=tuple(yk.tolist()),
     )
 
 
@@ -239,19 +243,26 @@ def truncated_normal_density(y, lo: float, hi: float):
 
 @dataclass(frozen=True)
 class TrueModel:
-    """A data-generating distribution on a bounded support."""
+    """A data-generating distribution on a bounded support.
+
+    ``breaks``: the true risk's quadrature panel edges (default: the support's
+    ends); the density is 0 outside them, smooth or polynomial between them.
+    """
 
     kind: ModelKind
     density: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
+    breaks: tuple[float, ...] = ()
 
     @staticmethod
     def truncated_std_normal(lo: float = -3.0, hi: float = 3.0) -> "TrueModel":
         normal_mass(lo, hi)
+        e0, e1 = max(lo, -_NORMAL_EDGE), min(hi, _NORMAL_EDGE)  # panels at most 1 wide
         return TrueModel(
             kind=ModelKind.TRUNCATED_STD_NORMAL,
             density=lambda y: truncated_normal_density(y, lo, hi),
             support=(float(lo), float(hi)),
+            breaks=tuple(np.linspace(e0, e1, math.ceil(e1 - e0) + 1).tolist()),
         )
 
     @staticmethod
@@ -268,6 +279,7 @@ class TrueModel:
             kind=ModelKind.TABULATED,
             density=lambda y: np.interp(y, yk, dv, left=0.0, right=0.0),
             support=(float(yk[0]), float(yk[-1])),
+            breaks=tuple(yk.tolist()),
         )
 
     @staticmethod

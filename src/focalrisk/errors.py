@@ -41,10 +41,6 @@ class NonConvexLoss(FocalRiskError):
     """Operation requires the convexity-in-y attestation."""
 
 
-class QuadratureNonconvergence(FocalRiskError):
-    """Adaptive quadrature failed to reach tolerance at max depth."""
-
-
 class IndexOutOfRange(FocalRiskError):
     """A rank or focal index is outside 1..n+1."""
 

@@ -1,47 +1,40 @@
-"""Adaptive Simpson quadrature on a finite interval."""
+"""Fixed composite Gauss–Legendre quadrature, vectorized over panels."""
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import QuadratureNonconvergence
+import numpy as np
+
+_M = 16  # nodes per panel: exact for polynomials of degree < 32
 
 
-def _simpson(f, a, fa, b, fb, m, fm):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the m-point rule on [-1, 1].
+
+    Newton's method on the three-term recurrence of P_m from the asymptotic
+    guess; for m = 16 the fourth step is below rounding, and the fifth takes
+    the derivative for the weights at the converged roots.
+    """
+    x = np.cos(np.pi * (np.arange(m, 0, -1) - 0.25) / (m + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones(m), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise QuadratureNonconvergence(
-            f"max recursion depth reached on [{a}, {b}]"
-        )
-    return _adaptive(f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1) + _adaptive(
-        f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1
-    )
+_NODES, _WEIGHTS = _legendre_rule(_M)
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-8,
-    max_depth: int = 40,
-) -> float:
-    """Integrate f over [a, b] to absolute tolerance tol."""
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+def integrate(f: Callable[[np.ndarray], np.ndarray], a, b) -> np.ndarray:
+    """Integral of f over every panel [a, b] at once (a, b broadcast arrays).
+
+    f maps an array of points (the panels' shape plus a node axis) to f at
+    each.  Exact to rounding for f polynomial, or smooth at the panel's scale.
+    """
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    half = 0.5 * (b - a)
+    return np.sum(f(0.5 * (a + b) + half * _NODES) * _WEIGHTS, axis=-1) * half[..., 0]

@@ -25,6 +25,7 @@ from .errors import ApproximateSupremumWarning, NonConvexLoss
 from .quadrature import integrate
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
 
 
 class RiskKind(enum.Enum):
@@ -70,15 +71,33 @@ def empirical_risk(loss: LossSpec, sample: BoundedSample, theta: float) -> float
     return float(np.mean(loss(theta, sample.values)))
 
 
-def true_risk(
-    loss: LossSpec, model: TrueModel, theta: float, tol: float = 1e-8
-) -> float:
-    loss.check_theta(theta)
+def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
+    """True risk E loss(theta, Y) at every theta, by one quadrature pass.
+
+    Panels run between the model's breaks, the loss's y-breaks and theta (the
+    kink of the absolute loss), so the integrand is smooth or polynomial on
+    each.  A pass takes as many thetas as fit in _CHUNK_PANELS panels.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    for t in thetas:
+        loss.check_theta(t)
     lo, hi = model.support
     if model.kind is ModelKind.POINT_MASS or lo == hi:
-        return float(loss(theta, lo))
-    dens = model.density
-    return integrate(lambda y: float(loss(theta, y)) * float(dens(y)), lo, hi, tol=tol)
+        return np.asarray(loss(thetas, lo), dtype=float)
+    edges = np.asarray(model.breaks or model.support, dtype=float)
+    edges = np.sort(np.append(edges, [y for y in loss.y_breaks if edges[0] < y < edges[-1]]))
+    step, curve = max(1, _CHUNK_PANELS // len(edges)), []
+    for t in (thetas[i:i + step, None] for i in range(0, len(thetas), step)):
+        ends = np.sort(np.hstack([np.tile(edges, (len(t), 1)), t.clip(edges[0], edges[-1])]))
+        parts = integrate(lambda y: loss(t[..., None], y) * model.density(y),
+                          ends[:, :-1], ends[:, 1:])
+        curve.append(parts.sum(axis=1))
+    return np.concatenate(curve)
+
+
+def true_risk(loss: LossSpec, model: TrueModel, theta: float) -> float:
+    """True risk at one theta: the one-point view of ``true_risk_curve``."""
+    return float(true_risk_curve(loss, model, [theta])[0])
 
 
 def sup_on_interval(
@@ -168,7 +187,7 @@ def risk_curve(
     elif kind is RiskKind.TRUE:
         if model is None:
             raise ValueError("true risk needs a model")
-        vals = np.array([true_risk(loss, model, t) for t in grid.points])
+        vals = true_risk_curve(loss, model, grid.points)
     else:
         if focal is not None:
             vals = np.array([upper_risk_general(loss, focal, t) for t in grid.points])

@@ -21,6 +21,7 @@ from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_bat
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
+_MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 
 
 def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Generator:
@@ -36,13 +37,15 @@ def sample_truncated_normal(
 
     Rejection sampling: draw standard normals, keep those inside the support
     (acceptance rate ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3).
+    The kept values are the first n in-support draws of rng's sequence, so the
+    batch sizes, scaled by the acceptance rate, never change the result.
     """
-    normal_mass(lo, hi)
+    mass = normal_mass(lo, hi)
     out = np.empty(n)
     filled = 0
     while filled < n:
         need = n - filled
-        batch = rng.standard_normal(max(need + 8, int(need * 1.1)))
+        batch = rng.standard_normal(min(max(need + 8, int(need * 1.1 / mass)), _MAX_BATCH))
         keep = batch[(batch >= lo) & (batch <= hi)][:need]
         out[filled : filled + len(keep)] = keep
         filled += len(keep)

@@ -192,7 +192,7 @@ def test_criterion_6_constants_oracle():
     ok = (
         abs(c.M - 32.0) <= 1e-9
         and abs(l0 - 9.0) <= 1e-9
-        and abs(risk0 - TRUNC_VAR) <= 1e-7
+        and abs(risk0 - TRUNC_VAR) <= 1e-12
     )
     report(
         f"constants oracle (M={c.M:.12f}, L(0)={l0:.12f}, R(0)={risk0:.9f})", ok

@@ -239,6 +239,42 @@ def test_negligible_normal_mass_exits_2(tmp_path, command, support):
     assert out.stderr.startswith("SupportMassTooSmall:")
 
 
+def test_simulate_near_mass_floor_finishes(tmp_path):
+    # [3, 4] holds normal mass 1.3e-3, just above the floor; a fresh interpreter with a
+    # timeout turns a sampler that crawls there into a failure
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    argv = ["simulate", "--lo", "3", "--hi", "4", "--replications", "200", "--out", str(tmp_path)]
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "minimizers_n200.csv").exists()
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    def once(name, argv, config=None):
+        out, pre = tmp_path / name, []
+        if config is not None:
+            (tmp_path / f"{name}.cfg").write_text(config)
+            pre = ["--config", str(tmp_path / f"{name}.cfg")]
+        assert main([*pre, *argv, "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    curve = ["risk-curve", "--values", "0.2,0.8", "--lo", "0", "--hi", "1",
+             "--theta-lo", "0", "--theta-hi", "1", "--theta-count", "5"]
+    predict = ["predict", "--values", "0.2,0.8", "--lo", "0", "--hi", "1"]
+    plain_curve, plain_predict = once("c0", curve), once("p0", predict)
+    assert once("c1", curve, "loss = absolute\n") != plain_curve
+    assert once("p1", predict, "alpha = 0.5\n") != plain_predict
+    assert once("c2", curve) == plain_curve
+    assert once("p2", predict) == plain_predict
+
+
 def test_import_leaves_scipy_unloaded():
     import subprocess
     import sys

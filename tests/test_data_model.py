@@ -66,8 +66,11 @@ class TestTruncatedNormalDensity:
         )
 
     def test_integrates_to_one(self):
-        total = integrate(lambda y: truncated_normal_density(y, -3, 3), -3, 3, tol=1e-10)
-        assert total == pytest.approx(1.0, abs=1e-8)
+        # one pass over six unit panels, the layout the normal model's true risk uses
+        parts = integrate(lambda y: truncated_normal_density(y, -3, 3),
+                          np.arange(-3.0, 3.0), np.arange(-2.0, 4.0))
+        assert parts.shape == (6,)
+        assert parts.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_support(self):
         with pytest.raises(DegenerateSupport):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -15,16 +18,18 @@ from focalrisk import (
     risk_curve,
     squared_error_loss,
     sup_on_interval,
+    tabulated_loss,
     true_risk,
     upper_risk_closed_form,
     upper_risk_general,
 )
+from focalrisk.data_model import ModelKind
 from focalrisk.errors import (
     ApproximateSupremumWarning,
     NonConvexLoss,
     ThetaOutOfDomain,
 )
-from focalrisk.risk import closed_form_curve
+from focalrisk.risk import closed_form_curve, true_risk_curve
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -53,15 +58,128 @@ class TestEmpiricalRisk:
 class TestTrueRisk:
     def test_variance_oracle(self):
         model = TrueModel.truncated_std_normal(-3, 3)
-        assert true_risk(sq11, model, 0.0) == pytest.approx(TRUNC_VAR, abs=1e-7)
+        assert true_risk(sq11, model, 0.0) == pytest.approx(TRUNC_VAR, abs=1e-12)
 
     def test_shift_identity(self):
         model = TrueModel.truncated_std_normal(-3, 3)
-        assert true_risk(sq11, model, 1.0) == pytest.approx(TRUNC_VAR + 1.0, abs=1e-7)
+        assert true_risk(sq11, model, 1.0) == pytest.approx(TRUNC_VAR + 1.0, abs=1e-12)
 
     def test_point_mass(self):
         model = TrueModel.point_mass(0.4)
         assert true_risk(sq01, model, 0.1) == pytest.approx(0.09)
+
+
+def _phi(y):
+    return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+
+def _normal_mass(a, b):
+    """Standard-normal mass of [a, b], through the tail that does not cancel."""
+    s = math.sqrt(2.0)
+    if a >= 0:
+        return 0.5 * (math.erfc(a / s) - math.erfc(b / s))
+    if b <= 0:
+        return 0.5 * (math.erfc(-b / s) - math.erfc(-a / s))
+    return 1.0 - 0.5 * (math.erfc(-a / s) + math.erfc(b / s))
+
+
+def _squared_moment(a, b, t):
+    """E (Y - t)^2 = Var + (mu - t)^2 for Y standard normal truncated to [a, b]."""
+    z = _normal_mass(a, b)
+    mu = (_phi(a) - _phi(b)) / z
+    var = 1.0 + (a * _phi(a) - b * _phi(b)) / z - mu * mu
+    return var + (mu - t) ** 2
+
+
+def _absolute_moment(a, b, t):
+    """E |Y - t| = E[Y - t; Y > c] - E[Y - t; Y < c], with c = t clipped to [a, b]."""
+    c = min(max(t, a), b)
+    above = _phi(c) - _phi(b) - t * _normal_mass(c, b)
+    below = _phi(a) - _phi(c) - t * _normal_mass(a, c)
+    return (above - below) / _normal_mass(a, b)
+
+
+def _exact_piecewise(loss_kind, knots, dens, t):
+    """E loss(t, Y) for a piecewise-linear density, in exact rational arithmetic.
+
+    Every piece is split at t, so the integrand is a cubic on each part and
+    Simpson's rule is exact.
+    """
+    knots, dens, t = [Fraction(k) for k in knots], [Fraction(d) for d in dens], Fraction(t)
+    total = Fraction(0)
+    for u, v, du, dv in zip(knots, knots[1:], dens, dens[1:]):
+        def f(y):
+            loss = (y - t) ** 2 if loss_kind == "squared" else abs(y - t)
+            return loss * (du + (dv - du) * (y - u) / (v - u))
+
+        for lo, hi in ((u, min(max(t, u), v)), (min(max(t, u), v), v)):
+            total += (hi - lo) / 6 * (f(lo) + 4 * f((lo + hi) / 2) + f(hi))
+    return total
+
+
+class TestTrueRiskCurve:
+    @pytest.mark.parametrize("a, b", [(-3, 3), (-1, 2), (3, 4), (-50, 50), (-3, 30)])
+    @pytest.mark.parametrize("kind, moment", [("squared", _squared_moment),
+                                              ("absolute", _absolute_moment)])
+    def test_truncated_normal_moments(self, a, b, kind, moment):
+        # theta outside, at the ends of, and inside the support
+        thetas = [a - 1.0, a, a + 0.3 * (b - a), 0.5 * (a + b), b - 0.25, b, b + 1.0]
+        loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((a - 1, b + 1))
+        got = true_risk_curve(loss, TrueModel.truncated_std_normal(a, b), thetas)
+        assert got.tolist() == pytest.approx([moment(a, b, t) for t in thetas],
+                                             rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["squared", "absolute"])
+    def test_tabulated_model_exact(self, kind):
+        # polynomial on every panel between knots and theta: exact to rounding
+        knots, dens = [-1.0, -0.25, 0.5, 2.0], [0.0, 0.5, 0.5, 1.0 / 12.0]
+        model = TrueModel.tabulated(knots, dens)
+        thetas = [-1.5, -1.0, -0.25, 0.3, 1.999, 2.0, 2.5]
+        loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((-2, 3))
+        got = true_risk_curve(loss, model, thetas)
+        want = [float(_exact_piecewise(kind, knots, dens, t)) for t in thetas]
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_model_without_breaks_uses_its_support(self):
+        uniform = TrueModel(kind=ModelKind.TABULATED, support=(0.0, 2.0),
+                            density=lambda y: np.where((y >= 0) & (y <= 2), 0.5, 0.0))
+        thetas = np.array([-1.0, 0.5, 1.0, 3.0])
+        got = true_risk_curve(squared_error_loss((-1, 3)), uniform, thetas)
+        assert np.max(np.abs(got - (1.0 / 3.0 + (1.0 - thetas) ** 2))) <= 1e-14
+
+    def test_tabulated_loss_kinks(self):
+        # y-knots off the normal model's unit panels: the panels must split there
+        loss = tabulated_loss([-1.0, 0.0, 1.0], [-3.0, -1.3, 0.2, 1.7, 3.0],
+                              np.array([[4.0, 1.0, 0.0, 2.0, 5.0],
+                                        [3.0, 0.5, 1.5, 0.0, 2.0],
+                                        [1.0, 2.5, 0.0, 3.0, 0.5]]))
+        model = TrueModel.truncated_std_normal(-3, 3)
+        thetas = np.array([-1.0, -0.35, 0.0, 0.6, 1.0])
+        got = true_risk_curve(loss, model, thetas)
+        # dense reference: composite Simpson, 4000 intervals between consecutive knots
+        want = np.zeros_like(thetas)
+        for u, v in zip(loss.y_breaks, loss.y_breaks[1:]):
+            ys = np.linspace(u, v, 4001)
+            f = loss(thetas[:, None], ys) * model.density(ys)
+            h = (v - u) / 4000
+            want += h / 3 * (f[:, 0] + f[:, -1] + 4 * f[:, 1:-1:2].sum(1) + 2 * f[:, 2:-1:2].sum(1))
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_passes_of_any_size_agree(self, monkeypatch):
+        import focalrisk.risk as risk_mod
+
+        model = TrueModel.truncated_std_normal(-3, 3)
+        thetas = np.linspace(-1, 1, 101)
+        whole = true_risk_curve(sq11, model, thetas)
+        assert np.array_equal(whole, [true_risk(sq11, model, t) for t in thetas])
+        for panels in (1, 100):
+            monkeypatch.setattr(risk_mod, "_CHUNK_PANELS", panels)
+            assert np.array_equal(true_risk_curve(sq11, model, thetas), whole)
+
+    def test_theta_domain(self):
+        model = TrueModel.truncated_std_normal(-3, 3)
+        with pytest.raises(ThetaOutOfDomain):
+            true_risk_curve(sq11, model, [0.0, 1.5])
 
 
 class TestSupOnInterval:
@@ -195,7 +313,7 @@ class TestRiskCurve:
         model = TrueModel.truncated_std_normal(-3, 3)
         grid = ThetaGrid(-1, 1, 9)
         c = risk_curve(sq11, grid, RiskKind.TRUE, model=model)
-        assert np.allclose(c.values, TRUNC_VAR + grid.points**2, atol=1e-7)
+        assert np.allclose(c.values, TRUNC_VAR + grid.points**2, rtol=0, atol=1e-12)
 
     def test_csv_round_trip(self):
         s = make_sample([0.2, 0.8], 0, 1)

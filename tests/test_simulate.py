@@ -59,6 +59,34 @@ class TestSampleTruncatedNormal:
         s = sample_truncated_normal(5, 3, 4, replication_rng(0, 5, 0))  # mass 1.3e-3
         assert np.all((s.values >= 3) & (s.values <= 4))
 
+    @pytest.mark.parametrize("n, lo, hi", [(500, -3, 3), (60, 3, 4)])
+    def test_first_in_support_draws(self, n, lo, hi):
+        # oracle: one draw at a time from the same stream, kept while inside
+        for r in range(3):
+            rng, kept = replication_rng(11, n, r), []
+            while len(kept) < n:
+                y = rng.standard_normal()
+                if lo <= y <= hi:
+                    kept.append(y)
+            s = sample_truncated_normal(n, lo, hi, replication_rng(11, n, r))
+            assert s.to_original().tolist() == kept
+
+    def test_batches_scale_with_acceptance(self):
+        # [3, 4] accepts 1.3e-3 of the draws; batches of ~1.1 x the values still
+        # needed took ~700 rounds per sample of 200
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, size):
+                self.calls += 1
+                return self.rng.standard_normal(size)
+
+        for r in range(5):
+            rng = Counting(replication_rng(0, 200, r))
+            sample_truncated_normal(200, 3, 4, rng)
+            assert rng.calls <= 3
+
     def test_stream_determinism(self):
         a = sample_truncated_normal(50, -3, 3, replication_rng(9, 20, 3))
         b = sample_truncated_normal(50, -3, 3, replication_rng(9, 20, 3))
