@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -158,19 +159,18 @@ def cmd_verify_bounds(args) -> int:
     model = TrueModel.truncated_std_normal(args.lo, args.hi)
     loss = _LOSSES[args.loss]((args.theta_lo, args.theta_hi))
     out = _out_dir(args)
-    thetas = _parse_list(args.theta, float)
+    thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
+    for eps in epsilons:
+        consistency.check_epsilon(eps)
     for n in _parse_list(args.n, int):
-        for eps in _parse_list(args.epsilon, float):
-            for theta in thetas:
-                report = consistency.verify_pointwise(
-                    model, loss, theta, n, eps,
-                    replications=args.replications, seed=args.seed,
-                )
-                name = f"bound_n{n}_eps{eps:g}_theta{theta:g}.json"
-                _write(out / name, report.to_json() + "\n")
+        reports = consistency.pointwise_reports(
+            model, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
+        )
+        for report, (eps, theta) in zip(reports, itertools.product(epsilons, thetas)):
+            _write(out / f"bound_n{n}_eps{eps:g}_theta{theta:g}.json", report.to_json() + "\n")
     if args.uniform:
         grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
-        for eps in _parse_list(args.epsilon, float):
+        for eps in epsilons:
             report = consistency.verify_uniform(
                 model, loss, grid, eps, args.alpha, args.seed,
                 replications=args.replications,

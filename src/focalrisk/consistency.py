@@ -16,8 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .data_model import LossSpec, ThetaGrid, TrueModel
-from .errors import InvalidAlpha, NonConvexLoss, NonpositiveEpsilon
-from .risk import golden_section_min, true_risk, true_risk_curve, upper_risk_batch
+from .errors import InvalidAlpha, NonFiniteValue, NonpositiveEpsilon
+from .risk import golden_section_min, true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
 
 _XTOL = 1e-12  # argument tolerance of the refined extrema in ``constants``
@@ -67,17 +67,23 @@ def constants(
     return ConsistencyConstants(M=float(sups[0] + sups[1]), L_of_theta=l_of_theta, L_max=l_max)
 
 
-def min_sample_size(epsilon: float, M: float) -> int:
-    """Smallest n satisfying n >= 3M/epsilon - 1 (at least 1)."""
+def check_epsilon(epsilon: float) -> None:
+    """Raise unless epsilon is finite and positive."""
+    if not math.isfinite(epsilon):
+        raise NonFiniteValue(f"epsilon={epsilon} is not finite")
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon={epsilon}")
+
+
+def min_sample_size(epsilon: float, M: float) -> int:
+    """Smallest n satisfying n >= 3M/epsilon - 1 (at least 1)."""
+    check_epsilon(epsilon)
     return max(1, math.ceil(3.0 * M / epsilon - 1.0))
 
 
 def hoeffding_bound(n: int, epsilon: float, L: float) -> float:
     """Tail bound 2*exp(-(2/9) n eps^2 / L^2); 0 when the loss is constant."""
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon={epsilon}")
+    check_epsilon(epsilon)
     if L == 0.0:
         return 0.0
     return 2.0 * float(np.exp(-(2.0 / 9.0) * n * epsilon**2 / L**2))
@@ -97,44 +103,47 @@ class BoundReport:
         return json.dumps(asdict(self))
 
 
-def verify_pointwise(
-    model: TrueModel,
-    loss: LossSpec,
-    theta: float,
-    n: int,
-    epsilon: float,
-    replications: int,
-    seed: int,
-    theta_grid: ThetaGrid | None = None,
-) -> BoundReport:
-    """Monte Carlo check of the pointwise deviation bound at one theta.
+def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
+                replications: int, seed: int):
+    """|upper risk - true risk| at every theta, as (r, len(thetas)) chunks of replications."""
+    targets, (a, b) = true_risk_curve(loss, model, thetas), model.support
+    for rows in sample_chunks(model.support, seed, n, replications, n * len(thetas)):
+        yield np.abs(upper_risk_batch(loss, rows[:, None, :], a, b, thetas) - targets)
 
-    The constants grid defaults to 201 points over the loss's parameter
-    domain.  Deterministic given seed: replication r uses the stream keyed
-    by (seed, n, r).
+
+def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons,
+                      replications: int, seed: int,
+                      theta_grid: ThetaGrid | None = None) -> list[BoundReport]:
+    """Monte Carlo checks of the pointwise deviation bound, in (epsilon, theta) order.
+
+    One draw of replication r (stream keyed by (seed, n, r)) scores every theta
+    and epsilon.  The constants grid defaults to 201 points over the theta domain.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")
-    if theta_grid is None:
-        theta_grid = ThetaGrid(loss.theta_domain[0], loss.theta_domain[1], 201)
-    consts = constants(loss, model.support, theta_grid)
-    target = true_risk(loss, model, theta)
-    if not loss.convex_in_y:
-        raise NonConvexLoss("closed form requires the convexity attestation")
-    a, b = model.support
-    violations = 0
-    for rows in sample_chunks(model.support, seed, n, replications, n):
-        upper = upper_risk_batch(loss, rows, a, b, [theta])
-        violations += int(np.count_nonzero(np.abs(upper - target) > epsilon))
-    return BoundReport(
-        epsilon=epsilon,
-        n=n,
-        threshold_met=n >= min_sample_size(epsilon, consts.M),
-        bound=hoeffding_bound(n, epsilon, consts.L_of_theta(theta)),
-        empirical_violation_rate=violations / replications,
-        replications=replications,
-        seed=seed,
-    )
+    for eps in epsilons:
+        check_epsilon(eps)
+    loss.check_convex()
+    thetas = np.asarray(thetas, dtype=float)
+    if not (len(thetas) and len(epsilons)):
+        return []
+    theta_grid = theta_grid or ThetaGrid(*loss.theta_domain, 201)
+    consts, eps_axis = constants(loss, model.support, theta_grid), np.reshape(epsilons, (-1, 1, 1))
+    violations = sum(np.count_nonzero(dev > eps_axis, axis=1)
+                     for dev in _deviations(model, loss, thetas, n, replications, seed))
+    return [BoundReport(eps, n, n >= min_sample_size(eps, consts.M),
+                        hoeffding_bound(n, eps, consts.L_of_theta(theta)),
+                        int(count) / replications, replications, seed)
+            for eps, counts in zip(epsilons, violations)
+            for theta, count in zip(thetas.tolist(), counts)]
+
+
+def verify_pointwise(model: TrueModel, loss: LossSpec, theta: float, n: int, epsilon: float,
+                     replications: int, seed: int,
+                     theta_grid: ThetaGrid | None = None) -> BoundReport:
+    """Monte Carlo check of the pointwise bound at one theta; see ``pointwise_reports``."""
+    return pointwise_reports(model, loss, [theta], n, [epsilon], replications, seed,
+                             theta_grid)[0]
 
 
 def witness_uniform(
@@ -145,8 +154,7 @@ def witness_uniform(
     Smallest n with |grid| * 2 * exp(-2 n eps^2 / L_max^2) < alpha.  The
     upper risk's tail bound (``hoeffding_bound``) has 2/9 for 2: ~9x this n.
     """
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon={epsilon}")
+    check_epsilon(epsilon)
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha={alpha}")
     if L_max == 0.0:
@@ -184,17 +192,13 @@ def verify_uniform(
     empirical risk's, below what the upper risk's 2/9 tail bound needs, so
     the theorem does not certify the estimate; it is an observation.
     """
+    check_epsilon(epsilon)
+    loss.check_convex()
     consts = constants(loss, model.support, theta_grid)
-    n = max(
-        witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
-        min_sample_size(epsilon, consts.M) if consts.M > 0 else 1,
-    )
-    targets = true_risk_curve(loss, model, theta_grid.points)
-    a, b = model.support
-    violations = 0
-    for rows in sample_chunks(model.support, seed, n, replications, n * theta_grid.count):
-        uppers = upper_risk_batch(loss, rows[:, None, :], a, b, theta_grid.points)
-        violations += int(np.count_nonzero(np.abs(uppers - targets).max(axis=1) > epsilon))
+    n = max(witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
+            min_sample_size(epsilon, consts.M) if consts.M > 0 else 1)
+    violations = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon))
+                     for dev in _deviations(model, loss, theta_grid.points, n, replications, seed))
     est = violations / replications
     return UniformReport(
         epsilon=epsilon,

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateSupport,
     EmptySample,
+    NonConvexLoss,
     NonFiniteValue,
     OutOfSupport,
     SupportMassTooSmall,
@@ -59,10 +60,9 @@ def check_support(lo: float, hi: float) -> None:
         raise DegenerateSupport(f"support [{lo}, {hi}] is degenerate")
 
 
-def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
-    """Validate and sort raw observations into a BoundedSample."""
+def check_values(arr: np.ndarray, lo: float, hi: float) -> None:
+    """Raise unless arr is a nonempty flat array of finite values in the support [lo, hi]."""
     check_support(lo, hi)
-    arr = np.asarray(raw, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptySample("need at least one observation")
     inside = (arr >= lo) & (arr <= hi)  # false for NaN
@@ -71,6 +71,12 @@ def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
         if not math.isfinite(bad):
             raise NonFiniteValue(f"value {bad} is not finite")
         raise OutOfSupport(f"value {bad} outside [{lo}, {hi}]")
+
+
+def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
+    """Validate and sort raw observations into a BoundedSample."""
+    arr = np.asarray(raw, dtype=float)
+    check_values(arr, lo, hi)
     order = np.argsort(arr, kind="stable")
     values = arr[order]
     values.setflags(write=False)
@@ -105,6 +111,10 @@ class LossSpec:
         lo, hi = self.theta_domain
         if not (lo <= theta <= hi):
             raise ThetaOutOfDomain(f"theta={theta} outside [{lo}, {hi}]")
+
+    def check_convex(self) -> None:  # the closed-form upper risk's precondition
+        if not self.convex_in_y:
+            raise NonConvexLoss("closed form requires the convexity attestation")
 
 
 def squared_error_loss(theta_domain: tuple[float, float] = (-1.0, 1.0)) -> LossSpec:

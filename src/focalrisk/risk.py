@@ -21,7 +21,7 @@ import numpy as np
 
 from .conformal import FocalRepresentation, FocalSystem
 from .data_model import BoundedSample, LossSpec, ModelKind, ThetaGrid, TrueModel
-from .errors import ApproximateSupremumWarning, NonConvexLoss
+from .errors import ApproximateSupremumWarning
 from .quadrature import integrate
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -46,11 +46,10 @@ class RiskCurve:
 
 
 def format_csv(header: str, rows: Iterable[Iterable]) -> str:
-    """CSV text: numbers in 17 significant digits (round-trip exact), strings as is."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join([v if isinstance(v, str) else f"{v:.17g}" for v in row]))
-    return "\n".join(lines) + "\n"
+    """CSV text, typed by the first row: numbers as %.17g (round-trip exact), strings as is."""
+    rows = [tuple(row) for row in rows]
+    line = ",".join(["%s" if isinstance(v, str) else "%.17g" for v in rows[0]]) if rows else ""
+    return "\n".join([header] + [line % row for row in rows]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,7 @@ def _closed_form_core(loss: LossSpec, values: np.ndarray, a: float, b: float, th
     thetas broadcasts against values without that axis: (k,) with (n,) is one
     curve, (k,) with (r, 1, n) a curve per row, (r,) with (r, n) a point per row.
     """
+    loss.check_convex()  # every closed-form path passes here
     thetas = np.asarray(thetas, dtype=float)
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
@@ -158,8 +158,6 @@ def upper_risk_closed_form(
 ) -> UpperRiskDecomposition:
     """Closed form for convex losses under the identity score, as n R_n/(n+1) + M/(n+1)."""
     loss.check_theta(theta)
-    if not loss.convex_in_y:
-        raise NonConvexLoss("closed form requires the convexity attestation")
     n = sample.n
     emp, m_theta = _closed_form_core(loss, sample.values, sample.support_lo,
                                      sample.support_hi, [theta])
@@ -242,7 +240,7 @@ def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: Th
     """
     idx = np.argmin(curves, axis=1)
     theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
-    if not loss.convex_in_y or grid.count == 1:
+    if grid.count == 1:
         return theta0, best
     lo = grid.points[np.maximum(idx - 1, 0)]
     hi = grid.points[np.minimum(idx + 1, grid.count - 1)]

@@ -15,7 +15,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .conformal import NonconformityScore, nested_set_index, rank_candidate
-from .data_model import BoundedSample, LossSpec, ThetaGrid, TrueModel, make_sample, normal_mass
+from .data_model import (BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
+                         make_sample, normal_mass)
 from .errors import EmptyInput, GridMismatch
 from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
 
@@ -30,17 +31,8 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.Generator(np.random.Philox(seq))
 
 
-def sample_truncated_normal(
-    n: int, lo: float, hi: float, rng: np.random.Generator
-) -> BoundedSample:
-    """n iid draws from the standard normal restricted to [lo, hi].
-
-    Rejection sampling: draw standard normals, keep those inside the support
-    (acceptance rate ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3).
-    The kept values are the first n in-support draws of rng's sequence, so the
-    batch sizes, scaled by the acceptance rate, never change the result.
-    """
-    mass = normal_mass(lo, hi)
+def _raw_draw(n: int, lo: float, hi: float, mass: float, rng: np.random.Generator) -> np.ndarray:
+    """rng's first n standard normals in [lo, hi], in draw order (batches scale with 1/mass)."""
     out = np.empty(n)
     filled = 0
     while filled < n:
@@ -49,22 +41,33 @@ def sample_truncated_normal(
         keep = batch[(batch >= lo) & (batch <= hi)][:need]
         out[filled : filled + len(keep)] = keep
         filled += len(keep)
-    return make_sample(out, lo, hi)
+    return out
+
+
+def sample_truncated_normal(n: int, lo: float, hi: float,
+                            rng: np.random.Generator) -> BoundedSample:
+    """n iid draws from the standard normal restricted to [lo, hi], by rejection.
+
+    Acceptance is ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3.
+    """
+    return make_sample(_raw_draw(n, lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
                   row_cells: int) -> Iterator[np.ndarray]:
     """Replications 0, 1, ... in order, as (r, n) matrices of sorted samples.
 
-    Each row is drawn on its replication's own stream.  The caller builds
-    at most row_cells cells per row, and r keeps r * row_cells within the
-    chunk budget (r >= 1).
+    Row r is ``sample_truncated_normal(n, *support, replication_rng(seed, n, r))``,
+    sorted and checked a chunk at a time.  The caller builds at most row_cells
+    cells per row, and r keeps r * row_cells within the chunk budget (r >= 1).
     """
-    lo, hi = support
-    step = max(1, _CHUNK_CELLS // row_cells)
+    (lo, hi), mass = support, normal_mass(*support)
+    step = max(1, _CHUNK_CELLS // max(row_cells, 1))  # n = 0 gets to the EmptySample check
     for start in range(0, replications, step):
-        yield np.stack([sample_truncated_normal(n, lo, hi, replication_rng(seed, n, r)).values
-                        for r in range(start, min(start + step, replications))])
+        rows = np.sort([_raw_draw(n, lo, hi, mass, replication_rng(seed, n, r))
+                        for r in range(start, min(start + step, replications))], axis=1)
+        check_values(rows.reshape(-1), lo, hi)
+        yield rows
 
 
 @dataclass(frozen=True)

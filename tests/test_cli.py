@@ -160,6 +160,48 @@ class TestVerifyBounds:
         report = json.loads((tmp_path / "uniform_eps4.json").read_text())
         assert report["within_alpha"] in (True, False)
 
+    @pytest.mark.parametrize("eps, error", [("nan", "NonFiniteValue"), ("inf", "NonFiniteValue"),
+                                            ("0", "NonpositiveEpsilon"),
+                                            ("1,nan", "NonFiniteValue")])
+    @pytest.mark.parametrize("flags", [["--n", "20"], ["--n", "20", "--uniform"],
+                                       ["--n", "", "--uniform"], ["--n", ""]])
+    def test_bad_epsilon_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, eps,
+                                                 error, flags):
+        import focalrisk.simulate as simulate
+
+        def no_draws(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "replication_rng", no_draws)
+        out = tmp_path / "out"
+        assert run(["verify-bounds", *flags, "--epsilon", eps, "--replications", "100",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(error + ":")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify-bounds", "simulate"])
+    def test_zero_sample_size_exits_2(self, tmp_path, capsys, command):
+        assert run([command, "--n", "0", "--replications", "100", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("EmptySample:")
+
+    def test_one_draw_per_replication(self, tmp_path, monkeypatch):
+        # the pointwise path scores every theta and epsilon of one n from one draw
+        from collections import Counter
+
+        import focalrisk.simulate as simulate
+
+        calls, draw = Counter(), simulate.replication_rng
+
+        def counted(seed, n, r):
+            calls[seed, n, r] += 1
+            return draw(seed, n, r)
+
+        monkeypatch.setattr(simulate, "replication_rng", counted)
+        assert run(["verify-bounds", "--n", "30,40", "--theta", "0,0.5,1", "--epsilon", "0.5,1",
+                    "--replications", "100", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert calls == Counter({(3, n, r): 1 for n in (30, 40) for r in range(100)})
+        assert len(list(tmp_path.iterdir())) == 12
+
 
 class TestCoverage:
     def test_csv(self, tmp_path):

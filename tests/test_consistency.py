@@ -7,19 +7,30 @@ import pytest
 from focalrisk import (
     ThetaGrid,
     TrueModel,
+    absolute_error_loss,
     constant_loss,
     constants,
     hoeffding_bound,
     min_sample_size,
     squared_error_loss,
+    tabulated_loss,
     verify_pointwise,
     verify_uniform,
     witness_uniform,
 )
-from focalrisk.errors import InvalidAlpha, NonpositiveEpsilon
+from focalrisk.consistency import BoundReport, check_epsilon, pointwise_reports
+from focalrisk.errors import InvalidAlpha, NonConvexLoss, NonFiniteValue, NonpositiveEpsilon
 
 sq = squared_error_loss((-1, 1))
 GRID = ThetaGrid(-1, 1, 41)
+
+
+def _bumpy():  # not attested convex in y: the closed form is wrong for it
+    return tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the inputs were checked")
 
 
 class TestConstants:
@@ -212,3 +223,91 @@ class TestVerifyUniform:
             seed=4, replications=100,
         )
         assert report.estimated_probability == 0.0
+
+    def test_verify_uniform_nonconvex(self):
+        # the closed form would silently report 0.0 for this loss
+        with pytest.raises(NonConvexLoss):
+            verify_uniform(MODEL, _bumpy(), ThetaGrid(-1, 1, 5), epsilon=1.0, alpha=0.05,
+                           seed=1, replications=100)
+
+
+class TestPointwiseReports:
+    @pytest.mark.parametrize("loss", [sq, absolute_error_loss((-1, 1))])
+    def test_equals_per_point_oracle(self, loss, monkeypatch):
+        # A small chunk budget makes the 100 replications span five chunks of 22 rows.
+        import focalrisk.simulate as simulate
+        from focalrisk.risk import true_risk, upper_risk_batch
+        from focalrisk.simulate import replication_rng, sample_truncated_normal
+
+        monkeypatch.setattr(simulate, "_CHUNK_CELLS", 2000)
+        n, thetas, epsilons, reps = 30, [0.0, 0.5, -1.0], [0.05, 0.3], 100
+        got = pointwise_reports(MODEL, loss, thetas, n, epsilons, reps, 7, theta_grid=GRID)
+        consts = constants(loss, MODEL.support, GRID)
+        want = []
+        for eps in epsilons:
+            for theta in thetas:
+                rows = np.stack([sample_truncated_normal(n, -3, 3, replication_rng(7, n, r)).values
+                                 for r in range(reps)])
+                upper = upper_risk_batch(loss, rows, -3.0, 3.0, [theta])
+                violations = np.count_nonzero(np.abs(upper - true_risk(loss, MODEL, theta)) > eps)
+                want.append(BoundReport(
+                    epsilon=eps, n=n, threshold_met=n >= min_sample_size(eps, consts.M),
+                    bound=hoeffding_bound(n, eps, consts.L_of_theta(theta)),
+                    empirical_violation_rate=violations / reps, replications=reps, seed=7))
+        assert got == want
+        assert 0 < sum(r.empirical_violation_rate for r in got) < len(got)  # not all 0 or 1
+
+    def test_chunks_within_budget(self, monkeypatch):
+        # each chunk is evaluated as one (r, len(thetas), n) block of the closed form
+        import focalrisk.consistency as consistency
+        from focalrisk.simulate import _CHUNK_CELLS, sample_chunks
+
+        blocks = []
+
+        def recorded(*args):
+            for rows in sample_chunks(*args):
+                blocks.append(rows.size * 3)
+                yield rows
+
+        monkeypatch.setattr(consistency, "sample_chunks", recorded)
+        pointwise_reports(MODEL, sq, [0.0, 0.5, 1.0], 300, [1.0], 1000, 1, theta_grid=GRID)
+        assert len(blocks) > 1 and max(blocks) <= _CHUNK_CELLS
+
+    def test_verify_pointwise_is_one_point_view(self):
+        reports = pointwise_reports(MODEL, sq, [0.0, 0.5], 40, [0.5, 1.0], 100, 3,
+                                    theta_grid=GRID)
+        assert verify_pointwise(MODEL, sq, 0.5, 40, 1.0, 100, 3, theta_grid=GRID) == reports[3]
+
+    def test_empty_lists(self):
+        assert pointwise_reports(MODEL, sq, [], 20, [1.0], 100, 1) == []
+        assert pointwise_reports(MODEL, sq, [0.0], 20, [], 100, 1) == []
+
+    @pytest.mark.parametrize("epsilons, error", [
+        ([1.0, float("nan")], NonFiniteValue), ([float("inf")], NonFiniteValue),
+        ([1.0, 0.0], NonpositiveEpsilon), ([-1.0], NonpositiveEpsilon)])
+    def test_bad_epsilon_refused_before_any_work(self, epsilons, error, monkeypatch):
+        import focalrisk.consistency as consistency
+
+        for name in ("constants", "sample_chunks", "true_risk_curve"):
+            monkeypatch.setattr(consistency, name, _must_not_run)
+        with pytest.raises(error):
+            pointwise_reports(MODEL, sq, [0.0], 20, epsilons, 100, 1)
+
+    def test_nonconvex_refused_before_any_work(self, monkeypatch):
+        import focalrisk.consistency as consistency
+
+        for name in ("constants", "sample_chunks", "true_risk_curve"):
+            monkeypatch.setattr(consistency, name, _must_not_run)
+        with pytest.raises(NonConvexLoss):
+            pointwise_reports(MODEL, _bumpy(), [0.0], 20, [1.0], 100, 1)
+        with pytest.raises(NonConvexLoss):
+            verify_uniform(MODEL, _bumpy(), GRID, 1.0, 0.05, 1, replications=100)
+
+
+class TestEpsilonChecks:
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite(self, eps):
+        for call in (lambda: min_sample_size(eps, 32.0), lambda: hoeffding_bound(100, eps, 9.0),
+                     lambda: witness_uniform(GRID, eps, 0.05, 1.0), lambda: check_epsilon(eps)):
+            with pytest.raises(NonFiniteValue):
+                call()

@@ -49,6 +49,26 @@ CASES = {
             "uniform_eps1.json": "a1c1da54d96e776ae3274632178555e7c247a33278556ba99f19ff197404674c",
         },
     ),
+    # Every theta and epsilon of one n is scored from one draw of its replications; at
+    # n=190 those rows span three chunks.  Digests taken before that batching.
+    "verify-bounds-multichunk": (
+        ["verify-bounds", "--n", "95,190", "--theta", "0,0.5,1", "--epsilon", "0.5,1",
+         "--replications", "1000"],
+        {
+            "bound_n190_eps0.5_theta0.5.json": "8a7f8ea099eff0b486ef2e3e81ce9394021770e67741aa61e96b82b7852cff34",
+            "bound_n190_eps0.5_theta0.json": "fc940c776a85e7cb5b3b12009a9a633fd611aab17150423084b5df2d969e3690",
+            "bound_n190_eps0.5_theta1.json": "325febc57efffddf8a44aeddfde6b6b85eb16b58d1f8b12a4147f2df6de8c56f",
+            "bound_n190_eps1_theta0.5.json": "3a0c71a0c0e95a262e2732df43d8d8ab3a1465d28f68440fb58b46435d99a275",
+            "bound_n190_eps1_theta0.json": "3b0ce8022a7e1f0137dc9b7e9e16766df4e2e864449ee5b12ef9445cabc5e163",
+            "bound_n190_eps1_theta1.json": "75345c78b23785fa3b7f3c128f37a8b901289b6952aadcf0210762df912ffd02",
+            "bound_n95_eps0.5_theta0.5.json": "0019ed19b6f8af2825e153636f46567615f5e108eb0b27232c832a8c68870b97",
+            "bound_n95_eps0.5_theta0.json": "7c0337c1e68b8a8230b683d745717cfa7480bb95852631313e2089aef0a0c0b9",
+            "bound_n95_eps0.5_theta1.json": "5f7abfdd78eba443b53b7f38124880fdece1117cedc2699a60279f4c42b34990",
+            "bound_n95_eps1_theta0.5.json": "bb477f390781b5bd11c574d2a35744a899709248534e783587b77e1a944f596e",
+            "bound_n95_eps1_theta0.json": "ea634f91f1fc3a779acfb91dbd0a9deddb32a76245d6354efa0615bddeb24db5",
+            "bound_n95_eps1_theta1.json": "22c818677fd90456b49ade149f2512ea2c59c0bd335d212f4c7f3d010dddc6f2",
+        },
+    ),
     "predict-identity": (
         ["predict", "--values=" + VALUES, "--alpha", "0.2"],
         {

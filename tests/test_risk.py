@@ -29,7 +29,7 @@ from focalrisk.errors import (
     NonConvexLoss,
     ThetaOutOfDomain,
 )
-from focalrisk.risk import closed_form_curve, true_risk_curve
+from focalrisk.risk import closed_form_curve, format_csv, true_risk_curve
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -326,6 +326,31 @@ class TestRiskCurve:
             f"{t:.17g},{v:.17g},upper\n" for t, v in parsed
         )
         assert text2 == text
+
+    def test_upper_from_sample_refuses_nonconvex_loss(self):
+        # the closed form is not this loss's upper risk; the focal sum still is
+        bumpy = tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
+        s = make_sample([-1.0, 0.5, 2.0], -3, 3)
+        with pytest.raises(NonConvexLoss):
+            risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, sample=s)
+        with pytest.warns(ApproximateSupremumWarning):
+            focal = focal_sets(s, NonconformityScore.identity())
+            c = risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, focal=focal)
+        # focal sets [-3, -1], [-1, 0.5], [0.5, 2], [2, 3]: sups 2, 3, 2.5, 1 (grid search)
+        assert np.allclose(c.values, 2.125, atol=1e-3)
+
+
+class TestFormatCsv:
+    def test_equals_per_cell_format(self):
+        # oracle: the earlier writer, which formatted and type-tested every cell
+        rows = [(5, 0.1, "upper", np.float64(-0.0), np.int64(7)),
+                (10**20, float("inf"), "", float("nan"), 2**53 + 1),
+                (-3, np.float64(1e-300), "x,y", 1 / 3, True)]
+        want = "a\n" + "".join(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row)
+                               + "\n" for row in rows)
+        assert format_csv("a", rows) == want
+        assert format_csv("a", iter(rows)) == want
+        assert format_csv("a", []) == "a\n"
 
 
 class TestMinimizeUpperRisk:

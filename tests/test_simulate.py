@@ -15,9 +15,10 @@ from focalrisk import (
     sample_truncated_normal,
     squared_error_loss,
 )
-from focalrisk.errors import DegenerateSupport, EmptyInput, GridMismatch, SupportMassTooSmall
+from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
+                              NonConvexLoss, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve
-from focalrisk.simulate import write_summary
+from focalrisk.simulate import _CHUNK_CELLS, sample_chunks, write_summary
 
 MODEL = TrueModel.truncated_std_normal(-3, 3)
 TRUNC_VAR = 0.97333692466254148
@@ -96,6 +97,24 @@ class TestSampleTruncatedNormal:
         a = sample_truncated_normal(50, -3, 3, replication_rng(9, 20, 3))
         b = sample_truncated_normal(50, -3, 3, replication_rng(9, 20, 4))
         assert not np.array_equal(a.values, b.values)
+
+
+class TestSampleChunks:
+    @pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (3.0, 4.0)])  # [3, 4]: near the mass floor
+    def test_rows_equal_per_replication_samples(self, lo, hi):
+        # row_cells leaves room for 7 rows per chunk: 20 replications span 3 chunks
+        n, reps = 40, 20
+        chunks = list(sample_chunks((lo, hi), 6, n, reps, _CHUNK_CELLS // 7))
+        assert [len(c) for c in chunks] == [7, 7, 6]
+        want = np.stack([sample_truncated_normal(n, lo, hi, replication_rng(6, n, r)).values
+                         for r in range(reps)])
+        assert np.array_equal(np.concatenate(chunks), want)
+
+    def test_rows_checked(self):
+        with pytest.raises(EmptySample):
+            next(sample_chunks((-3.0, 3.0), 0, 0, 5, 1))
+        with pytest.raises(SupportMassTooSmall):
+            next(sample_chunks((10.0, 11.0), 0, 5, 5, 1))
 
 
 def _flat_curve(value, grid):
@@ -235,6 +254,15 @@ class TestRunReplications:
         write_summary(run_replications(_small_config(reps=8)), tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+    def test_nonconvex_loss_refused(self):
+        # the closed form is not the upper risk of this loss; it used to return curves
+        from focalrisk import tabulated_loss
+
+        bumpy = tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
+        with pytest.raises(NonConvexLoss):
+            run_replications(SimConfig(model=MODEL, loss=bumpy, n_values=(10,), replications=3,
+                                       theta_grid=ThetaGrid(-1, 1, 5)))
 
     def test_file_inventory(self, tmp_path):
         summary = run_replications(_small_config(reps=3))
