@@ -81,11 +81,7 @@ def _parse_list(raw, cast):
 def cmd_predict(args) -> int:
     data = _read_data(args)
     sample = make_sample(data, args.lo, args.hi)
-    score = _SCORES[args.score]()
-    grid = None
-    if args.score != "identity":
-        grid = np.linspace(args.lo, args.hi, args.grid_points)
-    focal = conformal.focal_sets(sample, score, grid=grid)
+    focal = conformal.focal_sets(sample, _SCORES[args.score](), grid_points=args.grid_points)
     pred = conformal.prediction_set(focal, args.alpha)
     out = _out_dir(args)
     _write(out / "focal.txt", conformal.serialize_focal_system(focal))
@@ -162,6 +158,8 @@ def cmd_verify_bounds(args) -> int:
     thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
     for eps in epsilons:
         consistency.check_epsilon(eps)
+    if args.uniform:  # before any pointwise report is written
+        conformal.check_alpha(args.alpha)
     for n in _parse_list(args.n, int):
         reports = consistency.pointwise_reports(
             model, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
@@ -181,12 +179,15 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_coverage(args) -> int:
     model = TrueModel.truncated_std_normal(args.lo, args.hi)
+    alphas, score_names = _parse_list(args.alpha, float), _parse_list(args.score, str)
+    for alpha in alphas:  # every alpha and score name is checked before the first experiment
+        conformal.check_alpha(alpha)
+    for name in (s for s in score_names if s not in _SCORES):
+        raise ValidationFailure(f"UnknownScore: {name}")
     rows = []
     for n in _parse_list(args.n, int):
-        for alpha in _parse_list(args.alpha, float):
-            for score_name in _parse_list(args.score, str):
-                if score_name not in _SCORES:
-                    raise ValidationFailure(f"UnknownScore: {score_name}")
+        for alpha in alphas:
+            for score_name in score_names:
                 emp, nominal = simulate.coverage_experiment(
                     model, _SCORES[score_name](), n, alpha,
                     replications=args.replications, seed=args.seed,
@@ -215,11 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="focalrisk",
         description="Focal-set predictive inference and upper-risk decision tools",
+        allow_abbrev=False,  # an abbreviated flag would escape the --config override check
     )
     parser.add_argument("--config", help="key=value config file (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("predict", help="focal sets, prediction set, contour")
+    p = sub.add_parser("predict", help="focal sets, prediction set, contour", allow_abbrev=False)
     p.add_argument("--data", help="input file, one number per line, # comments")
     p.add_argument("--values", help="inline comma-separated data")
     _add_support(p)
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("risk-curve", help="empirical/upper/true risk CSV")
+    p = sub.add_parser("risk-curve", help="empirical/upper/true risk CSV", allow_abbrev=False)
     p.add_argument("--data")
     p.add_argument("--values")
     _add_support(p)
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_risk_curve)
 
-    p = sub.add_parser("simulate", help="replication study")
+    p = sub.add_parser("simulate", help="replication study", allow_abbrev=False)
     _add_support(p)
     p.add_argument("--n", default="20,200", help="comma-separated sample sizes")
     p.add_argument("--replications", type=int, default=1000)
@@ -253,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify-bounds", help="concentration-bound reports")
+    p = sub.add_parser("verify-bounds", help="concentration-bound reports", allow_abbrev=False)
     _add_support(p)
     p.add_argument("--loss", choices=sorted(_LOSSES), default="squared")
     _add_theta(p)
@@ -267,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify_bounds)
 
-    p = sub.add_parser("coverage", help="prediction-set coverage experiments")
+    p = sub.add_parser("coverage", help="prediction-set coverage experiments", allow_abbrev=False)
     _add_support(p)
     p.add_argument("--n", default="20")
     p.add_argument("--alpha", default="0.2")
@@ -322,7 +324,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            explicit = {a.lstrip("-").replace("-", "_").split("=", 1)[0] for a in argv}
+            explicit = {a[2:].replace("-", "_").split("=")[0] for a in argv if a[:2] == "--"}
             _apply_config(parser, args, _load_config(args.config), explicit)
         return args.func(args)
     except (FocalRiskError, ValidationFailure, ValueError) as e:

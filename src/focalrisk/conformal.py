@@ -12,7 +12,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,18 +149,14 @@ def rank_candidate(sample: BoundedSample, y: float, score: NonconformityScore) -
     return int(rank_candidates(sample, [y], score)[0])
 
 
-def focal_sets(
-    sample: BoundedSample,
-    score: NonconformityScore,
-    grid: Optional[Sequence[float]] = None,
-    grid_points: int = 2001,
-) -> FocalSystem:
+def focal_sets(sample: BoundedSample, score: NonconformityScore,
+               grid_points: int = 2001) -> FocalSystem:
     """Construct the rank level sets.
 
     Identity scores give the exact order-statistic gaps.  Other scores are
-    resolved on a y-grid (default 2001 points over the support); each
-    maximal run of equal rank is widened half a grid step so the runs tile
-    the support.
+    resolved on a y-grid of grid_points equally spaced points over the
+    support; each maximal run of equal rank is widened half a grid step so
+    the runs tile the support.
     """
     a, b = sample.support_lo, sample.support_hi
     n = sample.n
@@ -169,11 +165,9 @@ def focal_sets(
         sets = tuple(((knots[v - 1], knots[v]),) for v in range(1, n + 2))
         return FocalSystem(sets, a, b, FocalRepresentation.EXACT_INTERVALS, sample.values)
 
-    if grid is None:
-        grid = np.linspace(a, b, grid_points)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
+    if grid_points < 2:
         raise MissingGrid("general scores need a y-grid with at least 2 points")
+    grid = np.linspace(a, b, grid_points)
     half = 0.5 * (grid[1] - grid[0])
     ranks = rank_candidates(sample, grid, score)
 
@@ -218,17 +212,22 @@ class PredictionSet:
 
 def prediction_set(focal: FocalSystem, alpha: float) -> PredictionSet:
     """Smallest-k prediction set with nominal coverage >= 1 - alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha={alpha} not in (0, 1)")
     m = focal.n_plus_1
     k = nested_set_index(m - 1, alpha)
     pieces = [iv for v in range(k) for iv in focal.sets[v]]
     return PredictionSet(k=k, region=merge_intervals(pieces), nominal_coverage=k / m)
 
 
+def check_alpha(alpha: float) -> None:
+    """Raise unless the miscoverage level alpha lies strictly in (0, 1)."""
+    if not 0.0 < alpha < 1.0:  # false for NaN
+        raise InvalidAlpha(f"alpha={alpha} not in (0, 1)")
+
+
 def nested_set_index(n: int, alpha: float) -> int:
     """k = ceil((1 - alpha)(n + 1)) clamped to 1..n+1: the first nested
     prediction set whose coverage k/(n+1) reaches 1 - alpha."""
+    check_alpha(alpha)
     return max(1, min(math.ceil((1.0 - alpha) * (n + 1)), n + 1))
 
 

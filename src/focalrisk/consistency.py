@@ -15,9 +15,10 @@ from typing import Callable
 
 import numpy as np
 
+from .conformal import check_alpha
 from .data_model import LossSpec, ThetaGrid, TrueModel
-from .errors import InvalidAlpha, NonFiniteValue, NonpositiveEpsilon
-from .risk import golden_section_min, true_risk_curve, upper_risk_batch
+from .errors import NonFiniteValue, NonpositiveEpsilon
+from .risk import refine_grid_min, true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
 
 _XTOL = 1e-12  # argument tolerance of the refined extrema in ``constants``
@@ -31,17 +32,12 @@ class ConsistencyConstants:
 
 
 def _loss_range(loss: LossSpec, thetas: np.ndarray, a: float, b: float) -> np.ndarray:
-    """sup - inf of loss(theta, .) over [a, b], for each theta."""
-    la = np.asarray(loss(thetas, a), dtype=float)
-    lb = np.asarray(loss(thetas, b), dtype=float)
-    hi = np.maximum(la, lb)
-    if loss.convex_in_y:
-        # Convex in y: sup at an endpoint, inf in the interior.
-        _, inner = golden_section_min(lambda y: np.asarray(loss(thetas, y), dtype=float),
-                                      np.full(thetas.shape, a), np.full(thetas.shape, b), _XTOL)
-        return hi - np.minimum(inner, np.minimum(la, lb))
-    vals = np.asarray(loss(thetas[:, None], np.linspace(a, b, 2049)), dtype=float)
-    return np.maximum(hi, vals.max(axis=1)) - vals.min(axis=1)
+    """sup - inf of loss(theta, .) over [a, b] per theta: max and refined min on the sup points."""
+    points = loss.sup_points(a, b)
+    vals = np.asarray(loss(thetas[:, None], points), dtype=float)
+    _, inf = refine_grid_min(lambda y: np.asarray(loss(thetas, y), dtype=float), points, vals,
+                             _XTOL)
+    return vals.max(axis=1) - inf
 
 
 def constants(
@@ -52,27 +48,24 @@ def constants(
     Each sup is the grid max, refined inside the cells bracketing it.
     """
     a, b = support
-    grid = theta_grid.points
-    ends = np.array([a, b], dtype=float)
-    vals = np.asarray(loss(grid, ends[:, None]), dtype=float)
-    idx = np.argmax(vals, axis=1)
-    lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
-    _, neg = golden_section_min(lambda t: -np.asarray(loss(t, ends), dtype=float), lo, hi, _XTOL)
-    sups = np.where(lo < hi, np.maximum(vals.max(axis=1), -neg), vals.max(axis=1))
+    grid, ends = theta_grid.points, np.array([a, b], dtype=float)
+    neg_vals = -np.asarray(loss(grid, ends[:, None]), dtype=float)
+    _, neg = refine_grid_min(lambda t: -np.asarray(loss(t, ends), dtype=float), grid, neg_vals,
+                             _XTOL)
 
     def l_of_theta(theta: float) -> float:
         return float(_loss_range(loss, np.array([theta], dtype=float), a, b)[0])
 
     l_max = float(np.max(_loss_range(loss, grid, a, b)))
-    return ConsistencyConstants(M=float(sups[0] + sups[1]), L_of_theta=l_of_theta, L_max=l_max)
+    return ConsistencyConstants(M=float(-neg[0] - neg[1]), L_of_theta=l_of_theta, L_max=l_max)
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Raise unless epsilon is finite and positive."""
-    if not math.isfinite(epsilon):
-        raise NonFiniteValue(f"epsilon={epsilon} is not finite")
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon={epsilon}")
+    """Raise unless epsilon and epsilon**2, which the bounds use, are finite and positive."""
+    if not math.isfinite(epsilon * epsilon):  # NaN, inf, or |epsilon| above 1.3e154
+        raise NonFiniteValue(f"epsilon={epsilon}: epsilon or its square is not finite")
+    if not (epsilon > 0 and epsilon * epsilon > 0):  # or epsilon**2 underflows to 0
+        raise NonpositiveEpsilon(f"epsilon={epsilon}: epsilon or its square is not positive")
 
 
 def min_sample_size(epsilon: float, M: float) -> int:
@@ -106,6 +99,8 @@ class BoundReport:
 def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
                 replications: int, seed: int):
     """|upper risk - true risk| at every theta, as (r, len(thetas)) chunks of replications."""
+    if replications < 100:  # the floor of both Monte Carlo checks
+        raise ValueError(f"replications={replications}: need at least 100")
     targets, (a, b) = true_risk_curve(loss, model, thetas), model.support
     for rows in sample_chunks(model.support, seed, n, replications, n * len(thetas)):
         yield np.abs(upper_risk_batch(loss, rows[:, None, :], a, b, thetas) - targets)
@@ -119,8 +114,6 @@ def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons
     One draw of replication r (stream keyed by (seed, n, r)) scores every theta
     and epsilon.  The constants grid defaults to 201 points over the theta domain.
     """
-    if replications < 100:
-        raise ValueError("need at least 100 replications")
     for eps in epsilons:
         check_epsilon(eps)
     loss.check_convex()
@@ -155,12 +148,13 @@ def witness_uniform(
     upper risk's tail bound (``hoeffding_bound``) has 2/9 for 2: ~9x this n.
     """
     check_epsilon(epsilon)
-    if not 0.0 < alpha < 1.0:
-        raise InvalidAlpha(f"alpha={alpha}")
+    check_alpha(alpha)
     if L_max == 0.0:
         return 1
-    n = math.ceil(L_max**2 / (2.0 * epsilon**2) * math.log(2.0 * theta_grid.count / alpha))
-    return max(1, n)
+    n = L_max**2 / (2.0 * epsilon**2) * math.log(2.0 * theta_grid.count / alpha)
+    if not math.isfinite(n):  # epsilon or alpha so small that no sample size will do
+        raise NonFiniteValue(f"witness sample size {n} for epsilon={epsilon}, alpha={alpha}")
+    return max(1, math.ceil(n))
 
 
 @dataclass(frozen=True)

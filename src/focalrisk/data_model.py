@@ -96,6 +96,9 @@ class LossSpec:
 
     ``evaluate`` accepts scalars or numpy arrays (broadcasting).  ``y_breaks``
     lists the y where loss(theta, .) may have a kink, besides y = theta.
+    Contract: loss(theta, .) is convex if ``convex_in_y``, else linear between
+    and beyond its y_breaks (a tabulated loss is bilinear, flat outside its
+    knots), so its sup on [lo, hi] is attained at one of ``sup_points(lo, hi)``.
     """
 
     kind: LossKind
@@ -107,10 +110,17 @@ class LossSpec:
     def __call__(self, theta, y):
         return self.evaluate(np.asarray(theta, dtype=float), np.asarray(y, dtype=float))
 
-    def check_theta(self, theta: float) -> None:
+    def check_theta(self, theta) -> None:
+        """Raise unless theta, a scalar or an array, lies in the theta domain."""
         lo, hi = self.theta_domain
-        if not (lo <= theta <= hi):
-            raise ThetaOutOfDomain(f"theta={theta} outside [{lo}, {hi}]")
+        t = np.asarray(theta, dtype=float)
+        outside = ~((lo <= t) & (t <= hi))  # true for NaN
+        if outside.any():
+            raise ThetaOutOfDomain(f"theta={t[outside][0]} outside [{lo}, {hi}]")
+
+    def sup_points(self, lo: float, hi: float) -> np.ndarray:
+        """lo, the y_breaks strictly inside (lo, hi), and hi: the candidates for the sup."""
+        return np.array([lo, *(y for y in self.y_breaks if lo < y < hi), hi], dtype=float)
 
     def check_convex(self) -> None:  # the closed-form upper risk's precondition
         if not self.convex_in_y:

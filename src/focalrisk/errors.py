@@ -10,11 +10,11 @@ class OutOfSupport(FocalRiskError):
 
 
 class EmptySample(FocalRiskError):
-    """A sample with zero observations was supplied."""
+    """A sample with zero observations, or a sample size below 1, was supplied."""
 
 
 class NonFiniteValue(FocalRiskError):
-    """An observation, support endpoint or grid endpoint is NaN or infinite."""
+    """An observation, endpoint, epsilon or required sample size is NaN or infinite."""
 
 
 class DegenerateSupport(FocalRiskError):
@@ -26,7 +26,7 @@ class SupportMassTooSmall(FocalRiskError):
 
 
 class MissingGrid(FocalRiskError):
-    """A general nonconformity score requires an explicit y-grid."""
+    """A general nonconformity score needs a y-grid of at least 2 points."""
 
 
 class InvalidAlpha(FocalRiskError):
@@ -55,10 +55,6 @@ class GridMismatch(FocalRiskError):
 
 class EmptyInput(FocalRiskError):
     """An aggregation operation received no values."""
-
-
-class ApproximateSupremumWarning(UserWarning):
-    """Supremum computed by grid search because convexity is not attested."""
 
 
 class EmptyFocalSetWarning(UserWarning):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .conformal import FocalRepresentation, FocalSystem
 from .data_model import BoundedSample, LossSpec, ModelKind, ThetaGrid, TrueModel
-from .errors import ApproximateSupremumWarning
 from .quadrature import integrate
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -78,8 +76,7 @@ def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
     each.  A pass takes as many thetas as fit in _CHUNK_PANELS panels.
     """
     thetas = np.asarray(thetas, dtype=float)
-    for t in thetas:
-        loss.check_theta(t)
+    loss.check_theta(thetas)
     lo, hi = model.support
     if model.kind is ModelKind.POINT_MASS or lo == hi:
         return np.asarray(loss(thetas, lo), dtype=float)
@@ -99,35 +96,17 @@ def true_risk(loss: LossSpec, model: TrueModel, theta: float) -> float:
     return float(true_risk_curve(loss, model, [theta])[0])
 
 
-def sup_on_interval(
-    loss: LossSpec, theta: float, lo: float, hi: float, fallback_points: int = 513
-) -> float:
-    """Supremum of loss(theta, .) over the closed interval [lo, hi].
-
-    Convex losses attain it at an endpoint; without the convexity
-    attestation a dense grid search is used and a warning issued.
-    """
-    if lo == hi:
-        return float(loss(theta, lo))
-    if loss.convex_in_y:
-        return float(max(loss(theta, lo), loss(theta, hi)))
-    warnings.warn(
-        "convexity not attested; supremum approximated on a grid",
-        ApproximateSupremumWarning,
-    )
-    ys = np.linspace(lo, hi, fallback_points)
-    return float(np.max(loss(theta, ys)))
+def sup_on_interval(loss: LossSpec, theta: float, lo: float, hi: float) -> float:
+    """Supremum of loss(theta, .) over [lo, hi]: the max over ``loss.sup_points``, exact."""
+    return float(np.max(loss(theta, loss.sup_points(lo, hi))))
 
 
 def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> float:
     """Average of per-focal-set loss suprema (works for any representation)."""
     loss.check_theta(theta)
     total = 0.0
-    for pieces in focal.sets:
-        best = 0.0
-        for lo, hi in pieces:
-            best = max(best, sup_on_interval(loss, theta, lo, hi))
-        total += best
+    for pieces in focal.sets:  # an empty focal set contributes 0
+        total += max((sup_on_interval(loss, theta, lo, hi) for lo, hi in pieces), default=0.0)
     return total / focal.n_plus_1
 
 
@@ -181,7 +160,8 @@ def risk_curve(
     if kind is RiskKind.EMPIRICAL:
         if sample is None:
             raise ValueError("empirical risk needs a sample")
-        vals = np.array([empirical_risk(loss, sample, t) for t in grid.points])
+        loss.check_theta(grid.points)
+        vals = np.asarray(loss(grid.points[:, None], sample.values), dtype=float).mean(axis=1)
     elif kind is RiskKind.TRUE:
         if model is None:
             raise ValueError("true risk needs a model")
@@ -190,8 +170,7 @@ def risk_curve(
         if focal is not None:
             vals = np.array([upper_risk_general(loss, focal, t) for t in grid.points])
         elif sample is not None:
-            for t in (grid.points[0], grid.points[-1]):
-                loss.check_theta(t)
+            loss.check_theta(grid.points)
             vals = closed_form_curve(loss, sample, grid.points)
         else:
             raise ValueError("upper risk needs a focal system or a sample")
@@ -227,27 +206,31 @@ def golden_section_min(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float
     return x, f(x)
 
 
+def refine_grid_min(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+                    values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Argmin and minimum of each row of values (f on grid; f maps one point per row).
+
+    Golden section over the cells next to the grid argmin (ties to the lowest
+    index) replaces it only by a strictly lower value; f must be unimodal there.
+    """
+    idx = np.argmin(values, axis=1)
+    x0, best = grid[idx], values[np.arange(len(idx)), idx]
+    lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
+    x, val = golden_section_min(f, lo, hi, tol)
+    better = (lo < hi) & (val < best)
+    return np.where(better, x, x0), np.where(better, val, best)
+
+
 def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: ThetaGrid,
                   curves: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """Argmin and minimum of each sample row's upper risk, given its grid curve.
 
-    Convexity in y puts each focal set's sup at its ends, which makes the
-    closed form exact; golden section over the cells next to the grid argmin
-    (ties to the lowest index) also needs the curve unimodal in theta, which
-    holds when the loss is convex in theta (squared, absolute).  Otherwise it
-    may stop in a local minimum: the result is then still at most the grid
-    minimum, which it replaces only by a strictly lower value.
+    The refinement (``refine_grid_min``) needs the curve unimodal in theta,
+    true for losses convex in theta (squared, absolute).  Otherwise it may stop
+    in a local minimum, still at most the grid minimum.
     """
-    idx = np.argmin(curves, axis=1)
-    theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
-    if grid.count == 1:
-        return theta0, best
-    lo = grid.points[np.maximum(idx - 1, 0)]
-    hi = grid.points[np.minimum(idx + 1, grid.count - 1)]
-    theta, val = golden_section_min(
-        lambda t: upper_risk_batch(loss, rows, a, b, t), lo, hi, tol)
-    better = (lo < hi) & (val < best)
-    return np.where(better, theta, theta0), np.where(better, val, best)
+    return refine_grid_min(lambda t: upper_risk_batch(loss, rows, a, b, t), grid.points,
+                           curves, tol)
 
 
 def minimize_upper_risk(loss: LossSpec, sample: BoundedSample, grid: ThetaGrid,

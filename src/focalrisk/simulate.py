@@ -17,7 +17,7 @@ import numpy as np
 from .conformal import NonconformityScore, nested_set_index, rank_candidate
 from .data_model import (BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
-from .errors import EmptyInput, GridMismatch
+from .errors import EmptyInput, EmptySample, GridMismatch
 from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
@@ -26,7 +26,9 @@ _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 
 
 def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Generator:
-    """Independent stream keyed by (master_seed, n, replication)."""
+    """Independent stream keyed by (master_seed, n, replication); a negative n is refused."""
+    if n < 0:  # n = 0 still keys a stream; a sample of size 0 fails check_values
+        raise EmptySample(f"sample size n={n} is negative")
     seq = np.random.SeedSequence([master_seed, n, replication])
     return np.random.Generator(np.random.Philox(seq))
 
@@ -195,6 +197,8 @@ def coverage_experiment(
     sets is equivalent to its rank pivot being <= k, which is what is
     tested (exact for every score, no grid discretization).
     """
+    if replications < 1:
+        raise ValueError(f"replications={replications}: need at least 1")
     k = nested_set_index(n, alpha)
     lo, hi = model.support
     hits = 0

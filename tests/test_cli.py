@@ -1,8 +1,13 @@
 """Black-box tests of the command-line interface."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalrisk.cli import main
 
@@ -162,7 +167,9 @@ class TestVerifyBounds:
 
     @pytest.mark.parametrize("eps, error", [("nan", "NonFiniteValue"), ("inf", "NonFiniteValue"),
                                             ("0", "NonpositiveEpsilon"),
-                                            ("1,nan", "NonFiniteValue")])
+                                            ("1,nan", "NonFiniteValue"),
+                                            ("1e308", "NonFiniteValue"),  # epsilon**2 overflows
+                                            ("5e-324", "NonpositiveEpsilon")])  # underflows
     @pytest.mark.parametrize("flags", [["--n", "20"], ["--n", "20", "--uniform"],
                                        ["--n", "", "--uniform"], ["--n", ""]])
     def test_bad_epsilon_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, eps,
@@ -177,6 +184,20 @@ class TestVerifyBounds:
         assert run(["verify-bounds", *flags, "--epsilon", eps, "--replications", "100",
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(error + ":")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    def test_bad_uniform_alpha_exits_2_before_any_work(self, tmp_path, monkeypatch, alpha):
+        # before, the pointwise reports were drawn and written first
+        import focalrisk.simulate as simulate
+
+        def no_draws(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(simulate, "replication_rng", no_draws)
+        out = tmp_path / "out"
+        assert run(["verify-bounds", "--n", "20", "--uniform", "--alpha", alpha,
+                    "--replications", "100", "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify-bounds", "simulate"])
@@ -250,6 +271,28 @@ class TestConfigFile:
         cfg.write_text(f"{line}\nlo = 0\nhi = 1\n")
         assert run(["--config", str(cfg), *command, "--out", str(tmp_path / "o")]) == 2
         assert "BadConfigValue" in capsys.readouterr().err
+
+    def test_abbreviated_flag_is_refused_not_overridden(self, tmp_path):
+        # "--rep" once prefix-matched --replications but was missed by the override check,
+        # so the config's 7 replications ran; abbreviations are now refused
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("replications = 7\n")
+        argv = ["--config", str(cfg), "coverage", "--n", "4", "--out", str(tmp_path / "o")]
+        for abbreviated in ([*argv, "--rep", "3"], ["--conf", *argv[1:]]):
+            with pytest.raises(SystemExit) as exit_info:
+                run(abbreviated)
+            assert exit_info.value.code == 2
+        assert run([*argv, "--replications", "3"]) == 0
+        assert (tmp_path / "o" / "coverage.csv").read_text().splitlines()[1].endswith(",3")
+
+    def test_value_equal_to_a_key_is_not_a_flag(self, tmp_path, monkeypatch):
+        # "--out alpha": the value "alpha" does not make the config's alpha explicit
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("alpha = 0.5\n")
+        assert run(["--config", "run.cfg", "predict", "--values", "0.2,0.8", "--lo", "0",
+                    "--hi", "1", "--out", "alpha"]) == 0
+        # alpha 0.5 (config) with n=2 gives k=2; the default 0.1 would give k=3
+        assert (tmp_path / "alpha" / "prediction.txt").read_text().startswith("# k=2 ")
 
     def test_missing_config_exits_2(self):
         assert run(["--config", "/nonexistent.cfg", "predict", "--values", "1",
@@ -329,3 +372,81 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _exit_code(argv):
+    """(exit code, stderr) of one in-process run; an uncaught exception fails the caller."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
+        try:
+            code = main([*argv, "--out", out])
+        except SystemExit as e:  # argparse refuses the argv
+            code = e.code
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--n", "20", "--replications", "0"],
+    ["verify-bounds", "--n", "", "--uniform", "--replications", "0"],
+    ["verify-bounds", "--n", "20", "--replications", "100", "--epsilon", "1e308"],
+    ["verify-bounds", "--n", "20", "--replications", "100", "--epsilon", "1e308", "--uniform"],
+    ["verify-bounds", "--n", "20", "--replications", "100", "--epsilon", "5e-324"],
+    ["verify-bounds", "--n", "20", "--replications", "100", "--epsilon", "5e-324", "--uniform"],
+    ["verify-bounds", "--n", "20", "--replications", "100", "--epsilon", "1e-160", "--uniform"],
+    ["verify-bounds", "--n", "", "--uniform", "--alpha", "5e-324", "--theta-count", "5"],
+    ["simulate", "--n", "-3"],
+    ["coverage", "--n", "-2"],
+    ["coverage", "--alpha", "1.5"],
+    ["coverage", "--alpha", "0"],
+    ["coverage", "--alpha", "-1"],
+    ["coverage", "--alpha", "inf"],
+    ["predict", "--values", "1,2", "--lo", "0", "--hi", "3", "--score", "loo-mean",
+     "--grid-points", "1"],
+])
+def test_residual_inputs_exit_2(argv):
+    code, err = _exit_code(argv)
+    assert code == 2
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "0.2,1.5"], ["--score", "identity,bogus"]])
+def test_coverage_checks_every_input_before_the_first_experiment(monkeypatch, flags):
+    import focalrisk.simulate as simulate
+
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    monkeypatch.setattr(simulate, "coverage_experiment", no_experiment)
+    assert _exit_code(["coverage", *flags])[0] == 2
+
+
+_EDGES = ["0", "-1", "nan", "inf", "1e308", "5e-324", "1e-160", ""]
+
+
+@st.composite
+def _argv(draw):
+    """argv of one Monte Carlo subcommand with edge values; sizes stay tiny."""
+    def pick(valid):
+        return draw(st.sampled_from(_EDGES + valid))
+
+    command = draw(st.sampled_from(["simulate", "verify-bounds", "coverage"]))
+    argv = [command, "--n", pick(["1", "7", "4,30"]), "--replications", pick(["1", "100", "200"])]
+    if command == "simulate":
+        return argv + ["--theta-count", "5"]
+    if command == "coverage":
+        return argv + ["--alpha", pick(["0.2", "0.5,0.1"])]
+    if draw(st.booleans()):
+        # alpha 1e-160 would make the witness n ~ 2e5 (epsilon 1e-160 makes it infinite,
+        # which is refused at once), so the valid epsilons stay >= 0.5
+        eps = pick(["0.5", "1"])
+        alpha = draw(st.sampled_from([a for a in _EDGES if a != "1e-160"] + ["0.2"]))
+        return argv + ["--epsilon", eps, "--alpha", alpha, "--uniform", "--theta-count", "5"]
+    return argv + ["--epsilon", pick(["0.5", "1,2"]), "--alpha", pick(["0.2"])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argv())
+def test_exit_code_contract(argv):
+    code, err = _exit_code(argv)
+    assert code in (0, 2), (argv, err)
+    assert "Traceback" not in err

@@ -23,7 +23,7 @@ from focalrisk.conformal import (
     rank_candidates,
     serialize_focal_system,
 )
-from focalrisk.errors import IndexOutOfRange, InvalidAlpha, OutOfSupport
+from focalrisk.errors import IndexOutOfRange, InvalidAlpha, MissingGrid, OutOfSupport
 
 identity = NonconformityScore.identity()
 loo_mean = NonconformityScore.distance_to_loo_mean()
@@ -133,6 +133,17 @@ class TestPredictionSet:
         f = focal_sets(make_sample([0.5], 0, 1), identity)
         with pytest.raises(InvalidAlpha):
             prediction_set(f, 0.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 1.5, float("nan"), float("inf")])
+    def test_k_helper_refuses_alpha_outside_0_1(self, alpha):
+        # before, 1.5 gave k=1 and 0 or -1 gave k=n+1, with no error
+        with pytest.raises(InvalidAlpha):
+            conformal.nested_set_index(20, alpha)
+
+    @pytest.mark.parametrize("points", [1, 0, -1])
+    def test_grid_needs_two_points(self, points):
+        with pytest.raises(MissingGrid):
+            focal_sets(make_sample([1, 2], 0, 3), loo_mean, grid_points=points)
 
 
 class TestContour:

@@ -18,7 +18,8 @@ from focalrisk import (
     verify_uniform,
     witness_uniform,
 )
-from focalrisk.consistency import BoundReport, check_epsilon, pointwise_reports
+from focalrisk.consistency import BoundReport, _loss_range, check_epsilon, pointwise_reports
+from focalrisk.risk import golden_section_min
 from focalrisk.errors import InvalidAlpha, NonConvexLoss, NonFiniteValue, NonpositiveEpsilon
 
 sq = squared_error_loss((-1, 1))
@@ -75,6 +76,44 @@ class TestConstants:
         assert m == pytest.approx(10003.0**2 + 9997.0**2, rel=1e-12)
         assert l_max == pytest.approx(10003.0**2 - 9997.0**2, rel=1e-9)
         assert l_zero == pytest.approx(2e4**2 - 9000.0**2, rel=1e-12)
+
+
+def _parent_M(loss, support, theta_grid):
+    """M as ``constants`` computed it before ``refine_grid_min``: the bit-for-bit reference."""
+    grid, ends = theta_grid.points, np.array(support, dtype=float)
+    vals = np.asarray(loss(grid, ends[:, None]), dtype=float)
+    idx = np.argmax(vals, axis=1)
+    lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
+    _, neg = golden_section_min(lambda t: -np.asarray(loss(t, ends), dtype=float), lo, hi, 1e-12)
+    sups = np.where(lo < hi, np.maximum(vals.max(axis=1), -neg), vals.max(axis=1))
+    return float(sups[0] + sups[1])
+
+
+def _parent_convex_loss_range(loss, thetas, a, b):
+    """The convex branch of the earlier ``_loss_range``: the bit-for-bit reference."""
+    la = np.asarray(loss(thetas, a), dtype=float)
+    lb = np.asarray(loss(thetas, b), dtype=float)
+    _, inner = golden_section_min(lambda y: np.asarray(loss(thetas, y), dtype=float),
+                                  np.full(thetas.shape, a), np.full(thetas.shape, b), 1e-12)
+    return np.maximum(la, lb) - np.minimum(inner, np.minimum(la, lb))
+
+
+class TestConstantsEqualParent:
+    @pytest.mark.parametrize("loss", [sq, absolute_error_loss((-1, 1)), constant_loss(0.0),
+                                      constant_loss(2.0), _bumpy(), squared_error_loss((-1, 5))])
+    @pytest.mark.parametrize("grid", [ThetaGrid(0.5, 0.5, 1), ThetaGrid(-1, 1, 2),
+                                      ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
+    def test_M(self, loss, grid):
+        for support in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
+            got = constants(loss, support, grid).M
+            assert np.float64(got).tobytes() == np.float64(_parent_M(loss, support, grid)).tobytes()
+
+    @pytest.mark.parametrize("loss", [sq, absolute_error_loss((-1, 1)), constant_loss(2.0)])
+    def test_convex_loss_range(self, loss):
+        thetas = np.array([-1.0, -0.3, 0.0, 0.4, 1.0])
+        for a, b in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
+            got, want = _loss_range(loss, thetas, a, b), _parent_convex_loss_range(loss, thetas, a, b)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMinSampleSize:
@@ -305,9 +344,39 @@ class TestPointwiseReports:
 
 
 class TestEpsilonChecks:
-    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf")])
+    # 1e308 and 1.4e154: finite, but the bounds' epsilon**2 overflows
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), float("-inf"), 1e308, 1.4e154])
     def test_non_finite(self, eps):
         for call in (lambda: min_sample_size(eps, 32.0), lambda: hoeffding_bound(100, eps, 9.0),
                      lambda: witness_uniform(GRID, eps, 0.05, 1.0), lambda: check_epsilon(eps)):
             with pytest.raises(NonFiniteValue):
                 call()
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-170])
+    def test_square_underflows(self, eps):
+        for call in (lambda: min_sample_size(eps, 32.0), lambda: hoeffding_bound(100, eps, 9.0),
+                     lambda: witness_uniform(GRID, eps, 0.05, 1.0), lambda: check_epsilon(eps)):
+            with pytest.raises(NonpositiveEpsilon):
+                call()
+
+    def test_extremes_that_pass(self):
+        # the square is a positive float, so the pointwise bounds are defined ...
+        assert min_sample_size(1e-160, 32.0) > 10**161 and hoeffding_bound(100, 1e-160, 9.0) == 2.0
+        assert min_sample_size(1e154, 32.0) == 1 and hoeffding_bound(100, 1e154, 9.0) == 0.0
+        # ... but no finite sample size reaches the witness inequality
+        with pytest.raises(NonFiniteValue):
+            witness_uniform(GRID, 1e-160, 0.05, 1.0)
+        with pytest.raises(NonFiniteValue):
+            witness_uniform(GRID, 0.5, 5e-324, 1.0)
+
+
+class TestReplicationFloor:
+    def test_both_monte_carlo_checks_refuse_fewer_than_100(self, monkeypatch):
+        import focalrisk.consistency as consistency
+
+        monkeypatch.setattr(consistency, "sample_chunks", _must_not_run)
+        for reps in (99, 0, -1):
+            with pytest.raises(ValueError, match="at least 100"):
+                pointwise_reports(MODEL, sq, [0.0], 20, [1.0], reps, 1)
+            with pytest.raises(ValueError, match="at least 100"):
+                verify_uniform(MODEL, sq, ThetaGrid(-1, 1, 5), 1.0, 0.05, 1, replications=reps)

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalrisk import (
     NonconformityScore,
@@ -24,12 +26,17 @@ from focalrisk import (
     upper_risk_general,
 )
 from focalrisk.data_model import ModelKind
-from focalrisk.errors import (
-    ApproximateSupremumWarning,
-    NonConvexLoss,
-    ThetaOutOfDomain,
+from focalrisk.errors import NonConvexLoss, ThetaOutOfDomain
+from focalrisk.consistency import _loss_range
+from focalrisk.risk import (
+    closed_form_curve,
+    format_csv,
+    golden_section_min,
+    minimize_rows,
+    refine_grid_min,
+    true_risk_curve,
+    upper_risk_batch,
 )
-from focalrisk.risk import closed_form_curve, format_csv, true_risk_curve
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -53,6 +60,25 @@ class TestEmpiricalRisk:
         s = make_sample([0.2], 0, 1)
         with pytest.raises(ThetaOutOfDomain):
             empirical_risk(sq01, s, 2.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000])
+    def test_curve_equals_pointwise_mean(self, n):
+        # one (theta, n) table's row means equal the 1-D mean at each theta, bit for bit
+        rng = np.random.default_rng(n)
+        s = make_sample(rng.uniform(-3, 3, n), -3, 3)
+        grid = ThetaGrid(-1, 1, 41)
+        for loss in (sq11, absolute_error_loss((-1, 1)), constant_loss(0.7)):
+            curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
+            want = np.array([empirical_risk(loss, s, t) for t in grid.points])
+            assert curve.tobytes() == want.tobytes()
+
+    def test_array_theta_domain(self):
+        sq11.check_theta(np.linspace(-1, 1, 5))
+        for bad in ([0.0, 1.5], [np.nan], [[0.0], [-2.0]]):
+            with pytest.raises(ThetaOutOfDomain):
+                sq11.check_theta(np.array(bad))
+        with pytest.raises(ThetaOutOfDomain):
+            risk_curve(sq11, ThetaGrid(-1, 2, 4), RiskKind.EMPIRICAL, sample=make_sample([0.2], -3, 3))
 
 
 class TestTrueRisk:
@@ -192,13 +218,46 @@ class TestSupOnInterval:
     def test_symmetric_endpoints(self):
         assert sup_on_interval(sq01, 0.5, 0.2, 0.8) == pytest.approx(0.09)
 
-    def test_nonconvex_fallback_warns(self):
-        from focalrisk import tabulated_loss
-
+    def test_nonconvex_exact_at_interior_knot(self):
+        # the peak sits on the y-knot 0.5, inside the interval: no grid can miss it
         bumpy = tabulated_loss([0.0, 1.0], [0.0, 0.5, 1.0], np.array([[0, 3, 0], [0, 3, 0]]))
-        with pytest.warns(ApproximateSupremumWarning):
-            val = sup_on_interval(bumpy, 0.0, 0.0, 1.0)
-        assert val == pytest.approx(3.0)
+        assert sup_on_interval(bumpy, 0.0, 0.0, 1.0) == 3.0
+        assert sup_on_interval(bumpy, 0.0, 0.2, 0.3) == pytest.approx(1.8, abs=1e-15)
+
+
+@st.composite
+def _tabulated_case(draw):
+    """A tabulated loss (convex in y or not), an interval and thetas; with plateaus in y."""
+    ky = sorted(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=6, unique=True)))
+    ky = [k / 10 for k in ky]
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
+    if draw(st.booleans()):  # convex in y: |y - c| scaled and shifted
+        c, scale, shift = draw(st.floats(-3, 3)), draw(st.floats(0, 3)), draw(value)
+        rows = [[shift + scale * abs(y - c) for y in ky]] * 2
+    else:
+        rows = [[draw(value) for _ in ky] for _ in range(2)]
+    loss = tabulated_loss([-1.0, 1.0], ky, np.array(rows), convex_in_y=draw(st.booleans()))
+    a, b = sorted(draw(st.lists(st.floats(-4, 4), min_size=2, max_size=2)))
+    thetas = np.array(draw(st.lists(st.floats(-1, 1), min_size=1, max_size=4)))
+    return loss, ky, max(map(max, rows)), a, b, thetas
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tabulated_case())
+def test_tabulated_extrema_exact(case):
+    # The sup over [a, b] is the max over the ends and the y-knots inside, and the
+    # loss range is that max minus their min.  Bilinear interpolation rounds by an
+    # ulp or so on a plateau, hence the tolerance on the refined inf and the grid.
+    loss, ky, top, a, b, thetas = case
+    vals = loss(thetas[:, None], [a, *(y for y in ky if a < y < b), b])
+    sups = np.array([sup_on_interval(loss, t, a, b) for t in thetas])
+    assert np.array_equal(sups, vals.max(axis=1))
+    tol = 8 * np.finfo(float).eps * max(1.0, top)
+    np.testing.assert_allclose(_loss_range(loss, thetas, a, b),
+                               vals.max(axis=1) - vals.min(axis=1), rtol=0, atol=tol)
+    dense = loss(thetas[:, None], np.linspace(a, b, 1001))
+    assert (dense.max(axis=1) <= sups + tol).all()
+    assert (dense.min(axis=1) >= vals.min(axis=1) - tol).all()
 
 
 class TestUpperRiskGeneral:
@@ -333,11 +392,10 @@ class TestRiskCurve:
         s = make_sample([-1.0, 0.5, 2.0], -3, 3)
         with pytest.raises(NonConvexLoss):
             risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, sample=s)
-        with pytest.warns(ApproximateSupremumWarning):
-            focal = focal_sets(s, NonconformityScore.identity())
-            c = risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, focal=focal)
-        # focal sets [-3, -1], [-1, 0.5], [0.5, 2], [2, 3]: sups 2, 3, 2.5, 1 (grid search)
-        assert np.allclose(c.values, 2.125, atol=1e-3)
+        focal = focal_sets(s, NonconformityScore.identity())
+        c = risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, focal=focal)
+        # focal sets [-3, -1], [-1, 0.5], [0.5, 2], [2, 3]: exact sups 2, 3 (at the knot 0), 2.5, 1
+        assert np.allclose(c.values, 2.125, rtol=0, atol=1e-15)
 
 
 class TestFormatCsv:
@@ -475,3 +533,43 @@ class TestGoldenSectionLockstep:
         self._check(lambda t: (t - centre) ** 2, lo, hi, 1e-12)
         self._check(lambda t: -t, lo, hi, 1e-12)
         self._check(lambda t: np.zeros_like(t), lo, hi, 1e-12)
+
+
+def _parent_minimize_rows(loss, rows, a, b, grid, curves, tol=1e-9):
+    """``minimize_rows`` as written before ``refine_grid_min``: the bit-for-bit reference."""
+    idx = np.argmin(curves, axis=1)
+    theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
+    if grid.count == 1:
+        return theta0, best
+    lo = grid.points[np.maximum(idx - 1, 0)]
+    hi = grid.points[np.minimum(idx + 1, grid.count - 1)]
+    theta, val = golden_section_min(
+        lambda t: upper_risk_batch(loss, rows, a, b, t), lo, hi, tol)
+    better = (lo < hi) & (val < best)
+    return np.where(better, theta, theta0), np.where(better, val, best)
+
+
+class TestRefineGridMin:
+    LOSSES = [sq11, absolute_error_loss((-1, 1)), constant_loss(0.0), constant_loss(1.5),
+              tabulated_loss([-1, 1], [-3, 0, 3], [[3, 0, 3], [4, 1, 4]], convex_in_y=True)]
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("count", [1, 2, 5, 21])
+    def test_minimize_rows_equals_parent(self, loss, count):
+        rng = np.random.default_rng(count)
+        rows = np.sort(rng.uniform(-3, 3, (7, 9)), axis=1)
+        grid = ThetaGrid(-1, 1, count) if count > 1 else ThetaGrid(0.25, 0.25, 1)
+        curves = upper_risk_batch(loss, rows[:, None, :], -3.0, 3.0, grid.points)
+        # as computed, rounded to force ties, and flat (every row ties everywhere)
+        for c in (curves, np.round(curves, 1), np.zeros_like(curves)):
+            got = minimize_rows(loss, rows, -3.0, 3.0, grid, c)
+            want = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid, c)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+    def test_ties_go_to_the_lowest_index_and_refine_only_strictly_lower(self):
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        values = np.array([[2.0, 1.0, 1.0, 3.0], [1.0, 1.0, 1.0, 1.0]])
+        f = lambda x: np.array([(x[0] - 1.5) ** 2 + 0.5, 1.0 + 0 * x[1]])
+        x, v = refine_grid_min(f, grid, values, 1e-12)
+        assert x[0] == pytest.approx(1.5, abs=1e-6) and v[0] == pytest.approx(0.5)
+        assert (x[1], v[1]) == (0.0, 1.0)  # equal values never replace the grid point

@@ -16,7 +16,7 @@ from focalrisk import (
     squared_error_loss,
 )
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
-                              NonConvexLoss, SupportMassTooSmall)
+                              InvalidAlpha, NonConvexLoss, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve
 from focalrisk.simulate import _CHUNK_CELLS, sample_chunks, write_summary
 
@@ -39,6 +39,11 @@ class TestSampleTruncatedNormal:
     def test_degenerate(self):
         with pytest.raises(DegenerateSupport):
             sample_truncated_normal(10, 1, 1, replication_rng(0, 0, 0))
+
+    def test_negative_sample_size_refused(self):
+        # before, numpy's SeedSequence refused it with a message about entropy
+        with pytest.raises(EmptySample):
+            replication_rng(0, -3, 0)
 
     def test_negligible_mass_refused(self):
         # The sampler runs in a fresh interpreter with a timeout: without the check it hangs.
@@ -275,6 +280,13 @@ class TestRunReplications:
 
 
 class TestCoverageExperiment:
+    def test_inputs_refused(self):
+        identity = NonconformityScore.identity()
+        with pytest.raises(ValueError, match="at least 1"):  # was a ZeroDivisionError
+            coverage_experiment(MODEL, identity, n=20, alpha=0.2, replications=0, seed=0)
+        with pytest.raises(InvalidAlpha):
+            coverage_experiment(MODEL, identity, n=20, alpha=1.5, replications=10, seed=0)
+
     def test_full_support_exact(self):
         emp, nominal = coverage_experiment(
             MODEL, NonconformityScore.identity(), n=4, alpha=0.01,
