@@ -45,7 +45,8 @@ def constants(
 ) -> ConsistencyConstants:
     """M = sup loss(., a) + sup loss(., b); L(theta) = loss range over [a, b].
 
-    Each sup is the grid max, refined inside the cells bracketing it.
+    Each sup is the grid max, refined inside the cells bracketing it.  M and
+    L_max must be finite (``NonFiniteValue``), so no draw starts with them infinite.
     """
     a, b = support
     grid, ends = theta_grid.points, np.array([a, b], dtype=float)
@@ -56,8 +57,10 @@ def constants(
     def l_of_theta(theta: float) -> float:
         return float(_loss_range(loss, np.array([theta], dtype=float), a, b)[0])
 
-    l_max = float(np.max(_loss_range(loss, grid, a, b)))
-    return ConsistencyConstants(M=float(-neg[0] - neg[1]), L_of_theta=l_of_theta, L_max=l_max)
+    m, l_max = float(-neg[0] - neg[1]), float(np.max(_loss_range(loss, grid, a, b)))
+    if not (math.isfinite(m) and math.isfinite(l_max)):  # the loss overflows on the domain
+        raise NonFiniteValue(f"M={m}, L_max={l_max}: the loss is not finite on the theta grid")
+    return ConsistencyConstants(M=m, L_of_theta=l_of_theta, L_max=l_max)
 
 
 def check_epsilon(epsilon: float) -> None:

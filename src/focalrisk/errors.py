@@ -17,6 +17,10 @@ class NonFiniteValue(FocalRiskError):
     """An observation, endpoint, epsilon or required sample size is NaN or infinite."""
 
 
+class SampleTooLarge(FocalRiskError):
+    """A sample size exceeds the largest sample one row of the sampler may hold."""
+
+
 class DegenerateSupport(FocalRiskError):
     """Support endpoints do not satisfy lo < hi."""
 

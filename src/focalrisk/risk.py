@@ -7,6 +7,22 @@ focal sets the upper risk has the closed form
 
     [n * R_n(theta) + M(theta)] / (n + 1),
     M(theta) = loss(theta, a) + loss(theta, b) - min over {a, data, b}.
+
+For squared and absolute loss both terms come from per-row summaries of the
+sorted sample y_1 <= ... <= y_n, with c = #{y_i < theta} (``searchsorted``):
+
+    squared:  n R_n = SS + n (mean - theta)^2, SS the centred sum of squares;
+    absolute: n R_n = (S - P_c - (n - c) theta) + (c theta - P_c), P_c the sum
+              of the c smallest, S of all;
+    M: the min over the data is the loss at y_c or y_{c+1}, the neighbours
+       of theta.
+
+Data and theta are shifted by the support's centre (a + b)/2 first, so the
+rounding scales with b - a, not with the distance of the data from 0.
+
+So a curve of k thetas costs O(n + k log n) per row.  Their upper risk is
+convex in theta, and ``minimize_rows`` takes its exact argmin; other losses
+tabulate loss(theta, y) and refine a grid argmin by golden section.
 """
 
 from __future__ import annotations
@@ -19,7 +35,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .conformal import FocalRepresentation, FocalSystem
-from .data_model import BoundedSample, LossSpec, ModelKind, ThetaGrid, TrueModel
+from .data_model import BoundedSample, LossKind, LossSpec, ModelKind, ThetaGrid, TrueModel
+from .errors import NonFiniteValue
 from .quadrature import integrate
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -111,25 +128,49 @@ def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> floa
 
 
 def _closed_form_core(loss: LossSpec, values: np.ndarray, a: float, b: float, thetas):
-    """R_n and M of the closed form, for samples sorted along the last axis of values.
+    """n R_n and M of the closed form, for samples sorted along the last axis of values.
 
     thetas broadcasts against values without that axis: (k,) with (n,) is one
     curve, (k,) with (r, 1, n) a curve per row, (r,) with (r, n) a point per row.
+    Squared and absolute loss use per-row sums; other losses tabulate loss(theta, y).
     """
     loss.check_convex()  # every closed-form path passes here
     thetas = np.asarray(thetas, dtype=float)
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
-    table = np.asarray(loss(thetas[..., None], values), dtype=float)
-    m_theta = la + lb - np.minimum(np.minimum(la, lb), table.min(axis=-1))
-    return table.mean(axis=-1), m_theta
+    n = values.shape[-1]
+    if loss.kind is LossKind.TABULATED:
+        table = np.asarray(loss(thetas[..., None], values), dtype=float)
+        n_rn, near = n * table.mean(axis=-1), table.min(axis=-1)
+    else:
+        shape = np.broadcast_shapes(thetas.shape, values.shape[:-1])
+        rows = values.reshape(-1, n)
+        t = np.broadcast_to(thetas, shape).reshape(len(rows), -1)
+        c = np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)],
+                     dtype=np.intp).reshape(t.shape)  # the data points below theta
+        i = np.arange(len(rows))[:, None]
+        mid = 0.5 * a + 0.5 * b  # sums about the support's centre (a + b may overflow)
+        z, t = rows - mid, t - mid
+        if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
+            mean = z.sum(axis=1, keepdims=True) / n
+            n_rn = ((z - mean) ** 2).sum(axis=1, keepdims=True) + n * (mean - t) ** 2
+        else:  # the data above theta less theta, plus theta less the data below
+            sums = np.zeros((len(rows), n + 1))
+            np.cumsum(z, axis=1, out=sums[:, 1:])
+            below = sums[i, c]
+            n_rn = (sums[:, -1:] - below - (n - c) * t) + (c * t - below)
+        # loss(theta, .) grows with |y - theta|: its min over the data is at a neighbour
+        below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, n - 1)]
+        near = np.minimum(loss(thetas, below_y.reshape(shape)),
+                          loss(thetas, above_y.reshape(shape)))
+        n_rn = n_rn.reshape(shape)
+    return n_rn, la + lb - np.minimum(np.minimum(la, lb), near)
 
 
 def upper_risk_batch(loss: LossSpec, values: np.ndarray, a: float, b: float, thetas):
     """Closed-form upper risk [n R_n + M] / (n + 1), shaped as in the core."""
-    n = values.shape[-1]
-    emp, m_theta = _closed_form_core(loss, values, a, b, thetas)
-    return (n * emp + m_theta) / (n + 1)
+    n_rn, m_theta = _closed_form_core(loss, values, a, b, thetas)
+    return (n_rn + m_theta) / (values.shape[-1] + 1)
 
 
 def upper_risk_closed_form(
@@ -138,9 +179,9 @@ def upper_risk_closed_form(
     """Closed form for convex losses under the identity score, as n R_n/(n+1) + M/(n+1)."""
     loss.check_theta(theta)
     n = sample.n
-    emp, m_theta = _closed_form_core(loss, sample.values, sample.support_lo,
-                                     sample.support_hi, [theta])
-    return UpperRiskDecomposition(theta, float(n * emp[0] / (n + 1)), float(m_theta[0] / (n + 1)))
+    n_rn, m_theta = _closed_form_core(loss, sample.values, sample.support_lo,
+                                      sample.support_hi, [theta])
+    return UpperRiskDecomposition(theta, float(n_rn[0] / (n + 1)), float(m_theta[0] / (n + 1)))
 
 
 def closed_form_curve(loss: LossSpec, sample: BoundedSample, thetas: np.ndarray) -> np.ndarray:
@@ -174,6 +215,8 @@ def risk_curve(
             vals = closed_form_curve(loss, sample, grid.points)
         else:
             raise ValueError("upper risk needs a focal system or a sample")
+    if not np.isfinite(vals).all():  # the loss overflows somewhere on the grid
+        raise NonFiniteValue(f"{kind.value} risk is not finite on [{grid.lo}, {grid.hi}]")
     return RiskCurve(grid=grid, values=vals, kind=kind)
 
 
@@ -221,21 +264,51 @@ def refine_grid_min(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
     return np.where(better, x, x0), np.where(better, val, best)
 
 
+def _exact_candidates(kind: LossKind, rows: np.ndarray, a: float, b: float, lo: float,
+                      hi: float) -> np.ndarray:
+    """Ascending thetas per row among which the closed form attains its min on [lo, hi].
+
+    With Z = {a, data, b}, (n+1) U(theta) is the sum of loss(theta, z) over Z
+    less its min: on the cell of the z_j nearest theta, the sum over the other
+    points, and U is convex (a max of convex functions).  Squared loss: each
+    cell's quadratic has its vertex at (sum Z - z_j)/(n+1), clipped to the cell.
+    Absolute loss: U is piecewise linear with kinks at Z and at the cell ends.
+    Clipped to [lo, hi], these hold U's min there (U falls towards [a, b]).
+    """
+    col = np.ones((len(rows), 1))
+    z = np.hstack([a * col, rows, b * col])
+    ends = 0.5 * (z[:, :-1] + z[:, 1:])  # the cells' common ends
+    if kind is LossKind.SQUARED_ERROR:
+        vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
+        cand = np.clip(vertex, np.hstack([-np.inf * col, ends]), np.hstack([ends, np.inf * col]))
+    else:
+        cand = np.empty((len(rows), 2 * z.shape[1] - 1))
+        cand[:, ::2], cand[:, 1::2] = z, ends
+    return np.clip(cand, lo, hi)
+
+
 def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: ThetaGrid,
                   curves: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin and minimum of each sample row's upper risk, given its grid curve.
+    """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
-    The refinement (``refine_grid_min``) needs the curve unimodal in theta,
-    true for losses convex in theta (squared, absolute).  Otherwise it may stop
-    in a local minimum, still at most the grid minimum.
+    Squared and absolute loss: exact, the best of the closed form at
+    ``_exact_candidates`` (ties to the lowest theta); curves and tol are unused.
+    Tabulated losses: ``refine_grid_min`` from the grid curves, which needs the
+    curve unimodal in theta, else it may stop in a local minimum, still at most
+    the grid minimum.
     """
-    return refine_grid_min(lambda t: upper_risk_batch(loss, rows, a, b, t), grid.points,
-                           curves, tol)
+    if loss.kind is LossKind.TABULATED:
+        return refine_grid_min(lambda t: upper_risk_batch(loss, rows, a, b, t), grid.points,
+                               curves, tol)
+    thetas = _exact_candidates(loss.kind, rows, a, b, grid.lo, grid.hi)
+    values = upper_risk_batch(loss, rows[:, None, :], a, b, thetas)
+    best = np.arange(len(rows)), np.argmin(values, axis=1)
+    return thetas[best], values[best]
 
 
 def minimize_upper_risk(loss: LossSpec, sample: BoundedSample, grid: ThetaGrid,
                         tol: float = 1e-9) -> tuple[float, float]:
-    """Grid argmin of the closed-form upper risk, refined as in ``minimize_rows``."""
+    """Argmin and minimum of the upper risk on [grid.lo, grid.hi], as in ``minimize_rows``."""
     curves = closed_form_curve(loss, sample, grid.points)[None, :]
     rows, a, b = sample.values[None, :], sample.support_lo, sample.support_hi
     theta, val = minimize_rows(loss, rows, a, b, grid, curves, tol)

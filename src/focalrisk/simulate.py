@@ -17,11 +17,12 @@ import numpy as np
 from .conformal import NonconformityScore, nested_set_index, rank_candidate
 from .data_model import (BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
-from .errors import EmptyInput, EmptySample, GridMismatch
+from .errors import EmptyInput, EmptySample, GridMismatch, SampleTooLarge
 from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
+_MAX_ROW = 1 << 24  # largest sample size drawn: 128 MiB of float64 per sample
 _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 
 
@@ -35,6 +36,8 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
 
 def _raw_draw(n: int, lo: float, hi: float, mass: float, rng: np.random.Generator) -> np.ndarray:
     """rng's first n standard normals in [lo, hi], in draw order (batches scale with 1/mass)."""
+    if n > _MAX_ROW:  # refused before anything is allocated or drawn
+        raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
     out = np.empty(n)
     filled = 0
     while filled < n:

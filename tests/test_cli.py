@@ -341,6 +341,30 @@ def test_simulate_near_mass_floor_finishes(tmp_path):
     assert (tmp_path / "minimizers_n200.csv").exists()
 
 
+def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
+    # epsilon 1e-3 puts the witness n at ~1.06e9, 8.5 GB a sample.  A fresh interpreter
+    # with 1 GiB of address space and a timeout turns an allocation or a crawl into a failure.
+    import resource
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["verify-bounds", "--n", "", "--uniform", "--epsilon", "1e-3", "--replications",
+            "100", "--out", str(tmp_path)]
+    # one BLAS thread: each thread's buffers would count against the address-space cap
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
+                         preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("SampleTooLarge: sample size n=1.06291e+09")
+    assert not any(tmp_path.iterdir())
+
+
 def test_parser_keeps_no_state_between_calls(tmp_path):
     def once(name, argv, config=None):
         out, pre = tmp_path / name, []
@@ -402,6 +426,9 @@ def _exit_code(argv):
     ["coverage", "--alpha", "inf"],
     ["predict", "--values", "1,2", "--lo", "0", "--hi", "3", "--score", "loo-mean",
      "--grid-points", "1"],
+    ["verify-bounds", "--n", "20", "--replications", "100", "--theta-hi", "1e200", "--uniform",
+     "--theta-count", "5"],
+    ["risk-curve", "--values", "0.1", "--theta-hi", "1e200", "--theta-count", "5"],
 ])
 def test_residual_inputs_exit_2(argv):
     code, err = _exit_code(argv)
@@ -423,28 +450,41 @@ def test_coverage_checks_every_input_before_the_first_experiment(monkeypatch, fl
 _EDGES = ["0", "-1", "nan", "inf", "1e308", "5e-324", "1e-160", ""]
 
 
+def _theta_ends(draw):
+    """--theta-lo/--theta-hi flags: absent, overflowing the loss, near it, or swapped."""
+    lo = draw(st.sampled_from([None, "-1e200", "1", "1e80"]))
+    hi = draw(st.sampled_from([None, "1e200", "1e80", "-1", "-1e200"]))
+    return [f"--theta-{k}={v}" for k, v in (("lo", lo), ("hi", hi)) if v is not None]
+
+
 @st.composite
 def _argv(draw):
-    """argv of one Monte Carlo subcommand with edge values; sizes stay tiny."""
+    """argv of one Monte Carlo subcommand or risk-curve with edge values; sizes stay tiny."""
     def pick(valid):
         return draw(st.sampled_from(_EDGES + valid))
 
-    command = draw(st.sampled_from(["simulate", "verify-bounds", "coverage"]))
+    command = draw(st.sampled_from(["simulate", "verify-bounds", "coverage", "risk-curve"]))
+    if command == "risk-curve":
+        return ["risk-curve", "--values", "0.1,-0.5,0.1", "--theta-count", "5",
+                "--loss", draw(st.sampled_from(["squared", "absolute"])),
+                *draw(st.sampled_from([[], ["--model", "truncnorm"]])), *_theta_ends(draw)]
     argv = [command, "--n", pick(["1", "7", "4,30"]), "--replications", pick(["1", "100", "200"])]
     if command == "simulate":
         return argv + ["--theta-count", "5"]
     if command == "coverage":
         return argv + ["--alpha", pick(["0.2", "0.5,0.1"])]
+    argv += ["--loss", draw(st.sampled_from(["squared", "absolute"])), *_theta_ends(draw)]
     if draw(st.booleans()):
         # alpha 1e-160 would make the witness n ~ 2e5 (epsilon 1e-160 makes it infinite,
-        # which is refused at once), so the valid epsilons stay >= 0.5
+        # which is refused at once), so the valid epsilons stay >= 0.5; a theta end of
+        # 1e80 or more makes the threshold n exceed the sampler's row limit, refused at once
         eps = pick(["0.5", "1"])
         alpha = draw(st.sampled_from([a for a in _EDGES if a != "1e-160"] + ["0.2"]))
         return argv + ["--epsilon", eps, "--alpha", alpha, "--uniform", "--theta-count", "5"]
     return argv + ["--epsilon", pick(["0.5", "1,2"]), "--alpha", pick(["0.2"])]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_argv())
 def test_exit_code_contract(argv):
     code, err = _exit_code(argv)

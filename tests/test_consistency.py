@@ -78,6 +78,38 @@ class TestConstants:
         assert l_zero == pytest.approx(2e4**2 - 9000.0**2, rel=1e-12)
 
 
+class TestLossOverflow:
+    def test_constants_refuse_a_loss_that_overflows_on_the_grid(self):
+        for lo, hi in ((-1, 1e200), (-1e200, 1)):  # (1e200 - 3)^2 is inf, so is M
+            loss = squared_error_loss((lo, hi))
+            with pytest.raises(NonFiniteValue, match="not finite on the theta grid"):
+                constants(loss, (-3, 3), ThetaGrid(lo, hi, 5))
+        c = constants(absolute_error_loss((-1, 1e200)), (-3, 3), ThetaGrid(-1, 1e200, 5))
+        assert c.M == 2e200 and math.isfinite(c.L_max)  # absolute loss stays finite
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        import focalrisk.consistency as consistency
+
+        monkeypatch.setattr(consistency, "sample_chunks", _must_not_run)
+        loss, grid = squared_error_loss((-1, 1e200)), ThetaGrid(-1, 1e200, 5)
+        with pytest.raises(NonFiniteValue):
+            pointwise_reports(MODEL, loss, [0.0], 20, [1.0], 100, 1)
+        with pytest.raises(NonFiniteValue):
+            verify_uniform(MODEL, loss, grid, 1.0, 0.05, 1, replications=100)
+
+    def test_witness_n_beyond_the_row_limit_is_refused_before_any_draw(self, monkeypatch):
+        import focalrisk.simulate as simulate
+        from focalrisk.errors import SampleTooLarge
+
+        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        assert witness_uniform(ThetaGrid(-1, 1, 101), 1e-3, 0.05, 16.0) == 1062911997
+        with pytest.raises(SampleTooLarge):
+            verify_uniform(MODEL, sq, ThetaGrid(-1, 1, 101), 1e-3, 0.05, 1, replications=100)
+        monkeypatch.setattr(simulate, "_MAX_ROW", 40)
+        with pytest.raises(SampleTooLarge):
+            pointwise_reports(MODEL, sq, [0.0], 41, [1.0], 100, 1)
+
+
 def _parent_M(loss, support, theta_grid):
     """M as ``constants`` computed it before ``refine_grid_min``: the bit-for-bit reference."""
     grid, ends = theta_grid.points, np.array(support, dtype=float)

@@ -20,22 +20,25 @@ CASES = {
         ["simulate", "--n", "8,30", "--replications", "40", "--seed", "5",
          "--theta-count", "21", "--svg"],
         {
-            "band_hi_n30.csv": "8419726053f99aa26a0d24f9abf2be5dd3e0bf8bdfe9461f9b3a321a97130533",
-            "band_hi_n8.csv": "8cd80fbcd6677fc505cf3ab7dcd104153be393019bb4ae0f2546bd3fd2a07f4d",
-            "band_lo_n30.csv": "26ef3f482af1d7d08ade78c8438ccbb5ec4f07b0a70551e57cb822f5a98f0a33",
-            "band_lo_n8.csv": "8a469e9863a4fbefb1cc58c9bbc21bf63234a7c10f1dbe134174d3f3aa5d705e",
-            # The minimizers and the histogram edges drawn from their range moved from
-            # the scalar engine: golden section now minimizes the same rounding of the
-            # closed form as the grid curve.  n=8: 23 of 40 minimizers moved, at most
-            # 2.5e-8; n=30: 30 of 40, at most 2.2e-8.  Bin counts are unchanged.
-            "histogram_n30.csv": "24df96f71c1a86dfbbaaa8fe324136f6a7fe2d8d0b8a58776a1311622e868525",
-            "histogram_n8.csv": "494a767cd93e92a161540ff9943c5e49ec40cf2ff75e49107c7dc3092af0f599",
-            "median_n30.csv": "b1b4a13769314bf3042a95e70fa72724ebcd77ce136f147cddca67d6fe240626",
-            "median_n8.csv": "be92fb104211d7b924182523ac3160c30e860c400c58e9da611cc7fee5f535be",
+            # Re-pinned for the closed form from per-row sums and the exact minimizer.
+            # Curves: at most 10 of 21 values per file moved, by at most 8.9e-16 (3.1e-16
+            # relative).  Minimizers: every one moved toward the exact argmin, at most 3.1e-8
+            # (n=8) and 2.0e-8 (n=30); histogram edges at most 1.4e-8, bin counts unchanged.
+            "band_hi_n30.csv": "bfa1f91ecce180a98dae8574b4ad0485e8c283463fdaa9b434a792196258d109",
+            "band_hi_n8.csv": "3d4072954a3542b97a3371dee1fcbaaa76b2cac133bef5e3b54cc9cec91b0e3d",
+            "band_lo_n30.csv": "cbc5c5dacbcba7fa6ff36763c69bf21b127a83962fa34ecb2a8a9f03c2e57604",
+            "band_lo_n8.csv": "9b5fb692be13f226ecabf1f2883a986c41f23f63928e32ab2e69119c8f5680b1",
+            # Before that, the batched engine moved the minimizers from the scalar one's
+            # (golden section on the same rounding of the closed form as the grid curve):
+            # n=8: 23 of 40, at most 2.5e-8; n=30: 30 of 40, at most 2.2e-8.
+            "histogram_n30.csv": "ed0cbdba6c4d2fb56ef8b44137b548adb8c02cbe1703e5f870df1de8777f1d8d",
+            "histogram_n8.csv": "4ab8fce1c1cea50fb2c0e9702ee7585cbfcd5504811d959e40e7494bcb24f9f5",
+            "median_n30.csv": "e0ae6f7b5cbed81e9a2dc6c9c402c2915b3359f4a8663b629d108f1313a83e21",
+            "median_n8.csv": "38a22b7342c9b4c31c29ff5a7c507f14d0af720c5860ce91bfefed659d945f52",
             "meta.json": "2595edd365f31d542797b92eff337d8849013b99b7f499513b791201204dc46e",
             "minimizer_histograms.svg": "848359277e96db40d340a5c944066424977f85f24e164705dd3d8d84feb38031",
-            "minimizers_n30.csv": "53d30150128078ec0419159812de8e546e7e6bf29e7d9221ccb838d303f01ada",
-            "minimizers_n8.csv": "dcc0c05615f62dd2084552b5ac3b1de197d38469c09dc1e91056a30b1c406a2f",
+            "minimizers_n30.csv": "cbfa4e1e048076884f686926fb38039373e02f35de3f0034621c9b6c6197af0b",
+            "minimizers_n8.csv": "730873996216ab49b23b2a04b0b02acd59c82d417acf44bb7651dbf2531da50c",
             "risk_curves.svg": "6c31b1226bd04012d07bb388b4555fe84a12faa2651c35cb9fbe9d8466ff1c13",
         },
     ),
@@ -98,8 +101,9 @@ CASES = {
         {
             # Only the true column moved, from adaptive Simpson to the fixed Gauss-Legendre
             # pass: at most 3.8e-11 (theta = -0.4, 0.4), every value toward the closed-form
-            # truncated-normal moment, which it now meets within 4.5e-16.
-            "risk_curve.csv": "a215b99289120b2204aba600d993b8b76e6b63e1c07bae65a11b61120d8fd7ed",
+            # truncated-normal moment, which it now meets within 4.5e-16.  Then the upper
+            # column, from per-row sums: 5 of 11 values moved, at most 8.9e-16 (2.6e-16 rel.).
+            "risk_curve.csv": "75670daac1844f07b4e072d2f8e0bd910908ea2c5e5ce550f85894fd4799110c",
         },
     ),
     "coverage": (

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -535,7 +536,7 @@ class TestGoldenSectionLockstep:
         self._check(lambda t: np.zeros_like(t), lo, hi, 1e-12)
 
 
-def _parent_minimize_rows(loss, rows, a, b, grid, curves, tol=1e-9):
+def _parent_minimize_rows(loss, rows, a, b, grid, curves, tol=1e-9, upper=upper_risk_batch):
     """``minimize_rows`` as written before ``refine_grid_min``: the bit-for-bit reference."""
     idx = np.argmin(curves, axis=1)
     theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
@@ -543,10 +544,43 @@ def _parent_minimize_rows(loss, rows, a, b, grid, curves, tol=1e-9):
         return theta0, best
     lo = grid.points[np.maximum(idx - 1, 0)]
     hi = grid.points[np.minimum(idx + 1, grid.count - 1)]
-    theta, val = golden_section_min(
-        lambda t: upper_risk_batch(loss, rows, a, b, t), lo, hi, tol)
+    theta, val = golden_section_min(lambda t: upper(loss, rows, a, b, t), lo, hi, tol)
     better = (lo < hi) & (val < best)
     return np.where(better, theta, theta0), np.where(better, val, best)
+
+
+def _table_core(loss, values, a, b, thetas):
+    """The closed form's n R_n and M from the full loss table: the reference for every loss."""
+    thetas = np.asarray(thetas, dtype=float)
+    la, lb = np.asarray(loss(thetas, a)), np.asarray(loss(thetas, b))
+    table = np.asarray(loss(thetas[..., None], values), dtype=float)
+    m_theta = la + lb - np.minimum(np.minimum(la, lb), table.min(axis=-1))
+    return values.shape[-1] * table.mean(axis=-1), m_theta
+
+
+def _table_upper(loss, values, a, b, thetas):
+    n_rn, m_theta = _table_core(loss, values, a, b, thetas)
+    return (n_rn + m_theta) / (values.shape[-1] + 1)
+
+
+def _ulps(x, count=4):
+    return count * np.spacing(np.abs(x))
+
+
+def _check_exact_minimizer(loss, rows, grid):
+    """minimize_rows against a dense grid and the parent's golden section, both on the table."""
+    theta, value = minimize_rows(loss, rows, -3.0, 3.0, grid, None)
+    assert np.all((grid.lo <= theta) & (theta <= grid.hi))
+    assert value.tobytes() == upper_risk_batch(loss, rows, -3.0, 3.0, theta).tobytes()
+    dense = np.linspace(grid.lo, grid.hi, 20001)
+    dense_min = _table_upper(loss, rows[:, None, :], -3.0, 3.0, dense).min(axis=1)
+    assert np.all(value <= dense_min + _ulps(dense_min))
+    curves = _table_upper(loss, rows[:, None, :], -3.0, 3.0, grid.points)
+    g_theta, g_value = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid, curves,
+                                             upper=_table_upper)
+    assert np.all(value <= g_value + _ulps(g_value))
+    if loss.kind.value == "squared":  # strictly convex in theta: one argmin
+        assert np.max(np.abs(theta - g_theta)) <= 1e-7
 
 
 class TestRefineGridMin:
@@ -559,6 +593,9 @@ class TestRefineGridMin:
         rng = np.random.default_rng(count)
         rows = np.sort(rng.uniform(-3, 3, (7, 9)), axis=1)
         grid = ThetaGrid(-1, 1, count) if count > 1 else ThetaGrid(0.25, 0.25, 1)
+        if loss.kind.value != "tabulated":  # exact minimizer: no golden section to match
+            _check_exact_minimizer(loss, rows, grid)
+            return
         curves = upper_risk_batch(loss, rows[:, None, :], -3.0, 3.0, grid.points)
         # as computed, rounded to force ties, and flat (every row ties everywhere)
         for c in (curves, np.round(curves, 1), np.zeros_like(curves)):
@@ -573,3 +610,126 @@ class TestRefineGridMin:
         x, v = refine_grid_min(f, grid, values, 1e-12)
         assert x[0] == pytest.approx(1.5, abs=1e-6) and v[0] == pytest.approx(0.5)
         assert (x[1], v[1]) == (0.0, 1.0)  # equal values never replace the grid point
+
+
+EXACT_LOSSES = [squared_error_loss((-8, 8)), absolute_error_loss((-8, 8))]
+
+
+@st.composite
+def _rows_and_thetas(draw):
+    """Sorted rows on a support, with ties, and thetas on, between and beyond the data."""
+    lo = draw(st.floats(-60, 50))  # supports near 0 and far from it
+    hi = lo + draw(st.floats(0.5, 6))
+    r, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    u = draw(st.lists(st.floats(0, 1), min_size=r * n, max_size=r * n))
+    if draw(st.booleans()):
+        u = [round(v, 1) for v in u]  # ties within and across rows
+    rows = np.sort(lo + (hi - lo) * np.reshape(u, (r, n)), axis=1)
+    extra = [lo + d for d in draw(st.lists(st.floats(-3, 9), min_size=1, max_size=6))]
+    thetas = np.array(sorted(set(rows[0].tolist()) | {lo, hi, lo - 1, hi + 1} | set(extra)))
+    return rows, lo, hi, thetas
+
+
+def _check_core(loss, values, a, b, thetas):
+    from focalrisk.risk import _closed_form_core
+
+    n_rn, m_theta = _closed_form_core(loss, values, a, b, thetas)
+    want_n_rn, want_m = _table_core(loss, values, a, b, thetas)
+    assert n_rn.shape == want_n_rn.shape and m_theta.tobytes() == want_m.tobytes()
+    scale = want_n_rn + want_m  # (n+1) times the upper risk, at least M > 0
+    assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale)
+    upper = upper_risk_batch(loss, values, a, b, thetas)
+    want = _table_upper(loss, values, a, b, thetas)
+    assert np.all(np.abs(upper - want) <= 1e-13 * want)
+
+
+class TestSufficientStatistics:
+    """The per-row-sum closed form of squared and absolute loss against the loss table."""
+
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+    @settings(max_examples=300, deadline=None)
+    @given(case=_rows_and_thetas())
+    def test_equals_table_path(self, loss, case):
+        rows, a, b, thetas = case
+        _check_core(loss, rows[0], a, b, thetas)  # (k,) with (n,)
+        _check_core(loss, rows[:, None, :], a, b, thetas)  # (k,) with (r, 1, n)
+        _check_core(loss, rows, a, b, np.resize(thetas, len(rows)))  # (r,) with (r, n)
+
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+    def test_one_observation_and_all_tied(self, loss):
+        for values in ([0.3], [0.3] * 7, [-2.0, 0.3, 0.3, 0.3, 2.5]):
+            _check_core(loss, np.array(values), -3.0, 3.0, np.array([-8, -3, 0.3, 0.31, 3, 8.0]))
+
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+    def test_support_far_from_zero(self, loss):
+        # sums about the support's centre: rounding scales with b - a, not with |a|
+        rng = np.random.default_rng(8)
+        for lo in (-800.0, 500.0, 3e4):
+            rows = np.sort(lo + rng.uniform(0, 6, (50, 40)), axis=1)
+            _check_core(loss, rows[:, None, :], lo, lo + 6, lo + np.linspace(-1, 7, 33))
+
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+    def test_memory_stays_linear_in_n(self, loss):
+        # the loss table of this call would take 101 x 2e5 x 8 bytes = 162 MB
+        import tracemalloc
+
+        values = np.sort(np.random.default_rng(0).uniform(-3, 3, 200_000))
+        thetas = np.linspace(-1, 1, 101)
+        tracemalloc.start()
+        try:
+            upper_risk_batch(loss, values, -3.0, 3.0, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestExactMinimizer:
+    """minimize_rows for squared and absolute loss: best of the closed form at exact candidates."""
+
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+    def test_at_most_dense_grid_and_golden_section(self, loss):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 9, 40):
+            for lo, hi, count in ((-1, 1, 21), (-1, 1, 2), (0.25, 0.25, 1), (-4, 4, 51),
+                                  (1.5, 2.5, 11)):
+                rows = rng.uniform(-3, 3, (6, n))
+                if n > 2:
+                    rows[:3] = np.round(rows[:3])  # ties
+                _check_exact_minimizer(loss, np.sort(rows, axis=1), ThetaGrid(lo, hi, count))
+
+    def test_no_golden_section_and_no_loss_table(self, monkeypatch):
+        import focalrisk.risk as risk_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("golden section ran")
+
+        monkeypatch.setattr(risk_mod, "golden_section_min", refuse)
+        rows = np.sort(np.random.default_rng(2).uniform(-3, 3, (5, 30)), axis=1)
+        grid = ThetaGrid(-1, 1, 21)
+        for base in EXACT_LOSSES:
+            sizes = []
+
+            def evaluate(t, y, f=base.evaluate):
+                sizes.append(np.broadcast(t, y).size)
+                return f(t, y)
+
+            loss = dataclasses.replace(base, evaluate=evaluate)
+            minimize_rows(loss, rows, -3.0, 3.0, grid, None)
+            minimize_upper_risk(loss, make_sample(rows[0], -3, 3), grid)
+            assert max(sizes) <= 5 * (2 * 32 + 1)  # one value per row and candidate
+
+    def test_absolute_ties_to_the_lowest_minimizing_breakpoint(self):
+        # n = 1, Z = {-3, 0, 3}: 2 U(theta) = 6 on [-1.5, 1.5], and more outside
+        s = make_sample([0.0], -3, 3)
+        abs4 = absolute_error_loss((-4, 4))
+        assert minimize_upper_risk(abs4, s, ThetaGrid(-4, 4, 9)) == (-1.5, 3.0)
+        assert minimize_upper_risk(abs4, s, ThetaGrid(-1, 1, 5)) == (-1.0, 3.0)
+        assert minimize_upper_risk(abs4, s, ThetaGrid(2, 4, 5)) == (2.0, 3.5)
+
+    def test_squared_min_at_a_cell_end(self):
+        # Z = {0, 0.2, 0.8, 1}: on the cell of 0.2 the vertex is (2 - 0.2) / 3 = 0.6, outside
+        # it, and 0.4 on the cell of 0.8: the min is the kink where the two cells meet, 0.5
+        s = make_sample([0.2, 0.8], 0, 1)
+        theta, value = minimize_upper_risk(sq01, s, ThetaGrid(0, 1, 3))
+        assert theta == 0.5 and value == pytest.approx(0.19666666666666668, abs=1e-15)
