@@ -12,6 +12,7 @@ import argparse
 import functools
 import itertools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -278,6 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_coverage)
+    # read -1e-3, -.5 and -0.5,0.2 as values: the only single-dash option is -h
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"-[\d.]")
     return parser
 
 

@@ -16,51 +16,43 @@ from typing import Callable
 import numpy as np
 
 from .conformal import check_alpha
-from .data_model import LossSpec, ThetaGrid, TrueModel
+from .data_model import LossSpec, ThetaGrid, TrueModel, sup_points
 from .errors import NonFiniteValue, NonpositiveEpsilon
-from .risk import refine_grid_min, true_risk_curve, upper_risk_batch
+from .risk import true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
-
-_XTOL = 1e-12  # argument tolerance of the refined extrema in ``constants``
 
 
 @dataclass(frozen=True)
 class ConsistencyConstants:
     M: float
-    L_of_theta: Callable[[float], float]
+    L_of_theta: Callable  # a float for a float theta, an array for an array
     L_max: float
 
 
-def _loss_range(loss: LossSpec, thetas: np.ndarray, a: float, b: float) -> np.ndarray:
-    """sup - inf of loss(theta, .) over [a, b] per theta: max and refined min on the sup points."""
-    points = loss.sup_points(a, b)
-    vals = np.asarray(loss(thetas[:, None], points), dtype=float)
-    _, inf = refine_grid_min(lambda y: np.asarray(loss(thetas, y), dtype=float), points, vals,
-                             _XTOL)
-    return vals.max(axis=1) - inf
+def _loss_range(loss: LossSpec, thetas, a: float, b: float):
+    """sup - inf of loss(theta, .) over [a, b] per theta, exact (the ``LossSpec`` contract)."""
+    t = np.asarray(thetas, dtype=float)
+    vals = np.asarray(loss(t[..., None], sup_points(a, b, loss.y_breaks)), dtype=float)
+    out = vals.max(axis=-1) - np.minimum(vals.min(axis=-1), loss(t, np.clip(t, a, b)))
+    return out if out.shape else float(out)
 
 
 def constants(
     loss: LossSpec, support: tuple[float, float], theta_grid: ThetaGrid
 ) -> ConsistencyConstants:
-    """M = sup loss(., a) + sup loss(., b); L(theta) = loss range over [a, b].
+    """M = sup loss(., a) + sup loss(., b) on [grid.lo, grid.hi]; L(theta) = range on [a, b].
 
-    Each sup is the grid max, refined inside the cells bracketing it.  M and
+    Both are exact, from ``sup_points`` on each axis (the ``LossSpec`` contract).
+    L_of_theta takes an array of thetas; L_max is L's max on the grid.  M and
     L_max must be finite (``NonFiniteValue``), so no draw starts with them infinite.
     """
     a, b = support
-    grid, ends = theta_grid.points, np.array([a, b], dtype=float)
-    neg_vals = -np.asarray(loss(grid, ends[:, None]), dtype=float)
-    _, neg = refine_grid_min(lambda t: -np.asarray(loss(t, ends), dtype=float), grid, neg_vals,
-                             _XTOL)
-
-    def l_of_theta(theta: float) -> float:
-        return float(_loss_range(loss, np.array([theta], dtype=float), a, b)[0])
-
-    m, l_max = float(-neg[0] - neg[1]), float(np.max(_loss_range(loss, grid, a, b)))
+    thetas = sup_points(theta_grid.lo, theta_grid.hi, loss.theta_breaks)
+    m = float(np.asarray(loss(thetas[:, None], [a, b]), dtype=float).max(axis=0).sum())
+    l_max = float(np.max(_loss_range(loss, theta_grid.points, a, b)))
     if not (math.isfinite(m) and math.isfinite(l_max)):  # the loss overflows on the domain
         raise NonFiniteValue(f"M={m}, L_max={l_max}: the loss is not finite on the theta grid")
-    return ConsistencyConstants(M=m, L_of_theta=l_of_theta, L_max=l_max)
+    return ConsistencyConstants(M=m, L_of_theta=lambda t: _loss_range(loss, t, a, b), L_max=l_max)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -74,7 +66,10 @@ def check_epsilon(epsilon: float) -> None:
 def min_sample_size(epsilon: float, M: float) -> int:
     """Smallest n satisfying n >= 3M/epsilon - 1 (at least 1)."""
     check_epsilon(epsilon)
-    return max(1, math.ceil(3.0 * M / epsilon - 1.0))
+    n = 3.0 * M / epsilon - 1.0
+    if not math.isfinite(n):  # epsilon so small, or M so large, that no sample size will do
+        raise NonFiniteValue(f"threshold sample size {n} for epsilon={epsilon}, M={M}")
+    return max(1, math.ceil(n))
 
 
 def hoeffding_bound(n: int, epsilon: float, L: float) -> float:
@@ -110,12 +105,11 @@ def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
 
 
 def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons,
-                      replications: int, seed: int,
-                      theta_grid: ThetaGrid | None = None) -> list[BoundReport]:
+                      replications: int, seed: int) -> list[BoundReport]:
     """Monte Carlo checks of the pointwise deviation bound, in (epsilon, theta) order.
 
     One draw of replication r (stream keyed by (seed, n, r)) scores every theta
-    and epsilon.  The constants grid defaults to 201 points over the theta domain.
+    and epsilon.  M is taken over the loss's theta domain.
     """
     for eps in epsilons:
         check_epsilon(eps)
@@ -123,23 +117,21 @@ def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons
     thetas = np.asarray(thetas, dtype=float)
     if not (len(thetas) and len(epsilons)):
         return []
-    theta_grid = theta_grid or ThetaGrid(*loss.theta_domain, 201)
-    consts, eps_axis = constants(loss, model.support, theta_grid), np.reshape(epsilons, (-1, 1, 1))
+    consts = constants(loss, model.support, ThetaGrid(*loss.theta_domain, 2))
+    met = [n >= min_sample_size(eps, consts.M) for eps in epsilons]  # may refuse: before any draw
+    ranges, eps_axis = consts.L_of_theta(thetas).tolist(), np.reshape(epsilons, (-1, 1, 1))
     violations = sum(np.count_nonzero(dev > eps_axis, axis=1)
                      for dev in _deviations(model, loss, thetas, n, replications, seed))
-    return [BoundReport(eps, n, n >= min_sample_size(eps, consts.M),
-                        hoeffding_bound(n, eps, consts.L_of_theta(theta)),
-                        int(count) / replications, replications, seed)
-            for eps, counts in zip(epsilons, violations)
-            for theta, count in zip(thetas.tolist(), counts)]
+    return [BoundReport(eps, n, met_eps, hoeffding_bound(n, eps, L), int(count) / replications,
+                        replications, seed)
+            for eps, met_eps, counts in zip(epsilons, met, violations)
+            for L, count in zip(ranges, counts)]
 
 
 def verify_pointwise(model: TrueModel, loss: LossSpec, theta: float, n: int, epsilon: float,
-                     replications: int, seed: int,
-                     theta_grid: ThetaGrid | None = None) -> BoundReport:
+                     replications: int, seed: int) -> BoundReport:
     """Monte Carlo check of the pointwise bound at one theta; see ``pointwise_reports``."""
-    return pointwise_reports(model, loss, [theta], n, [epsilon], replications, seed,
-                             theta_grid)[0]
+    return pointwise_reports(model, loss, [theta], n, [epsilon], replications, seed)[0]
 
 
 def witness_uniform(
@@ -193,16 +185,8 @@ def verify_uniform(
     loss.check_convex()
     consts = constants(loss, model.support, theta_grid)
     n = max(witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
-            min_sample_size(epsilon, consts.M) if consts.M > 0 else 1)
+            min_sample_size(epsilon, consts.M))
     violations = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon))
                      for dev in _deviations(model, loss, theta_grid.points, n, replications, seed))
     est = violations / replications
-    return UniformReport(
-        epsilon=epsilon,
-        alpha=alpha,
-        n=n,
-        estimated_probability=est,
-        within_alpha=est < alpha,
-        replications=replications,
-        seed=seed,
-    )
+    return UniformReport(epsilon, alpha, n, est, est < alpha, replications, seed)

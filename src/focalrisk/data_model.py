@@ -90,15 +90,24 @@ class LossKind(enum.Enum):
     TABULATED = "tabulated"
 
 
+def sup_points(lo: float, hi: float, breaks: Sequence[float]) -> np.ndarray:
+    """lo, the breaks strictly inside (lo, hi), and hi: the candidates for a sup (``LossSpec``)."""
+    return np.array([lo, *(x for x in breaks if lo < x < hi), hi], dtype=float)
+
+
 @dataclass(frozen=True)
 class LossSpec:
     """A nonnegative loss (theta, y) -> R+ with a convexity-in-y attestation.
 
     ``evaluate`` accepts scalars or numpy arrays (broadcasting).  ``y_breaks``
-    lists the y where loss(theta, .) may have a kink, besides y = theta.
-    Contract: loss(theta, .) is convex if ``convex_in_y``, else linear between
-    and beyond its y_breaks (a tabulated loss is bilinear, flat outside its
-    knots), so its sup on [lo, hi] is attained at one of ``sup_points(lo, hi)``.
+    and ``theta_breaks``, a tabulated loss's knots (else empty), are where it
+    may have a kink along each axis.  Contract, so the extrema on [lo, hi] are exact:
+    - loss(theta, .) is convex with its min at y = theta (squared, absolute), or
+      linear between and beyond its y_breaks (bilinear tables are flat outside
+      their knots): its sup is at ``sup_points(lo, hi, y_breaks)``, its inf
+      there or at clip(theta, lo, hi);
+    - loss(., y) is convex, or linear between and beyond its theta_breaks: its
+      sup is at ``sup_points(lo, hi, theta_breaks)``.
     """
 
     kind: LossKind
@@ -106,6 +115,7 @@ class LossSpec:
     convex_in_y: bool
     theta_domain: tuple[float, float]
     y_breaks: tuple[float, ...] = ()
+    theta_breaks: tuple[float, ...] = ()
 
     def __call__(self, theta, y):
         return self.evaluate(np.asarray(theta, dtype=float), np.asarray(y, dtype=float))
@@ -117,10 +127,6 @@ class LossSpec:
         outside = ~((lo <= t) & (t <= hi))  # true for NaN
         if outside.any():
             raise ThetaOutOfDomain(f"theta={t[outside][0]} outside [{lo}, {hi}]")
-
-    def sup_points(self, lo: float, hi: float) -> np.ndarray:
-        """lo, the y_breaks strictly inside (lo, hi), and hi: the candidates for the sup."""
-        return np.array([lo, *(y for y in self.y_breaks if lo < y < hi), hi], dtype=float)
 
     def check_convex(self) -> None:  # the closed-form upper risk's precondition
         if not self.convex_in_y:
@@ -145,6 +151,14 @@ def absolute_error_loss(theta_domain: tuple[float, float] = (-1.0, 1.0)) -> Loss
     )
 
 
+def _knot_cell(knots: np.ndarray, x: np.ndarray):
+    """Per x: the ends (i, i1) of its cell among the knots and the weight of i1, in [0, 1]."""
+    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, max(knots.size - 2, 0))
+    if knots.size == 1:
+        return i, i, np.zeros_like(x)
+    return i, i + 1, np.clip((x - knots[i]) / (knots[i + 1] - knots[i]), 0.0, 1.0)
+
+
 def tabulated_loss(
     theta_knots: Sequence[float],
     y_knots: Sequence[float],
@@ -161,25 +175,8 @@ def tabulated_loss(
         raise ValueError("loss table must be nonnegative")
 
     def evaluate(t, y):
-        t = np.asarray(t, dtype=float)
-        y = np.asarray(y, dtype=float)
-        t_b, y_b = np.broadcast_arrays(t, y)
-        it = np.clip(np.searchsorted(tk, t_b, side="right") - 1, 0, max(tk.size - 2, 0))
-        iy = np.clip(np.searchsorted(yk, y_b, side="right") - 1, 0, max(yk.size - 2, 0))
-        if tk.size == 1:
-            wt = np.zeros_like(t_b)
-            it1 = it
-        else:
-            wt = (t_b - tk[it]) / (tk[it + 1] - tk[it])
-            it1 = it + 1
-        if yk.size == 1:
-            wy = np.zeros_like(y_b)
-            iy1 = iy
-        else:
-            wy = (y_b - yk[iy]) / (yk[iy + 1] - yk[iy])
-            iy1 = iy + 1
-        wt = np.clip(wt, 0.0, 1.0)
-        wy = np.clip(wy, 0.0, 1.0)
+        t_b, y_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
+        (it, it1, wt), (iy, iy1, wy) = _knot_cell(tk, t_b), _knot_cell(yk, y_b)
         out = (
             tab[it, iy] * (1 - wt) * (1 - wy)
             + tab[it1, iy] * wt * (1 - wy)
@@ -194,6 +191,7 @@ def tabulated_loss(
         convex_in_y=convex_in_y,
         theta_domain=(float(tk[0]), float(tk[-1])),
         y_breaks=tuple(yk.tolist()),
+        theta_breaks=tuple(tk.tolist()),
     )
 
 

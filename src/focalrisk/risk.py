@@ -34,8 +34,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .conformal import FocalRepresentation, FocalSystem
-from .data_model import BoundedSample, LossKind, LossSpec, ModelKind, ThetaGrid, TrueModel
+from .conformal import FocalSystem
+from .data_model import (BoundedSample, LossKind, LossSpec, ModelKind, ThetaGrid, TrueModel,
+                         sup_points)
 from .errors import NonFiniteValue
 from .quadrature import integrate
 
@@ -114,8 +115,8 @@ def true_risk(loss: LossSpec, model: TrueModel, theta: float) -> float:
 
 
 def sup_on_interval(loss: LossSpec, theta: float, lo: float, hi: float) -> float:
-    """Supremum of loss(theta, .) over [lo, hi]: the max over ``loss.sup_points``, exact."""
-    return float(np.max(loss(theta, loss.sup_points(lo, hi))))
+    """Supremum of loss(theta, .) over [lo, hi]: the max over ``sup_points``, exact."""
+    return float(np.max(loss(theta, sup_points(lo, hi, loss.y_breaks))))
 
 
 def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> float:
@@ -159,7 +160,7 @@ def _closed_form_core(loss: LossSpec, values: np.ndarray, a: float, b: float, th
             np.cumsum(z, axis=1, out=sums[:, 1:])
             below = sums[i, c]
             n_rn = (sums[:, -1:] - below - (n - c) * t) + (c * t - below)
-        # loss(theta, .) grows with |y - theta|: its min over the data is at a neighbour
+        # loss(theta, .) is least at y = theta (``LossSpec``): over the data, at a neighbour
         below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, n - 1)]
         near = np.minimum(loss(thetas, below_y.reshape(shape)),
                           loss(thetas, above_y.reshape(shape)))

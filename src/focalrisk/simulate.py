@@ -17,12 +17,13 @@ import numpy as np
 from .conformal import NonconformityScore, nested_set_index, rank_candidate
 from .data_model import (BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
-from .errors import EmptyInput, EmptySample, GridMismatch, SampleTooLarge
+from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
 from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
 _MAX_ROW = 1 << 24  # largest sample size drawn: 128 MiB of float64 per sample
+_MAX_DRAWS = 1 << 28  # values one run of replications may draw: 1.06e8 took 6 s on 2 cores
 _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 
 
@@ -58,6 +59,13 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
     return make_sample(_raw_draw(n, lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 
+def _check_draws(n: int, replications: int) -> None:
+    """Raise ``SampleTooLarge`` unless replications samples of size n fit in _MAX_DRAWS."""
+    if n * replications > _MAX_DRAWS:  # refused before anything is drawn
+        raise SampleTooLarge(f"sample size n={n:.6g} times {replications} replications exceeds "
+                             f"{_MAX_DRAWS} values per run")
+
+
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
                   row_cells: int) -> Iterator[np.ndarray]:
     """Replications 0, 1, ... in order, as (r, n) matrices of sorted samples.
@@ -67,6 +75,7 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     cells per row, and r keeps r * row_cells within the chunk budget (r >= 1).
     """
     (lo, hi), mass = support, normal_mass(*support)
+    _check_draws(n, replications)
     step = max(1, _CHUNK_CELLS // max(row_cells, 1))  # n = 0 gets to the EmptySample check
     for start in range(0, replications, step):
         rows = np.sort([_raw_draw(n, lo, hi, mass, replication_rng(seed, n, r))
@@ -167,6 +176,8 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
         for rows in sample_chunks((a, b), config.master_seed, n, config.replications,
                                   n * grid.count):
             chunk = upper_risk_batch(config.loss, rows[:, None, :], a, b, grid.points)
+            if not np.isfinite(chunk).all():  # the loss overflows somewhere on the grid
+                raise NonFiniteValue(f"upper risk is not finite on [{grid.lo}, {grid.hi}]")
             curves.extend(chunk)
             minimizers.extend(minimize_rows(config.loss, rows, a, b, grid, chunk)[0])
         minimizers = np.array(minimizers)
@@ -203,11 +214,11 @@ def coverage_experiment(
     if replications < 1:
         raise ValueError(f"replications={replications}: need at least 1")
     k = nested_set_index(n, alpha)
-    lo, hi = model.support
+    (lo, hi), mass = model.support, normal_mass(*model.support)
+    _check_draws(n + 1, replications)
     hits = 0
     for r in range(replications):
-        rng = replication_rng(seed, n, r)
-        draws = sample_truncated_normal(n + 1, lo, hi, rng).to_original()
+        draws = _raw_draw(n + 1, lo, hi, mass, replication_rng(seed, n, r))
         sample = make_sample(draws[:n], lo, hi)
         if rank_candidate(sample, float(draws[n]), score) <= k:
             hits += 1

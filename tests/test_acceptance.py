@@ -158,7 +158,6 @@ def test_criterion_4c_median_curve_behavior(study):
 
 def test_criterion_5_theorem_bound_respected():
     loss = squared_error_loss((-1, 1))
-    grid = ThetaGrid(-1, 1, 41)
     M = 32.0
     reps = 1000
     ok = True
@@ -169,7 +168,7 @@ def test_criterion_5_theorem_bound_respected():
             for theta in (0.0, 0.5, 1.0):
                 rep = verify_pointwise(
                     MODEL, loss, theta, n, eps,
-                    replications=reps, seed=500, theta_grid=grid,
+                    replications=reps, seed=500,
                 )
                 assert rep.threshold_met
                 p = min(rep.bound, 1.0)

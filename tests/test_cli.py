@@ -6,7 +6,7 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focalrisk.cli import main
@@ -135,6 +135,13 @@ class TestSimulate:
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
         assert "<script" not in svg
         assert (tmp_path / "minimizer_histograms.svg").exists()
+
+    def test_non_finite_curve_exits_2_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["simulate", "--n", "5", "--replications", "3", "--theta-count", "5",
+                    "--theta-hi", "1e200", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("NonFiniteValue: upper risk is not finite")
+        assert not out.exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         assert run([
@@ -365,6 +372,41 @@ def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-bounds", "--n", "", "--uniform", "--epsilon", "1e-2"],  # n = 1.06e7, 1000 times
+    ["coverage", "--n", "300000", "--replications", "1000"],
+])
+def test_draws_beyond_the_run_limit_are_refused_before_any_draw(tmp_path, argv):
+    # a fresh interpreter with a timeout turns a run of 1e10 draws into a failure
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("SampleTooLarge:") and "replications exceeds" in out.stderr
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["predict", "--values", "0.5", "--hi", "1"], "--lo", "-1e-3"),
+    (["risk-curve", "--values", "0.1", "--theta-count", "5"], "--theta-lo", "-1e-1"),
+    (["predict", "--lo=-1", "--hi", "1"], "--values", "-0.5,0.2"),
+    (["predict", "--lo=-1", "--hi", "1"], "--values", "-.5"),
+    (["verify-bounds", "--n", "5", "--replications", "100"], "--theta", "-0.5,0"),
+])
+def test_negative_value_after_its_flag(tmp_path, argv, flag, value):
+    def outputs(name, *pair):
+        assert main([*argv, *pair, "--out", str(tmp_path / name)]) == 0
+        return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+    assert outputs("apart", flag, value) == outputs("joined", f"{flag}={value}")
+
+
 def test_parser_keeps_no_state_between_calls(tmp_path):
     def once(name, argv, config=None):
         out, pre = tmp_path / name, []
@@ -486,6 +528,9 @@ def _argv(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_argv())
+# 3M/epsilon - 1 overflows to inf: was an OverflowError in min_sample_size
+@example(["verify-bounds", "--n", "1", "--replications", "100", "--theta-hi=1e80",
+          "--epsilon", "1e-160"])
 def test_exit_code_contract(argv):
     code, err = _exit_code(argv)
     assert code in (0, 2), (argv, err)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalrisk import (
     ThetaGrid,
@@ -28,6 +30,10 @@ GRID = ThetaGrid(-1, 1, 41)
 
 def _bumpy():  # not attested convex in y: the closed form is wrong for it
     return tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
+
+
+BUMPY = _bumpy()  # 3 - |y| at every theta
+ABSOLUTE = absolute_error_loss((-1, 1))
 
 
 def _must_not_run(*args, **kwargs):
@@ -131,21 +137,69 @@ def _parent_convex_loss_range(loss, thetas, a, b):
 
 
 class TestConstantsEqualParent:
-    @pytest.mark.parametrize("loss", [sq, absolute_error_loss((-1, 1)), constant_loss(0.0),
-                                      constant_loss(2.0), _bumpy(), squared_error_loss((-1, 5))])
+    # Bit for bit the parent's values, except two that were off by rounding: BUMPY's M
+    # (golden section gave 3.500000000000001 for 3.5) and the absolute loss's L (the
+    # refined inf |y - theta| ~ 1e-13 for 0); those two are held to exact oracles.
+    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, constant_loss(0.0),
+                                      constant_loss(2.0), BUMPY, squared_error_loss((-1, 5))])
     @pytest.mark.parametrize("grid", [ThetaGrid(0.5, 0.5, 1), ThetaGrid(-1, 1, 2),
                                       ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
     def test_M(self, loss, grid):
         for support in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
             got = constants(loss, support, grid).M
-            assert np.float64(got).tobytes() == np.float64(_parent_M(loss, support, grid)).tobytes()
+            if loss is BUMPY:
+                assert got == 6.0 - abs(support[0]) - abs(support[1])
+            else:
+                want = _parent_M(loss, support, grid)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    @pytest.mark.parametrize("loss", [sq, absolute_error_loss((-1, 1)), constant_loss(2.0)])
+    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, constant_loss(2.0)])
     def test_convex_loss_range(self, loss):
         thetas = np.array([-1.0, -0.3, 0.0, 0.4, 1.0])
         for a, b in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
             got, want = _loss_range(loss, thetas, a, b), _parent_convex_loss_range(loss, thetas, a, b)
+            if loss is ABSOLUTE:  # the inf is 0 inside [a, b]; outside, at the nearer end
+                inside = (a <= thetas) & (thetas <= b)
+                want = np.where(inside, np.maximum(abs(thetas - a), abs(thetas - b)), want)
             assert got.tobytes() == want.tobytes()
+
+
+class TestConstantsExact:
+    def test_narrow_peak_between_grid_points(self):
+        # theta knots 0, 0.005, 0.01: the peak of 10 at 0.005 lies between two points of
+        # the 201-point grid, where golden section from the grid's best cell missed it
+        spike = tabulated_loss([-1, 0, 0.005, 0.01, 1], [-3, 3],
+                               np.array([[9.5, 0, 10, 0, 9.5]] * 2).T, convex_in_y=True)
+        consts = constants(spike, (-3, 3), ThetaGrid(-1, 1, 201))
+        assert consts.M == 20.0
+        assert min_sample_size(1.0, consts.M) == 59
+        report = verify_pointwise(MODEL, spike, 0.0, 56, 1.0, 100, 1)
+        assert not report.threshold_met
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tabulated_against_dense_grids(self, data):
+        def knots(lo, hi):
+            ks = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=6, unique=True))
+            return [k / 10 for k in sorted(ks)]
+
+        tk, yk = knots(-20, 20), knots(-40, 40)
+        value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
+        table = np.array([[data.draw(value) for _ in yk] for _ in tk])
+        loss = tabulated_loss(tk, yk, table)
+        a, b = sorted(data.draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2, unique=True)))
+        lo, hi = sorted(data.draw(st.lists(st.floats(tk[0], tk[-1]), min_size=2, max_size=2)))
+        consts = constants(loss, (a, b), ThetaGrid(lo, hi, 1 if lo == hi else 5))
+        tol = 1e-12 * max(1.0, table.max())
+        dense = loss(np.linspace(lo, hi, 20001)[:, None], [a, b])
+        assert consts.M >= dense.max(axis=0).sum() - tol
+        # the y-knots join the dense y grid, which alone would miss a knot's peak by up to
+        # its slope times a step; the points between the knots show any extremum elsewhere
+        ys = np.union1d(np.linspace(a, b, 20001), [y for y in yk if a < y < b])
+        thetas = np.array(data.draw(st.lists(st.floats(tk[0], tk[-1]), min_size=1, max_size=4)))
+        vals = loss(thetas[:, None], ys)
+        want = vals.max(axis=1) - vals.min(axis=1)
+        np.testing.assert_allclose(consts.L_of_theta(thetas), want, rtol=0, atol=tol)
 
 
 class TestMinSampleSize:
@@ -220,7 +274,7 @@ class TestVerifyPointwise:
     def test_constant_loss_never_violates(self):
         report = verify_pointwise(
             MODEL, constant_loss(1.0, (-1, 1)), 0.0, n=20, epsilon=0.1,
-            replications=100, seed=1, theta_grid=GRID,
+            replications=100, seed=1,
         )
         assert report.empirical_violation_rate == 0.0
         assert report.bound == 0.0
@@ -228,12 +282,10 @@ class TestVerifyPointwise:
     def test_threshold_flag(self):
         report = verify_pointwise(
             MODEL, sq, 0.0, n=10, epsilon=1.0, replications=100, seed=1,
-            theta_grid=GRID,
         )
         assert not report.threshold_met  # needs n >= 95
         report = verify_pointwise(
             MODEL, sq, 0.0, n=95, epsilon=1.0, replications=100, seed=1,
-            theta_grid=GRID,
         )
         assert report.threshold_met
 
@@ -244,17 +296,17 @@ class TestVerifyPointwise:
         bumpy = tabulated_loss([-1.0, 1.0], [-3.0, 3.0], np.ones((2, 2)))
         with pytest.raises(NonConvexLoss):
             verify_pointwise(MODEL, bumpy, 0.0, n=20, epsilon=1.0, replications=100,
-                             seed=1, theta_grid=GRID)
+                             seed=1)
         with pytest.raises(ThetaOutOfDomain):
             verify_pointwise(MODEL, sq, 1.5, n=20, epsilon=1.0, replications=100,
-                             seed=1, theta_grid=GRID)
+                             seed=1)
 
     def test_requires_replications(self):
         with pytest.raises(ValueError):
             verify_pointwise(MODEL, sq, 0.0, n=20, epsilon=1.0, replications=10, seed=1)
 
     def test_deterministic(self):
-        kw = dict(theta=0.0, n=30, epsilon=0.5, replications=100, seed=7, theta_grid=GRID)
+        kw = dict(theta=0.0, n=30, epsilon=0.5, replications=100, seed=7)
         r1 = verify_pointwise(MODEL, sq, **kw)
         r2 = verify_pointwise(MODEL, sq, **kw)
         assert r1 == r2
@@ -262,7 +314,6 @@ class TestVerifyPointwise:
     def test_json_key_order(self):
         report = verify_pointwise(
             MODEL, sq, 0.0, n=20, epsilon=1.0, replications=100, seed=1,
-            theta_grid=GRID,
         )
         keys = list(json.loads(report.to_json()).keys())
         assert keys == [
@@ -312,7 +363,7 @@ class TestPointwiseReports:
 
         monkeypatch.setattr(simulate, "_CHUNK_CELLS", 2000)
         n, thetas, epsilons, reps = 30, [0.0, 0.5, -1.0], [0.05, 0.3], 100
-        got = pointwise_reports(MODEL, loss, thetas, n, epsilons, reps, 7, theta_grid=GRID)
+        got = pointwise_reports(MODEL, loss, thetas, n, epsilons, reps, 7)
         consts = constants(loss, MODEL.support, GRID)
         want = []
         for eps in epsilons:
@@ -341,13 +392,12 @@ class TestPointwiseReports:
                 yield rows
 
         monkeypatch.setattr(consistency, "sample_chunks", recorded)
-        pointwise_reports(MODEL, sq, [0.0, 0.5, 1.0], 300, [1.0], 1000, 1, theta_grid=GRID)
+        pointwise_reports(MODEL, sq, [0.0, 0.5, 1.0], 300, [1.0], 1000, 1)
         assert len(blocks) > 1 and max(blocks) <= _CHUNK_CELLS
 
     def test_verify_pointwise_is_one_point_view(self):
-        reports = pointwise_reports(MODEL, sq, [0.0, 0.5], 40, [0.5, 1.0], 100, 3,
-                                    theta_grid=GRID)
-        assert verify_pointwise(MODEL, sq, 0.5, 40, 1.0, 100, 3, theta_grid=GRID) == reports[3]
+        reports = pointwise_reports(MODEL, sq, [0.0, 0.5], 40, [0.5, 1.0], 100, 3)
+        assert verify_pointwise(MODEL, sq, 0.5, 40, 1.0, 100, 3) == reports[3]
 
     def test_empty_lists(self):
         assert pointwise_reports(MODEL, sq, [], 20, [1.0], 100, 1) == []

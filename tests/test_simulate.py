@@ -16,7 +16,7 @@ from focalrisk import (
     squared_error_loss,
 )
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
-                              InvalidAlpha, NonConvexLoss, SupportMassTooSmall)
+                              InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve
 from focalrisk.simulate import _CHUNK_CELLS, sample_chunks, write_summary
 
@@ -120,6 +120,17 @@ class TestSampleChunks:
             next(sample_chunks((-3.0, 3.0), 0, 0, 5, 1))
         with pytest.raises(SupportMassTooSmall):
             next(sample_chunks((10.0, 11.0), 0, 5, 5, 1))
+
+    def test_draws_per_run_capped_before_any_draw(self, monkeypatch):
+        import focalrisk.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_MAX_DRAWS", 100)
+        assert len(next(sample_chunks((-3.0, 3.0), 0, 10, 10, 1))) == 10  # exactly at the cap
+        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        with pytest.raises(SampleTooLarge, match="n=10 times 11 replications"):
+            next(sample_chunks((-3.0, 3.0), 0, 10, 11, 1))
+        with pytest.raises(SampleTooLarge, match="n=11 times 10 replications"):  # n + 1 each
+            coverage_experiment(MODEL, NonconformityScore.identity(), 10, 0.2, 10, 0)
 
 
 def _flat_curve(value, grid):
