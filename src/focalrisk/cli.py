@@ -161,6 +161,7 @@ def cmd_verify_bounds(args) -> int:
         consistency.check_epsilon(eps)
     if args.uniform:  # before any pointwise report is written
         conformal.check_alpha(args.alpha)
+        grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
     for n in _parse_list(args.n, int):
         reports = consistency.pointwise_reports(
             model, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
@@ -168,7 +169,6 @@ def cmd_verify_bounds(args) -> int:
         for report, (eps, theta) in zip(reports, itertools.product(epsilons, thetas)):
             _write(out / f"bound_n{n}_eps{eps:g}_theta{theta:g}.json", report.to_json() + "\n")
     if args.uniform:
-        grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
         for eps in epsilons:
             report = consistency.verify_uniform(
                 model, loss, grid, eps, args.alpha, args.seed,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data_model import BoundedSample
+from .data_model import MAX_GRID, BoundedSample
 from .errors import (
     EmptyFocalSetWarning,
     IndexOutOfRange,
@@ -167,6 +167,8 @@ def focal_sets(sample: BoundedSample, score: NonconformityScore,
 
     if grid_points < 2:
         raise MissingGrid("general scores need a y-grid with at least 2 points")
+    if grid_points > MAX_GRID:
+        raise ValueError(f"{grid_points} grid points exceeds {MAX_GRID}")
     grid = np.linspace(a, b, grid_points)
     half = 0.5 * (grid[1] - grid[0])
     ranks = rank_candidates(sample, grid, score)

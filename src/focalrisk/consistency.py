@@ -38,20 +38,22 @@ def _loss_range(loss: LossSpec, thetas, a: float, b: float):
 
 
 def constants(
-    loss: LossSpec, support: tuple[float, float], theta_grid: ThetaGrid
+    loss: LossSpec, support: tuple[float, float], span: tuple[float, float]
 ) -> ConsistencyConstants:
-    """M = sup loss(., a) + sup loss(., b) on [grid.lo, grid.hi]; L(theta) = range on [a, b].
+    """M = sup loss(., a) + sup loss(., b) on the theta span; L(theta) = range on [a, b].
 
-    Both are exact, from ``sup_points`` on each axis (the ``LossSpec`` contract).
-    L_of_theta takes an array of thetas; L_max is L's max on the grid.  M and
-    L_max must be finite (``NonFiniteValue``), so no draw starts with them infinite.
+    Both are exact, from ``sup_points`` on each axis (the ``LossSpec`` contract), and so
+    is L_max, L's max at the span's sup points: L is convex between theta-breaks or, for
+    squared and absolute loss, greatest at a span end.  M and L_max must be finite
+    (``NonFiniteValue``), so no draw starts with them infinite.
     """
     a, b = support
-    thetas = sup_points(theta_grid.lo, theta_grid.hi, loss.theta_breaks)
-    m = float(np.asarray(loss(thetas[:, None], [a, b]), dtype=float).max(axis=0).sum())
-    l_max = float(np.max(_loss_range(loss, theta_grid.points, a, b)))
-    if not (math.isfinite(m) and math.isfinite(l_max)):  # the loss overflows on the domain
-        raise NonFiniteValue(f"M={m}, L_max={l_max}: the loss is not finite on the theta grid")
+    thetas = sup_points(*span, loss.theta_breaks)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M or L_max is refused
+        m = float(np.asarray(loss(thetas[:, None], [a, b]), dtype=float).max(axis=0).sum())
+        l_max = float(np.max(_loss_range(loss, thetas, a, b)))
+    if not (math.isfinite(m) and math.isfinite(l_max)):  # the loss overflows on the span
+        raise NonFiniteValue(f"M={m}, L_max={l_max}: loss not finite on the theta span {span}")
     return ConsistencyConstants(M=m, L_of_theta=lambda t: _loss_range(loss, t, a, b), L_max=l_max)
 
 
@@ -101,7 +103,7 @@ def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
         raise ValueError(f"replications={replications}: need at least 100")
     targets, (a, b) = true_risk_curve(loss, model, thetas), model.support
     for rows in sample_chunks(model.support, seed, n, replications, n * len(thetas)):
-        yield np.abs(upper_risk_batch(loss, rows[:, None, :], a, b, thetas) - targets)
+        yield np.abs(upper_risk_batch(loss, rows, a, b, thetas) - targets)
 
 
 def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons,
@@ -117,7 +119,7 @@ def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons
     thetas = np.asarray(thetas, dtype=float)
     if not (len(thetas) and len(epsilons)):
         return []
-    consts = constants(loss, model.support, ThetaGrid(*loss.theta_domain, 2))
+    consts = constants(loss, model.support, loss.theta_domain)
     met = [n >= min_sample_size(eps, consts.M) for eps in epsilons]  # may refuse: before any draw
     ranges, eps_axis = consts.L_of_theta(thetas).tolist(), np.reshape(epsilons, (-1, 1, 1))
     violations = sum(np.count_nonzero(dev > eps_axis, axis=1)
@@ -183,7 +185,7 @@ def verify_uniform(
     """
     check_epsilon(epsilon)
     loss.check_convex()
-    consts = constants(loss, model.support, theta_grid)
+    consts = constants(loss, model.support, (theta_grid.lo, theta_grid.hi))
     n = max(witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
             min_sample_size(epsilon, consts.M))
     violations = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon))

@@ -26,6 +26,7 @@ from .errors import (
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MASS_FLOOR = 1e-3  # below it, rejection sampling need not end and the density divides by ~0
 _NORMAL_EDGE = 38.6  # exp(-y^2 / 2) underflows to 0 in float64 just beyond it
+MAX_GRID = 1 << 16  # points of a theta or y grid, refused above before any allocation
 
 
 @dataclass(frozen=True)
@@ -218,6 +219,8 @@ class ThetaGrid:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("count must be positive")
+        if self.count > MAX_GRID:
+            raise ValueError(f"{self.count} grid points exceeds {MAX_GRID}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise NonFiniteValue(f"grid [{self.lo}, {self.hi}] is not finite")
         if self.count > 1 and not self.lo < self.hi:

@@ -41,6 +41,7 @@ from .errors import NonFiniteValue
 from .quadrature import integrate
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-9  # golden section's bracket width for tabulated-loss minimizers
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
 
 
@@ -128,50 +129,44 @@ def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> floa
     return total / focal.n_plus_1
 
 
-def _closed_form_core(loss: LossSpec, values: np.ndarray, a: float, b: float, thetas):
-    """n R_n and M of the closed form, for samples sorted along the last axis of values.
+def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
+    """n R_n and M of the closed form, (r, k), for (r, n) sorted sample rows.
 
-    thetas broadcasts against values without that axis: (k,) with (n,) is one
-    curve, (k,) with (r, 1, n) a curve per row, (r,) with (r, n) a point per row.
-    Squared and absolute loss use per-row sums; other losses tabulate loss(theta, y).
+    thetas is (k,), shared by every row, or (r, k).  Squared and absolute loss
+    use per-row sums; other losses tabulate loss(theta, y).
     """
     loss.check_convex()  # every closed-form path passes here
     thetas = np.asarray(thetas, dtype=float)
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
-    n = values.shape[-1]
+    r, n = rows.shape
     if loss.kind is LossKind.TABULATED:
-        table = np.asarray(loss(thetas[..., None], values), dtype=float)
+        table = np.asarray(loss(thetas[..., None], rows[:, None, :]), dtype=float)
         n_rn, near = n * table.mean(axis=-1), table.min(axis=-1)
     else:
-        shape = np.broadcast_shapes(thetas.shape, values.shape[:-1])
-        rows = values.reshape(-1, n)
-        t = np.broadcast_to(thetas, shape).reshape(len(rows), -1)
-        c = np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)],
-                     dtype=np.intp).reshape(t.shape)  # the data points below theta
-        i = np.arange(len(rows))[:, None]
+        t = np.broadcast_to(thetas, (r, thetas.shape[-1]))
+        c = np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)], dtype=np.intp)
+        i = np.arange(r)[:, None]
         mid = 0.5 * a + 0.5 * b  # sums about the support's centre (a + b may overflow)
         z, t = rows - mid, t - mid
         if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
             mean = z.sum(axis=1, keepdims=True) / n
             n_rn = ((z - mean) ** 2).sum(axis=1, keepdims=True) + n * (mean - t) ** 2
         else:  # the data above theta less theta, plus theta less the data below
-            sums = np.zeros((len(rows), n + 1))
+            sums = np.zeros((r, n + 1))
             np.cumsum(z, axis=1, out=sums[:, 1:])
             below = sums[i, c]
             n_rn = (sums[:, -1:] - below - (n - c) * t) + (c * t - below)
         # loss(theta, .) is least at y = theta (``LossSpec``): over the data, at a neighbour
         below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, n - 1)]
-        near = np.minimum(loss(thetas, below_y.reshape(shape)),
-                          loss(thetas, above_y.reshape(shape)))
-        n_rn = n_rn.reshape(shape)
+        near = np.minimum(loss(thetas, below_y), loss(thetas, above_y))
     return n_rn, la + lb - np.minimum(np.minimum(la, lb), near)
 
 
-def upper_risk_batch(loss: LossSpec, values: np.ndarray, a: float, b: float, thetas):
-    """Closed-form upper risk [n R_n + M] / (n + 1), shaped as in the core."""
-    n_rn, m_theta = _closed_form_core(loss, values, a, b, thetas)
-    return (n_rn + m_theta) / (values.shape[-1] + 1)
+def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
+    """Closed-form upper risk [n R_n + M] / (n + 1), (r, k), shaped as in the core."""
+    n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
+    return (n_rn + m_theta) / (rows.shape[1] + 1)
 
 
 def upper_risk_closed_form(
@@ -179,15 +174,15 @@ def upper_risk_closed_form(
 ) -> UpperRiskDecomposition:
     """Closed form for convex losses under the identity score, as n R_n/(n+1) + M/(n+1)."""
     loss.check_theta(theta)
-    n = sample.n
-    n_rn, m_theta = _closed_form_core(loss, sample.values, sample.support_lo,
-                                      sample.support_hi, [theta])
-    return UpperRiskDecomposition(theta, float(n_rn[0] / (n + 1)), float(m_theta[0] / (n + 1)))
+    core = _closed_form_core(loss, sample.values[None], sample.support_lo, sample.support_hi,
+                             [theta])
+    return UpperRiskDecomposition(theta, *(float(v[0, 0] / (sample.n + 1)) for v in core))
 
 
 def closed_form_curve(loss: LossSpec, sample: BoundedSample, thetas: np.ndarray) -> np.ndarray:
     """Vectorized closed-form upper risk over an array of theta values."""
-    return upper_risk_batch(loss, sample.values, sample.support_lo, sample.support_hi, thetas)
+    return upper_risk_batch(loss, sample.values[None], sample.support_lo, sample.support_hi,
+                            thetas)[0]
 
 
 def risk_curve(
@@ -199,20 +194,19 @@ def risk_curve(
     focal: FocalSystem | None = None,
 ) -> RiskCurve:
     """Evaluate one of the risk functionals across the parameter grid."""
-    if kind is RiskKind.EMPIRICAL:
-        if sample is None:
-            raise ValueError("empirical risk needs a sample")
-        loss.check_theta(grid.points)
-        vals = np.asarray(loss(grid.points[:, None], sample.values), dtype=float).mean(axis=1)
-    elif kind is RiskKind.TRUE:
-        if model is None:
-            raise ValueError("true risk needs a model")
-        vals = true_risk_curve(loss, model, grid.points)
-    else:
-        if focal is not None:
+    loss.check_theta(grid.points)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
+        if kind is RiskKind.EMPIRICAL:
+            if sample is None:
+                raise ValueError("empirical risk needs a sample")
+            vals = np.asarray(loss(grid.points[:, None], sample.values), dtype=float).mean(axis=1)
+        elif kind is RiskKind.TRUE:
+            if model is None:
+                raise ValueError("true risk needs a model")
+            vals = true_risk_curve(loss, model, grid.points)
+        elif focal is not None:
             vals = np.array([upper_risk_general(loss, focal, t) for t in grid.points])
         elif sample is not None:
-            loss.check_theta(grid.points)
             vals = closed_form_curve(loss, sample, grid.points)
         else:
             raise ValueError("upper risk needs a focal system or a sample")
@@ -289,28 +283,28 @@ def _exact_candidates(kind: LossKind, rows: np.ndarray, a: float, b: float, lo: 
 
 
 def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: ThetaGrid,
-                  curves: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+                  curves: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
     Squared and absolute loss: exact, the best of the closed form at
-    ``_exact_candidates`` (ties to the lowest theta); curves and tol are unused.
-    Tabulated losses: ``refine_grid_min`` from the grid curves, which needs the
-    curve unimodal in theta, else it may stop in a local minimum, still at most
-    the grid minimum.
+    ``_exact_candidates`` (ties to the lowest theta).  Tabulated losses:
+    ``refine_grid_min`` from the grid curves (computed when not given), which
+    needs the curve unimodal in theta, else it may stop in a local minimum,
+    still at most the grid minimum.
     """
     if loss.kind is LossKind.TABULATED:
-        return refine_grid_min(lambda t: upper_risk_batch(loss, rows, a, b, t), grid.points,
-                               curves, tol)
+        curves = upper_risk_batch(loss, rows, a, b, grid.points) if curves is None else curves
+        return refine_grid_min(lambda t: upper_risk_batch(loss, rows, a, b, t[:, None])[:, 0],
+                               grid.points, curves, _GOLDEN_TOL)
     thetas = _exact_candidates(loss.kind, rows, a, b, grid.lo, grid.hi)
-    values = upper_risk_batch(loss, rows[:, None, :], a, b, thetas)
+    values = upper_risk_batch(loss, rows, a, b, thetas)
     best = np.arange(len(rows)), np.argmin(values, axis=1)
     return thetas[best], values[best]
 
 
-def minimize_upper_risk(loss: LossSpec, sample: BoundedSample, grid: ThetaGrid,
-                        tol: float = 1e-9) -> tuple[float, float]:
+def minimize_upper_risk(loss: LossSpec, sample: BoundedSample,
+                        grid: ThetaGrid) -> tuple[float, float]:
     """Argmin and minimum of the upper risk on [grid.lo, grid.hi], as in ``minimize_rows``."""
-    curves = closed_form_curve(loss, sample, grid.points)[None, :]
-    rows, a, b = sample.values[None, :], sample.support_lo, sample.support_hi
-    theta, val = minimize_rows(loss, rows, a, b, grid, curves, tol)
+    theta, val = minimize_rows(loss, sample.values[None], sample.support_lo, sample.support_hi,
+                               grid)
     return float(theta[0]), float(val[0])

@@ -24,6 +24,8 @@ RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
 _MAX_ROW = 1 << 24  # largest sample size drawn: 128 MiB of float64 per sample
 _MAX_DRAWS = 1 << 28  # values one run of replications may draw: 1.06e8 took 6 s on 2 cores
+_MAX_REPLICATIONS = 1 << 18  # replications of one run: ~44 us of stream setup each at n = 1
+_MAX_CURVES = 1 << 24  # replications x thetas of one simulate run: 128 MiB of stored curves
 _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 
 
@@ -60,10 +62,10 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
 
 
 def _check_draws(n: int, replications: int) -> None:
-    """Raise ``SampleTooLarge`` unless replications samples of size n fit in _MAX_DRAWS."""
-    if n * replications > _MAX_DRAWS:  # refused before anything is drawn
+    """Raise ``SampleTooLarge`` above _MAX_REPLICATIONS replications or _MAX_DRAWS draws."""
+    if replications > _MAX_REPLICATIONS or n * replications > _MAX_DRAWS:  # before any draw
         raise SampleTooLarge(f"sample size n={n:.6g} times {replications} replications exceeds "
-                             f"{_MAX_DRAWS} values per run")
+                             f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
 
 
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
@@ -102,6 +104,9 @@ class SimConfig:
             raise ValueError("histogram_bins must be >= 1")
         if list(self.percentiles) != sorted(self.percentiles):
             raise ValueError("percentiles must be sorted ascending")
+        if self.replications * self.theta_grid.count > _MAX_CURVES:  # before any draw
+            raise SampleTooLarge(f"{self.replications} replications times {self.theta_grid.count} "
+                                 f"thetas exceeds {_MAX_CURVES} stored curve values")
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,8 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
         curves, minimizers = [], []
         for rows in sample_chunks((a, b), config.master_seed, n, config.replications,
                                   n * grid.count):
-            chunk = upper_risk_batch(config.loss, rows[:, None, :], a, b, grid.points)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused
+                chunk = upper_risk_batch(config.loss, rows, a, b, grid.points)
             if not np.isfinite(chunk).all():  # the loss overflows somewhere on the grid
                 raise NonFiniteValue(f"upper risk is not finite on [{grid.lo}, {grid.hi}]")
             curves.extend(chunk)
@@ -183,17 +189,9 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
         minimizers = np.array(minimizers)
         lo_c, med_c, hi_c = aggregate_percentiles(
             [RiskCurve(grid=grid, values=c, kind=RiskKind.UPPER) for c in curves],
-            [p_lo, 0.5, p_hi],
-        )
-        edges, counts = histogram(minimizers, config.histogram_bins)
-        per_n[n] = NSummary(
-            median_curve=med_c,
-            band_lo=lo_c,
-            band_hi=hi_c,
-            minimizers=minimizers,
-            histogram_edges=edges,
-            histogram_counts=counts,
-        )
+            [p_lo, 0.5, p_hi])
+        per_n[n] = NSummary(med_c, lo_c, hi_c, minimizers,
+                            *histogram(minimizers, config.histogram_bins))
     return ReplicationSummary(config=config, per_n=per_n)
 
 

@@ -185,7 +185,7 @@ def test_criterion_5_theorem_bound_respected():
 
 
 def test_criterion_6_constants_oracle():
-    c = constants(squared_error_loss((-1, 1)), (-3, 3), ThetaGrid(-1, 1, 41))
+    c = constants(squared_error_loss((-1, 1)), (-3, 3), (-1, 1))
     l0 = c.L_of_theta(0.0)
     risk0 = true_risk(squared_error_loss((-1, 1)), MODEL, 0.0)
     ok = (

@@ -392,6 +392,37 @@ def test_draws_beyond_the_run_limit_are_refused_before_any_draw(tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["simulate", "--n", "1", "--replications", "268435456"], "SampleTooLarge"),
+    (["predict", "--values", "0.1,0.5", "--score", "loo-mean", "--grid-points", "1000000000"],
+     "ValueError"),
+    (["risk-curve", "--values", "0.1,0.5", "--theta-count", "1000000000"], "ValueError"),
+    (["simulate", "--theta-count", "1000000000"], "ValueError"),
+    (["verify-bounds", "--uniform", "--theta-count", "1000000000"], "ValueError"),
+    # the loss overflows: numpy's RuntimeWarnings must not precede the one-line error
+    (["verify-bounds", "--n", "20", "--replications", "100", "--uniform", "--theta-count", "5",
+      "--theta-hi", "1e200"], "NonFiniteValue"),
+    (["risk-curve", "--values", "0.1,0.2", "--theta-hi", "1e200"], "NonFiniteValue"),
+    (["simulate", "--n", "5", "--replications", "3", "--theta-count", "5", "--theta-hi", "1e200"],
+     "NonFiniteValue"),
+])
+def test_refusals_print_one_line_in_a_fresh_interpreter(tmp_path, argv, error):
+    # a fresh interpreter shows what pytest's warning capture hides, and with a timeout
+    # turns an allocation of gigabytes or a run of hours into a failure
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv, "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith(f"{error}:") and out.stderr.count("\n") == 1, out.stderr
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["predict", "--values", "0.5", "--hi", "1"], "--lo", "-1e-3"),
     (["risk-curve", "--values", "0.1", "--theta-count", "5"], "--theta-lo", "-1e-1"),
@@ -471,6 +502,14 @@ def _exit_code(argv):
     ["verify-bounds", "--n", "20", "--replications", "100", "--theta-hi", "1e200", "--uniform",
      "--theta-count", "5"],
     ["risk-curve", "--values", "0.1", "--theta-hi", "1e200", "--theta-count", "5"],
+    # grids, replications and stored curves past their caps, refused before any allocation
+    ["predict", "--values", "0.1,0.5", "--score", "loo-mean", "--grid-points", "1000000000"],
+    ["risk-curve", "--values", "0.1", "--theta-count", "1000000000"],
+    ["simulate", "--theta-count", "1000000000"],
+    ["verify-bounds", "--n", "", "--uniform", "--theta-count", "1000000000"],
+    ["simulate", "--n", "1", "--replications", "268435456"],
+    ["simulate", "--n", "1", "--replications", "262145", "--theta-count", "1"],
+    ["coverage", "--n", "1", "--replications", "262145"],
 ])
 def test_residual_inputs_exit_2(argv):
     code, err = _exit_code(argv)
@@ -499,20 +538,36 @@ def _theta_ends(draw):
     return [f"--theta-{k}={v}" for k, v in (("lo", lo), ("hi", hi)) if v is not None]
 
 
+def _support_ends(draw):
+    """--lo/--hi flags: absent, swapped or equal."""
+    ends = draw(st.sampled_from([None, ("3", "-3"), ("0.5", "0.5"), ("-3", "-3")]))
+    return [] if ends is None else [f"--lo={ends[0]}", f"--hi={ends[1]}"]
+
+
 @st.composite
 def _argv(draw):
-    """argv of one Monte Carlo subcommand or risk-curve with edge values; sizes stay tiny."""
+    """argv of any subcommand with edge values; sizes stay tiny."""
     def pick(valid):
         return draw(st.sampled_from(_EDGES + valid))
 
-    command = draw(st.sampled_from(["simulate", "verify-bounds", "coverage", "risk-curve"]))
+    command = draw(st.sampled_from(["simulate", "verify-bounds", "coverage", "risk-curve",
+                                    "predict"]))
+    support = _support_ends(draw)
+    if command == "predict":
+        return ["predict", "--values", "0.1,-0.5,0.1", "--score",
+                draw(st.sampled_from(["identity", "loo-mean"])), "--alpha", pick(["0.2"]),
+                "--grid-points", draw(st.sampled_from(["0", "1", "5", "64", "65", "65537"])),
+                *support]
     if command == "risk-curve":
-        return ["risk-curve", "--values", "0.1,-0.5,0.1", "--theta-count", "5",
-                "--loss", draw(st.sampled_from(["squared", "absolute"])),
-                *draw(st.sampled_from([[], ["--model", "truncnorm"]])), *_theta_ends(draw)]
-    argv = [command, "--n", pick(["1", "7", "4,30"]), "--replications", pick(["1", "100", "200"])]
+        return ["risk-curve", "--values", "0.1,-0.5,0.1", "--theta-count",
+                draw(st.sampled_from(["5", "65"])), "--loss",
+                draw(st.sampled_from(["squared", "absolute"])),
+                *draw(st.sampled_from([[], ["--model", "truncnorm"]])), *_theta_ends(draw),
+                *support]
+    argv = [command, "--n", pick(["1", "7", "4,30"]), "--replications", pick(["1", "100", "200"]),
+            *support]
     if command == "simulate":
-        return argv + ["--theta-count", "5"]
+        return argv + ["--theta-count", draw(st.sampled_from(["5", "6", "65"]))]
     if command == "coverage":
         return argv + ["--alpha", pick(["0.2", "0.5,0.1"])]
     argv += ["--loss", draw(st.sampled_from(["squared", "absolute"])), *_theta_ends(draw)]
@@ -526,12 +581,24 @@ def _argv(draw):
     return argv + ["--epsilon", pick(["0.5", "1,2"]), "--alpha", pick(["0.2"])]
 
 
-@settings(max_examples=100, deadline=None)
-@given(_argv())
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv(), small_caps=st.booleans())
 # 3M/epsilon - 1 overflows to inf: was an OverflowError in min_sample_size
-@example(["verify-bounds", "--n", "1", "--replications", "100", "--theta-hi=1e80",
-          "--epsilon", "1e-160"])
-def test_exit_code_contract(argv):
-    code, err = _exit_code(argv)
+@example(argv=["verify-bounds", "--n", "1", "--replications", "100", "--theta-hi=1e80",
+               "--epsilon", "1e-160"], small_caps=False)
+def test_exit_code_contract(argv, small_caps):
+    # small caps put the sizes drawn above at, or one past, each cap: grid points 64,
+    # replications 100, and 100 replications x 5 thetas of stored curves
+    import focalrisk.conformal as conformal
+    import focalrisk.data_model as data_model
+    import focalrisk.simulate as simulate
+
+    with pytest.MonkeyPatch.context() as mp:
+        if small_caps:
+            for module in (data_model, conformal):
+                mp.setattr(module, "MAX_GRID", 64)
+            mp.setattr(simulate, "_MAX_REPLICATIONS", 100)
+            mp.setattr(simulate, "_MAX_CURVES", 500)
+        code, err = _exit_code(argv)
     assert code in (0, 2), (argv, err)
     assert "Traceback" not in err

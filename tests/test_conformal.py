@@ -145,6 +145,17 @@ class TestPredictionSet:
         with pytest.raises(MissingGrid):
             focal_sets(make_sample([1, 2], 0, 3), loo_mean, grid_points=points)
 
+    def test_grid_capped_for_grid_scores_only(self):
+        from focalrisk.data_model import MAX_GRID
+
+        s = make_sample([1, 2], 0, 3)
+        assert focal_sets(s, loo_mean, grid_points=MAX_GRID).n_plus_1 == 3
+        for points in (MAX_GRID + 1, 10**9):
+            with pytest.raises(ValueError, match="grid points exceeds"):
+                focal_sets(s, loo_mean, grid_points=points)
+            # the identity score's exact sets read no grid
+            assert focal_sets(s, NonconformityScore.identity(), grid_points=points).n_plus_1 == 3
+
 
 class TestContour:
     def test_first_set_is_one(self):

@@ -42,20 +42,20 @@ def _must_not_run(*args, **kwargs):
 
 class TestConstants:
     def test_squared_loss_M(self):
-        c = constants(sq, (-3, 3), GRID)
+        c = constants(sq, (-3, 3), (-1, 1))
         assert c.M == pytest.approx(32.0, abs=1e-9)
 
     def test_squared_loss_L_at_zero(self):
-        c = constants(sq, (-3, 3), GRID)
+        c = constants(sq, (-3, 3), (-1, 1))
         assert c.L_of_theta(0.0) == pytest.approx(9.0, abs=1e-9)
 
     def test_constant_loss(self):
-        c = constants(constant_loss(2.0, (-1, 1)), (-3, 3), GRID)
+        c = constants(constant_loss(2.0, (-1, 1)), (-3, 3), (-1, 1))
         assert c.M == pytest.approx(4.0)
         assert c.L_of_theta(0.5) == pytest.approx(0.0, abs=1e-9)
 
     def test_L_max(self):
-        c = constants(sq, (-3, 3), GRID)
+        c = constants(sq, (-3, 3), (-1, 1))
         # largest range over theta in [-1, 1]: (3 + 1)^2 = 16 at theta = +/-1
         assert c.L_max == pytest.approx(16.0, abs=1e-9)
 
@@ -70,9 +70,9 @@ class TestConstants:
         import focalrisk
 
         code = (
-            "from focalrisk import ThetaGrid, constants, squared_error_loss as sq\n"
-            "c = constants(sq((-1, 1e4)), (-3, 3), ThetaGrid(-1, 1e4, 11))\n"
-            "d = constants(sq((-1, 1)), (-2e4, -9000), ThetaGrid(-1, 1, 41))\n"
+            "from focalrisk import constants, squared_error_loss as sq\n"
+            "c = constants(sq((-1, 1e4)), (-3, 3), (-1, 1e4))\n"
+            "d = constants(sq((-1, 1)), (-2e4, -9000), (-1, 1))\n"
             "print(repr(c.M), repr(c.L_max), repr(d.L_of_theta(0.0)))\n"
         )
         env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
@@ -88,9 +88,9 @@ class TestLossOverflow:
     def test_constants_refuse_a_loss_that_overflows_on_the_grid(self):
         for lo, hi in ((-1, 1e200), (-1e200, 1)):  # (1e200 - 3)^2 is inf, so is M
             loss = squared_error_loss((lo, hi))
-            with pytest.raises(NonFiniteValue, match="not finite on the theta grid"):
-                constants(loss, (-3, 3), ThetaGrid(lo, hi, 5))
-        c = constants(absolute_error_loss((-1, 1e200)), (-3, 3), ThetaGrid(-1, 1e200, 5))
+            with pytest.raises(NonFiniteValue, match="not finite on the theta span"):
+                constants(loss, (-3, 3), (lo, hi))
+        c = constants(absolute_error_loss((-1, 1e200)), (-3, 3), (-1, 1e200))
         assert c.M == 2e200 and math.isfinite(c.L_max)  # absolute loss stays finite
 
     def test_refused_before_any_draw(self, monkeypatch):
@@ -146,7 +146,7 @@ class TestConstantsEqualParent:
                                       ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
     def test_M(self, loss, grid):
         for support in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
-            got = constants(loss, support, grid).M
+            got = constants(loss, support, (grid.lo, grid.hi)).M
             if loss is BUMPY:
                 assert got == 6.0 - abs(support[0]) - abs(support[1])
             else:
@@ -164,13 +164,28 @@ class TestConstantsEqualParent:
             assert got.tobytes() == want.tobytes()
 
 
+    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, constant_loss(0.0), constant_loss(2.0),
+                                      squared_error_loss((-1, 5))])
+    @pytest.mark.parametrize("grid", [ThetaGrid(0.5, 0.5, 1), ThetaGrid(-1, 1, 2),
+                                      ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
+    def test_L_max(self, loss, grid):
+        # the parent took L_max over the grid's points; the span's sup points hold it
+        for a, b in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5), (-1.0, 0.8)):
+            got = constants(loss, (a, b), (grid.lo, grid.hi)).L_max
+            want = float(np.max(_loss_range(loss, grid.points, a, b)))
+            if loss is ABSOLUTE:  # at most the grid's rounding above, within 2 ulps of it
+                assert want - 2 * np.spacing(want) <= got <= want
+            else:
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestConstantsExact:
     def test_narrow_peak_between_grid_points(self):
         # theta knots 0, 0.005, 0.01: the peak of 10 at 0.005 lies between two points of
         # the 201-point grid, where golden section from the grid's best cell missed it
         spike = tabulated_loss([-1, 0, 0.005, 0.01, 1], [-3, 3],
                                np.array([[9.5, 0, 10, 0, 9.5]] * 2).T, convex_in_y=True)
-        consts = constants(spike, (-3, 3), ThetaGrid(-1, 1, 201))
+        consts = constants(spike, (-3, 3), (-1, 1))
         assert consts.M == 20.0
         assert min_sample_size(1.0, consts.M) == 59
         report = verify_pointwise(MODEL, spike, 0.0, 56, 1.0, 100, 1)
@@ -189,7 +204,7 @@ class TestConstantsExact:
         loss = tabulated_loss(tk, yk, table)
         a, b = sorted(data.draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2, unique=True)))
         lo, hi = sorted(data.draw(st.lists(st.floats(tk[0], tk[-1]), min_size=2, max_size=2)))
-        consts = constants(loss, (a, b), ThetaGrid(lo, hi, 1 if lo == hi else 5))
+        consts = constants(loss, (a, b), (lo, hi))
         tol = 1e-12 * max(1.0, table.max())
         dense = loss(np.linspace(lo, hi, 20001)[:, None], [a, b])
         assert consts.M >= dense.max(axis=0).sum() - tol
@@ -200,6 +215,36 @@ class TestConstantsExact:
         vals = loss(thetas[:, None], ys)
         want = vals.max(axis=1) - vals.min(axis=1)
         np.testing.assert_allclose(consts.L_of_theta(thetas), want, rtol=0, atol=tol)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_L_max_at_least_dense_grid_max(self, data):
+        a, b = sorted(data.draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2, unique=True)))
+        kind = data.draw(st.sampled_from(["squared", "absolute", "tabulated"]))
+        if kind == "tabulated":
+            def knots(lo, hi):
+                ks = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=6, unique=True))
+                return [k / 10 for k in sorted(ks)]
+
+            tk, yk = knots(-20, 20), knots(-60, 60)
+            value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
+            loss = tabulated_loss(tk, yk, [[data.draw(value) for _ in yk] for _ in tk], True)
+            domain = (tk[0], tk[-1])
+        else:
+            loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((-8, 8))
+            domain = (-8.0, 8.0)
+        lo, hi = sorted(data.draw(st.lists(st.floats(*domain), min_size=2, max_size=2)))
+        l_max = constants(loss, (a, b), (lo, hi)).L_max
+        dense = _loss_range(loss, np.linspace(lo, hi, 20001), a, b).max()
+        assert l_max >= dense - 1e-12 * max(1.0, dense)
+
+    def test_one_point_theta_domain(self):
+        # a tabulated loss with one theta-knot: its domain [0, 0] holds no two-point grid
+        loss = tabulated_loss([0.0], [-3, 3], [[1, 2]], convex_in_y=True)
+        report = verify_pointwise(MODEL, loss, 0.0, 20, 1.0, 100, 1)
+        assert report.empirical_violation_rate == 0.0 and report.n == 20
+        assert constants(loss, (-3, 3), loss.theta_domain).M == 3.0
 
 
 class TestMinSampleSize:
@@ -364,7 +409,7 @@ class TestPointwiseReports:
         monkeypatch.setattr(simulate, "_CHUNK_CELLS", 2000)
         n, thetas, epsilons, reps = 30, [0.0, 0.5, -1.0], [0.05, 0.3], 100
         got = pointwise_reports(MODEL, loss, thetas, n, epsilons, reps, 7)
-        consts = constants(loss, MODEL.support, GRID)
+        consts = constants(loss, MODEL.support, (-1, 1))
         want = []
         for eps in epsilons:
             for theta in thetas:

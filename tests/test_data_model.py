@@ -105,6 +105,14 @@ class TestThetaGrid:
         with pytest.raises(ValueError):
             ThetaGrid(0, 1, 0)
 
+    def test_count_capped_before_any_allocation(self):
+        from focalrisk.data_model import MAX_GRID
+
+        assert ThetaGrid(-1, 1, MAX_GRID).points.size == MAX_GRID
+        for count in (MAX_GRID + 1, 10**9, 10**30):  # 10^9 points would take 7.45 GiB
+            with pytest.raises(ValueError, match="grid points exceeds"):
+                ThetaGrid(-1, 1, count)
+
 
 class TestTrueModel:
     def test_tabulated_normalization_enforced(self):

@@ -544,23 +544,24 @@ def _parent_minimize_rows(loss, rows, a, b, grid, curves, tol=1e-9, upper=upper_
         return theta0, best
     lo = grid.points[np.maximum(idx - 1, 0)]
     hi = grid.points[np.minimum(idx + 1, grid.count - 1)]
-    theta, val = golden_section_min(lambda t: upper(loss, rows, a, b, t), lo, hi, tol)
+    theta, val = golden_section_min(lambda t: upper(loss, rows, a, b, t[:, None])[:, 0], lo, hi,
+                                    tol)
     better = (lo < hi) & (val < best)
     return np.where(better, theta, theta0), np.where(better, val, best)
 
 
-def _table_core(loss, values, a, b, thetas):
+def _table_core(loss, rows, a, b, thetas):
     """The closed form's n R_n and M from the full loss table: the reference for every loss."""
     thetas = np.asarray(thetas, dtype=float)
     la, lb = np.asarray(loss(thetas, a)), np.asarray(loss(thetas, b))
-    table = np.asarray(loss(thetas[..., None], values), dtype=float)
+    table = np.asarray(loss(thetas[..., None], rows[:, None, :]), dtype=float)
     m_theta = la + lb - np.minimum(np.minimum(la, lb), table.min(axis=-1))
-    return values.shape[-1] * table.mean(axis=-1), m_theta
+    return rows.shape[1] * table.mean(axis=-1), m_theta
 
 
-def _table_upper(loss, values, a, b, thetas):
-    n_rn, m_theta = _table_core(loss, values, a, b, thetas)
-    return (n_rn + m_theta) / (values.shape[-1] + 1)
+def _table_upper(loss, rows, a, b, thetas):
+    n_rn, m_theta = _table_core(loss, rows, a, b, thetas)
+    return (n_rn + m_theta) / (rows.shape[1] + 1)
 
 
 def _ulps(x, count=4):
@@ -571,11 +572,12 @@ def _check_exact_minimizer(loss, rows, grid):
     """minimize_rows against a dense grid and the parent's golden section, both on the table."""
     theta, value = minimize_rows(loss, rows, -3.0, 3.0, grid, None)
     assert np.all((grid.lo <= theta) & (theta <= grid.hi))
-    assert value.tobytes() == upper_risk_batch(loss, rows, -3.0, 3.0, theta).tobytes()
+    at_theta = upper_risk_batch(loss, rows, -3.0, 3.0, theta[:, None])[:, 0]
+    assert value.tobytes() == at_theta.tobytes()
     dense = np.linspace(grid.lo, grid.hi, 20001)
-    dense_min = _table_upper(loss, rows[:, None, :], -3.0, 3.0, dense).min(axis=1)
+    dense_min = _table_upper(loss, rows, -3.0, 3.0, dense).min(axis=1)
     assert np.all(value <= dense_min + _ulps(dense_min))
-    curves = _table_upper(loss, rows[:, None, :], -3.0, 3.0, grid.points)
+    curves = _table_upper(loss, rows, -3.0, 3.0, grid.points)
     g_theta, g_value = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid, curves,
                                              upper=_table_upper)
     assert np.all(value <= g_value + _ulps(g_value))
@@ -596,7 +598,7 @@ class TestRefineGridMin:
         if loss.kind.value != "tabulated":  # exact minimizer: no golden section to match
             _check_exact_minimizer(loss, rows, grid)
             return
-        curves = upper_risk_batch(loss, rows[:, None, :], -3.0, 3.0, grid.points)
+        curves = upper_risk_batch(loss, rows, -3.0, 3.0, grid.points)
         # as computed, rounded to force ties, and flat (every row ties everywhere)
         for c in (curves, np.round(curves, 1), np.zeros_like(curves)):
             got = minimize_rows(loss, rows, -3.0, 3.0, grid, c)
@@ -630,16 +632,16 @@ def _rows_and_thetas(draw):
     return rows, lo, hi, thetas
 
 
-def _check_core(loss, values, a, b, thetas):
+def _check_core(loss, rows, a, b, thetas):
     from focalrisk.risk import _closed_form_core
 
-    n_rn, m_theta = _closed_form_core(loss, values, a, b, thetas)
-    want_n_rn, want_m = _table_core(loss, values, a, b, thetas)
+    n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
+    want_n_rn, want_m = _table_core(loss, rows, a, b, thetas)
     assert n_rn.shape == want_n_rn.shape and m_theta.tobytes() == want_m.tobytes()
     scale = want_n_rn + want_m  # (n+1) times the upper risk, at least M > 0
     assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale)
-    upper = upper_risk_batch(loss, values, a, b, thetas)
-    want = _table_upper(loss, values, a, b, thetas)
+    upper = upper_risk_batch(loss, rows, a, b, thetas)
+    want = _table_upper(loss, rows, a, b, thetas)
     assert np.all(np.abs(upper - want) <= 1e-13 * want)
 
 
@@ -651,14 +653,13 @@ class TestSufficientStatistics:
     @given(case=_rows_and_thetas())
     def test_equals_table_path(self, loss, case):
         rows, a, b, thetas = case
-        _check_core(loss, rows[0], a, b, thetas)  # (k,) with (n,)
-        _check_core(loss, rows[:, None, :], a, b, thetas)  # (k,) with (r, 1, n)
-        _check_core(loss, rows, a, b, np.resize(thetas, len(rows)))  # (r,) with (r, n)
+        _check_core(loss, rows, a, b, thetas)  # (k,): the thetas of every row
+        _check_core(loss, rows, a, b, np.resize(thetas, (len(rows), 3)))  # (r, k): per row
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_one_observation_and_all_tied(self, loss):
         for values in ([0.3], [0.3] * 7, [-2.0, 0.3, 0.3, 0.3, 2.5]):
-            _check_core(loss, np.array(values), -3.0, 3.0, np.array([-8, -3, 0.3, 0.31, 3, 8.0]))
+            _check_core(loss, np.array([values]), -3.0, 3.0, np.array([-8, -3, 0.3, 0.31, 3, 8.0]))
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_support_far_from_zero(self, loss):
@@ -666,7 +667,7 @@ class TestSufficientStatistics:
         rng = np.random.default_rng(8)
         for lo in (-800.0, 500.0, 3e4):
             rows = np.sort(lo + rng.uniform(0, 6, (50, 40)), axis=1)
-            _check_core(loss, rows[:, None, :], lo, lo + 6, lo + np.linspace(-1, 7, 33))
+            _check_core(loss, rows, lo, lo + 6, lo + np.linspace(-1, 7, 33))
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_memory_stays_linear_in_n(self, loss):
@@ -677,7 +678,7 @@ class TestSufficientStatistics:
         thetas = np.linspace(-1, 1, 101)
         tracemalloc.start()
         try:
-            upper_risk_batch(loss, values, -3.0, 3.0, thetas)
+            upper_risk_batch(loss, values[None], -3.0, 3.0, thetas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -718,6 +719,22 @@ class TestExactMinimizer:
             minimize_rows(loss, rows, -3.0, 3.0, grid, None)
             minimize_upper_risk(loss, make_sample(rows[0], -3, 3), grid)
             assert max(sizes) <= 5 * (2 * 32 + 1)  # one value per row and candidate
+
+    def test_no_grid_curve(self, monkeypatch):
+        # every closed form the exact minimizer takes is at its (r, k) candidates
+        import focalrisk.risk as risk_mod
+
+        shapes = []
+
+        def record(loss, rows, a, b, thetas, upper=risk_mod.upper_risk_batch):
+            shapes.append(np.shape(thetas))
+            return upper(loss, rows, a, b, thetas)
+
+        monkeypatch.setattr(risk_mod, "upper_risk_batch", record)
+        s = make_sample(np.random.default_rng(3).uniform(-3, 3, 12), -3, 3)
+        for loss in EXACT_LOSSES:
+            minimize_upper_risk(loss, s, ThetaGrid(-1, 1, 101))
+        assert shapes and all(len(shape) == 2 for shape in shapes)
 
     def test_absolute_ties_to_the_lowest_minimizing_breakpoint(self):
         # n = 1, Z = {-3, 0, 3}: 2 U(theta) = 6 on [-1.5, 1.5], and more outside

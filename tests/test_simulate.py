@@ -132,6 +132,29 @@ class TestSampleChunks:
         with pytest.raises(SampleTooLarge, match="n=11 times 10 replications"):  # n + 1 each
             coverage_experiment(MODEL, NonconformityScore.identity(), 10, 0.2, 10, 0)
 
+    def test_replications_capped_before_any_draw(self, monkeypatch):
+        # each replication sets up its own stream, whatever n is
+        import focalrisk.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_MAX_REPLICATIONS", 10)
+        assert len(next(sample_chunks((-3.0, 3.0), 0, 1, 10, 1))) == 10  # exactly at the cap
+        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
+            next(sample_chunks((-3.0, 3.0), 0, 1, 11, 1))
+        with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
+            coverage_experiment(MODEL, NonconformityScore.identity(), 1, 0.2, 11, 0)
+
+    def test_stored_curves_capped_before_any_draw(self, monkeypatch):
+        import focalrisk.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_MAX_CURVES", 50)
+        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
+                  theta_grid=ThetaGrid(-1, 1, 5))  # exactly at the cap
+        with pytest.raises(SampleTooLarge, match="10 replications times 6 thetas exceeds 50"):
+            SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
+                      theta_grid=ThetaGrid(-1, 1, 6))
+
 
 def _flat_curve(value, grid):
     return RiskCurve(grid=grid, values=np.full(grid.count, float(value)), kind=RiskKind.UPPER)
