@@ -43,6 +43,7 @@ from .quadrature import integrate
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-9  # golden section's bracket width for tabulated-loss minimizers
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
+_CURVE_CELLS = 1 << 15  # loss values per block of the empirical curve: 256 KiB of float64
 
 
 class RiskKind(enum.Enum):
@@ -199,7 +200,9 @@ def risk_curve(
         if kind is RiskKind.EMPIRICAL:
             if sample is None:
                 raise ValueError("empirical risk needs a sample")
-            vals = np.asarray(loss(grid.points[:, None], sample.values), dtype=float).mean(axis=1)
+            t, step = grid.points[:, None], max(1, _CURVE_CELLS // sample.n)  # rows reduce alone
+            vals = np.concatenate([np.asarray(loss(t[i:i + step], sample.values), dtype=float)
+                                   .mean(axis=1) for i in range(0, len(t), step)])
         elif kind is RiskKind.TRUE:
             if model is None:
                 raise ValueError("true risk needs a model")

@@ -7,6 +7,7 @@ bit-identical however the batched path splits replications into chunks.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
 _MAX_ROW = 1 << 24  # largest sample size drawn: 128 MiB of float64 per sample
 _MAX_DRAWS = 1 << 28  # values one run of replications may draw: 1.06e8 took 6 s on 2 cores
-_MAX_REPLICATIONS = 1 << 18  # replications of one run: ~44 us of stream setup each at n = 1
+_MAX_REPLICATIONS = 1 << 18  # replications of one run: ~2-3 us of stream setup each at n = 1
 _MAX_CURVES = 1 << 24  # replications x thetas of one simulate run: 128 MiB of stored curves
 _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 
@@ -37,10 +38,54 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _philox_keys(seed: int, n: int, replications: int) -> np.ndarray:
+    """(replications, 2) uint64: ``SeedSequence([seed, n, r]).generate_state(2, np.uint64)``.
+
+    numpy's SeedSequence mixing (pool size 4, then generate_state) in uint32 arithmetic,
+    over every r at once: its hash constants do not depend on the entropy words.
+    """
+    entropy = [np.full(replications, x >> shift & 0xFFFFFFFF, np.uint32)  # little-endian words
+               for x in (int(seed), int(n)) for shift in range(0, max(x.bit_length(), 1), 32)]
+    entropy.append(np.arange(replications, dtype=np.uint32))  # r < _MAX_REPLICATIONS: one word
+    const = 0x43B0D7E5
+
+    def hashmix(value, mult=0x931E8875):
+        nonlocal const
+        value, const = value ^ const, const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = x * 0xCA01F9DD - hashmix(y) * 0x4973F715
+        return x ^ x >> 16
+
+    pool = [hashmix(w) for w in (entropy + [np.zeros(replications, np.uint32)] * 4)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], pool[src])
+    for word, dst in itertools.product(entropy[4:], range(4)):
+        pool[dst] = mix(pool[dst], word)
+    const = 0x8B51F9DD  # generate_state hashes the pool with its own constants
+    lo0, hi0, lo1, hi1 = (hashmix(w, 0x58F38DED).astype(np.uint64) for w in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
+
+
+def _streams(seed: int, n: int, replications: int) -> Iterator[np.random.Generator]:
+    """``replication_rng(seed, n, r)`` for r = 0, 1, ..., bit for bit, keyed by one
+    ``_philox_keys`` pass: one Generator is reset per r, so a stream lasts until the next."""
+    if n < 0:  # both refused before any key, as replication_rng and SeedSequence refuse them
+        raise EmptySample(f"sample size n={n} is negative")
+    if seed < 0:
+        raise ValueError(f"seed={seed}: expected a non-negative integer")
+    bitgen = np.random.Philox(0)
+    state, rng = bitgen.state, np.random.Generator(bitgen)  # counter 0, buffer empty: as new
+    for key in _philox_keys(seed, n, replications):
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield rng
+
+
 def _raw_draw(n: int, lo: float, hi: float, mass: float, rng: np.random.Generator) -> np.ndarray:
     """rng's first n standard normals in [lo, hi], in draw order (batches scale with 1/mass)."""
-    if n > _MAX_ROW:  # refused before anything is allocated or drawn
-        raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
     out = np.empty(n)
     filled = 0
     while filled < n:
@@ -58,14 +103,17 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
 
     Acceptance is ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3.
     """
+    _check_draws(n, 1)
     return make_sample(_raw_draw(n, lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 
 def _check_draws(n: int, replications: int) -> None:
-    """Raise ``SampleTooLarge`` above _MAX_REPLICATIONS replications or _MAX_DRAWS draws."""
-    if replications > _MAX_REPLICATIONS or n * replications > _MAX_DRAWS:  # before any draw
+    """Raise ``SampleTooLarge`` above the replication, draw or row cap: before any key or draw."""
+    if replications > _MAX_REPLICATIONS or n * replications > _MAX_DRAWS:
         raise SampleTooLarge(f"sample size n={n:.6g} times {replications} replications exceeds "
                              f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
+    if n > _MAX_ROW:
+        raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
 
 
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
@@ -79,9 +127,10 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     (lo, hi), mass = support, normal_mass(*support)
     _check_draws(n, replications)
     step = max(1, _CHUNK_CELLS // max(row_cells, 1))  # n = 0 gets to the EmptySample check
-    for start in range(0, replications, step):
-        rows = np.sort([_raw_draw(n, lo, hi, mass, replication_rng(seed, n, r))
-                        for r in range(start, min(start + step, replications))], axis=1)
+    streams = _streams(seed, n, replications)
+    for _ in range(0, replications, step):
+        rows = np.sort([_raw_draw(n, lo, hi, mass, rng)
+                        for rng in itertools.islice(streams, step)], axis=1)
         check_values(rows.reshape(-1), lo, hi)
         yield rows
 
@@ -125,25 +174,27 @@ class ReplicationSummary:
     per_n: dict[int, NSummary] = field(default_factory=dict)
 
 
+def _percentile_curves(grid: ThetaGrid, stack: np.ndarray, probs: Sequence[float],
+                       kind: RiskKind) -> list[RiskCurve]:
+    """Percentiles of the (m, k) stack's columns, linear between order statistics at p*(m-1).
+
+    The stack is reordered in place."""
+    vals = np.percentile(stack, [100.0 * p for p in probs], axis=0, method="linear",
+                         overwrite_input=True)
+    return [RiskCurve(grid=grid, values=v, kind=kind) for v in vals]
+
+
 def aggregate_percentiles(
     curves: Sequence[RiskCurve], probs: Sequence[float]
 ) -> list[RiskCurve]:
-    """Pointwise empirical percentiles across curves sharing one grid.
-
-    Linear interpolation between order statistics at position p*(m-1).
-    """
+    """Pointwise empirical percentiles across curves sharing one grid."""
     if not curves:
         raise EmptyInput("no curves to aggregate")
     grid = curves[0].grid
     for c in curves[1:]:
         if c.grid.count != grid.count or (c.grid.lo, c.grid.hi) != (grid.lo, grid.hi):
             raise GridMismatch("curves evaluated on different grids")
-    stack = np.vstack([c.values for c in curves])
-    out = []
-    for p in probs:
-        vals = np.percentile(stack, 100.0 * p, axis=0, method="linear")
-        out.append(RiskCurve(grid=grid, values=vals, kind=curves[0].kind))
-    return out
+    return _percentile_curves(grid, np.vstack([c.values for c in curves]), probs, curves[0].kind)
 
 
 def histogram(
@@ -174,22 +225,19 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
     """
     per_n: dict[int, NSummary] = {}
     p_lo, p_hi = config.percentiles
-    grid = config.theta_grid
+    grid, reps = config.theta_grid, config.replications
     a, b = config.model.support
     for n in config.n_values:
-        curves, minimizers = [], []
-        for rows in sample_chunks((a, b), config.master_seed, n, config.replications,
-                                  n * grid.count):
+        curves, minimizers, done = np.empty((reps, grid.count)), np.empty(reps), 0
+        for rows in sample_chunks((a, b), config.master_seed, n, reps, n * grid.count):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused
                 chunk = upper_risk_batch(config.loss, rows, a, b, grid.points)
             if not np.isfinite(chunk).all():  # the loss overflows somewhere on the grid
                 raise NonFiniteValue(f"upper risk is not finite on [{grid.lo}, {grid.hi}]")
-            curves.extend(chunk)
-            minimizers.extend(minimize_rows(config.loss, rows, a, b, grid, chunk)[0])
-        minimizers = np.array(minimizers)
-        lo_c, med_c, hi_c = aggregate_percentiles(
-            [RiskCurve(grid=grid, values=c, kind=RiskKind.UPPER) for c in curves],
-            [p_lo, 0.5, p_hi])
+            part, done = slice(done, done + len(rows)), done + len(rows)
+            curves[part] = chunk
+            minimizers[part] = minimize_rows(config.loss, rows, a, b, grid, chunk)[0]
+        lo_c, med_c, hi_c = _percentile_curves(grid, curves, [p_lo, 0.5, p_hi], RiskKind.UPPER)
         per_n[n] = NSummary(med_c, lo_c, hi_c, minimizers,
                             *histogram(minimizers, config.histogram_bins))
     return ReplicationSummary(config=config, per_n=per_n)
@@ -215,8 +263,8 @@ def coverage_experiment(
     (lo, hi), mass = model.support, normal_mass(*model.support)
     _check_draws(n + 1, replications)
     hits = 0
-    for r in range(replications):
-        draws = _raw_draw(n + 1, lo, hi, mass, replication_rng(seed, n, r))
+    for rng in _streams(seed, n, replications):
+        draws = _raw_draw(n + 1, lo, hi, mass, rng)
         sample = make_sample(draws[:n], lo, hi)
         if rank_candidate(sample, float(draws[n]), score) <= k:
             hits += 1

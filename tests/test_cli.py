@@ -184,9 +184,9 @@ class TestVerifyBounds:
         import focalrisk.simulate as simulate
 
         def no_draws(*args):
-            raise AssertionError("a replication ran")
+            raise AssertionError("a replication was keyed")
 
-        monkeypatch.setattr(simulate, "replication_rng", no_draws)
+        monkeypatch.setattr(simulate, "_streams", no_draws)
         out = tmp_path / "out"
         assert run(["verify-bounds", *flags, "--epsilon", eps, "--replications", "100",
                     "--out", str(out)]) == 2
@@ -199,9 +199,9 @@ class TestVerifyBounds:
         import focalrisk.simulate as simulate
 
         def no_draws(*args):
-            raise AssertionError("a replication ran")
+            raise AssertionError("a replication was keyed")
 
-        monkeypatch.setattr(simulate, "replication_rng", no_draws)
+        monkeypatch.setattr(simulate, "_streams", no_draws)
         out = tmp_path / "out"
         assert run(["verify-bounds", "--n", "20", "--uniform", "--alpha", alpha,
                     "--replications", "100", "--out", str(out)]) == 2
@@ -218,17 +218,57 @@ class TestVerifyBounds:
 
         import focalrisk.simulate as simulate
 
-        calls, draw = Counter(), simulate.replication_rng
+        calls, streams = Counter(), simulate._streams
 
-        def counted(seed, n, r):
-            calls[seed, n, r] += 1
-            return draw(seed, n, r)
+        def counted(seed, n, replications):
+            for r, rng in enumerate(streams(seed, n, replications)):
+                calls[seed, n, r] += 1
+                yield rng
 
-        monkeypatch.setattr(simulate, "replication_rng", counted)
+        monkeypatch.setattr(simulate, "_streams", counted)
         assert run(["verify-bounds", "--n", "30,40", "--theta", "0,0.5,1", "--epsilon", "0.5,1",
                     "--replications", "100", "--seed", "3", "--out", str(tmp_path)]) == 0
         assert calls == Counter({(3, n, r): 1 for n in (30, 40) for r in range(100)})
         assert len(list(tmp_path.iterdir())) == 12
+
+
+_SEED_RUNS = {"simulate": ["--n", "5", "--replications", "20"],
+              "verify-bounds": ["--n", "5", "--replications", "100"],
+              "coverage": ["--n", "5", "--replications", "50"]}
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", sorted(_SEED_RUNS))
+    def test_negative_seed_exits_2_before_any_key(self, tmp_path, monkeypatch, capsys, command):
+        import focalrisk.simulate as simulate
+
+        def no_keys(*args):
+            raise AssertionError("a key was computed")
+
+        monkeypatch.setattr(simulate, "_philox_keys", no_keys)
+        out = tmp_path / "out"
+        assert run([command, *_SEED_RUNS[command], "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("ValueError: seed=-1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(_SEED_RUNS))
+    def test_seed_of_three_words_keys_like_replication_rng(self, tmp_path, monkeypatch, command):
+        # 2^64 is 3 uint32 words of entropy, 5 with n and r: SeedSequence's second mixing loop
+        import focalrisk.simulate as simulate
+
+        keyed, streams = [], simulate._streams
+
+        def checked(seed, n, replications):
+            for r, rng in enumerate(streams(seed, n, replications)):
+                want = simulate.replication_rng(seed, n, r).bit_generator.state
+                assert str(rng.bit_generator.state) == str(want)
+                keyed.append(r)
+                yield rng
+
+        monkeypatch.setattr(simulate, "_streams", checked)
+        argv = [command, *_SEED_RUNS[command], "--seed", str(2**64), "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert keyed and keyed[-1] == int(_SEED_RUNS[command][-1]) - 1
 
 
 class TestCoverage:

@@ -107,7 +107,7 @@ class TestLossOverflow:
         import focalrisk.simulate as simulate
         from focalrisk.errors import SampleTooLarge
 
-        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        monkeypatch.setattr(simulate, "_streams", _must_not_run)  # no stream to draw
         assert witness_uniform(ThetaGrid(-1, 1, 101), 1e-3, 0.05, 16.0) == 1062911997
         with pytest.raises(SampleTooLarge):
             verify_uniform(MODEL, sq, ThetaGrid(-1, 1, 101), 1e-3, 0.05, 1, replications=100)

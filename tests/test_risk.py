@@ -62,7 +62,7 @@ class TestEmpiricalRisk:
         with pytest.raises(ThetaOutOfDomain):
             empirical_risk(sq01, s, 2.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000, 40000])  # 40000: a theta a block
     def test_curve_equals_pointwise_mean(self, n):
         # one (theta, n) table's row means equal the 1-D mean at each theta, bit for bit
         rng = np.random.default_rng(n)
@@ -72,6 +72,20 @@ class TestEmpiricalRisk:
             curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
             want = np.array([empirical_risk(loss, s, t) for t in grid.points])
             assert curve.tobytes() == want.tobytes()
+
+    def test_curve_memory_bounded_in_thetas(self):
+        # the whole (theta, n) table of this curve would take 65536 x 500 x 8 bytes = 262 MB
+        import tracemalloc
+
+        s = make_sample(np.random.default_rng(0).uniform(-3, 3, 500), -3, 3)
+        grid = ThetaGrid(-1, 1, 65536)
+        tracemalloc.start()
+        try:
+            risk_curve(sq11, grid, RiskKind.EMPIRICAL, sample=s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_array_theta_domain(self):
         sq11.check_theta(np.linspace(-1, 1, 5))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from focalrisk import (
     NonconformityScore,
@@ -15,13 +17,19 @@ from focalrisk import (
     sample_truncated_normal,
     squared_error_loss,
 )
+from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
                               InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve
-from focalrisk.simulate import _CHUNK_CELLS, sample_chunks, write_summary
+from focalrisk.simulate import (_CHUNK_CELLS, _philox_keys, _raw_draw, _streams, sample_chunks,
+                                write_summary)
 
 MODEL = TrueModel.truncated_std_normal(-3, 3)
 TRUNC_VAR = 0.97333692466254148
+
+
+def _no_streams(*args):
+    raise AssertionError("a stream was keyed before the run was refused")
 
 
 class TestSampleTruncatedNormal:
@@ -104,13 +112,62 @@ class TestSampleTruncatedNormal:
         assert not np.array_equal(a.values, b.values)
 
 
+class TestStreams:
+    """The vectorized keys and the reused Generator against ``replication_rng``, the oracle."""
+
+    @given(seed=st.integers(0, 2**128 - 1), n=st.integers(0, 2**24), r=st.integers(0, 2**18 - 1))
+    @example(seed=0, n=0, r=0)
+    @example(seed=2**32 - 1, n=2**24, r=2**18 - 1)  # 3 words: the pool is padded
+    @example(seed=2**32, n=5, r=7)  # 4 words: the pool is full
+    @example(seed=2**128 - 1, n=2**24, r=2**18 - 1)  # 6 words: SeedSequence's second loop
+    def test_keys_equal_seed_sequence(self, seed, n, r):
+        want = np.random.SeedSequence([seed, n, r]).generate_state(2, np.uint64)
+        assert np.array_equal(_philox_keys(seed, n, r + 1)[r], want)
+
+    @pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (3.0, 4.0)])  # [3, 4]: near the mass floor
+    @pytest.mark.parametrize("seed", [6, 2**64 + 6])
+    def test_raw_batches_equal_replication_rng(self, lo, hi, seed):
+        # every batch _raw_draw asks for, compared whole, not only the values it keeps
+        class Recording:
+            def __init__(self, rng):
+                self.rng, self.batches = rng, []
+
+            def standard_normal(self, size):
+                self.batches.append(self.rng.standard_normal(size))
+                return self.batches[-1]
+
+        n, mass = 40, normal_mass(lo, hi)
+        for r, rng in enumerate(_streams(seed, n, 20)):
+            got, want = Recording(rng), Recording(replication_rng(seed, n, r))
+            _raw_draw(n, lo, hi, mass, got)
+            _raw_draw(n, lo, hi, mass, want)
+            assert len(got.batches) == len(want.batches)
+            assert all(map(np.array_equal, got.batches, want.batches))
+
+    def test_negative_seed_refused(self):
+        # before any key: SeedSequence, which replication_rng still calls, refuses it too
+        with pytest.raises(ValueError, match="non-negative"):
+            next(_streams(-1, 5, 3))
+        with pytest.raises(ValueError, match="non-negative"):
+            replication_rng(-1, 5, 0)
+
+
 class TestSampleChunks:
     @pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (3.0, 4.0)])  # [3, 4]: near the mass floor
-    def test_rows_equal_per_replication_samples(self, lo, hi):
+    def test_rows_equal_per_replication_samples(self, lo, hi, monkeypatch):
         # row_cells leaves room for 7 rows per chunk: 20 replications span 3 chunks
-        n, reps = 40, 20
+        import focalrisk.simulate as simulate
+
+        n, reps, keyings, streams = 40, 20, [], simulate._streams
+
+        def recorded(*args):
+            keyings.append(args)
+            return streams(*args)
+
+        monkeypatch.setattr(simulate, "_streams", recorded)
         chunks = list(sample_chunks((lo, hi), 6, n, reps, _CHUNK_CELLS // 7))
         assert [len(c) for c in chunks] == [7, 7, 6]
+        assert keyings == [(6, n, reps)]  # the whole run is keyed once, not chunk by chunk
         want = np.stack([sample_truncated_normal(n, lo, hi, replication_rng(6, n, r)).values
                          for r in range(reps)])
         assert np.array_equal(np.concatenate(chunks), want)
@@ -126,7 +183,7 @@ class TestSampleChunks:
 
         monkeypatch.setattr(simulate, "_MAX_DRAWS", 100)
         assert len(next(sample_chunks((-3.0, 3.0), 0, 10, 10, 1))) == 10  # exactly at the cap
-        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
         with pytest.raises(SampleTooLarge, match="n=10 times 11 replications"):
             next(sample_chunks((-3.0, 3.0), 0, 10, 11, 1))
         with pytest.raises(SampleTooLarge, match="n=11 times 10 replications"):  # n + 1 each
@@ -138,7 +195,7 @@ class TestSampleChunks:
 
         monkeypatch.setattr(simulate, "_MAX_REPLICATIONS", 10)
         assert len(next(sample_chunks((-3.0, 3.0), 0, 1, 10, 1))) == 10  # exactly at the cap
-        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
         with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
             next(sample_chunks((-3.0, 3.0), 0, 1, 11, 1))
         with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
@@ -148,7 +205,7 @@ class TestSampleChunks:
         import focalrisk.simulate as simulate
 
         monkeypatch.setattr(simulate, "_MAX_CURVES", 50)
-        monkeypatch.setattr(simulate, "replication_rng", lambda *args: None)  # no stream to draw
+        monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
         SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
                   theta_grid=ThetaGrid(-1, 1, 5))  # exactly at the cap
         with pytest.raises(SampleTooLarge, match="10 replications times 6 thetas exceeds 50"):
@@ -179,6 +236,16 @@ class TestAggregatePercentiles:
         curves = [_flat_curve(v, self.grid) for v in (1.0, 2.0, 3.0)]
         out = aggregate_percentiles(curves, [0.95])
         assert np.allclose(out[0].values, 2.9)
+
+    def test_equal_one_percentile_at_a_time(self):
+        # one np.percentile call, in place, against one call per prob on a copy (with ties)
+        grid = ThetaGrid(0, 1, 7)
+        stack = np.round(np.random.default_rng(3).normal(size=(257, 7)), 2)
+        probs = [0.05, 0.5, 0.95, 0.0, 1.0, 0.333]
+        out = aggregate_percentiles([RiskCurve(grid, row, RiskKind.UPPER) for row in stack], probs)
+        for got, p in zip(out, probs):
+            want = np.percentile(stack, 100.0 * p, axis=0, method="linear")
+            assert got.values.tobytes() == want.tobytes()
 
     def test_grid_mismatch(self):
         other = ThetaGrid(0, 2, 5)
@@ -337,6 +404,21 @@ class TestCoverageExperiment:
         assert nominal == pytest.approx(17 / 21)
         half_width = 2.576 * np.sqrt(nominal * (1 - nominal) / 2000)
         assert abs(emp - nominal) <= half_width + 0.01
+
+    @pytest.mark.parametrize("score", [NonconformityScore.identity(),
+                                       NonconformityScore.distance_to_loo_mean()])
+    def test_hits_equal_per_replication_oracle(self, score):
+        # the hit count of a loop over replication_rng(seed, n, r), the parent's path
+        from focalrisk import make_sample, rank_candidate
+        from focalrisk.conformal import nested_set_index
+
+        n, alpha, reps, seed = 7, 0.3, 300, 5
+        hits = 0
+        for r in range(reps):
+            draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
+            sample = make_sample(draws[:n], -3, 3)
+            hits += rank_candidate(sample, float(draws[n]), score) <= nested_set_index(n, alpha)
+        assert coverage_experiment(MODEL, score, n, alpha, reps, seed)[0] == hits / reps
 
     def test_loo_mean_same_nominal(self):
         emp, nominal = coverage_experiment(
