@@ -101,8 +101,8 @@ class LossSpec:
     """A nonnegative loss (theta, y) -> R+ with a convexity-in-y attestation.
 
     ``evaluate`` accepts scalars or numpy arrays (broadcasting).  ``y_breaks``
-    and ``theta_breaks``, a tabulated loss's knots (else empty), are where it
-    may have a kink along each axis.  Contract, so the extrema on [lo, hi] are exact:
+    and ``theta_breaks``, a tabulated loss's knots (ascending; else empty), are
+    where it may have a kink along each axis.  Contract, so the extrema on [lo, hi] are exact:
     - loss(theta, .) is convex with its min at y = theta (squared, absolute), or
       linear between and beyond its y_breaks (bilinear tables are flat outside
       their knots): its sup is at ``sup_points(lo, hi, y_breaks)``, its inf
@@ -170,10 +170,14 @@ def tabulated_loss(
     tk = np.asarray(theta_knots, dtype=float)
     yk = np.asarray(y_knots, dtype=float)
     tab = np.asarray(table, dtype=float)
+    for knots in (tk, yk):  # the closed form divides by the gaps between knots
+        if not (knots.ndim == 1 and knots.size and np.isfinite(knots).all()
+                and (np.diff(knots) > 0).all()):
+            raise ValueError("knots must be finite and strictly ascending")
     if tab.shape != (tk.size, yk.size):
         raise ValueError("table shape must be (len(theta_knots), len(y_knots))")
-    if np.any(tab < 0):
-        raise ValueError("loss table must be nonnegative")
+    if not (np.isfinite(tab) & (tab >= 0)).all():
+        raise ValueError("loss table must be finite and nonnegative")
 
     def evaluate(t, y):
         t_b, y_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))

@@ -8,29 +8,30 @@ focal sets the upper risk has the closed form
     [n * R_n(theta) + M(theta)] / (n + 1),
     M(theta) = loss(theta, a) + loss(theta, b) - min over {a, data, b}.
 
-For squared and absolute loss both terms come from per-row summaries of the
-sorted sample y_1 <= ... <= y_n, with c = #{y_i < theta} (``searchsorted``):
+Both terms come from per-row summaries of the sorted sample y_1 <= ... <= y_n,
+with c = #{y_i < theta} (``searchsorted``):
 
     squared:  n R_n = SS + n (mean - theta)^2, SS the centred sum of squares;
     absolute: n R_n = (S - P_c - (n - c) theta) + (c theta - P_c), P_c the sum
               of the c smallest, S of all;
+    tabulated: n R_n = sum_j c_j loss(theta, p_j) + W_j (loss(theta, p_{j+1}) -
+              loss(theta, p_j)) over the cells between the y sup points p, where
+              the loss is linear in y: c_j the cell's count, W_j its sum of
+              (y - p_j) / (p_{j+1} - p_j);
     M: the min over the data is the loss at y_c or y_{c+1}, the neighbours
-       of theta.
+       of theta (tabulated: at a cell's first or last point).
 
-Data and theta are shifted by the support's centre (a + b)/2 first, so the
-rounding scales with b - a, not with the distance of the data from 0.
-
-So a curve of k thetas costs O(n + k log n) per row.  Their upper risk is
-convex in theta, and ``minimize_rows`` takes its exact argmin; other losses
-tabulate loss(theta, y) and refine a grid argmin by golden section.
+Squared and absolute loss shift data and theta by the support's centre
+(a + b)/2 first, so the rounding scales with b - a, not with the distance of
+the data from 0.  A curve of k thetas costs O(n + k log n) per row (tabulated:
+O(n + k K), K cells), and ``minimize_rows`` takes the exact argmin of the upper risk.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -40,10 +41,9 @@ from .data_model import (BoundedSample, LossKind, LossSpec, ModelKind, ThetaGrid
 from .errors import NonFiniteValue
 from .quadrature import integrate
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_TOL = 1e-9  # golden section's bracket width for tabulated-loss minimizers
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
 _CURVE_CELLS = 1 << 15  # loss values per block of the empirical curve: 256 KiB of float64
+_BLOCK_CELLS = 1 << 18  # candidate cells per row block of a tabulated-loss minimizer: 2 MiB
 
 
 class RiskKind(enum.Enum):
@@ -130,20 +130,37 @@ def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> floa
     return total / focal.n_plus_1
 
 
+def _cells(rows: np.ndarray, p: np.ndarray):
+    """Per row and cell [p_j, p_{j+1}]: count, sum of (y - p_j) / (p_{j+1} - p_j), and
+    the first and last data points of every cell, (r, 2K), any data point if empty."""
+    r, n = rows.shape
+    k = len(p) - 1
+    cell = np.clip(np.searchsorted(p, rows, side="right") - 1, 0, k - 1)
+    flat = (cell + k * np.arange(r)[:, None]).ravel()
+    w = (rows - p[cell]) / (p[cell + 1] - p[cell])
+    counts = np.bincount(flat, minlength=r * k).reshape(r, k)
+    w_sums = np.bincount(flat, w.ravel(), minlength=r * k).reshape(r, k)
+    last = np.cumsum(counts, axis=1) - 1
+    ends = np.clip(np.hstack([last - counts + 1, last]), 0, n - 1)
+    return counts, w_sums, rows[np.arange(r)[:, None], ends]
+
+
 def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
     """n R_n and M of the closed form, (r, k), for (r, n) sorted sample rows.
 
-    thetas is (k,), shared by every row, or (r, k).  Squared and absolute loss
-    use per-row sums; other losses tabulate loss(theta, y).
+    thetas is (k,), shared by every row, or (r, k).  Every loss uses per-row sums.
     """
     loss.check_convex()  # every closed-form path passes here
     thetas = np.asarray(thetas, dtype=float)
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
     r, n = rows.shape
-    if loss.kind is LossKind.TABULATED:
-        table = np.asarray(loss(thetas[..., None], rows[:, None, :]), dtype=float)
-        n_rn, near = n * table.mean(axis=-1), table.min(axis=-1)
+    if loss.kind is LossKind.TABULATED:  # linear in y on each cell between the sup points
+        p = sup_points(a, b, loss.y_breaks)
+        counts, w_sums, ends = _cells(rows, p)
+        lp = np.asarray(loss(thetas[..., None], p), dtype=float)
+        n_rn = (counts[:, None] * lp[..., :-1] + w_sums[:, None] * np.diff(lp)).sum(axis=-1)
+        near = np.asarray(loss(thetas[..., None], ends[:, None]), dtype=float).min(axis=-1)
     else:
         t = np.broadcast_to(thetas, (r, thetas.shape[-1]))
         c = np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)], dtype=np.intp)
@@ -218,65 +235,33 @@ def risk_curve(
     return RiskCurve(grid=grid, values=vals, kind=kind)
 
 
-def golden_section_min(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float):
-    """Minimize a unimodal f on every bracket [lo[i], hi[i]] at once.
-
-    f maps one point per bracket to its value.  Each bracket takes exactly
-    the steps of scalar golden section until its width is at most tol, or
-    until a step leaves the width unchanged (the bracket is a few ulps wide
-    and can shrink no further), then stays put while the others go on.
-    Returns the final midpoints and f there.
-    """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    x1, x2 = hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    width = hi - lo
-    active = width > tol
-    while active.any():
-        # left keeps [lo, x2] and x1 moves to x2; right keeps [x1, hi] and x2 moves to x1
-        left = active & (f1 <= f2)
-        right = active & ~left
-        lo, hi = np.where(right, x1, lo), np.where(left, x2, hi)
-        x_new = np.where(left, hi - _INV_GOLDEN * (hi - lo), lo + _INV_GOLDEN * (hi - lo))
-        f_new = f(x_new)
-        on_left, on_right = (x_new, x1, f_new, f1), (x2, x_new, f2, f_new)
-        x1, x2, f1, f2 = np.where(left, on_left, np.where(right, on_right, (x1, x2, f1, f2)))
-        active = (hi - lo > tol) & (hi - lo < width)
-        width = hi - lo
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def refine_grid_min(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
-                    values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin and minimum of each row of values (f on grid; f maps one point per row).
-
-    Golden section over the cells next to the grid argmin (ties to the lowest
-    index) replaces it only by a strictly lower value; f must be unimodal there.
-    """
-    idx = np.argmin(values, axis=1)
-    x0, best = grid[idx], values[np.arange(len(idx)), idx]
-    lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
-    x, val = golden_section_min(f, lo, hi, tol)
-    better = (lo < hi) & (val < best)
-    return np.where(better, x, x0), np.where(better, val, best)
-
-
-def _exact_candidates(kind: LossKind, rows: np.ndarray, a: float, b: float, lo: float,
-                      hi: float) -> np.ndarray:
+def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
+                hi: float) -> np.ndarray:
     """Ascending thetas per row among which the closed form attains its min on [lo, hi].
 
     With Z = {a, data, b}, (n+1) U(theta) is the sum of loss(theta, z) over Z
-    less its min: on the cell of the z_j nearest theta, the sum over the other
-    points, and U is convex (a max of convex functions).  Squared loss: each
-    cell's quadratic has its vertex at (sum Z - z_j)/(n+1), clipped to the cell.
-    Absolute loss: U is piecewise linear with kinks at Z and at the cell ends.
-    Clipped to [lo, hi], these hold U's min there (U falls towards [a, b]).
+    less its min.  Squared and absolute loss: on the cell of the z_j nearest
+    theta, the sum over the other points, and U is convex; squared: each cell's
+    vertex (sum Z - z_j)/(n+1), clipped to the cell; absolute: Z and the cell
+    ends.  Clipped to [lo, hi], these hold U's min (U falls towards [a, b]).
+    Tabulated: between the theta sup points q, a line less the min of the lines
+    loss(., z), z in a, b and the y-cells' first and last data points, so U is
+    least at q or where two of those lines cross inside a cell.
     """
     col = np.ones((len(rows), 1))
+    if loss.kind is LossKind.TABULATED:
+        q = sup_points(lo, hi, loss.theta_breaks)
+        z = np.hstack([a * col, b * col, _cells(rows, sup_points(a, b, loss.y_breaks))[2]])
+        i, j = np.triu_indices(z.shape[1], 1)
+        v = np.asarray(loss(q[:, None], z[:, None, :]), dtype=float)  # (r, q, z)
+        d = v[..., i] - v[..., j]  # the gap of every pair of lines at every q
+        d0, d1 = d[:, :-1], d[:, 1:]
+        s = np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=np.sign(d0) != np.sign(d1))
+        cross = (q[:-1, None] + s * np.diff(q)[:, None]).reshape(len(rows), -1)
+        return np.sort(np.clip(np.hstack([q * col, cross]), lo, hi), axis=1)
     z = np.hstack([a * col, rows, b * col])
     ends = 0.5 * (z[:, :-1] + z[:, 1:])  # the cells' common ends
-    if kind is LossKind.SQUARED_ERROR:
+    if loss.kind is LossKind.SQUARED_ERROR:
         vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
         cand = np.clip(vertex, np.hstack([-np.inf * col, ends]), np.hstack([ends, np.inf * col]))
     else:
@@ -285,24 +270,27 @@ def _exact_candidates(kind: LossKind, rows: np.ndarray, a: float, b: float, lo: 
     return np.clip(cand, lo, hi)
 
 
-def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float, grid: ThetaGrid,
-                  curves: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
+                  grid: ThetaGrid) -> tuple[np.ndarray, np.ndarray]:
     """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
-    Squared and absolute loss: exact, the best of the closed form at
-    ``_exact_candidates`` (ties to the lowest theta).  Tabulated losses:
-    ``refine_grid_min`` from the grid curves (computed when not given), which
-    needs the curve unimodal in theta, else it may stop in a local minimum,
-    still at most the grid minimum.
+    Exact: the best of the closed form at ``_candidates``, ties to the lowest
+    theta.  Tabulated losses run in row blocks of at most _BLOCK_CELLS cells.
     """
-    if loss.kind is LossKind.TABULATED:
-        curves = upper_risk_batch(loss, rows, a, b, grid.points) if curves is None else curves
-        return refine_grid_min(lambda t: upper_risk_batch(loss, rows, a, b, t[:, None])[:, 0],
-                               grid.points, curves, _GOLDEN_TOL)
-    thetas = _exact_candidates(loss.kind, rows, a, b, grid.lo, grid.hi)
-    values = upper_risk_batch(loss, rows, a, b, thetas)
-    best = np.arange(len(rows)), np.argmin(values, axis=1)
-    return thetas[best], values[best]
+    loss.check_theta([grid.lo, grid.hi])
+    step = max(1, len(rows))  # squared and absolute loss: one block, O(n) cells per row
+    if loss.kind is LossKind.TABULATED:  # per row: (t + 1 + t pairs) candidates times m lines
+        t = len(sup_points(grid.lo, grid.hi, loss.theta_breaks)) - 1
+        m = 2 * len(sup_points(a, b, loss.y_breaks))
+        step = max(1, _BLOCK_CELLS // (m * (t + 1 + t * m * (m - 1) // 2)))
+    thetas, values = [], []
+    for part in (rows[i:i + step] for i in range(0, len(rows), step)):
+        cand = _candidates(loss, part, a, b, grid.lo, grid.hi)
+        vals = upper_risk_batch(loss, part, a, b, cand)
+        best = np.arange(len(part)), np.argmin(vals, axis=1)
+        thetas.append(cand[best])
+        values.append(vals[best])
+    return np.concatenate(thetas), np.concatenate(values)
 
 
 def minimize_upper_risk(loss: LossSpec, sample: BoundedSample,

@@ -236,7 +236,7 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
                 raise NonFiniteValue(f"upper risk is not finite on [{grid.lo}, {grid.hi}]")
             part, done = slice(done, done + len(rows)), done + len(rows)
             curves[part] = chunk
-            minimizers[part] = minimize_rows(config.loss, rows, a, b, grid, chunk)[0]
+            minimizers[part] = minimize_rows(config.loss, rows, a, b, grid)[0]
         lo_c, med_c, hi_c = _percentile_curves(grid, curves, [p_lo, 0.5, p_hi], RiskKind.UPPER)
         per_n[n] = NSummary(med_c, lo_c, hi_c, minimizers,
                             *histogram(minimizers, config.histogram_bins))

@@ -21,8 +21,8 @@ from focalrisk import (
     witness_uniform,
 )
 from focalrisk.consistency import BoundReport, _loss_range, check_epsilon, pointwise_reports
-from focalrisk.risk import golden_section_min
 from focalrisk.errors import InvalidAlpha, NonConvexLoss, NonFiniteValue, NonpositiveEpsilon
+from oracles import scalar_golden_section_min
 
 sq = squared_error_loss((-1, 1))
 GRID = ThetaGrid(-1, 1, 41)
@@ -122,7 +122,8 @@ def _parent_M(loss, support, theta_grid):
     vals = np.asarray(loss(grid, ends[:, None]), dtype=float)
     idx = np.argmax(vals, axis=1)
     lo, hi = grid[np.maximum(idx - 1, 0)], grid[np.minimum(idx + 1, len(grid) - 1)]
-    _, neg = golden_section_min(lambda t: -np.asarray(loss(t, ends), dtype=float), lo, hi, 1e-12)
+    neg = np.array([scalar_golden_section_min(lambda t: -float(loss(t, end)), l, h, 1e-12)[1]
+                    for end, l, h in zip(ends, lo, hi)])
     sups = np.where(lo < hi, np.maximum(vals.max(axis=1), -neg), vals.max(axis=1))
     return float(sups[0] + sups[1])
 
@@ -131,8 +132,8 @@ def _parent_convex_loss_range(loss, thetas, a, b):
     """The convex branch of the earlier ``_loss_range``: the bit-for-bit reference."""
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
-    _, inner = golden_section_min(lambda y: np.asarray(loss(thetas, y), dtype=float),
-                                  np.full(thetas.shape, a), np.full(thetas.shape, b), 1e-12)
+    inner = [scalar_golden_section_min(lambda y: float(loss(t, y)), a, b, 1e-12)[1]
+             for t in thetas]
     return np.maximum(la, lb) - np.minimum(inner, np.minimum(la, lb))
 
 

@@ -32,12 +32,11 @@ from focalrisk.consistency import _loss_range
 from focalrisk.risk import (
     closed_form_curve,
     format_csv,
-    golden_section_min,
     minimize_rows,
-    refine_grid_min,
     true_risk_curve,
     upper_risk_batch,
 )
+from oracles import scalar_golden_section_min
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -464,102 +463,43 @@ class TestMinimizeUpperRisk:
     def test_convex_in_y_but_not_unimodal_in_theta(self):
         # loss = c(theta) + |y| on y knots -3, 0, 3: convex in y, while c has a shallow
         # dip at theta=-0.1 and its deepest one at 0.4.  Golden section on [-0.5, 0.5]
-        # (around the grid argmin 0) goes left and stops in the shallow dip.
-        from focalrisk import tabulated_loss
-
+        # (around the grid argmin 0) went left and stopped in the shallow dip at 2.9.
         tk = np.linspace(-1, 1, 21)
         c = 1.0 + 2.0 * np.abs(tk)
         c[9], c[14] = 0.9, 0.0
         loss = tabulated_loss(tk, [-3, 0, 3], np.stack([c + 3, c, c + 3], axis=1), True)
         s = make_sample([-1.0, 0.5, 1.0], -3, 3)
-        grid = ThetaGrid(-1, 1, 5)
-        theta, value = minimize_upper_risk(loss, s, grid)
-        assert value <= np.min(closed_form_curve(loss, s, grid.points))
+        theta, value = minimize_upper_risk(loss, s, ThetaGrid(-1, 1, 5))
         assert value == closed_form_curve(loss, s, np.array([theta]))[0]
-        dense = closed_form_curve(loss, s, np.linspace(-0.5, 0.5, 1001))
-        assert theta == pytest.approx(-0.1, abs=1e-6) and dense.min() < value - 0.5
+        dense = closed_form_curve(loss, s, np.linspace(-1, 1, 20001)).min()
+        assert theta == pytest.approx(0.4) and value <= dense + _ulps(dense)
+        assert value == pytest.approx(2.0)
+
+    def test_grid_outside_the_theta_domain_is_refused(self):
+        # risk_curve refuses this grid; the minimizer returned theta = 1.4875 outside [-1, 1]
+        s = make_sample([2.9, 2.95, 3.0], -3, 3)
+        for loss in (sq11, absolute_error_loss((-1, 1)), constant_loss(1.0)):
+            for grid in (ThetaGrid(-5, 5, 11), ThetaGrid(-1, 1.5, 3), ThetaGrid(-2, -2, 1)):
+                with pytest.raises(ThetaOutOfDomain):
+                    minimize_upper_risk(loss, s, grid)
+                with pytest.raises(ThetaOutOfDomain):
+                    minimize_rows(loss, s.values[None], -3.0, 3.0, grid)
 
 
-_INV_GOLDEN = (5 ** 0.5 - 1) / 2
-
-
-def _scalar_golden_section_min(f, lo, hi, tol):
-    """Scalar golden section: the reference the lockstep routine must match bit for bit."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        width = hi - lo
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-        if not hi - lo < width:  # a few ulps wide: no step can shrink it
-            break
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-class TestGoldenSectionLockstep:
-    @staticmethod
-    def _check(f_vec, lo, hi, tol):
-        from focalrisk.risk import golden_section_min
-
-        x, fx = golden_section_min(f_vec, lo, hi, tol)
-        for i in range(len(lo)):
-            def f_i(t, i=i):
-                pts = np.array(lo, dtype=float)  # any values; only entry i is read
-                pts[i] = t
-                return float(f_vec(pts)[i])
-
-            ox, ofx = _scalar_golden_section_min(f_i, float(lo[i]), float(hi[i]), tol)
-            assert (x[i], fx[i]) == (ox, ofx), i
-
-    def test_random_brackets_and_centres(self):
-        rng = np.random.default_rng(3)
-        lo = rng.uniform(-2, 1, 40)
-        hi = lo + rng.uniform(1e-6, 3, 40)
-        centre = rng.uniform(-3, 4, 40)  # inside, left of and right of the brackets
-        self._check(lambda t: (t - centre) ** 2, lo, hi, 1e-9)
-
-    def test_edge_brackets(self):
-        tol = 1e-3
-        # widths: already converged, exactly tol, one step to converge, a few steps
-        widths = np.array([0.0, 0.5e-3, 1e-3, 1.2e-3, 1.6e-3, 5e-3, 1.0])
-        lo = np.linspace(-1, 1, widths.size)
-        self._check(lambda t: np.abs(t - 0.3), lo, lo + widths, tol)
-
-    def test_ties(self):
-        lo = np.array([0.0, -1.0, 0.25, 2.0])
-        hi = np.array([1.0, 1.0, 0.75, 2.5])
-        self._check(lambda t: np.zeros_like(t), lo, hi, 1e-6)  # every comparison ties
-        self._check(lambda t: np.floor(8 * t) / 8, lo, hi, 1e-6)  # plateaus
-
-    def test_brackets_wider_than_tol_in_ulps(self):
-        # Above 8192 one ulp exceeds tol, so these brackets stop when a step can no
-        # longer shrink them; minima at either end, inside, and a flat objective.
-        lo = np.array([9990.0, 9990.0, 9990.0, -1e4, 8192.0, 2.0**40])
-        hi = np.array([1e4, 1e4, 1e4, -9990.0, 8200.0, 2.0**40 + 2.0**20])
-        centre = np.array([2e4, 0.0, 9995.5, -2e4, 8195.25, 2.0**40 + 3.0])
-        self._check(lambda t: (t - centre) ** 2, lo, hi, 1e-12)
-        self._check(lambda t: -t, lo, hi, 1e-12)
-        self._check(lambda t: np.zeros_like(t), lo, hi, 1e-12)
-
-
-def _parent_minimize_rows(loss, rows, a, b, grid, curves, tol=1e-9, upper=upper_risk_batch):
-    """``minimize_rows`` as written before ``refine_grid_min``: the bit-for-bit reference."""
+def _parent_minimize_rows(loss, rows, a, b, grid, tol=1e-9):
+    """The earlier tabulated-loss minimizer on the table path: golden section over the
+    cells next to the grid argmin (ties to the lowest index), kept if strictly lower."""
+    curves = _table_upper(loss, rows, a, b, grid.points)
     idx = np.argmin(curves, axis=1)
     theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
     if grid.count == 1:
         return theta0, best
     lo = grid.points[np.maximum(idx - 1, 0)]
     hi = grid.points[np.minimum(idx + 1, grid.count - 1)]
-    theta, val = golden_section_min(lambda t: upper(loss, rows, a, b, t[:, None])[:, 0], lo, hi,
-                                    tol)
+    theta, val = np.array([
+        scalar_golden_section_min(lambda t: _table_upper(loss, row[None], a, b, [[t]])[0, 0],
+                                  lo_i, hi_i, tol)
+        for row, lo_i, hi_i in zip(rows, lo, hi)]).T
     better = (lo < hi) & (val < best)
     return np.where(better, theta, theta0), np.where(better, val, best)
 
@@ -583,17 +523,16 @@ def _ulps(x, count=4):
 
 
 def _check_exact_minimizer(loss, rows, grid):
-    """minimize_rows against a dense grid and the parent's golden section, both on the table."""
-    theta, value = minimize_rows(loss, rows, -3.0, 3.0, grid, None)
+    """minimize_rows against a dense grid and the earlier golden section, both on the table."""
+    theta, value = minimize_rows(loss, rows, -3.0, 3.0, grid)
     assert np.all((grid.lo <= theta) & (theta <= grid.hi))
     at_theta = upper_risk_batch(loss, rows, -3.0, 3.0, theta[:, None])[:, 0]
     assert value.tobytes() == at_theta.tobytes()
-    dense = np.linspace(grid.lo, grid.hi, 20001)
+    knots = [t for t in loss.theta_breaks if grid.lo <= t <= grid.hi]
+    dense = np.append(np.linspace(grid.lo, grid.hi, 20001), knots)
     dense_min = _table_upper(loss, rows, -3.0, 3.0, dense).min(axis=1)
     assert np.all(value <= dense_min + _ulps(dense_min))
-    curves = _table_upper(loss, rows, -3.0, 3.0, grid.points)
-    g_theta, g_value = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid, curves,
-                                             upper=_table_upper)
+    g_theta, g_value = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid)
     assert np.all(value <= g_value + _ulps(g_value))
     if loss.kind.value == "squared":  # strictly convex in theta: one argmin
         assert np.max(np.abs(theta - g_theta)) <= 1e-7
@@ -606,29 +545,34 @@ class TestRefineGridMin:
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("count", [1, 2, 5, 21])
     def test_minimize_rows_equals_parent(self, loss, count):
+        # at most the dense minimum and the earlier golden section, for every loss
         rng = np.random.default_rng(count)
         rows = np.sort(rng.uniform(-3, 3, (7, 9)), axis=1)
         grid = ThetaGrid(-1, 1, count) if count > 1 else ThetaGrid(0.25, 0.25, 1)
-        if loss.kind.value != "tabulated":  # exact minimizer: no golden section to match
-            _check_exact_minimizer(loss, rows, grid)
-            return
-        curves = upper_risk_batch(loss, rows, -3.0, 3.0, grid.points)
-        # as computed, rounded to force ties, and flat (every row ties everywhere)
-        for c in (curves, np.round(curves, 1), np.zeros_like(curves)):
-            got = minimize_rows(loss, rows, -3.0, 3.0, grid, c)
-            want = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid, c)
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-    def test_ties_go_to_the_lowest_index_and_refine_only_strictly_lower(self):
-        grid = np.array([0.0, 1.0, 2.0, 3.0])
-        values = np.array([[2.0, 1.0, 1.0, 3.0], [1.0, 1.0, 1.0, 1.0]])
-        f = lambda x: np.array([(x[0] - 1.5) ** 2 + 0.5, 1.0 + 0 * x[1]])
-        x, v = refine_grid_min(f, grid, values, 1e-12)
-        assert x[0] == pytest.approx(1.5, abs=1e-6) and v[0] == pytest.approx(0.5)
-        assert (x[1], v[1]) == (0.0, 1.0)  # equal values never replace the grid point
+        _check_exact_minimizer(loss, rows, grid)
 
 
 EXACT_LOSSES = [squared_error_loss((-8, 8)), absolute_error_loss((-8, 8))]
+TABLE = tabulated_loss([-1, 0, 1], [-3, -1, 0.5, 3], [[3, 1, 0, 2], [2, 0.5, 1, 3], [4, 2, 1, 3]],
+                       convex_in_y=True)
+
+
+@st.composite
+def _table_rows(draw):
+    """A tabulated loss with 2-6 knots per axis and ties in its table, and sorted rows on
+    [-3, 3] with ties and values on the y-knots."""
+    def knots(lo, hi):
+        ks = draw(st.lists(st.integers(lo, hi), min_size=2, max_size=6, unique=True))
+        return [k / 10 for k in sorted(ks)]
+
+    tk, yk = knots(-10, 10), knots(-40, 40)  # y-knots inside and beyond [-3, 3]
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
+    loss = tabulated_loss(tk, yk, [[draw(value) for _ in yk] for _ in tk], convex_in_y=True)
+    point = st.one_of(st.floats(-3, 3), st.sampled_from([-3.0, 3.0, *(y for y in yk
+                                                                      if -3 <= y <= 3)]))
+    r, n = draw(st.integers(1, 3)), draw(st.integers(1, 20))
+    rows = np.sort(np.reshape(draw(st.lists(point, min_size=r * n, max_size=r * n)), (r, n)))
+    return loss, tk, rows
 
 
 @st.composite
@@ -651,16 +595,21 @@ def _check_core(loss, rows, a, b, thetas):
 
     n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
     want_n_rn, want_m = _table_core(loss, rows, a, b, thetas)
-    assert n_rn.shape == want_n_rn.shape and m_theta.tobytes() == want_m.tobytes()
+    assert n_rn.shape == want_n_rn.shape
+    if loss.kind.value == "tabulated":  # interpolation may round an inner point an ulp lower
+        assert np.all(np.abs(m_theta - want_m) <= _ulps(want_m))
+    else:
+        assert m_theta.tobytes() == want_m.tobytes()
     scale = want_n_rn + want_m  # (n+1) times the upper risk, at least M > 0
-    assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale)
+    underflow = 8 * np.finfo(float).smallest_subnormal  # a table value may be subnormal
+    assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale + underflow)
     upper = upper_risk_batch(loss, rows, a, b, thetas)
     want = _table_upper(loss, rows, a, b, thetas)
-    assert np.all(np.abs(upper - want) <= 1e-13 * want)
+    assert np.all(np.abs(upper - want) <= 1e-13 * want + underflow)
 
 
 class TestSufficientStatistics:
-    """The per-row-sum closed form of squared and absolute loss against the loss table."""
+    """The per-row-sum closed form of every loss against the loss table."""
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     @settings(max_examples=300, deadline=None)
@@ -669,6 +618,15 @@ class TestSufficientStatistics:
         rows, a, b, thetas = case
         _check_core(loss, rows, a, b, thetas)  # (k,): the thetas of every row
         _check_core(loss, rows, a, b, np.resize(thetas, (len(rows), 3)))  # (r, k): per row
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_table_rows(), data=st.data())
+    def test_tabulated_equals_table_path(self, case, data):
+        loss, tk, rows = case
+        thetas = np.array(data.draw(st.lists(st.one_of(st.floats(tk[0], tk[-1]),
+                                                       st.sampled_from(tk)), min_size=1)))
+        _check_core(loss, rows, -3.0, 3.0, thetas)
+        _check_core(loss, rows, -3.0, 3.0, np.resize(thetas, (len(rows), 3)))
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_one_observation_and_all_tied(self, loss):
@@ -683,7 +641,8 @@ class TestSufficientStatistics:
             rows = np.sort(lo + rng.uniform(0, 6, (50, 40)), axis=1)
             _check_core(loss, rows, lo, lo + 6, lo + np.linspace(-1, 7, 33))
 
-    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+    @pytest.mark.parametrize("loss", [*EXACT_LOSSES, TABLE], ids=["squared", "absolute",
+                                                                "tabulated"])
     def test_memory_stays_linear_in_n(self, loss):
         # the loss table of this call would take 101 x 2e5 x 8 bytes = 162 MB
         import tracemalloc
@@ -700,7 +659,7 @@ class TestSufficientStatistics:
 
 
 class TestExactMinimizer:
-    """minimize_rows for squared and absolute loss: best of the closed form at exact candidates."""
+    """minimize_rows: the best of the closed form at exact candidates."""
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_at_most_dense_grid_and_golden_section(self, loss):
@@ -713,16 +672,33 @@ class TestExactMinimizer:
                     rows[:3] = np.round(rows[:3])  # ties
                 _check_exact_minimizer(loss, np.sort(rows, axis=1), ThetaGrid(lo, hi, count))
 
-    def test_no_golden_section_and_no_loss_table(self, monkeypatch):
+    @settings(max_examples=100, deadline=None)
+    @given(case=_table_rows(), data=st.data())
+    def test_tabulated_at_most_dense_grid_and_golden_section(self, case, data):
+        loss, tk, rows = case
+        lo, hi = sorted(data.draw(st.lists(st.one_of(st.floats(tk[0], tk[-1]),
+                                                     st.sampled_from(tk)), min_size=2,
+                                           max_size=2)))
+        count = data.draw(st.integers(2, 21)) if lo < hi else 1
+        _check_exact_minimizer(loss, rows, ThetaGrid(lo, hi, count))
+
+    def test_random_tables_at_most_dense_grid_and_golden_section(self):
+        # golden section stopped in a local minimum, above the dense grid, on 38 of these
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            tk = np.sort(rng.choice(np.arange(-10, 11), rng.integers(2, 7), replace=False)) / 10
+            yk = np.sort(rng.choice(np.arange(-40, 41), rng.integers(2, 7), replace=False)) / 10
+            loss = tabulated_loss(tk, yk, rng.uniform(0, 10, (len(tk), len(yk))), True)
+            rows = np.sort(rng.uniform(-3, 3, (1, rng.integers(1, 21))), axis=1)
+            _check_exact_minimizer(loss, rows, ThetaGrid(tk[0], tk[-1], int(rng.integers(2, 22))))
+
+    def test_no_golden_section_and_no_loss_table(self):
         import focalrisk.risk as risk_mod
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("golden section ran")
-
-        monkeypatch.setattr(risk_mod, "golden_section_min", refuse)
-        rows = np.sort(np.random.default_rng(2).uniform(-3, 3, (5, 30)), axis=1)
-        grid = ThetaGrid(-1, 1, 21)
-        for base in EXACT_LOSSES:
+        assert not hasattr(risk_mod, "golden_section_min")
+        grid, largest = ThetaGrid(-1, 1, 21), {}
+        for base, n in [(EXACT_LOSSES[0], 30), (EXACT_LOSSES[1], 30), (TABLE, 30), (TABLE, 300)]:
+            rows = np.sort(np.random.default_rng(2).uniform(-3, 3, (5, n)), axis=1)
             sizes = []
 
             def evaluate(t, y, f=base.evaluate):
@@ -730,9 +706,12 @@ class TestExactMinimizer:
                 return f(t, y)
 
             loss = dataclasses.replace(base, evaluate=evaluate)
-            minimize_rows(loss, rows, -3.0, 3.0, grid, None)
+            minimize_rows(loss, rows, -3.0, 3.0, grid)
             minimize_upper_risk(loss, make_sample(rows[0], -3, 3), grid)
-            assert max(sizes) <= 5 * (2 * 32 + 1)  # one value per row and candidate
+            largest[base.kind.value, n] = max(sizes)
+        for kind in ("squared", "absolute"):
+            assert largest[kind, 30] <= 5 * (2 * 32 + 1)  # one value per row and candidate
+        assert largest["tabulated", 300] == largest["tabulated", 30]  # nothing grows with n
 
     def test_no_grid_curve(self, monkeypatch):
         # every closed form the exact minimizer takes is at its (r, k) candidates
@@ -746,7 +725,7 @@ class TestExactMinimizer:
 
         monkeypatch.setattr(risk_mod, "upper_risk_batch", record)
         s = make_sample(np.random.default_rng(3).uniform(-3, 3, 12), -3, 3)
-        for loss in EXACT_LOSSES:
+        for loss in (*EXACT_LOSSES, TABLE):
             minimize_upper_risk(loss, s, ThetaGrid(-1, 1, 101))
         assert shapes and all(len(shape) == 2 for shape in shapes)
 
