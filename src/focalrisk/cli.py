@@ -185,16 +185,13 @@ def cmd_coverage(args) -> int:
         conformal.check_alpha(alpha)
     for name in (s for s in score_names if s not in _SCORES):
         raise ValidationFailure(f"UnknownScore: {name}")
-    rows = []
-    for n in _parse_list(args.n, int):
-        for alpha in alphas:
-            for score_name in score_names:
-                emp, nominal = simulate.coverage_experiment(
-                    model, _SCORES[score_name](), n, alpha,
-                    replications=args.replications, seed=args.seed,
-                )
-                k = conformal.nested_set_index(n, alpha)
-                rows.append((n, alpha, k, nominal, emp, args.replications))
+    scores, rows, ns = [_SCORES[name]() for name in score_names], [], _parse_list(args.n, int)
+    for n in ns if alphas and scores else []:  # no row to fill needs no draw
+        emp = simulate.coverage_experiment(model, scores, n, alphas, args.replications, args.seed)
+        for (i, alpha), j in itertools.product(enumerate(alphas), range(len(scores))):
+            k = conformal.nested_set_index(n, alpha)
+            nominal = conformal.coverage_probability(n, k)
+            rows.append((n, alpha, k, nominal, emp[i, j], args.replications))
     header = "n,alpha,k,nominal,empirical,reps"
     _write(_out_dir(args) / "coverage.csv", risk.format_csv(header, rows))
     return 0

@@ -121,27 +121,32 @@ def _chunks(ys: np.ndarray, width: int):
     return (ys[i : i + step] for i in range(0, ys.size or 1, step))
 
 
-def rank_candidates(sample: BoundedSample, ys, score: NonconformityScore) -> np.ndarray:
-    """Ascending rank of each candidate y in its augmented sample.
+def rank_rows(rows: np.ndarray, ys: np.ndarray, score: NonconformityScore) -> np.ndarray:
+    """Ascending rank of each candidate ys[i, j] (r, m) among the sorted data rows[i] (r, n).
 
     Ties go to the candidate: rank = 1 + #{data scores <= candidate score}.
     """
-    ys = _in_support(ys, sample.support_lo, sample.support_hi)
-    vals, n = sample.values, sample.n
+    n = rows.shape[1]
+    data, ys = rows[:, None, :], ys[:, :, None]
     if score.kind is ScoreKind.IDENTITY:
-        return 1 + np.searchsorted(vals, ys, side="right")
+        return 1 + np.count_nonzero(data <= ys, axis=2)
     if score.kind is ScoreKind.DISTANCE_TO_LOO_MEAN:
-        data_sum, out = float(np.sum(vals)), []
-        for y in (c[:, None] for c in _chunks(ys, n)):  # a column of candidates
-            total = data_sum + y
-            cand = np.abs(y - (total - y) / n)
-            out.append(1 + np.count_nonzero(np.abs(vals - (total - vals) / n) <= cand, axis=1))
-        return np.concatenate(out)
-    out = []
-    for augmented in (np.append(vals, y) for y in ys):
+        total = rows.sum(axis=1)[:, None, None] + ys  # pairwise row sums, as np.sum of one row
+        cand = np.abs(ys - (total - ys) / n)
+        return 1 + np.count_nonzero(np.abs(data - (total - data) / n) <= cand, axis=2)
+    out = np.empty(ys.shape[:2], dtype=int)
+    for i, j in np.ndindex(out.shape):
+        augmented = np.append(rows[i], ys[i, j])
         cand = score.evaluate(n, augmented)
-        out.append(1 + sum(score.evaluate(i, augmented) <= cand for i in range(n)))
-    return np.array(out, dtype=int)
+        out[i, j] = 1 + sum(score.evaluate(k, augmented) <= cand for k in range(n))
+    return out
+
+
+def rank_candidates(sample: BoundedSample, ys, score: NonconformityScore) -> np.ndarray:
+    """Ascending rank of each candidate y in its augmented sample: ``rank_rows`` of one row."""
+    ys = _in_support(ys, sample.support_lo, sample.support_hi)
+    vals = sample.values[None]
+    return np.concatenate([rank_rows(vals, c[None], score)[0] for c in _chunks(ys, sample.n)])
 
 
 def rank_candidate(sample: BoundedSample, y: float, score: NonconformityScore) -> int:
@@ -155,8 +160,8 @@ def focal_sets(sample: BoundedSample, score: NonconformityScore,
 
     Identity scores give the exact order-statistic gaps.  Other scores are
     resolved on a y-grid of grid_points equally spaced points over the
-    support; each maximal run of equal rank is widened half a grid step so
-    the runs tile the support.
+    support; each maximal run of equal rank is widened half a grid step, and
+    to the next run's start, so the runs tile the support.
     """
     a, b = sample.support_lo, sample.support_hi
     n = sample.n
@@ -176,9 +181,10 @@ def focal_sets(sample: BoundedSample, score: NonconformityScore,
     pieces: list[list[Interval]] = [[] for _ in range(n + 1)]
     starts = np.flatnonzero(np.diff(ranks, prepend=0))
     stops = np.append(starts[1:], grid.size)
-    los = np.maximum(a, grid[starts] - half).tolist()
-    his = np.minimum(b, grid[stops - 1] + half).tolist()
-    for rank, lo, hi in zip(ranks[starts].tolist(), los, his):
+    los = np.maximum(a, grid[starts] - half)
+    his = np.minimum(b, grid[stops - 1] + half)
+    his[:-1] = np.maximum(his[:-1], los[1:])  # rounding may end a run 1 ulp short of the next
+    for rank, lo, hi in zip(ranks[starts].tolist(), los.tolist(), his.tolist()):
         pieces[rank - 1].append((lo, hi))
     empty = [v + 1 for v, p in enumerate(pieces) if not p]
     if empty:

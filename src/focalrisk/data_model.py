@@ -160,6 +160,15 @@ def _knot_cell(knots: np.ndarray, x: np.ndarray):
     return i, i + 1, np.clip((x - knots[i]) / (knots[i + 1] - knots[i]), 0.0, 1.0)
 
 
+def _knots(raw: Sequence[float]) -> np.ndarray:
+    """raw as a float array; ValueError unless finite and strictly ascending (at least one)."""
+    knots = np.asarray(raw, dtype=float)  # closed form and np.interp need ascending gaps > 0
+    if not (knots.ndim == 1 and knots.size and np.isfinite(knots).all()
+            and (np.diff(knots) > 0).all()):
+        raise ValueError("knots must be finite and strictly ascending")
+    return knots
+
+
 def tabulated_loss(
     theta_knots: Sequence[float],
     y_knots: Sequence[float],
@@ -167,13 +176,8 @@ def tabulated_loss(
     convex_in_y: bool = False,
 ) -> LossSpec:
     """Loss given on a (theta, y) grid, bilinearly interpolated between knots."""
-    tk = np.asarray(theta_knots, dtype=float)
-    yk = np.asarray(y_knots, dtype=float)
+    tk, yk = _knots(theta_knots), _knots(y_knots)
     tab = np.asarray(table, dtype=float)
-    for knots in (tk, yk):  # the closed form divides by the gaps between knots
-        if not (knots.ndim == 1 and knots.size and np.isfinite(knots).all()
-                and (np.diff(knots) > 0).all()):
-            raise ValueError("knots must be finite and strictly ascending")
     if tab.shape != (tk.size, yk.size):
         raise ValueError("table shape must be (len(theta_knots), len(y_knots))")
     if not (np.isfinite(tab) & (tab >= 0)).all():
@@ -201,7 +205,9 @@ def tabulated_loss(
 
 
 def constant_loss(c: float, theta_domain: tuple[float, float] = (-1.0, 1.0)) -> LossSpec:
-    """Loss identically equal to c, tabulated on a trivial grid."""
+    """Loss identically equal to c >= 0, tabulated on a trivial grid."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c={c}: a loss must be finite and nonnegative")
     lo, hi = theta_domain
     return LossSpec(
         kind=LossKind.TABULATED,
@@ -227,8 +233,8 @@ class ThetaGrid:
             raise ValueError(f"{self.count} grid points exceeds {MAX_GRID}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise NonFiniteValue(f"grid [{self.lo}, {self.hi}] is not finite")
-        if self.count > 1 and not self.lo < self.hi:
-            raise ValueError("need lo < hi for a multi-point grid")
+        if not (self.lo < self.hi or self.lo == self.hi and self.count == 1):
+            raise ValueError("need lo < hi, or lo == hi for a one-point grid")
         pts = np.linspace(self.lo, self.hi, self.count)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -293,10 +299,9 @@ class TrueModel:
     @staticmethod
     def tabulated(y_knots: Sequence[float], dens: Sequence[float]) -> "TrueModel":
         """Piecewise-linear density on knots; must integrate to 1 (1e-10)."""
-        yk = np.asarray(y_knots, dtype=float)
-        dv = np.asarray(dens, dtype=float)
-        if np.any(dv < 0):
-            raise ValueError("density values must be nonnegative")
+        yk, dv = _knots(y_knots), np.asarray(dens, dtype=float)
+        if not (np.isfinite(dv) & (dv >= 0)).all():
+            raise ValueError("density values must be finite and nonnegative")
         total = np.trapezoid(dv, yk)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"density integrates to {total}, not 1")

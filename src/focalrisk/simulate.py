@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .conformal import NonconformityScore, nested_set_index, rank_candidate
+from .conformal import _CHUNK_CELLS as _RANK_CELLS, NonconformityScore, nested_set_index, rank_rows
 from .data_model import (BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
@@ -103,35 +103,32 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
 
     Acceptance is ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3.
     """
-    _check_draws(n, 1)
+    if n > _MAX_ROW:
+        raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
     return make_sample(_raw_draw(n, lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 
-def _check_draws(n: int, replications: int) -> None:
-    """Raise ``SampleTooLarge`` above the replication, draw or row cap: before any key or draw."""
-    if replications > _MAX_REPLICATIONS or n * replications > _MAX_DRAWS:
-        raise SampleTooLarge(f"sample size n={n:.6g} times {replications} replications exceeds "
-                             f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
-    if n > _MAX_ROW:
-        raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
-
-
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
-                  row_cells: int) -> Iterator[np.ndarray]:
-    """Replications 0, 1, ... in order, as (r, n) matrices of sorted samples.
+                  row_cells: int, held_out: int = 0) -> Iterator[np.ndarray]:
+    """Replications 0, 1, ... in order, as (r, n + held_out) matrices.
 
-    Row r is ``sample_truncated_normal(n, *support, replication_rng(seed, n, r))``,
-    sorted and checked a chunk at a time.  The caller builds at most row_cells
-    cells per row, and r keeps r * row_cells within the chunk budget (r >= 1).
+    Row r is ``replication_rng(seed, n, r)``'s first n + held_out draws in the support,
+    its first n sorted and checked.  The caller builds at most row_cells cells per row,
+    and r keeps r * row_cells within the chunk budget (r >= 1).  Caps come before any key.
     """
-    (lo, hi), mass = support, normal_mass(*support)
-    _check_draws(n, replications)
+    (lo, hi), mass, width = support, normal_mass(*support), n + held_out
+    if replications > _MAX_REPLICATIONS or width * replications > _MAX_DRAWS:
+        raise SampleTooLarge(f"sample size n={width:.6g} times {replications} replications exceeds "
+                             f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
+    if width > _MAX_ROW:
+        raise SampleTooLarge(f"sample size n={width:.6g} exceeds {_MAX_ROW} values per sample")
     step = max(1, _CHUNK_CELLS // max(row_cells, 1))  # n = 0 gets to the EmptySample check
     streams = _streams(seed, n, replications)
     for _ in range(0, replications, step):
-        rows = np.sort([_raw_draw(n, lo, hi, mass, rng)
-                        for rng in itertools.islice(streams, step)], axis=1)
-        check_values(rows.reshape(-1), lo, hi)
+        rows = np.array([_raw_draw(width, lo, hi, mass, rng)
+                         for rng in itertools.islice(streams, step)])
+        rows[:, :n].sort(axis=1)
+        check_values(rows[:, :n].reshape(-1), lo, hi)
         yield rows
 
 
@@ -243,32 +240,25 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
     return ReplicationSummary(config=config, per_n=per_n)
 
 
-def coverage_experiment(
-    model: TrueModel,
-    score: NonconformityScore,
-    n: int,
-    alpha: float,
-    replications: int,
-    seed: int,
-) -> tuple[float, float]:
-    """Monte Carlo hit frequency of the level-(1-alpha) prediction set.
+def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], n: int,
+                        alphas: Sequence[float], replications: int, seed: int) -> np.ndarray:
+    """Monte Carlo hit frequencies of the level-(1-alpha) prediction sets, (alphas, scores).
 
     Membership of the held-out point in the union of the first k focal
     sets is equivalent to its rank pivot being <= k, which is what is
-    tested (exact for every score, no grid discretization).
+    tested (exact for every score, no grid discretization).  One draw of
+    each replication serves every alpha and score.
     """
     if replications < 1:
         raise ValueError(f"replications={replications}: need at least 1")
-    k = nested_set_index(n, alpha)
-    (lo, hi), mass = model.support, normal_mass(*model.support)
-    _check_draws(n + 1, replications)
-    hits = 0
-    for rng in _streams(seed, n, replications):
-        draws = _raw_draw(n + 1, lo, hi, mass, rng)
-        sample = make_sample(draws[:n], lo, hi)
-        if rank_candidate(sample, float(draws[n]), score) <= k:
-            hits += 1
-    return hits / replications, k / (n + 1)
+    ks = np.array([nested_set_index(n, alpha) for alpha in alphas], dtype=int)[:, None]
+    hits = np.zeros((len(alphas), len(scores)), dtype=int)
+    row_cells = (n + 1) * (_CHUNK_CELLS // _RANK_CELLS)  # rank temporaries are (r, n)
+    for rows in sample_chunks(model.support, seed, n, replications, row_cells, held_out=1):
+        for j, score in enumerate(scores):
+            ranks = rank_rows(rows[:, :n], rows[:, n:], score)[:, 0]
+            hits[:, j] += np.count_nonzero(ranks <= ks, axis=1)
+    return hits / replications
 
 
 def write_summary(summary: ReplicationSummary, out_dir: str | Path) -> None:

@@ -18,6 +18,7 @@ from focalrisk import (
     absolute_error_loss,
     constants,
     coverage_experiment,
+    coverage_probability,
     focal_sets,
     hoeffding_bound,
     make_sample,
@@ -33,6 +34,7 @@ from focalrisk import (
     verify_pointwise,
 )
 from focalrisk.cli import main as cli_main
+from focalrisk.conformal import nested_set_index
 
 MODEL = TrueModel.truncated_std_normal(-3, 3)
 TRUNC_VAR = 0.97333692466254148
@@ -70,9 +72,10 @@ def test_criterion_1_closed_form_equivalence():
 )
 def test_criterion_2_exact_coverage(score_name, score):
     reps = 10_000
-    emp, nominal = coverage_experiment(
-        MODEL, score, n=20, alpha=0.2, replications=reps, seed=101
+    [[emp]] = coverage_experiment(
+        MODEL, [score], n=20, alphas=[0.2], replications=reps, seed=101
     )
+    nominal = coverage_probability(20, nested_set_index(20, 0.2))
     half_width = 2.576 * math.sqrt(nominal * (1 - nominal) / reps)
     ok = abs(emp - nominal) <= half_width
     report(

@@ -69,6 +69,13 @@ class TestPredict:
         assert "NonFiniteValue" in capsys.readouterr().err
         assert not (tmp_path / "focal.txt").exists()
 
+    def test_grid_runs_tile_the_support(self, tmp_path):
+        # the runs ending at 2.5499999999999994 and starting at 2.5500000000000003 left
+        # the contour point 2.55 uncovered: exit 2 after focal.txt was written
+        assert run(["predict", "--values=2,2.3", "--score", "loo-mean", "--grid-points", "21",
+                    "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "contour.csv").exists()
+
 
 class TestRiskCurve:
     def test_values(self, tmp_path):
@@ -288,6 +295,26 @@ class TestCoverage:
         assert float(first[4]) == 1.0
         # identity and loo-mean rows at same (n, alpha) share the nominal column
         assert lines[5].split(",")[3] == lines[6].split(",")[3]
+
+    def test_one_draw_per_replication(self, tmp_path, monkeypatch):
+        # one draw of each (seed, n, r) serves every alpha and score
+        from collections import Counter
+
+        import focalrisk.simulate as simulate
+
+        calls, streams = Counter(), simulate._streams
+
+        def counted(seed, n, replications):
+            for r, rng in enumerate(streams(seed, n, replications)):
+                calls[seed, n, r] += 1
+                yield rng
+
+        monkeypatch.setattr(simulate, "_streams", counted)
+        assert run(["coverage", "--n", "5,12", "--alpha", "0.1,0.2", "--score",
+                    "identity,loo-mean", "--replications", "100", "--seed", "3",
+                    "--out", str(tmp_path)]) == 0
+        assert calls == Counter({(3, n, r): 1 for n in (5, 12) for r in range(100)})
+        assert len((tmp_path / "coverage.csv").read_text().splitlines()) == 9
 
 
 class TestConfigFile:

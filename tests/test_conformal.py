@@ -21,6 +21,7 @@ from focalrisk.conformal import (
     FocalSystem,
     merge_intervals,
     rank_candidates,
+    rank_rows,
     serialize_focal_system,
 )
 from focalrisk.errors import IndexOutOfRange, InvalidAlpha, MissingGrid, OutOfSupport
@@ -100,6 +101,13 @@ class TestFocalSets:
                 if lo < y < hi
             )
             assert hits <= 1
+
+    def test_grid_runs_leave_no_gap(self):
+        # a run ended at 2.5499999999999994 and the next began at 2.5500000000000003,
+        # so contour refused the y in between as not covered
+        f = focal_sets(make_sample([2, 2.3], -3, 3), loo_mean, grid_points=21)
+        assert merge_intervals([iv for pieces in f.sets for iv in pieces]) == ((-3.0, 3.0),)
+        assert contour(f, 2.55) > 0
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=25, unique=True))
     def test_identity_tiling(self, raw):
@@ -277,6 +285,24 @@ class TestBatched:
         assert got.tolist() == [_scalar_rank(s, float(y), score) for y in ys]
         assert rank_candidate(s, float(ys[0]), score) == got[0]
         assert type(rank_candidate(s, float(ys[0]), score)) is int
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), m=st.integers(1, 3),
+           score=st.sampled_from([identity, loo_mean, custom_loo]))
+    def test_rank_rows_match_rank_candidate(self, seed, n, m, score):
+        # rows laid out as coverage ranks them: the sorted first n columns of a wider matrix,
+        # the held-out candidates after; n > 128 takes np.sum's pairwise blocks
+        rng = np.random.default_rng(seed)
+        mat = rng.uniform(-2, 2, (3, n + m))
+        ties = rng.random(mat.shape) < 0.5
+        mat[ties] = rng.choice(mat[0, :3], ties.sum())  # repeated values: ties among the data
+        mat[:, n:] = np.where(rng.random((3, m)) < 0.5, mat[:, :m], mat[:, n:])  # y = a data point
+        mat[:, :n].sort(axis=1)
+        got = rank_rows(mat[:, :n], mat[:, n:], score)
+        samples = [make_sample(row[:n], -2, 2) for row in mat]
+        assert got.tolist() == [[rank_candidate(s, float(y), score) for y in row[n:]]
+                                for s, row in zip(samples, mat)]
+        assert got.tolist() == [[_scalar_rank(s, float(y), score) for y in row[n:]]
+                                for s, row in zip(samples, mat)]
 
     @pytest.mark.parametrize("cells", [1, 7, None])
     def test_loo_mean_chunks(self, monkeypatch, cells):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from focalrisk import (
     ThetaGrid,
     TrueModel,
+    constant_loss,
     make_sample,
     squared_error_loss,
     tabulated_loss,
@@ -130,6 +131,14 @@ class TestTabulatedLossRefusesMalformedTables:
         assert loss.theta_domain == (0.5, 0.5) and loss(0.5, -7.0) == 3.0
 
 
+def test_constant_loss_refuses_negative_or_non_finite_c():
+    # c = -1 gave an upper risk of -1, though every loss is nonnegative
+    for c in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            constant_loss(c)
+    assert constant_loss(0.0)(0.3, 2.0) == 0.0
+
+
 class TestThetaGrid:
     def test_endpoints(self):
         g = ThetaGrid(-1, 1, 5)
@@ -139,6 +148,13 @@ class TestThetaGrid:
     def test_bad_count(self):
         with pytest.raises(ValueError):
             ThetaGrid(0, 1, 0)
+
+    def test_reversed_ends_refused_at_any_count(self):
+        # ThetaGrid(1, -1, 1) held the one point -1: minimize_upper_risk returned it
+        for count in (1, 2, 5):
+            with pytest.raises(ValueError, match="need lo < hi"):
+                ThetaGrid(1.0, -1.0, count)
+        assert ThetaGrid(1.0, 1.0, 1).points.tolist() == [1.0]
 
     def test_count_capped_before_any_allocation(self):
         from focalrisk.data_model import MAX_GRID
@@ -158,3 +174,14 @@ class TestTrueModel:
         m = TrueModel.tabulated([0, 1], [1.0, 1.0])
         assert m.density(0.5) == pytest.approx(1.0)
         assert m.density(2.0) == 0.0
+
+    def test_tabulated_refuses_non_finite_densities(self):
+        # abs(nan - 1) > 1e-10 is false, so the normalization check let NaN through
+        for dens in ([np.nan, np.nan], [np.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                TrueModel.tabulated([0, 1], dens)
+
+    def test_tabulated_refuses_malformed_knots(self):
+        for knots in ([1, 0], [0, np.nan], [0, 0, 1]):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                TrueModel.tabulated(knots, [1.0] * len(knots))

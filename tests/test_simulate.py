@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -17,6 +19,7 @@ from focalrisk import (
     sample_truncated_normal,
     squared_error_loss,
 )
+from focalrisk.conformal import coverage_probability, nested_set_index
 from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
                               InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
@@ -172,6 +175,15 @@ class TestSampleChunks:
                          for r in range(reps)])
         assert np.array_equal(np.concatenate(chunks), want)
 
+    def test_held_out_column_follows_the_sorted_sample(self):
+        n, reps, seed = 30, 12, 4
+        chunks = list(sample_chunks((-3.0, 3.0), seed, n, reps, _CHUNK_CELLS // 5, held_out=1))
+        assert [c.shape for c in chunks] == [(5, n + 1), (5, n + 1), (2, n + 1)]
+        for r, row in enumerate(np.concatenate(chunks)):
+            draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
+            assert row[n] == draws[n]
+            assert np.array_equal(row[:n], np.sort(draws[:n]))
+
     def test_rows_checked(self):
         with pytest.raises(EmptySample):
             next(sample_chunks((-3.0, 3.0), 0, 0, 5, 1))
@@ -187,7 +199,7 @@ class TestSampleChunks:
         with pytest.raises(SampleTooLarge, match="n=10 times 11 replications"):
             next(sample_chunks((-3.0, 3.0), 0, 10, 11, 1))
         with pytest.raises(SampleTooLarge, match="n=11 times 10 replications"):  # n + 1 each
-            coverage_experiment(MODEL, NonconformityScore.identity(), 10, 0.2, 10, 0)
+            coverage_experiment(MODEL, [NonconformityScore.identity()], 10, [0.2], 10, 0)
 
     def test_replications_capped_before_any_draw(self, monkeypatch):
         # each replication sets up its own stream, whatever n is
@@ -199,7 +211,7 @@ class TestSampleChunks:
         with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
             next(sample_chunks((-3.0, 3.0), 0, 1, 11, 1))
         with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
-            coverage_experiment(MODEL, NonconformityScore.identity(), 1, 0.2, 11, 0)
+            coverage_experiment(MODEL, [NonconformityScore.identity()], 1, [0.2], 11, 0)
 
     def test_stored_curves_capped_before_any_draw(self, monkeypatch):
         import focalrisk.simulate as simulate
@@ -384,46 +396,50 @@ class TestCoverageExperiment:
     def test_inputs_refused(self):
         identity = NonconformityScore.identity()
         with pytest.raises(ValueError, match="at least 1"):  # was a ZeroDivisionError
-            coverage_experiment(MODEL, identity, n=20, alpha=0.2, replications=0, seed=0)
+            coverage_experiment(MODEL, [identity], n=20, alphas=[0.2], replications=0, seed=0)
         with pytest.raises(InvalidAlpha):
-            coverage_experiment(MODEL, identity, n=20, alpha=1.5, replications=10, seed=0)
+            coverage_experiment(MODEL, [identity], n=20, alphas=[0.2, 1.5], replications=10,
+                                seed=0)
 
     def test_full_support_exact(self):
-        emp, nominal = coverage_experiment(
-            MODEL, NonconformityScore.identity(), n=4, alpha=0.01,
+        [[emp]] = coverage_experiment(
+            MODEL, [NonconformityScore.identity()], n=4, alphas=[0.01],
             replications=200, seed=0,
         )
         assert emp == 1.0
-        assert nominal == 1.0
+        assert coverage_probability(4, nested_set_index(4, 0.01)) == 1.0
 
     def test_identity_near_nominal(self):
-        emp, nominal = coverage_experiment(
-            MODEL, NonconformityScore.identity(), n=20, alpha=0.2,
+        [[emp]] = coverage_experiment(
+            MODEL, [NonconformityScore.identity()], n=20, alphas=[0.2],
             replications=2000, seed=1,
         )
+        nominal = coverage_probability(20, nested_set_index(20, 0.2))
         assert nominal == pytest.approx(17 / 21)
         half_width = 2.576 * np.sqrt(nominal * (1 - nominal) / 2000)
         assert abs(emp - nominal) <= half_width + 0.01
 
-    @pytest.mark.parametrize("score", [NonconformityScore.identity(),
-                                       NonconformityScore.distance_to_loo_mean()])
-    def test_hits_equal_per_replication_oracle(self, score):
-        # the hit count of a loop over replication_rng(seed, n, r), the parent's path
+    def test_hits_equal_per_replication_oracle(self):
+        # the hit counts of a loop over replication_rng(seed, n, r), the parent's path
         from focalrisk import make_sample, rank_candidate
-        from focalrisk.conformal import nested_set_index
 
-        n, alpha, reps, seed = 7, 0.3, 300, 5
-        hits = 0
+        n, alphas, reps, seed = 7, [0.05, 0.3, 0.5], 300, 5
+        scores = [NonconformityScore.identity(), NonconformityScore.distance_to_loo_mean(),
+                  NonconformityScore.custom(lambda i, vals: float(np.max(vals) - vals[i]))]
+        ks, hits = [nested_set_index(n, alpha) for alpha in alphas], np.zeros((3, 3), dtype=int)
         for r in range(reps):
             draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
             sample = make_sample(draws[:n], -3, 3)
-            hits += rank_candidate(sample, float(draws[n]), score) <= nested_set_index(n, alpha)
-        assert coverage_experiment(MODEL, score, n, alpha, reps, seed)[0] == hits / reps
+            for (i, k), (j, score) in itertools.product(enumerate(ks), enumerate(scores)):
+                hits[i, j] += rank_candidate(sample, float(draws[n]), score) <= k
+        assert np.array_equal(coverage_experiment(MODEL, scores, n, alphas, reps, seed),
+                              hits / reps)
 
     def test_loo_mean_same_nominal(self):
-        emp, nominal = coverage_experiment(
-            MODEL, NonconformityScore.distance_to_loo_mean(), n=20, alpha=0.2,
+        [[emp]] = coverage_experiment(
+            MODEL, [NonconformityScore.distance_to_loo_mean()], n=20, alphas=[0.2],
             replications=1000, seed=2,
         )
+        nominal = coverage_probability(20, nested_set_index(20, 0.2))
         assert nominal == pytest.approx(17 / 21)
         assert abs(emp - nominal) < 0.05
