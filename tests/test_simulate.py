@@ -419,7 +419,23 @@ class TestCoverageExperiment:
         half_width = 2.576 * np.sqrt(nominal * (1 - nominal) / 2000)
         assert abs(emp - nominal) <= half_width + 0.01
 
-    def test_hits_equal_per_replication_oracle(self):
+    @pytest.mark.parametrize("score", [NonconformityScore.identity(),
+                                       NonconformityScore.distance_to_loo_mean()])
+    def test_hits_equal_per_replication_oracle(self, score):
+        # one score's hit counts against a loop over replication_rng(seed, n, r)
+        from focalrisk import make_sample, rank_candidate
+
+        n, alphas, reps, seed = 7, [0.05, 0.3, 0.5], 300, 5
+        ks, hits = [nested_set_index(n, alpha) for alpha in alphas], np.zeros((3, 1), dtype=int)
+        for r in range(reps):
+            draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
+            sample = make_sample(draws[:n], -3, 3)
+            rank = rank_candidate(sample, float(draws[n]), score)
+            hits[:, 0] += [rank <= k for k in ks]
+        assert np.array_equal(coverage_experiment(MODEL, [score], n, alphas, reps, seed),
+                              hits / reps)
+
+    def test_hits_matrix_equal_per_replication_oracle(self):
         # the hit counts of a loop over replication_rng(seed, n, r), the parent's path
         from focalrisk import make_sample, rank_candidate
 
