@@ -1,9 +1,9 @@
 """The three risk functionals and upper-risk minimization.
 
-Empirical risk is the sample mean of the loss; true risk integrates the
-loss against the data-generating density; the upper risk averages per-set
-loss suprema over the focal system.  For convex losses and identity-score
-focal sets the upper risk has the closed form
+Empirical risk is the sample mean of the loss, n R_n / n with n R_n below (exact
+for every loss); true risk integrates the loss against the data-generating density;
+the upper risk averages per-set loss suprema over the focal system.  For convex
+losses and identity-score focal sets the upper risk has the closed form
 
     [n * R_n(theta) + M(theta)] / (n + 1),
     M(theta) = loss(theta, a) + loss(theta, b) - min over {a, data, b}.
@@ -42,8 +42,7 @@ from .errors import NonFiniteValue
 from .quadrature import integrate
 
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
-_CURVE_CELLS = 1 << 15  # loss values per block of the empirical curve: 256 KiB of float64
-_BLOCK_CELLS = 1 << 18  # candidate cells per row block of a tabulated-loss minimizer: 2 MiB
+_BLOCK_CELLS = 1 << 18  # a tabulated-loss minimizer's candidates per row block, cells per slice
 
 
 class RiskKind(enum.Enum):
@@ -85,7 +84,8 @@ class UpperRiskDecomposition:
 
 def empirical_risk(loss: LossSpec, sample: BoundedSample, theta: float) -> float:
     loss.check_theta(theta)
-    return float(np.mean(loss(theta, sample.values)))
+    return float(_closed_form_core(loss, sample.values[None], sample.support_lo,
+                                   sample.support_hi, [theta])[0][0, 0] / sample.n)
 
 
 def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
@@ -148,9 +148,8 @@ def _cells(rows: np.ndarray, p: np.ndarray):
 def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
     """n R_n and M of the closed form, (r, k), for (r, n) sorted sample rows.
 
-    thetas is (k,), shared by every row, or (r, k).  Every loss uses per-row sums.
+    thetas is (k,), shared by every row, or (r, k).  n R_n holds for any loss, M if convex.
     """
-    loss.check_convex()  # every closed-form path passes here
     thetas = np.asarray(thetas, dtype=float)
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
@@ -183,6 +182,7 @@ def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thet
 
 def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
     """Closed-form upper risk [n R_n + M] / (n + 1), (r, k), shaped as in the core."""
+    loss.check_convex()
     n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
     return (n_rn + m_theta) / (rows.shape[1] + 1)
 
@@ -191,6 +191,7 @@ def upper_risk_closed_form(
     loss: LossSpec, sample: BoundedSample, theta: float
 ) -> UpperRiskDecomposition:
     """Closed form for convex losses under the identity score, as n R_n/(n+1) + M/(n+1)."""
+    loss.check_convex()
     loss.check_theta(theta)
     core = _closed_form_core(loss, sample.values[None], sample.support_lo, sample.support_hi,
                              [theta])
@@ -217,9 +218,8 @@ def risk_curve(
         if kind is RiskKind.EMPIRICAL:
             if sample is None:
                 raise ValueError("empirical risk needs a sample")
-            t, step = grid.points[:, None], max(1, _CURVE_CELLS // sample.n)  # rows reduce alone
-            vals = np.concatenate([np.asarray(loss(t[i:i + step], sample.values), dtype=float)
-                                   .mean(axis=1) for i in range(0, len(t), step)])
+            vals = _closed_form_core(loss, sample.values[None], sample.support_lo,
+                                     sample.support_hi, grid.points)[0][0] / sample.n
         elif kind is RiskKind.TRUE:
             if model is None:
                 raise ValueError("true risk needs a model")
@@ -275,18 +275,21 @@ def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
     """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
     Exact: the best of the closed form at ``_candidates``, ties to the lowest
-    theta.  Tabulated losses run in row blocks of at most _BLOCK_CELLS cells.
+    theta.  Tabulated losses run in row blocks of at most _BLOCK_CELLS candidates,
+    evaluated in column slices of at most _BLOCK_CELLS loss cells.
     """
     loss.check_theta([grid.lo, grid.hi])
-    step = max(1, len(rows))  # squared and absolute loss: one block, O(n) cells per row
-    if loss.kind is LossKind.TABULATED:  # per row: (t + 1 + t pairs) candidates times m lines
+    step, m = max(1, len(rows)), 0  # squared and absolute loss: one block, O(n) cells per row
+    if loss.kind is LossKind.TABULATED:  # per row: t + 1 + t pairs candidates, m lines each
         t = len(sup_points(grid.lo, grid.hi, loss.theta_breaks)) - 1
         m = 2 * len(sup_points(a, b, loss.y_breaks))
-        step = max(1, _BLOCK_CELLS // (m * (t + 1 + t * m * (m - 1) // 2)))
+        step = max(1, _BLOCK_CELLS // (t + 1 + t * m * (m - 1) // 2))
     thetas, values = [], []
     for part in (rows[i:i + step] for i in range(0, len(rows), step)):
         cand = _candidates(loss, part, a, b, grid.lo, grid.hi)
-        vals = upper_risk_batch(loss, part, a, b, cand)
+        w = max(1, _BLOCK_CELLS // (len(part) * m)) if m else cand.shape[1]
+        vals = np.hstack([upper_risk_batch(loss, part, a, b, cand[:, j:j + w])
+                          for j in range(0, cand.shape[1], w)])
         best = np.arange(len(part)), np.argmin(vals, axis=1)
         thetas.append(cand[best])
         values.append(vals[best])

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .conformal import _CHUNK_CELLS as _RANK_CELLS, NonconformityScore, nested_set_index, rank_rows
-from .data_model import (BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
+from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
 from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
@@ -146,10 +146,11 @@ class SimConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.histogram_bins < 1:
-            raise ValueError("histogram_bins must be >= 1")
-        if list(self.percentiles) != sorted(self.percentiles):
-            raise ValueError("percentiles must be sorted ascending")
+        if not 1 <= self.histogram_bins <= MAX_GRID:  # before any draw
+            raise ValueError(f"histogram_bins={self.histogram_bins} outside [1, {MAX_GRID}]")
+        lo, hi = self.percentiles
+        if not 0 <= lo <= hi <= 1:  # false for NaN
+            raise ValueError(f"percentiles ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1")
         if self.replications * self.theta_grid.count > _MAX_CURVES:  # before any draw
             raise SampleTooLarge(f"{self.replications} replications times {self.theta_grid.count} "
                                  f"thetas exceeds {_MAX_CURVES} stored curve values")

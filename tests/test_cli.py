@@ -379,45 +379,9 @@ def test_env_var_default_out(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "prediction.txt").exists()
 
 
-@pytest.mark.parametrize("support", [("10", "11"), ("40", "41")])
-@pytest.mark.parametrize("command", ["simulate", "verify-bounds", "coverage"])
-def test_negligible_normal_mass_exits_2(tmp_path, command, support):
-    # Rejection sampling on such a support accepts ~no draw; a fresh interpreter with
-    # a timeout turns a hang into a failure.
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import focalrisk
-
-    argv = [command, "--lo", support[0], "--hi", support[1], "--out", str(tmp_path)]
-    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 2
-    assert out.stderr.startswith("SupportMassTooSmall:")
-
-
-def test_simulate_near_mass_floor_finishes(tmp_path):
-    # [3, 4] holds normal mass 1.3e-3, just above the floor; a fresh interpreter with a
-    # timeout turns a sampler that crawls there into a failure
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import focalrisk
-
-    argv = ["simulate", "--lo", "3", "--hi", "4", "--replications", "200", "--out", str(tmp_path)]
-    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
-                         capture_output=True, text=True, timeout=20)
-    assert out.returncode == 0, out.stderr
-    assert (tmp_path / "minimizers_n200.csv").exists()
-
-
-def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
-    # epsilon 1e-3 puts the witness n at ~1.06e9, 8.5 GB a sample.  A fresh interpreter
-    # with 1 GiB of address space and a timeout turns an allocation or a crawl into a failure.
+def _fresh_cli(argv, timeout):
+    """The CLI in a fresh interpreter, with a timeout and 1 GiB of address space: a run of
+    hours or an allocation of gigabytes fails its test instead of the machine."""
     import resource
     import subprocess
     import sys
@@ -425,15 +389,41 @@ def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
 
     import focalrisk
 
-    def cap_memory():
+    def cap_memory():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    argv = ["verify-bounds", "--n", "", "--uniform", "--epsilon", "1e-3", "--replications",
-            "100", "--out", str(tmp_path)]
     # one BLAS thread: each thread's buffers would count against the address-space cap
     env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
-                         preexec_fn=cap_memory, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv], env=env,
+                          preexec_fn=cap_memory, capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("support", [("10", "11"), ("40", "41")])
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds", "coverage"])
+def test_negligible_normal_mass_exits_2(tmp_path, command, support):
+    # Rejection sampling on such a support accepts ~no draw; a fresh interpreter with
+    # a timeout turns a hang into a failure.
+    out = _fresh_cli([command, "--lo", support[0], "--hi", support[1], "--out", str(tmp_path)],
+                     timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("SupportMassTooSmall:")
+
+
+def test_simulate_near_mass_floor_finishes(tmp_path):
+    # [3, 4] holds normal mass 1.3e-3, just above the floor; a fresh interpreter with a
+    # timeout turns a sampler that crawls there into a failure
+    argv = ["simulate", "--lo", "3", "--hi", "4", "--replications", "200", "--out", str(tmp_path)]
+    out = _fresh_cli(argv, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "minimizers_n200.csv").exists()
+
+
+def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
+    # epsilon 1e-3 puts the witness n at ~1.06e9, 8.5 GB a sample.  A fresh interpreter
+    # with 1 GiB of address space and a timeout turns an allocation or a crawl into a failure.
+    argv = ["verify-bounds", "--n", "", "--uniform", "--epsilon", "1e-3", "--replications",
+            "100", "--out", str(tmp_path)]
+    out = _fresh_cli(argv, timeout=60)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("SampleTooLarge: sample size n=1.06291e+09")
     assert not any(tmp_path.iterdir())
@@ -445,15 +435,7 @@ def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
 ])
 def test_draws_beyond_the_run_limit_are_refused_before_any_draw(tmp_path, argv):
     # a fresh interpreter with a timeout turns a run of 1e10 draws into a failure
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import focalrisk
-
-    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv, "--out", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=60)
+    out = _fresh_cli([*argv, "--out", str(tmp_path)], timeout=60)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("SampleTooLarge:") and "replications exceeds" in out.stderr
     assert not any(tmp_path.iterdir())
@@ -472,19 +454,12 @@ def test_draws_beyond_the_run_limit_are_refused_before_any_draw(tmp_path, argv):
     (["risk-curve", "--values", "0.1,0.2", "--theta-hi", "1e200"], "NonFiniteValue"),
     (["simulate", "--n", "5", "--replications", "3", "--theta-count", "5", "--theta-hi", "1e200"],
      "NonFiniteValue"),
+    (["simulate", "--bins", "65537"], "ValueError"),
 ])
 def test_refusals_print_one_line_in_a_fresh_interpreter(tmp_path, argv, error):
     # a fresh interpreter shows what pytest's warning capture hides, and with a timeout
     # turns an allocation of gigabytes or a run of hours into a failure
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import focalrisk
-
-    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-m", "focalrisk.cli", *argv, "--out", str(tmp_path)],
-                         env=env, capture_output=True, text=True, timeout=60)
+    out = _fresh_cli([*argv, "--out", str(tmp_path)], timeout=60)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith(f"{error}:") and out.stderr.count("\n") == 1, out.stderr
     assert not any(tmp_path.iterdir())
@@ -577,6 +552,7 @@ def _exit_code(argv):
     ["simulate", "--n", "1", "--replications", "268435456"],
     ["simulate", "--n", "1", "--replications", "262145", "--theta-count", "1"],
     ["coverage", "--n", "1", "--replications", "262145"],
+    ["simulate", "--bins", "65537"],
 ])
 def test_residual_inputs_exit_2(argv):
     code, err = _exit_code(argv)
@@ -634,7 +610,9 @@ def _argv(draw):
     argv = [command, "--n", pick(["1", "7", "4,30"]), "--replications", pick(["1", "100", "200"]),
             *support]
     if command == "simulate":
-        return argv + ["--theta-count", draw(st.sampled_from(["5", "6", "65"]))]
+        return argv + ["--theta-count", draw(st.sampled_from(["5", "6", "65"])),
+                       "--bins", draw(st.sampled_from(["0", "1", "30", "65537"])),
+                       "--percentile-hi", draw(st.sampled_from(["0.95", "1.5", "nan"]))]
     if command == "coverage":
         return argv + ["--alpha", pick(["0.2", "0.5,0.1"])]
     argv += ["--loss", draw(st.sampled_from(["squared", "absolute"])), *_theta_ends(draw)]

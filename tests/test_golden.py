@@ -103,7 +103,9 @@ CASES = {
             # pass: at most 3.8e-11 (theta = -0.4, 0.4), every value toward the closed-form
             # truncated-normal moment, which it now meets within 4.5e-16.  Then the upper
             # column, from per-row sums: 5 of 11 values moved, at most 8.9e-16 (2.6e-16 rel.).
-            "risk_curve.csv": "75670daac1844f07b4e072d2f8e0bd910908ea2c5e5ce550f85894fd4799110c",
+            # Then the empirical column, from the same per-row n R_n: 5 of 11 values moved,
+            # at most 8.9e-16 (2.8e-16 rel.); upper and true columns byte-identical.
+            "risk_curve.csv": "b802b26f7cea58582e8a348059484db0e6d44a8f8da1e2c8b4823677c1183925",
         },
     ),
     "coverage": (

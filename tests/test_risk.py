@@ -44,6 +44,8 @@ TRUNC_VAR = 0.97333692466254148
 
 sq01 = squared_error_loss((0, 1))
 sq11 = squared_error_loss((-1, 1))
+# linear in y between its knots, but not convex in y
+BUMPY = tabulated_loss([-1, 0, 1], [-3, -1, 0.5, 3], [[3, 0, 4, 1], [0, 5, 1, 2], [2, 1, 0, 6]])
 
 
 class TestEmpiricalRisk:
@@ -61,9 +63,9 @@ class TestEmpiricalRisk:
         with pytest.raises(ThetaOutOfDomain):
             empirical_risk(sq01, s, 2.0)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000, 40000])  # 40000: a theta a block
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000, 40000])
     def test_curve_equals_pointwise_mean(self, n):
-        # one (theta, n) table's row means equal the 1-D mean at each theta, bit for bit
+        # the curve and its one-point view take the same per-row n R_n: equal bit for bit
         rng = np.random.default_rng(n)
         s = make_sample(rng.uniform(-3, 3, n), -3, 3)
         grid = ThetaGrid(-1, 1, 41)
@@ -85,6 +87,55 @@ class TestEmpiricalRisk:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 7, 100_000])
+    def test_equals_fsum_of_the_losses(self, n):
+        # n R_n / n against the correctly rounded mean of the loss values.  Measured at
+        # n = 1e5: squared 3.7e-16, absolute 9.6e-15 (sequential prefix sums), constant 0,
+        # the non-convex table 1.6e-15 relative; the bound is 1e-13, ~sqrt(n) ulps.
+        rng = np.random.default_rng(n)
+        s = make_sample(rng.uniform(-3, 3, n), -3, 3)
+        grid = ThetaGrid(-1, 1, 21)
+        for loss in (sq11, absolute_error_loss((-1, 1)), constant_loss(0.7), BUMPY):
+            curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
+            want = np.array([math.fsum(np.asarray(loss(t, s.values), dtype=float)) / n
+                             for t in grid.points])
+            assert np.all(np.abs(curve - want) <= 1e-13 * want)
+            assert empirical_risk(loss, s, grid.points[3]) == curve[3]
+
+    def test_curve_work_linear_in_n_plus_thetas(self):
+        # the (theta, n) loss table took 4097 x 5000 = 2.0e7 loss values; the per-row sums
+        # take O(1) per theta for squared and absolute loss and O(K) for a table of K cells
+        grid, sizes = ThetaGrid(-1, 1, 4097), {}
+        for base in (sq11, absolute_error_loss((-1, 1)), BUMPY):
+            for n in (50, 5000):
+                s = make_sample(np.random.default_rng(n).uniform(-3, 3, n), -3, 3)
+                cells = []
+
+                def evaluate(t, y, f=base.evaluate):
+                    cells.append(np.broadcast(t, y).size)
+                    return f(t, y)
+
+                loss = dataclasses.replace(base, evaluate=evaluate)
+                risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
+                sizes[base.kind.value, n] = sum(cells)
+        for kind in ("squared", "absolute"):
+            assert sizes[kind, 5000] <= 4 * (5000 + 4097)
+        for kind in ("squared", "absolute", "tabulated"):
+            assert sizes[kind, 5000] == sizes[kind, 50]  # nothing grows with n
+
+    def test_nonconvex_table_has_an_empirical_risk_but_no_closed_form(self):
+        s = make_sample([-1.0, 0.5, 2.0], -3, 3)
+        grid = ThetaGrid(-1, 1, 5)
+        curve = risk_curve(BUMPY, grid, RiskKind.EMPIRICAL, sample=s).values
+        want = [math.fsum(BUMPY(t, s.values)) / 3 for t in grid.points]
+        assert np.allclose(curve, want, rtol=1e-15, atol=0)
+        with pytest.raises(NonConvexLoss):
+            risk_curve(BUMPY, grid, RiskKind.UPPER, sample=s)
+        with pytest.raises(NonConvexLoss):
+            upper_risk_batch(BUMPY, s.values[None], -3.0, 3.0, grid.points)
+        with pytest.raises(NonConvexLoss):
+            minimize_rows(BUMPY, s.values[None], -3.0, 3.0, grid)
 
     def test_array_theta_domain(self):
         sq11.check_theta(np.linspace(-1, 1, 5))
@@ -530,7 +581,8 @@ def _check_exact_minimizer(loss, rows, grid):
     assert value.tobytes() == at_theta.tobytes()
     knots = [t for t in loss.theta_breaks if grid.lo <= t <= grid.hi]
     dense = np.append(np.linspace(grid.lo, grid.hi, 20001), knots)
-    dense_min = _table_upper(loss, rows, -3.0, 3.0, dense).min(axis=1)
+    pieces = np.array_split(dense, 1 + dense.size * rows.size // 2**18)  # tables of <= 2 MiB
+    dense_min = np.min([_table_upper(loss, rows, -3.0, 3.0, d).min(axis=1) for d in pieces], axis=0)
     assert np.all(value <= dense_min + _ulps(dense_min))
     g_theta, g_value = _parent_minimize_rows(loss, rows, -3.0, 3.0, grid)
     assert np.all(value <= g_value + _ulps(g_value))
@@ -691,6 +743,25 @@ class TestExactMinimizer:
             loss = tabulated_loss(tk, yk, rng.uniform(0, 10, (len(tk), len(yk))), True)
             rows = np.sort(rng.uniform(-3, 3, (1, rng.integers(1, 21))), axis=1)
             _check_exact_minimizer(loss, rows, ThetaGrid(tk[0], tk[-1], int(rng.integers(2, 22))))
+
+    def test_one_row_of_many_knots_stays_within_its_slices(self):
+        # 30 knots per axis: ~4e4 candidates and 2.2e6 loss cells per row, 141 MiB peak
+        # when one row was one block; slices of the candidates bound it, argmin unchanged
+        import tracemalloc
+
+        rng = np.random.default_rng(4)
+        loss = tabulated_loss(np.linspace(-1, 1, 30), np.linspace(-3.5, 3.5, 30),
+                              rng.uniform(0, 10, (30, 30)), convex_in_y=True)
+        rows = np.sort(rng.uniform(-3, 3, (2, 200)), axis=1)
+        grid = ThetaGrid(-1, 1, 101)
+        tracemalloc.start()
+        try:
+            minimize_rows(loss, rows, -3.0, 3.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        _check_exact_minimizer(loss, rows, grid)
 
     def test_no_golden_section_and_no_loss_table(self):
         import focalrisk.risk as risk_mod

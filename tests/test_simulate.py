@@ -225,6 +225,21 @@ class TestSampleChunks:
                       theta_grid=ThetaGrid(-1, 1, 6))
 
 
+    @pytest.mark.parametrize("field", [{"percentiles": (0.05, 1.5)},
+                                       {"percentiles": (0.05, float("nan"))},
+                                       {"percentiles": (-0.1, 0.95)},
+                                       {"percentiles": (0.95, 0.05)},
+                                       {"histogram_bins": 65537}, {"histogram_bins": 0}])
+    def test_bad_percentiles_and_bins_refused_before_any_draw(self, monkeypatch, field):
+        # percentiles outside [0, 1] were refused by numpy after the whole run; bins had no cap
+        import focalrisk.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
+        with pytest.raises(ValueError, match="percentiles|histogram_bins"):
+            run_replications(SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,),
+                                       replications=10, theta_grid=ThetaGrid(-1, 1, 5), **field))
+
+
 def _flat_curve(value, grid):
     return RiskCurve(grid=grid, values=np.full(grid.count, float(value)), kind=RiskKind.UPPER)
 
