@@ -14,17 +14,19 @@ with c = #{y_i < theta} (``searchsorted``):
     squared:  n R_n = SS + n (mean - theta)^2, SS the centred sum of squares;
     absolute: n R_n = (S - P_c - (n - c) theta) + (c theta - P_c), P_c the sum
               of the c smallest, S of all;
-    tabulated: n R_n = sum_j c_j loss(theta, p_j) + W_j (loss(theta, p_{j+1}) -
-              loss(theta, p_j)) over the cells between the y sup points p, where
-              the loss is linear in y: c_j the cell's count, W_j its sum of
-              (y - p_j) / (p_{j+1} - p_j);
+    tabulated: n R_n = sum_j c_j min(l_j, l_{j+1}) + V_j |l_{j+1} - l_j| over the
+              cells between the y sup points p, where l = loss(theta, .) is linear:
+              c_j the cell's count, V_j its sum of the data's distances from the
+              end of lesser loss, in cell widths (no term cancels);
     M: the min over the data is the loss at y_c or y_{c+1}, the neighbours
        of theta (tabulated: at a cell's first or last point).
 
-Squared and absolute loss shift data and theta by the support's centre
-(a + b)/2 first, so the rounding scales with b - a, not with the distance of
-the data from 0.  A curve of k thetas costs O(n + k log n) per row (tabulated:
-O(n + k K), K cells), and ``minimize_rows`` takes the exact argmin of the upper risk.
+Squared and absolute loss shift data and theta by a point of the row first
+(the support's centre clipped to the row's range; the median, which bounds
+each absolute sum by 2 n R_n), so the rounding scales with the data's spread
+and theta's distance from them, not with the support's width.  A curve of k
+thetas costs O(n + k log n) per row (tabulated: O(n + k K), K cells), and
+``minimize_rows`` takes the exact argmin of the upper risk.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import NonFiniteValue
 from .quadrature import integrate
 
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
-_BLOCK_CELLS = 1 << 18  # a tabulated-loss minimizer's candidates per row block, cells per slice
+_BLOCK_CELLS = 1 << 18  # a table's loss cells per pass, minimizer candidates per row block
 
 
 class RiskKind(enum.Enum):
@@ -82,10 +84,20 @@ class UpperRiskDecomposition:
         return self.empirical_part + self.slack
 
 
+def empirical_risk_curve(loss: LossSpec, sample: BoundedSample, thetas) -> np.ndarray:
+    """Empirical risk n R_n / n at every theta.  A pass takes as many thetas as fit in
+    _BLOCK_CELLS loss cells (a table: one per theta and y sup point)."""
+    thetas = np.asarray(thetas, dtype=float)
+    loss.check_theta(thetas)
+    a, b = sample.support_lo, sample.support_hi
+    step = _BLOCK_CELLS // len(sup_points(a, b, loss.y_breaks))
+    return np.concatenate([_n_rn(loss, sample.values[None], a, b, thetas[i:i + step])[0]
+                           for i in range(0, len(thetas), step)]) / sample.n
+
+
 def empirical_risk(loss: LossSpec, sample: BoundedSample, theta: float) -> float:
-    loss.check_theta(theta)
-    return float(_closed_form_core(loss, sample.values[None], sample.support_lo,
-                                   sample.support_hi, [theta])[0][0, 0] / sample.n)
+    """Empirical risk at one theta: the one-point view of ``empirical_risk_curve``."""
+    return float(empirical_risk_curve(loss, sample, [theta])[0])
 
 
 def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
@@ -131,53 +143,67 @@ def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> floa
 
 
 def _cells(rows: np.ndarray, p: np.ndarray):
-    """Per row and cell [p_j, p_{j+1}]: count, sum of (y - p_j) / (p_{j+1} - p_j), and
-    the first and last data points of every cell, (r, 2K), any data point if empty."""
+    """Per row and cell [p_j, p_{j+1}]: count, sums of (p_{j+1} - y) / h and (y - p_j) / h (h
+    the width), and the first and last data points of every cell, (r, 2K), any if empty."""
     r, n = rows.shape
     k = len(p) - 1
     cell = np.clip(np.searchsorted(p, rows, side="right") - 1, 0, k - 1)
     flat = (cell + k * np.arange(r)[:, None]).ravel()
-    w = (rows - p[cell]) / (p[cell + 1] - p[cell])
-    counts = np.bincount(flat, minlength=r * k).reshape(r, k)
-    w_sums = np.bincount(flat, w.ravel(), minlength=r * k).reshape(r, k)
+    h = p[cell + 1] - p[cell]
+    counts, v_sums, w_sums = (np.bincount(flat, x, minlength=r * k).reshape(r, k) for x in
+                              (None, ((p[cell + 1] - rows) / h).ravel(),
+                               ((rows - p[cell]) / h).ravel()))
     last = np.cumsum(counts, axis=1) - 1
     ends = np.clip(np.hstack([last - counts + 1, last]), 0, n - 1)
-    return counts, w_sums, rows[np.arange(r)[:, None], ends]
+    return counts, v_sums, w_sums, rows[np.arange(r)[:, None], ends]
+
+
+def _below(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """c = #{y < theta} per row, (r, k), for thetas (k,) shared by every row or (r, k)."""
+    t = np.broadcast_to(thetas, (len(rows), thetas.shape[-1]))
+    return np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)], dtype=np.intp)
+
+
+def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas) -> np.ndarray:
+    """n R_n, (r, k), for (r, n) sorted sample rows, thetas as in the core: exact for any loss."""
+    thetas = np.asarray(thetas, dtype=float)
+    n = rows.shape[1]
+    if loss.kind is LossKind.TABULATED:  # linear in y on each cell between the sup points
+        p = sup_points(a, b, loss.y_breaks)
+        counts, v_sums, w_sums = _cells(rows, p)[:3]
+        lp = np.asarray(loss(thetas[..., None], p), dtype=float)
+        l0, l1 = lp[..., :-1], lp[..., 1:]  # from the cell's lower loss end: no term cancels
+        rise = np.where(l1 >= l0, w_sums[:, None], v_sums[:, None]) * np.abs(l1 - l0)
+        return (counts[:, None] * np.minimum(l0, l1) + rise).sum(axis=-1)
+    centre = (np.clip(0.5 * a + 0.5 * b, rows[:, :1], rows[:, -1:])  # a + b may overflow
+              if loss.kind is LossKind.SQUARED_ERROR else rows[:, n // 2:n // 2 + 1])
+    z, t = rows - centre, thetas - centre
+    if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
+        mean = z.sum(axis=1, keepdims=True) / n
+        return ((z - mean) ** 2).sum(axis=1, keepdims=True) + n * (mean - t) ** 2
+    c, i = _below(rows, thetas), np.arange(len(rows))[:, None]
+    sums = np.zeros((len(rows), n + 1))
+    np.cumsum(z, axis=1, out=sums[:, 1:])
+    below = sums[i, c]  # the data above theta less theta, plus theta less the data below
+    return (sums[:, -1:] - below - (n - c) * t) + (c * t - below)
 
 
 def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
     """n R_n and M of the closed form, (r, k), for (r, n) sorted sample rows.
 
-    thetas is (k,), shared by every row, or (r, k).  n R_n holds for any loss, M if convex.
+    thetas is (k,), shared by every row, or (r, k).  M holds if the loss is convex.
     """
     thetas = np.asarray(thetas, dtype=float)
     la = np.asarray(loss(thetas, a), dtype=float)
     lb = np.asarray(loss(thetas, b), dtype=float)
-    r, n = rows.shape
-    if loss.kind is LossKind.TABULATED:  # linear in y on each cell between the sup points
-        p = sup_points(a, b, loss.y_breaks)
-        counts, w_sums, ends = _cells(rows, p)
-        lp = np.asarray(loss(thetas[..., None], p), dtype=float)
-        n_rn = (counts[:, None] * lp[..., :-1] + w_sums[:, None] * np.diff(lp)).sum(axis=-1)
+    if loss.kind is LossKind.TABULATED:  # least at a cell's first or last data point
+        ends = _cells(rows, sup_points(a, b, loss.y_breaks))[3]
         near = np.asarray(loss(thetas[..., None], ends[:, None]), dtype=float).min(axis=-1)
-    else:
-        t = np.broadcast_to(thetas, (r, thetas.shape[-1]))
-        c = np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)], dtype=np.intp)
-        i = np.arange(r)[:, None]
-        mid = 0.5 * a + 0.5 * b  # sums about the support's centre (a + b may overflow)
-        z, t = rows - mid, t - mid
-        if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
-            mean = z.sum(axis=1, keepdims=True) / n
-            n_rn = ((z - mean) ** 2).sum(axis=1, keepdims=True) + n * (mean - t) ** 2
-        else:  # the data above theta less theta, plus theta less the data below
-            sums = np.zeros((r, n + 1))
-            np.cumsum(z, axis=1, out=sums[:, 1:])
-            below = sums[i, c]
-            n_rn = (sums[:, -1:] - below - (n - c) * t) + (c * t - below)
-        # loss(theta, .) is least at y = theta (``LossSpec``): over the data, at a neighbour
-        below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, n - 1)]
+    else:  # loss(theta, .) is least at y = theta (``LossSpec``): over the data, at a neighbour
+        c, i = _below(rows, thetas), np.arange(len(rows))[:, None]
+        below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, rows.shape[1] - 1)]
         near = np.minimum(loss(thetas, below_y), loss(thetas, above_y))
-    return n_rn, la + lb - np.minimum(np.minimum(la, lb), near)
+    return _n_rn(loss, rows, a, b, thetas), la + lb - np.minimum(np.minimum(la, lb), near)
 
 
 def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
@@ -218,8 +244,7 @@ def risk_curve(
         if kind is RiskKind.EMPIRICAL:
             if sample is None:
                 raise ValueError("empirical risk needs a sample")
-            vals = _closed_form_core(loss, sample.values[None], sample.support_lo,
-                                     sample.support_hi, grid.points)[0][0] / sample.n
+            vals = empirical_risk_curve(loss, sample, grid.points)
         elif kind is RiskKind.TRUE:
             if model is None:
                 raise ValueError("true risk needs a model")
@@ -251,7 +276,7 @@ def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
     col = np.ones((len(rows), 1))
     if loss.kind is LossKind.TABULATED:
         q = sup_points(lo, hi, loss.theta_breaks)
-        z = np.hstack([a * col, b * col, _cells(rows, sup_points(a, b, loss.y_breaks))[2]])
+        z = np.hstack([a * col, b * col, _cells(rows, sup_points(a, b, loss.y_breaks))[3]])
         i, j = np.triu_indices(z.shape[1], 1)
         v = np.asarray(loss(q[:, None], z[:, None, :]), dtype=float)  # (r, q, z)
         d = v[..., i] - v[..., j]  # the gap of every pair of lines at every q

@@ -48,6 +48,44 @@ sq11 = squared_error_loss((-1, 1))
 BUMPY = tabulated_loss([-1, 0, 1], [-3, -1, 0.5, 3], [[3, 0, 4, 1], [0, 5, 1, 2], [2, 1, 0, 6]])
 
 
+def _empirical_cases(n):
+    """(sample, grid, losses) of n values: filling a centred support, concentrated far from
+    the support's centre, and packed about theta at the support's edge (there each loss value
+    is small against the data and theta)."""
+    rng = np.random.default_rng(n)
+    edge = 2.95 + rng.uniform(-1e-4, 1e-4, n)
+    fill = [squared_error_loss, absolute_error_loss]
+    yield (make_sample(rng.uniform(-3, 3, n), -3, 3), ThetaGrid(-1, 1, 21),
+           [sq11, absolute_error_loss((-1, 1)), constant_loss(0.7), BUMPY])
+    for hi in (1e9, 1e17):
+        yield (make_sample(0.3 + rng.uniform(-0.01, 0.01, n), 0, hi), ThetaGrid(0, 1, 21),
+               [f((0, 1)) for f in fill])
+    yield (make_sample(edge, -3, 3), ThetaGrid(2.95 - 1e-4, 2.95 + 1e-4, 21),
+           [f((2.95 - 1e-4, 2.95 + 1e-4)) for f in fill])
+
+
+def _assert_fsum_mean(curve, loss, s, grid):
+    # against the correctly rounded mean of the loss values.  Measured (max relative): at
+    # n = 1e5, 6.2e-15 (absolute loss, sequential prefix sums); at n <= 4e4, 3.1e-15
+    want = np.array([math.fsum(np.asarray(loss(t, s.values), dtype=float)) / s.n
+                     for t in grid.points])
+    assert np.all(np.abs(curve - want) <= 1e-13 * want), np.max(np.abs(curve / want - 1))
+
+
+def _empirical_curve_peak(loss):
+    """tracemalloc peak of a 65536-theta empirical curve of 500 values."""
+    import tracemalloc
+
+    s = make_sample(np.random.default_rng(0).uniform(-3, 3, 500), -3, 3)
+    grid = ThetaGrid(-1, 1, 65536)
+    tracemalloc.start()
+    try:
+        risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEmpiricalRisk:
     def test_hand_checked(self):
         s = make_sample([0.2, 0.8], 0, 1)
@@ -65,47 +103,47 @@ class TestEmpiricalRisk:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000, 40000])
     def test_curve_equals_pointwise_mean(self, n):
-        # the curve and its one-point view take the same per-row n R_n: equal bit for bit
-        rng = np.random.default_rng(n)
-        s = make_sample(rng.uniform(-3, 3, n), -3, 3)
-        grid = ThetaGrid(-1, 1, 41)
-        for loss in (sq11, absolute_error_loss((-1, 1)), constant_loss(0.7)):
-            curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
-            want = np.array([empirical_risk(loss, s, t) for t in grid.points])
-            assert curve.tobytes() == want.tobytes()
+        # the curve and its one-point view take the same per-row n R_n: equal bit for bit,
+        # and both equal the correctly rounded mean of the loss values
+        for s, grid, losses in _empirical_cases(n):
+            for loss in losses:
+                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
+                want = np.array([empirical_risk(loss, s, t) for t in grid.points])
+                assert curve.tobytes() == want.tobytes()
+                _assert_fsum_mean(curve, loss, s, grid)
 
     def test_curve_memory_bounded_in_thetas(self):
         # the whole (theta, n) table of this curve would take 65536 x 500 x 8 bytes = 262 MB
-        import tracemalloc
+        assert _empirical_curve_peak(sq11) < 8 * 2**20
 
-        s = make_sample(np.random.default_rng(0).uniform(-3, 3, 500), -3, 3)
-        grid = ThetaGrid(-1, 1, 65536)
-        tracemalloc.start()
-        try:
-            risk_curve(sq11, grid, RiskKind.EMPIRICAL, sample=s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+    def test_table_curve_memory_bounded_in_thetas(self):
+        # a table's (theta, y knot) loss values alone take 65536 x 100 x 8 = 52 MB, so its
+        # thetas go in passes: peak 18.5 MiB measured
+        table = tabulated_loss([-1, 1], np.linspace(-3, 3, 100),
+                               np.linspace(0, 1, 200).reshape(2, 100))
+        assert _empirical_curve_peak(table) < 32 * 2**20
 
-    @pytest.mark.parametrize("n", [1, 7, 100_000])
-    def test_equals_fsum_of_the_losses(self, n):
-        # n R_n / n against the correctly rounded mean of the loss values.  Measured at
-        # n = 1e5: squared 3.7e-16, absolute 9.6e-15 (sequential prefix sums), constant 0,
-        # the non-convex table 1.6e-15 relative; the bound is 1e-13, ~sqrt(n) ulps.
-        rng = np.random.default_rng(n)
-        s = make_sample(rng.uniform(-3, 3, n), -3, 3)
-        grid = ThetaGrid(-1, 1, 21)
-        for loss in (sq11, absolute_error_loss((-1, 1)), constant_loss(0.7), BUMPY):
-            curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
-            want = np.array([math.fsum(np.asarray(loss(t, s.values), dtype=float)) / n
-                             for t in grid.points])
-            assert np.all(np.abs(curve - want) <= 1e-13 * want)
-            assert empirical_risk(loss, s, grid.points[3]) == curve[3]
+    def test_equals_fsum_of_the_losses(self):
+        # n = 1e5: the bound is ~450 ulps, ~sqrt(n) ulps for the sequential sums
+        for s, grid, losses in _empirical_cases(100_000):
+            for loss in losses:
+                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
+                _assert_fsum_mean(curve, loss, s, grid)
+                assert empirical_risk(loss, s, grid.points[3]) == curve[3]
+
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_table_near_its_zero(self, n):
+        # BUMPY at theta = 1 is (0.5 - y) / 1.5 on [-1, 0.5]: data 1e-9 below 0.5 have losses
+        # ~3e-10, small against the table's 1 at y = -1.  The oracle takes each loss from
+        # 0.5 - y, exact there; BUMPY's own interpolation rounds them to ~1e-16 absolute.
+        y = 0.5 - np.random.default_rng(n).uniform(0, 1e-9, n)
+        got = empirical_risk(BUMPY, make_sample(y, -3, 3), 1.0)
+        want = math.fsum((0.5 - y) / 1.5) / n
+        assert abs(got - want) <= 1e-13 * want
 
     def test_curve_work_linear_in_n_plus_thetas(self):
-        # the (theta, n) loss table took 4097 x 5000 = 2.0e7 loss values; the per-row sums
-        # take O(1) per theta for squared and absolute loss and O(K) for a table of K cells
+        # the (theta, n) loss table took 4097 x 5000 = 2.0e7 loss values; n R_n takes none
+        # for squared and absolute loss and one per theta and y sup point for a table
         grid, sizes = ThetaGrid(-1, 1, 4097), {}
         for base in (sq11, absolute_error_loss((-1, 1)), BUMPY):
             for n in (50, 5000):
@@ -119,8 +157,8 @@ class TestEmpiricalRisk:
                 loss = dataclasses.replace(base, evaluate=evaluate)
                 risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
                 sizes[base.kind.value, n] = sum(cells)
-        for kind in ("squared", "absolute"):
-            assert sizes[kind, 5000] <= 4 * (5000 + 4097)
+        assert sizes["squared", 5000] == sizes["absolute", 5000] == 0
+        assert sizes["tabulated", 5000] == 4097 * 4  # BUMPY: 4 y sup points on [-3, 3]
         for kind in ("squared", "absolute", "tabulated"):
             assert sizes[kind, 5000] == sizes[kind, 50]  # nothing grows with n
 
