@@ -21,10 +21,11 @@ with c = #{y_i < theta} (``searchsorted``):
     M: the min over the data is the loss at y_c or y_{c+1}, the neighbours
        of theta (tabulated: at a cell's first or last point).
 
-Squared and absolute loss shift data and theta by a point of the row first
-(the support's centre clipped to the row's range; the median, which bounds
-each absolute sum by 2 n R_n), so the rounding scales with the data's spread
-and theta's distance from them, not with the support's width.  A curve of k
+Squared and absolute loss shift data and theta first: squared by the support's
+centre clipped to the range of the data (one shift for all rows, so the
+subtraction stays a scalar one), absolute by each row's median, which bounds
+each sum by 2 n R_n.  So the rounding scales with the data's spread and
+theta's distance from them, not with the support's width.  A curve of k
 thetas costs O(n + k log n) per row (tabulated: O(n + k K), K cells), and
 ``minimize_rows`` takes the exact argmin of the upper risk.
 """
@@ -175,8 +176,9 @@ def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas) -> np.nd
         l0, l1 = lp[..., :-1], lp[..., 1:]  # from the cell's lower loss end: no term cancels
         rise = np.where(l1 >= l0, w_sums[:, None], v_sums[:, None]) * np.abs(l1 - l0)
         return (counts[:, None] * np.minimum(l0, l1) + rise).sum(axis=-1)
-    centre = (np.clip(0.5 * a + 0.5 * b, rows[:, :1], rows[:, -1:])  # a + b may overflow
-              if loss.kind is LossKind.SQUARED_ERROR else rows[:, n // 2:n // 2 + 1])
+    centre = rows[:, n // 2:n // 2 + 1]  # absolute: each row's median
+    if loss.kind is LossKind.SQUARED_ERROR:  # (a + b)/2 in the data's range; a + b may overflow
+        centre = min(max(0.5 * a + 0.5 * b, rows[:, 0].min()), rows[:, -1].max())
     z, t = rows - centre, thetas - centre
     if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
         mean = z.sum(axis=1, keepdims=True) / n
