@@ -26,7 +26,6 @@ from .errors import (
 )
 
 Interval = tuple[float, float]
-_CHUNK_CELLS = 1 << 15  # largest y x data (or y x piece) temporary: 256 KiB of float64
 
 
 class ScoreKind(enum.Enum):
@@ -96,11 +95,14 @@ class FocalSystem:
         flat = _in_support(y, self.support_lo, self.support_hi)
         if self.representation is FocalRepresentation.EXACT_INTERVALS:
             v = np.minimum(np.searchsorted(self.sample_values, flat, "left") + 1, self.n_plus_1)
-        else:  # the first piece in scan order; the sentinel row (index 0) covers the rest
-            rows = [(v, lo, hi) for v, p in enumerate(self.sets, start=1) for lo, hi in p]
-            pv, lo, hi = (np.array(c)[:, None] for c in zip(*rows, (0, -np.inf, np.inf)))
-            v = np.concatenate([pv[((lo <= c) & (c <= hi)).argmax(axis=0), 0]
-                                for c in _chunks(flat, len(pv))])
+        else:  # the first piece in scan order wins: fill each piece's ys, the last one first
+            pieces = [(v, lo, hi) for v, p in enumerate(self.sets, start=1) for lo, hi in p][::-1]
+            _, lo, hi = np.array(pieces, dtype=float).reshape(-1, 3).T
+            order, v = np.argsort(flat), np.zeros(flat.size, dtype=int)
+            starts = np.searchsorted(flat[order], lo, "left").tolist()
+            stops = np.searchsorted(flat[order], hi, "right").tolist()
+            for (piece, _, _), i, j in zip(pieces, starts, stops):
+                v[order[i:j]] = piece
             if not v.all():
                 raise OutOfSupport(f"y={flat[v == 0][0]} not covered by any focal set")
         return int(v[0]) if np.ndim(y) == 0 else v.reshape(np.shape(y))
@@ -115,25 +117,35 @@ def _in_support(ys, lo: float, hi: float) -> np.ndarray:
     return ys
 
 
-def _chunks(ys: np.ndarray, width: int):
-    """Consecutive slices of ys (at least one) whose ys x width arrays fit the cell budget."""
-    step = max(1, _CHUNK_CELLS // width)
-    return (ys[i : i + step] for i in range(0, ys.size or 1, step))
+def _first(rows: np.ndarray, m: int, past) -> np.ndarray:
+    """First index i (else n), per cell of (r, m), at which past(rows[:, i] as (r, m)) holds;
+    past is false, then true, along each sorted row of rows (r, n).  Binary lifting: pos counts
+    the leading i known to fail; a step past n tests i = n - 1, which fails only if every i does."""
+    n, pos = rows.shape[1], np.zeros((len(rows), m), dtype=int)
+    for step in (1 << k for k in reversed(range(n.bit_length()))):
+        ok = ~past(np.take_along_axis(rows, np.minimum(pos + step, n) - 1, axis=1))
+        pos = np.minimum(pos + step * ok, n)
+    return pos
 
 
 def rank_rows(rows: np.ndarray, ys: np.ndarray, score: NonconformityScore) -> np.ndarray:
     """Ascending rank of each candidate ys[i, j] (r, m) among the sorted data rows[i] (r, n).
 
-    Ties go to the candidate: rank = 1 + #{data scores <= candidate score}.
+    Ties go to the candidate: rank = 1 + #{data scores <= candidate score}.  Built-in
+    scores are monotone in the sorted data point, so the count comes from bisection.
     """
-    n = rows.shape[1]
-    data, ys = rows[:, None, :], ys[:, :, None]
+    n, m = rows.shape[1], ys.shape[1]
     if score.kind is ScoreKind.IDENTITY:
-        return 1 + np.count_nonzero(data <= ys, axis=2)
+        return 1 + _first(rows, m, lambda x: x > ys)
     if score.kind is ScoreKind.DISTANCE_TO_LOO_MEAN:
-        total = rows.sum(axis=1)[:, None, None] + ys  # pairwise row sums, as np.sum of one row
-        cand = np.abs(ys - (total - ys) / n)
-        return 1 + np.count_nonzero(np.abs(data - (total - data) / n) <= cand, axis=2)
+        total = rows.sum(axis=1)[:, None] + ys  # pairwise row sums, as np.sum of one row
+
+        def signed(x):  # rises with x, rounding included, so #{|signed| <= cand} is
+            return x - (total - x) / n  # first(signed > cand) - first(signed >= -cand)
+
+        cand = np.abs(signed(ys))
+        above = _first(rows, m, lambda x: signed(x) > cand)
+        return 1 + above - _first(rows, m, lambda x: signed(x) >= -cand)
     out = np.empty(ys.shape[:2], dtype=int)
     for i, j in np.ndindex(out.shape):
         augmented = np.append(rows[i], ys[i, j])
@@ -145,8 +157,7 @@ def rank_rows(rows: np.ndarray, ys: np.ndarray, score: NonconformityScore) -> np
 def rank_candidates(sample: BoundedSample, ys, score: NonconformityScore) -> np.ndarray:
     """Ascending rank of each candidate y in its augmented sample: ``rank_rows`` of one row."""
     ys = _in_support(ys, sample.support_lo, sample.support_hi)
-    vals = sample.values[None]
-    return np.concatenate([rank_rows(vals, c[None], score)[0] for c in _chunks(ys, sample.n)])
+    return rank_rows(sample.values[None], ys[None], score)[0]
 
 
 def rank_candidate(sample: BoundedSample, y: float, score: NonconformityScore) -> int:
@@ -255,11 +266,8 @@ def coverage_probability(n: int, k: int) -> float:
 
 def serialize_intervals(sets: Sequence[Sequence[Interval]]) -> str:
     """One line per interval: 'v lo hi' with round-trip decimal reals."""
-    lines = []
-    for v, pieces in enumerate(sets, start=1):
-        for lo, hi in pieces:
-            lines.append(f"{v} {lo:.17g} {hi:.17g}")
-    return "\n".join(lines) + "\n"
+    flat = [x for v, pieces in enumerate(sets, start=1) for lo, hi in pieces for x in (v, lo, hi)]
+    return "%d %.17g %.17g\n" * (len(flat) // 3) % tuple(flat) if flat else "\n"
 
 
 def serialize_focal_system(focal: FocalSystem) -> str:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .conformal import _CHUNK_CELLS as _RANK_CELLS, NonconformityScore, nested_set_index, rank_rows
+from .conformal import NonconformityScore, nested_set_index, rank_rows
 from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
@@ -254,8 +254,7 @@ def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], 
         raise ValueError(f"replications={replications}: need at least 1")
     ks = np.array([nested_set_index(n, alpha) for alpha in alphas], dtype=int)[:, None]
     hits = np.zeros((len(alphas), len(scores)), dtype=int)
-    row_cells = (n + 1) * (_CHUNK_CELLS // _RANK_CELLS)  # rank temporaries are (r, n)
-    for rows in sample_chunks(model.support, seed, n, replications, row_cells, held_out=1):
+    for rows in sample_chunks(model.support, seed, n, replications, n + 1, held_out=1):
         for j, score in enumerate(scores):
             ranks = rank_rows(rows[:, :n], rows[:, n:], score)[:, 0]
             hits[:, j] += np.count_nonzero(ranks <= ks, axis=1)

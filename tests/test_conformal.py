@@ -1,8 +1,9 @@
+import re
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -28,6 +29,7 @@ from focalrisk.errors import IndexOutOfRange, InvalidAlpha, MissingGrid, OutOfSu
 
 identity = NonconformityScore.identity()
 loo_mean = NonconformityScore.distance_to_loo_mean()
+BIG = np.finfo(float).max
 
 
 class TestRankCandidate:
@@ -304,24 +306,17 @@ class TestBatched:
         assert got.tolist() == [[_scalar_rank(s, float(y), score) for y in row[n:]]
                                 for s, row in zip(samples, mat)]
 
-    @pytest.mark.parametrize("cells", [1, 7, None])
-    def test_loo_mean_chunks(self, monkeypatch, cells):
-        # n=300 spans ten chunks of the real budget; tiny budgets give one y per chunk
-        if cells is not None:
-            monkeypatch.setattr(conformal, "_CHUNK_CELLS", cells)
+    def test_loo_mean_matches_scalar(self):
+        # n=300 takes np.sum's pairwise blocks; the grid and the data points as candidates
         raw = np.random.default_rng(3).uniform(-3, 3, 300)
         s = make_sample(raw, -3, 3)
         ys = np.concatenate([np.linspace(-3, 3, 1001), raw[:50]])
         expected = [_scalar_rank(s, float(y), loo_mean) for y in ys]
         assert rank_candidates(s, ys, loo_mean).tolist() == expected
-        assert len(list(conformal._chunks(ys, s.n))) > 1
 
     @pytest.mark.filterwarnings("ignore::focalrisk.errors.EmptyFocalSetWarning")
     @pytest.mark.parametrize("score", [identity, loo_mean])
-    @pytest.mark.parametrize("cells", [5, None])
-    def test_contour_array_matches_loop(self, monkeypatch, score, cells):
-        if cells is not None:
-            monkeypatch.setattr(conformal, "_CHUNK_CELLS", cells)
+    def test_contour_array_matches_loop(self, score):
         raw = [0.3, 1.1, 1.1, 2.0, 2.6, 4.2, 4.9]
         f = focal_sets(make_sample(raw, 0, 5), score, grid_points=101)
         edges = [e for pieces in f.sets for piece in pieces for e in piece]
@@ -332,6 +327,61 @@ class TestBatched:
         assert got.tolist() == [contour(f, y) for y in ys.tolist()]
         assert f.containing_index(ys).tolist() == [f.containing_index(y) for y in ys.tolist()]
         assert type(contour(f, 1.1)) is float and type(f.containing_index(1.1)) is int
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @given(n=st.integers(1, 300), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           tied=st.booleans(), huge=st.booleans(), score=st.sampled_from([identity, loo_mean]))
+    @example(n=1, m=4, seed=0, tied=False, huge=True, score=loo_mean)
+    @example(n=5, m=3, seed=1, tied=True, huge=False, score=loo_mean)
+    def test_rank_rows_at_the_edges(self, n, m, seed, tied, huge, score):
+        # data and candidates near +-1e308 overflow the row sums to +-inf and, once
+        # np.sum's pairwise blocks overflow both ways (n > 128), to NaN; ties among the
+        # data, and candidates at data points and at the support ends
+        rng = np.random.default_rng(seed)
+        end = BIG if huge else 2.0
+        mat = rng.uniform(-1, 1, (3, n + m)) * (1.7e308 if huge else 2.0)
+        mat[:, :n] = mat[:, :1] if tied else np.where(rng.random((3, n)) < 0.3,
+                                                      rng.choice(mat[0, :3], (3, n)), mat[:, :n])
+        mat[:, :n].sort(axis=1)
+        pick = rng.integers(0, 3, (3, m))  # 0: keep, 1: a data point, 2: a support end
+        mat[:, n:] = np.where(pick == 1, mat[:, rng.integers(0, n, m)], mat[:, n:])
+        mat[:, n:] = np.where(pick == 2, rng.choice([-end, end], (3, m)), mat[:, n:])
+        got = rank_rows(mat[:, :n], mat[:, n:], score)
+        samples = [make_sample(row[:n], -end, end) for row in mat]
+        assert got.tolist() == [[_scalar_rank(s, float(y), score) for y in row[n:]]
+                                for s, row in zip(samples, mat)]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_loo_mean_nan_row_sum(self):
+        # pairwise blocks of -inf and +inf: the row total is NaN, every score compares false
+        row = np.repeat([-1.7e308, 1.7e308], 128)
+        assert np.isnan(row.sum())
+        s = make_sample(row, -BIG, BIG)
+        ys = np.array([-BIG, 0.0, 1.7e308, BIG])
+        assert rank_rows(row[None], ys[None], loo_mean)[0].tolist() == [
+            _scalar_rank(s, float(y), loo_mean) for y in ys] == [1, 1, 1, 1]
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(0, 12)),
+                    max_size=12),
+           st.lists(st.integers(0, 24), max_size=20))
+    def test_grid_lookup_matches_scan(self, pieces, ys):
+        # five sets of arbitrary pieces on [0, 3]: overlaps, gaps, several pieces per set
+        # and empty sets; unsorted, repeated ys on piece ends and between them
+        sets = [[] for _ in range(5)]
+        for v, i, j in pieces:
+            sets[v].append((min(i, j) / 4, max(i, j) / 4))
+        f = FocalSystem(tuple(map(tuple, sets)), 0.0, 3.0,
+                        FocalRepresentation.GRID_LEVEL_SETS, np.array([1.5]))
+        ys = [y / 8 for y in ys]
+        covered = [any(lo <= y <= hi for p in f.sets for lo, hi in p) for y in ys]
+        if all(covered):
+            assert f.containing_index(np.array(ys)).tolist() == [_scalar_index(f, y) for y in ys]
+        else:
+            first = ys[covered.index(False)]
+            with pytest.raises(OutOfSupport, match=re.escape(f"y={first} not covered")):
+                f.containing_index(np.array(ys))
 
     def test_grid_tie_goes_to_lower_index(self):
         f = FocalSystem((((1.0, 2.0),), ((0.0, 1.0),), ((2.0, 3.0),)), 0.0, 3.0,
