@@ -16,8 +16,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import conformal, consistency, risk, simulate
 from .data_model import (
     ThetaGrid,
@@ -82,6 +80,7 @@ def _parse_list(raw, cast):
 def cmd_predict(args) -> int:
     data = _read_data(args)
     sample = make_sample(data, args.lo, args.hi)
+    ys = conformal.y_grid(args.lo, args.hi, 1001)
     focal = conformal.focal_sets(sample, _SCORES[args.score](), grid_points=args.grid_points)
     pred = conformal.prediction_set(focal, args.alpha)
     out = _out_dir(args)
@@ -89,7 +88,6 @@ def cmd_predict(args) -> int:
     pred_text = f"# k={pred.k} nominal_coverage={pred.nominal_coverage:.17g}\n"
     pred_text += conformal.serialize_prediction_set(pred)
     _write(out / "prediction.txt", pred_text)
-    ys = np.linspace(args.lo, args.hi, 1001)
     rows = zip(ys.tolist(), conformal.contour(focal, ys).tolist())
     _write(out / "contour.csv", risk.format_csv("y,contour", rows))
     return 0

@@ -3,7 +3,8 @@
 The rank of a candidate value among the augmented scores is uniform on
 {1, ..., n+1} under exchangeability; the level sets of that rank are the
 focal sets, each carrying mass 1/(n+1).  Unions of the first k focal sets
-are prediction sets with exact marginal coverage k/(n+1).
+are prediction sets with exact marginal coverage k/(n+1).  Every focal system,
+exact or grid, is one table of pieces (``FocalSystem``) with one lookup.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidAlpha,
     MissingGrid,
+    NonFiniteValue,
     OutOfSupport,
 )
 
@@ -63,48 +65,49 @@ class NonconformityScore:
         return NonconformityScore(ScoreKind.CUSTOM, fn)
 
 
-class FocalRepresentation(enum.Enum):
-    EXACT_INTERVALS = "exact"
-    GRID_LEVEL_SETS = "grid"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == and hash by identity, never ambiguous
 class FocalSystem:
-    """n+1 rank level sets over [a, b], each a finite union of intervals."""
+    """n+1 rank level sets over [a, b] as one table of pieces in scan order: piece i is
+    [lo[i], hi[i]] of set index[i] in 1..n+1, by index, then along y.  A set may have
+    several pieces, or none (a rank that a grid system never attains)."""
 
-    sets: tuple[tuple[Interval, ...], ...]
+    index: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    n_plus_1: int
     support_lo: float
     support_hi: float
-    representation: FocalRepresentation
-    sample_values: np.ndarray
 
     @property
-    def n_plus_1(self) -> int:
-        return len(self.sets)
+    def sets(self) -> tuple[tuple[Interval, ...], ...]:
+        """The pieces of each set 1..n+1: a view of the table."""
+        sets: list[list[Interval]] = [[] for _ in range(self.n_plus_1)]
+        for v, lo, hi in zip(self.index.tolist(), self.lo.tolist(), self.hi.tolist()):
+            sets[v - 1].append((lo, hi))
+        return tuple(map(tuple, sets))
 
     @property
     def mass_each(self) -> float:
-        return 1.0 / len(self.sets)
+        return 1.0 / self.n_plus_1
 
     def containing_index(self, y):
         """1-based index of the focal set containing y; elementwise for an array.
 
-        Values equal to a data point (exact representation) go to the
-        lower-index adjacent set, as do values on touching ends of grid pieces.
-        """
+        The first piece in scan order that holds y wins, so a y on a shared end goes to
+        the lower index.  Pieces that meet only at their ends, as ``focal_sets`` builds
+        them, hold O(n + m) of the distinct ys in all."""
         flat = _in_support(y, self.support_lo, self.support_hi)
-        if self.representation is FocalRepresentation.EXACT_INTERVALS:
-            v = np.minimum(np.searchsorted(self.sample_values, flat, "left") + 1, self.n_plus_1)
-        else:  # the first piece in scan order wins: fill each piece's ys, the last one first
-            pieces = [(v, lo, hi) for v, p in enumerate(self.sets, start=1) for lo, hi in p][::-1]
-            _, lo, hi = np.array(pieces, dtype=float).reshape(-1, 3).T
-            order, v = np.argsort(flat), np.zeros(flat.size, dtype=int)
-            starts = np.searchsorted(flat[order], lo, "left").tolist()
-            stops = np.searchsorted(flat[order], hi, "right").tolist()
-            for (piece, _, _), i, j in zip(pieces, starts, stops):
-                v[order[i:j]] = piece
-            if not v.all():
-                raise OutOfSupport(f"y={flat[v == 0][0]} not covered by any focal set")
+        ys, back = np.unique(flat, return_inverse=True)
+        start = np.searchsorted(ys, self.lo, "left")
+        count = np.maximum(np.searchsorted(ys, self.hi, "right") - start, 0)
+        piece = np.repeat(np.arange(count.size), count)
+        at = np.arange(piece.size) - np.repeat(np.cumsum(count) - count - start, count)
+        first = np.full(ys.size, count.size)
+        np.minimum.at(first, at, piece)
+        first = first[back]
+        if (first == count.size).any():
+            raise OutOfSupport(f"y={flat[first == count.size][0]} not covered by any focal set")
+        v = self.index[first]
         return int(v[0]) if np.ndim(y) == 0 else v.reshape(np.shape(y))
 
 
@@ -165,45 +168,45 @@ def rank_candidate(sample: BoundedSample, y: float, score: NonconformityScore) -
     return int(rank_candidates(sample, [y], score)[0])
 
 
+def y_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``np.linspace(lo, hi, points)``, refused where its step would overflow."""
+    if points < 2:
+        raise MissingGrid("general scores need a y-grid with at least 2 points")
+    if points > MAX_GRID:
+        raise ValueError(f"{points} grid points exceeds {MAX_GRID}")
+    if not math.isfinite(float(hi) - float(lo)):
+        raise NonFiniteValue(f"support [{lo}, {hi}] is wider than the largest float")
+    return np.linspace(lo, hi, points)
+
+
 def focal_sets(sample: BoundedSample, score: NonconformityScore,
                grid_points: int = 2001) -> FocalSystem:
-    """Construct the rank level sets.
+    """Construct the rank level sets as a piece table.
 
-    Identity scores give the exact order-statistic gaps.  Other scores are
-    resolved on a y-grid of grid_points equally spaced points over the
+    Identity scores give the exact order-statistic gaps, one piece per set.
+    Other scores are resolved on a ``y_grid`` of grid_points points over the
     support; each maximal run of equal rank is widened half a grid step, and
     to the next run's start, so the runs tile the support.
     """
-    a, b = sample.support_lo, sample.support_hi
-    n = sample.n
+    a, b, n = sample.support_lo, sample.support_hi, sample.n
     if score.kind is ScoreKind.IDENTITY:
-        knots = [a, *sample.values.tolist(), b]
-        sets = tuple(((knots[v - 1], knots[v]),) for v in range(1, n + 2))
-        return FocalSystem(sets, a, b, FocalRepresentation.EXACT_INTERVALS, sample.values)
+        knots = np.concatenate([[a], sample.values, [b]])
+        return FocalSystem(np.arange(1, n + 2), knots[:-1], knots[1:], n + 1, a, b)
 
-    if grid_points < 2:
-        raise MissingGrid("general scores need a y-grid with at least 2 points")
-    if grid_points > MAX_GRID:
-        raise ValueError(f"{grid_points} grid points exceeds {MAX_GRID}")
-    grid = np.linspace(a, b, grid_points)
+    grid = y_grid(a, b, grid_points)
     half = 0.5 * (grid[1] - grid[0])
     ranks = rank_candidates(sample, grid, score)
-
-    pieces: list[list[Interval]] = [[] for _ in range(n + 1)]
     starts = np.flatnonzero(np.diff(ranks, prepend=0))
     stops = np.append(starts[1:], grid.size)
     los = np.maximum(a, grid[starts] - half)
     his = np.minimum(b, grid[stops - 1] + half)
     his[:-1] = np.maximum(his[:-1], los[1:])  # rounding may end a run 1 ulp short of the next
-    for rank, lo, hi in zip(ranks[starts].tolist(), los.tolist(), his.tolist()):
-        pieces[rank - 1].append((lo, hi))
-    empty = [v + 1 for v, p in enumerate(pieces) if not p]
-    if empty:
-        warnings.warn(
-            f"rank values {empty} unattained on the grid", EmptyFocalSetWarning
-        )
-    sets = tuple(tuple(p) for p in pieces)
-    return FocalSystem(sets, a, b, FocalRepresentation.GRID_LEVEL_SETS, sample.values)
+    empty = np.flatnonzero(np.bincount(ranks, minlength=n + 2)[1:] == 0) + 1
+    if empty.size:
+        warnings.warn(f"rank values {empty.tolist()} unattained on the grid", EmptyFocalSetWarning)
+    run = ranks[starts]
+    order = np.argsort(run, kind="stable")  # scan order: by rank, then along y
+    return FocalSystem(run[order], los[order], his[order], n + 1, a, b)
 
 
 def merge_intervals(pieces: Sequence[Interval]) -> tuple[Interval, ...]:
@@ -233,8 +236,9 @@ def prediction_set(focal: FocalSystem, alpha: float) -> PredictionSet:
     """Smallest-k prediction set with nominal coverage >= 1 - alpha."""
     m = focal.n_plus_1
     k = nested_set_index(m - 1, alpha)
-    pieces = [iv for v in range(k) for iv in focal.sets[v]]
-    return PredictionSet(k=k, region=merge_intervals(pieces), nominal_coverage=k / m)
+    first = focal.index <= k
+    region = merge_intervals(list(zip(focal.lo[first].tolist(), focal.hi[first].tolist())))
+    return PredictionSet(k=k, region=region, nominal_coverage=k / m)
 
 
 def check_alpha(alpha: float) -> None:
@@ -264,15 +268,16 @@ def coverage_probability(n: int, k: int) -> float:
     return k / (n + 1)
 
 
-def serialize_intervals(sets: Sequence[Sequence[Interval]]) -> str:
+def serialize_intervals(index, lo, hi) -> str:
     """One line per interval: 'v lo hi' with round-trip decimal reals."""
-    flat = [x for v, pieces in enumerate(sets, start=1) for lo, hi in pieces for x in (v, lo, hi)]
-    return "%d %.17g %.17g\n" * (len(flat) // 3) % tuple(flat) if flat else "\n"
+    flat = np.column_stack([index, lo, hi]).ravel().tolist()
+    return "%d %.17g %.17g\n" * len(index) % tuple(flat) if len(index) else "\n"
 
 
 def serialize_focal_system(focal: FocalSystem) -> str:
-    return serialize_intervals(focal.sets)
+    return serialize_intervals(focal.index, focal.lo, focal.hi)
 
 
 def serialize_prediction_set(pred: PredictionSet) -> str:
-    return serialize_intervals([[iv] for iv in pred.region])
+    lo, hi = np.reshape(pred.region, (-1, 2)).T
+    return serialize_intervals(np.arange(1, len(lo) + 1), lo, hi)

@@ -66,9 +66,8 @@ def check_values(arr: np.ndarray, lo: float, hi: float) -> None:
     check_support(lo, hi)
     if arr.ndim != 1 or arr.size == 0:
         raise EmptySample("need at least one observation")
-    inside = (arr >= lo) & (arr <= hi)  # false for NaN
-    if not inside.all():
-        bad = arr[~inside][0]
+    if not (arr.min() >= lo and arr.max() <= hi):  # false for NaN; no temporary of arr's size
+        bad = arr[~((arr >= lo) & (arr <= hi))][0]
         if not math.isfinite(bad):
             raise NonFiniteValue(f"value {bad} is not finite")
         raise OutOfSupport(f"value {bad} outside [{lo}, {hi}]")
@@ -231,8 +230,8 @@ class ThetaGrid:
             raise ValueError("count must be positive")
         if self.count > MAX_GRID:
             raise ValueError(f"{self.count} grid points exceeds {MAX_GRID}")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise NonFiniteValue(f"grid [{self.lo}, {self.hi}] is not finite")
+        if not math.isfinite(float(self.hi) - float(self.lo)):  # linspace's step must be finite
+            raise NonFiniteValue(f"grid [{self.lo}, {self.hi}] is not finite, or wider than floats")
         if not (self.lo < self.hi or self.lo == self.hi and self.count == 1):
             raise ValueError("need lo < hi, or lo == hi for a one-point grid")
         pts = np.linspace(self.lo, self.hi, self.count)

@@ -2,8 +2,9 @@
 
 Empirical risk is the sample mean of the loss, n R_n / n with n R_n below (exact
 for every loss); true risk integrates the loss against the data-generating density;
-the upper risk averages per-set loss suprema over the focal system.  For convex
-losses and identity-score focal sets the upper risk has the closed form
+the upper risk averages per-set loss suprema over the focal system, for any
+system in one batched pass (``focal_upper_risk_curve``).  For convex losses and
+identity-score focal sets the upper risk has the closed form
 
     [n * R_n(theta) + M(theta)] / (n + 1),
     M(theta) = loss(theta, a) + loss(theta, b) - min over {a, data, b}.
@@ -129,18 +130,31 @@ def true_risk(loss: LossSpec, model: TrueModel, theta: float) -> float:
     return float(true_risk_curve(loss, model, [theta])[0])
 
 
-def sup_on_interval(loss: LossSpec, theta: float, lo: float, hi: float) -> float:
-    """Supremum of loss(theta, .) over [lo, hi]: the max over ``sup_points``, exact."""
-    return float(np.max(loss(theta, sup_points(lo, hi, loss.y_breaks))))
+def focal_upper_risk_curve(loss: LossSpec, focal: FocalSystem, thetas) -> np.ndarray:
+    """Choquet upper risk (1/(n+1)) sum_v sup_{F_v} loss(theta, .) of any focal system, at
+    every theta: the loss at each piece's ends and the y-breaks clipped into it (``sup_points``),
+    the max per set (an empty set adds 0); a pass takes at most _BLOCK_CELLS loss values."""
+    thetas = np.asarray(thetas, dtype=float)
+    loss.check_theta(thetas)
+    lo, hi = focal.lo[:, None], focal.hi[:, None]
+    ys = np.hstack([lo, np.clip(np.asarray(loss.y_breaks, dtype=float), lo, hi), hi])[..., None]
+    step, curve = max(1, _BLOCK_CELLS // max(ys.size, 1)), []
+    for t in (thetas[i:i + step] for i in range(0, len(thetas), step)):
+        sups = np.zeros((len(t), focal.n_plus_1))  # a row per theta: one sum, whatever t is
+        np.maximum.at(sups, (slice(None), focal.index - 1), np.max(loss(t, ys), axis=1).T)
+        curve.append(sups.sum(axis=1))
+    return np.concatenate(curve) / focal.n_plus_1
 
 
 def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> float:
-    """Average of per-focal-set loss suprema (works for any representation)."""
-    loss.check_theta(theta)
-    total = 0.0
-    for pieces in focal.sets:  # an empty focal set contributes 0
-        total += max((sup_on_interval(loss, theta, lo, hi) for lo, hi in pieces), default=0.0)
-    return total / focal.n_plus_1
+    """Upper risk at one theta: the one-point view of ``focal_upper_risk_curve``."""
+    return float(focal_upper_risk_curve(loss, focal, [theta])[0])
+
+
+def sup_on_interval(loss: LossSpec, theta: float, lo: float, hi: float) -> float:
+    """Supremum of loss(theta, .) over [lo, hi], exact: a one-piece ``focal_upper_risk_curve``."""
+    piece = FocalSystem(np.ones(1, int), np.array([lo], float), np.array([hi], float), 1, lo, hi)
+    return float(focal_upper_risk_curve(loss, piece, [theta])[0])
 
 
 def _cells(rows: np.ndarray, p: np.ndarray):
@@ -252,7 +266,7 @@ def risk_curve(
                 raise ValueError("true risk needs a model")
             vals = true_risk_curve(loss, model, grid.points)
         elif focal is not None:
-            vals = np.array([upper_risk_general(loss, focal, t) for t in grid.points])
+            vals = focal_upper_risk_curve(loss, focal, grid.points)
         elif sample is not None:
             vals = closed_form_curve(loss, sample, grid.points)
         else:

@@ -71,23 +71,27 @@ def _philox_keys(seed: int, n: int, replications: int) -> np.ndarray:
 
 def _streams(seed: int, n: int, replications: int) -> Iterator[np.random.Generator]:
     """``replication_rng(seed, n, r)`` for r = 0, 1, ..., bit for bit, keyed by one
-    ``_philox_keys`` pass: one Generator is reset per r, so a stream lasts until the next."""
-    if n < 0:  # both refused before any key, as replication_rng and SeedSequence refuse them
-        raise EmptySample(f"sample size n={n} is negative")
+    ``_philox_keys`` pass at the call: one Generator is reset per r, so a stream lasts until
+    the next."""
+    if n < 1:  # both refused before any key (SeedSequence refuses n < 0 and seed < 0 too)
+        raise EmptySample(f"sample size n={n} is below 1")
     if seed < 0:
         raise ValueError(f"seed={seed}: expected a non-negative integer")
     bitgen = np.random.Philox(0)
     state, rng = bitgen.state, np.random.Generator(bitgen)  # counter 0, buffer empty: as new
-    for key in _philox_keys(seed, n, replications):
+
+    def keyed(key):
         state["state"]["key"] = key
         bitgen.state = state
-        yield rng
+        return rng
+
+    return map(keyed, _philox_keys(seed, n, replications))
 
 
-def _raw_draw(n: int, lo: float, hi: float, mass: float, rng: np.random.Generator) -> np.ndarray:
-    """rng's first n standard normals in [lo, hi], in draw order (batches scale with 1/mass)."""
-    out = np.empty(n)
-    filled = 0
+def _raw_draw(out: np.ndarray, lo: float, hi: float, mass: float,
+              rng: np.random.Generator) -> np.ndarray:
+    """out, filled with rng's first out.size standard normals in [lo, hi], in draw order."""
+    n, filled = out.size, 0
     while filled < n:
         need = n - filled
         batch = rng.standard_normal(min(max(need + 8, int(need * 1.1 / mass)), _MAX_BATCH))
@@ -105,7 +109,7 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
     """
     if n > _MAX_ROW:
         raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
-    return make_sample(_raw_draw(n, lo, hi, normal_mass(lo, hi), rng), lo, hi)
+    return make_sample(_raw_draw(np.empty(n), lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
@@ -122,13 +126,14 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
                              f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
     if width > _MAX_ROW:
         raise SampleTooLarge(f"sample size n={width:.6g} exceeds {_MAX_ROW} values per sample")
-    step = max(1, _CHUNK_CELLS // max(row_cells, 1))  # n = 0 gets to the EmptySample check
+    step = max(1, _CHUNK_CELLS // max(row_cells, 1))
     streams = _streams(seed, n, replications)
-    for _ in range(0, replications, step):
-        rows = np.array([_raw_draw(width, lo, hi, mass, rng)
-                         for rng in itertools.islice(streams, step)])
+    for start in range(0, replications, step):
+        rows = np.empty((min(step, replications - start), width))
+        for row, rng in zip(rows, streams):
+            _raw_draw(row, lo, hi, mass, rng)
         rows[:, :n].sort(axis=1)
-        check_values(rows[:, :n].reshape(-1), lo, hi)
+        check_values(rows.reshape(-1), lo, hi)  # held-out draws too: rows[:, :n] would copy
         yield rows
 
 

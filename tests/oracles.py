@@ -1,8 +1,15 @@
-"""Scalar golden section: the reference that the package's minimizers once matched bit for bit.
+"""Scalar references for the package's batched paths.
 
-The package dropped golden section for exact minimizers; the tests keep this
-copy so that the earlier results stay reproducible as oracles.
+Golden section is what the package's minimizers once matched bit for bit; the
+package dropped it for exact minimizers.  The focal sum is the per-set,
+per-piece loop that the batched focal upper risk replaced.  The tests keep
+both so that the earlier results stay reproducible as oracles.
 """
+
+import numpy as np
+
+from focalrisk.conformal import FocalSystem
+from focalrisk.data_model import sup_points
 
 _INV_GOLDEN = (5 ** 0.5 - 1) / 2
 
@@ -27,3 +34,22 @@ def scalar_golden_section_min(f, lo, hi, tol):
             break
     x = 0.5 * (lo + hi)
     return x, f(x)
+
+
+def focal_table(sets, lo, hi):
+    """The FocalSystem on [lo, hi] whose set v has the pieces sets[v - 1], in scan order."""
+    pieces = [(v, a, b) for v, p in enumerate(sets, start=1) for a, b in p]
+    index, los, his = np.array(pieces, dtype=float).reshape(-1, 3).T
+    return FocalSystem(index.astype(int), los, his, len(sets), lo, hi)
+
+
+def focal_sum_upper_risk(loss, focal, theta):
+    """The upper risk at one theta, set by set and piece by piece: each piece's sup is the
+    max of the loss at its ``sup_points``, each set's the max over its pieces (an empty
+    set adds 0), and the sets' sups are summed in order and divided by n + 1."""
+    loss.check_theta(theta)
+    total = 0.0
+    for pieces in focal.sets:
+        total += max((float(np.max(loss(theta, sup_points(lo, hi, loss.y_breaks))))
+                      for lo, hi in pieces), default=0.0)
+    return total / focal.n_plus_1

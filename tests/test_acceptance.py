@@ -60,6 +60,16 @@ def test_criterion_1_closed_form_equivalence():
                 general = upper_risk_general(loss, focal, theta)
                 closed = upper_risk_closed_form(loss, sample, theta).total
                 worst = max(worst, abs(general - closed))
+    for loss_fn in (squared_error_loss, absolute_error_loss):  # and at n = 2000
+        loss = loss_fn((-2, 2))
+        for _ in range(5):
+            lo = rng.uniform(-4, 0)
+            sample = make_sample(rng.uniform(lo, lo + 4, 2000), lo, lo + 4)
+            focal = focal_sets(sample, NonconformityScore.identity())
+            for theta in rng.uniform(-2, 2, 20):
+                general = upper_risk_general(loss, focal, theta)
+                closed = upper_risk_closed_form(loss, sample, theta).total
+                worst = max(worst, abs(general - closed))
     report(f"closed-form equivalence (max |diff| = {worst:.3g})", worst <= 1e-12)
 
 

@@ -455,6 +455,12 @@ def test_draws_beyond_the_run_limit_are_refused_before_any_draw(tmp_path, argv):
     (["simulate", "--n", "5", "--replications", "3", "--theta-count", "5", "--theta-hi", "1e200"],
      "NonFiniteValue"),
     (["simulate", "--bins", "65537"], "ValueError"),
+    # hi - lo overflows: linspace's RuntimeWarnings and a NaN grid point came before
+    *([["predict", "--score", score, "--values=1e308,-1e308,1.5e308,-1.5e308",
+        "--lo", "-1.7e308", "--hi", "1.7e308"], "NonFiniteValue"]
+      for score in ("loo-mean", "identity")),
+    (["risk-curve", "--values", "0.1,0.2", "--theta-lo=-1.7e308", "--theta-hi", "1.7e308"],
+     "NonFiniteValue"),
 ])
 def test_refusals_print_one_line_in_a_fresh_interpreter(tmp_path, argv, error):
     # a fresh interpreter shows what pytest's warning capture hides, and with a timeout

@@ -18,14 +18,13 @@ from focalrisk import (
 )
 from focalrisk import conformal
 from focalrisk.conformal import (
-    FocalRepresentation,
-    FocalSystem,
     merge_intervals,
     rank_candidates,
     rank_rows,
     serialize_focal_system,
 )
 from focalrisk.errors import IndexOutOfRange, InvalidAlpha, MissingGrid, OutOfSupport
+from oracles import focal_table
 
 identity = NonconformityScore.identity()
 loo_mean = NonconformityScore.distance_to_loo_mean()
@@ -73,7 +72,8 @@ class TestFocalSets:
     def test_identity_gaps(self):
         f = focal_sets(make_sample([0.2, 0.8], 0, 1), identity)
         assert f.sets == (((0.0, 0.2),), ((0.2, 0.8),), ((0.8, 1.0),))
-        assert f.representation is FocalRepresentation.EXACT_INTERVALS
+        assert (f.index.tolist(), f.lo.tolist(), f.hi.tolist()) == ([1, 2, 3], [0, 0.2, 0.8],
+                                                                    [0.2, 0.8, 1])
 
     def test_singleton(self):
         f = focal_sets(make_sample([0.5], 0, 1), identity)
@@ -258,10 +258,14 @@ def _scalar_rank(sample, y, score):
     return 1 + sum(1 for i in range(n) if score.evaluate(i, augmented) <= cand)
 
 
+def _exact_index(sample, y):
+    """The identity system's index by bisection of the data, as an oracle: a y equal to
+    data points goes to the lower-index set."""
+    return min(bisect_left(list(sample.values), y) + 1, sample.n + 1)
+
+
 def _scalar_index(focal, y):
     """The one-point scan of containing_index, as an oracle."""
-    if focal.representation is FocalRepresentation.EXACT_INTERVALS:
-        return min(bisect_left(list(focal.sample_values), y) + 1, focal.n_plus_1)
     for v, pieces in enumerate(focal.sets, start=1):
         for lo, hi in pieces:
             if lo <= y <= hi:
@@ -324,6 +328,9 @@ class TestBatched:
         m = f.n_plus_1
         got = contour(f, ys)
         assert got.tolist() == [(m + 1 - _scalar_index(f, y)) / m for y in ys.tolist()]
+        if score is identity:
+            s = make_sample(raw, 0, 5)
+            assert got.tolist() == [(m + 1 - _exact_index(s, y)) / m for y in ys.tolist()]
         assert got.tolist() == [contour(f, y) for y in ys.tolist()]
         assert f.containing_index(ys).tolist() == [f.containing_index(y) for y in ys.tolist()]
         assert type(contour(f, 1.1)) is float and type(f.containing_index(1.1)) is int
@@ -372,8 +379,7 @@ class TestBatched:
         sets = [[] for _ in range(5)]
         for v, i, j in pieces:
             sets[v].append((min(i, j) / 4, max(i, j) / 4))
-        f = FocalSystem(tuple(map(tuple, sets)), 0.0, 3.0,
-                        FocalRepresentation.GRID_LEVEL_SETS, np.array([1.5]))
+        f = focal_table(sets, 0.0, 3.0)
         ys = [y / 8 for y in ys]
         covered = [any(lo <= y <= hi for p in f.sets for lo, hi in p) for y in ys]
         if all(covered):
@@ -384,8 +390,7 @@ class TestBatched:
                 f.containing_index(np.array(ys))
 
     def test_grid_tie_goes_to_lower_index(self):
-        f = FocalSystem((((1.0, 2.0),), ((0.0, 1.0),), ((2.0, 3.0),)), 0.0, 3.0,
-                        FocalRepresentation.GRID_LEVEL_SETS, np.array([1.0, 2.0]))
+        f = focal_table([[(1.0, 2.0)], [(0.0, 1.0)], [(2.0, 3.0)]], 0.0, 3.0)
         assert f.containing_index(np.array([0.5, 1.0, 2.0, 2.5])).tolist() == [2, 1, 1, 3]
 
     @pytest.mark.parametrize("score", [identity, loo_mean])
@@ -398,11 +403,34 @@ class TestBatched:
                 rank_candidates(make_sample([1, 2, 3, 4], 0, 5), [1.0, bad], score)
 
     def test_uncovered_y_raises(self):
-        f = FocalSystem((((0.0, 1.0),), ((2.0, 3.0),)), 0.0, 3.0,
-                        FocalRepresentation.GRID_LEVEL_SETS, np.array([1.5]))
+        f = focal_table([[(0.0, 1.0)], [(2.0, 3.0)]], 0.0, 3.0)
         assert contour(f, np.array([0.5, 2.5])).tolist() == [1.0, 0.5]
         with pytest.raises(OutOfSupport, match="not covered"):
             contour(f, np.array([0.5, 1.5, 2.5]))
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40),
+           st.lists(st.integers(-1, 7), max_size=30))
+    def test_identity_lookup_matches_bisection(self, raw, extra):
+        # repeated data points (ties), ys at data points, between them and at the support ends
+        s = make_sample([x / 2 for x in raw], -0.5, 3.5)
+        ys = [y / 2 for y in raw + extra] + [-0.5, 3.5]
+        f = focal_sets(s, identity)
+        assert f.containing_index(np.array(ys)).tolist() == [_exact_index(s, y) for y in ys]
+        assert f.containing_index(np.array(ys)).tolist() == [_scalar_index(f, y) for y in ys]
+
+    def test_lookup_memory_linear_in_n_plus_m(self):
+        # 10^5 equal data points: 10^5 - 1 sets [x, x], each holding all 10^4 ys at x
+        import tracemalloc
+
+        f = focal_sets(make_sample(np.full(100_000, 0.5), 0, 1), identity)
+        ys = np.full(10_000, 0.5)
+        tracemalloc.start()
+        try:
+            got = f.containing_index(ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (got == 1).all() and peak < 16 << 20
 
     def test_array_shape_kept(self):
         f = focal_sets(make_sample([1, 2, 3, 4], 0, 5), identity)

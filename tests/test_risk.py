@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +28,17 @@ from focalrisk import (
     upper_risk_general,
 )
 from focalrisk.data_model import ModelKind
-from focalrisk.errors import NonConvexLoss, ThetaOutOfDomain
+from focalrisk.errors import EmptyFocalSetWarning, NonConvexLoss, ThetaOutOfDomain
 from focalrisk.consistency import _loss_range
 from focalrisk.risk import (
     closed_form_curve,
+    focal_upper_risk_curve,
     format_csv,
     minimize_rows,
     true_risk_curve,
     upper_risk_batch,
 )
-from oracles import scalar_golden_section_min
+from oracles import focal_sum_upper_risk, focal_table, scalar_golden_section_min
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -379,6 +381,64 @@ class TestUpperRiskGeneral:
         f = focal_sets(s, NonconformityScore.identity())
         # sups are the loss at both support endpoints: (0.25 + 0.25)/2
         assert upper_risk_general(sq01, f, 0.5) == pytest.approx(0.25)
+
+
+@st.composite
+def _focal_case(draw):
+    """A focal system on [-3, 3]: identity sets, loo-mean grid sets on a coarse grid (so
+    some ranks go unattained, leaving empty sets) or hand-built pieces that overlap, leave
+    gaps and leave sets empty; a loss, and thetas."""
+    kind = draw(st.sampled_from(["identity", "loo-mean", "hand"]))
+    if kind == "hand":
+        ends = st.integers(-12, 12).map(lambda i: i / 4)
+        sets = draw(st.lists(st.lists(st.tuples(ends, ends).map(sorted), max_size=3),
+                             min_size=1, max_size=6))
+        focal = focal_table(sets, -3.0, 3.0)
+    else:
+        raw = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyFocalSetWarning)
+            score = getattr(NonconformityScore, {"identity": "identity",
+                                                 "loo-mean": "distance_to_loo_mean"}[kind])()
+            focal = focal_sets(make_sample(raw, -3, 3), score, draw(st.integers(2, 61)))
+    # BUMPY: not convex in y, with y-knots -1 and 0.5 inside pieces
+    loss = draw(st.sampled_from([sq11, absolute_error_loss((-1, 1)), constant_loss(0.7), BUMPY]))
+    thetas = np.array(draw(st.lists(st.floats(-1, 1), min_size=1, max_size=6)))
+    return focal, loss, thetas
+
+
+@settings(max_examples=300, deadline=None)
+@given(_focal_case())
+def test_focal_curve_equals_focal_sum(case):
+    focal, loss, thetas = case
+    want = [focal_sum_upper_risk(loss, focal, t) for t in thetas]
+    got = focal_upper_risk_curve(loss, focal, thetas)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert [upper_risk_general(loss, focal, t) for t in thetas] == got.tolist()
+
+
+def test_focal_curve_with_empty_sets():
+    # a 5-point grid leaves rank 1 unattained: set 1 is empty and adds 0; set 3 has two pieces
+    with pytest.warns(EmptyFocalSetWarning, match=r"\[1\]"):
+        f = focal_sets(make_sample([-2.0, 0.5, 1.0, 2.0], -3, 3),
+                       NonconformityScore.distance_to_loo_mean(), grid_points=5)
+    assert f.sets[0] == () and len(f.sets[2]) == 2
+    thetas = np.linspace(-1, 1, 9)
+    for loss in (sq11, BUMPY):
+        want = [focal_sum_upper_risk(loss, f, t) for t in thetas]
+        assert np.max(np.abs(focal_upper_risk_curve(loss, f, thetas) - want)) <= 1e-12
+
+
+def test_focal_curve_passes_of_any_size_agree(monkeypatch):
+    import focalrisk.risk as risk_mod
+
+    f = focal_sets(make_sample(np.random.default_rng(1).uniform(-3, 3, 50), -3, 3),
+                   NonconformityScore.identity())
+    thetas = np.linspace(-1, 1, 101)
+    whole = focal_upper_risk_curve(BUMPY, f, thetas)
+    for cells in (1, 1000):
+        monkeypatch.setattr(risk_mod, "_BLOCK_CELLS", cells)
+        assert np.array_equal(focal_upper_risk_curve(BUMPY, f, thetas), whole)
 
 
 class TestUpperRiskClosedForm:

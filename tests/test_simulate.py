@@ -142,8 +142,8 @@ class TestStreams:
         n, mass = 40, normal_mass(lo, hi)
         for r, rng in enumerate(_streams(seed, n, 20)):
             got, want = Recording(rng), Recording(replication_rng(seed, n, r))
-            _raw_draw(n, lo, hi, mass, got)
-            _raw_draw(n, lo, hi, mass, want)
+            _raw_draw(np.empty(n), lo, hi, mass, got)
+            _raw_draw(np.empty(n), lo, hi, mass, want)
             assert len(got.batches) == len(want.batches)
             assert all(map(np.array_equal, got.batches, want.batches))
 
@@ -184,9 +184,28 @@ class TestSampleChunks:
             assert row[n] == draws[n]
             assert np.array_equal(row[:n], np.sort(draws[:n]))
 
+    def test_chunk_peak_memory_near_its_size(self):
+        # one full chunk of 20 sorted draws and a held-out one, as coverage draws them;
+        # building it from a list of row arrays peaked at 3x its size
+        import tracemalloc
+
+        width = 21
+        next(sample_chunks((-3.0, 3.0), 0, 20, 3, width, held_out=1))  # first-call allocations
+        tracemalloc.start()
+        try:
+            rows = next(sample_chunks((-3.0, 3.0), 0, 20, _CHUNK_CELLS // width, width,
+                                      held_out=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (_CHUNK_CELLS // width, width)
+        assert peak < 1.5 * rows.nbytes
+
     def test_rows_checked(self):
         with pytest.raises(EmptySample):
             next(sample_chunks((-3.0, 3.0), 0, 0, 5, 1))
+        with pytest.raises(EmptySample):  # the held-out draws are no sample
+            next(sample_chunks((-3.0, 3.0), 0, 0, 5, 1, held_out=1))
         with pytest.raises(SupportMassTooSmall):
             next(sample_chunks((10.0, 11.0), 0, 5, 5, 1))
 
