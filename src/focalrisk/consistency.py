@@ -18,7 +18,7 @@ import numpy as np
 from .conformal import check_alpha
 from .data_model import LossSpec, ThetaGrid, TrueModel, sup_points
 from .errors import NonFiniteValue, NonpositiveEpsilon
-from .risk import true_risk_curve, upper_risk_batch
+from .risk import batch_cells, true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
 
 
@@ -102,7 +102,8 @@ def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
     if replications < 100:  # the floor of both Monte Carlo checks
         raise ValueError(f"replications={replications}: need at least 100")
     targets, (a, b) = true_risk_curve(loss, model, thetas), model.support
-    for rows in sample_chunks(model.support, seed, n, replications, n * len(thetas)):
+    cells = batch_cells(loss, n, len(thetas), a, b)
+    for rows in sample_chunks(model.support, seed, n, replications, cells):
         yield np.abs(upper_risk_batch(loss, rows, a, b, thetas) - targets)
 
 

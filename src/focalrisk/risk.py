@@ -23,10 +23,10 @@ with c = #{y_i < theta} (``searchsorted``):
        of theta (tabulated: at a cell's first or last point).
 
 Squared and absolute loss shift data and theta first: squared by the support's
-centre clipped to the range of the data (one shift for all rows, so the
-subtraction stays a scalar one), absolute by each row's median, which bounds
-each sum by 2 n R_n.  So the rounding scales with the data's spread and
-theta's distance from them, not with the support's width.  A curve of k
+centre clipped to each row's range, absolute by each row's median, which bounds
+each sum by 2 n R_n.  So the rounding scales with the data's spread and theta's
+distance from them, not with the support's width, and a row's result does not
+depend on the other rows it is batched with.  A curve of k
 thetas costs O(n + k log n) per row (tabulated: O(n + k K), K cells), and
 ``minimize_rows`` takes the exact argmin of the upper risk.
 """
@@ -47,6 +47,7 @@ from .quadrature import integrate
 
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
 _BLOCK_CELLS = 1 << 18  # a table's loss cells per pass, minimizer candidates per row block
+_LIVE = 16  # arrays of a row's counted cells live at once in the closed form (tracemalloc)
 
 
 class RiskKind(enum.Enum):
@@ -191,8 +192,8 @@ def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas) -> np.nd
         rise = np.where(l1 >= l0, w_sums[:, None], v_sums[:, None]) * np.abs(l1 - l0)
         return (counts[:, None] * np.minimum(l0, l1) + rise).sum(axis=-1)
     centre = rows[:, n // 2:n // 2 + 1]  # absolute: each row's median
-    if loss.kind is LossKind.SQUARED_ERROR:  # (a + b)/2 in the data's range; a + b may overflow
-        centre = min(max(0.5 * a + 0.5 * b, rows[:, 0].min()), rows[:, -1].max())
+    if loss.kind is LossKind.SQUARED_ERROR:  # (a + b)/2 in the row's range; a + b may overflow
+        centre = np.clip(0.5 * a + 0.5 * b, rows[:, :1], rows[:, -1:])
     z, t = rows - centre, thetas - centre
     if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
         mean = z.sum(axis=1, keepdims=True) / n
@@ -227,6 +228,18 @@ def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, theta
     loss.check_convex()
     n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
     return (n_rn + m_theta) / (rows.shape[1] + 1)
+
+
+def batch_cells(loss: LossSpec, n: int, k: int, a: float, b: float,
+                minimize: bool = False) -> int:
+    """Float64 cells one sorted row of n values keeps live in ``upper_risk_batch`` at k
+    thetas, and in ``minimize_rows`` if minimize: _LIVE (n + k P), P the y sup points of
+    [a, b] (a table builds (k, 2K) per row, K cells between them).  Squared and absolute
+    loss minimize at n + 2 and 2n + 3 candidates per row; a table's minimizer blocks its
+    own candidates within _BLOCK_CELLS."""
+    if minimize and loss.kind is not LossKind.TABULATED:
+        k = max(k, n + 2 if loss.kind is LossKind.SQUARED_ERROR else 2 * n + 3)
+    return _LIVE * (n + k * len(sup_points(a, b, loss.y_breaks)))
 
 
 def upper_risk_closed_form(
@@ -316,19 +329,20 @@ def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
     """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
     Exact: the best of the closed form at ``_candidates``, ties to the lowest
-    theta.  Tabulated losses run in row blocks of at most _BLOCK_CELLS candidates,
-    evaluated in column slices of at most _BLOCK_CELLS loss cells.
+    theta.  Squared and absolute loss take the rows as one block (``batch_cells``).
+    Tabulated losses run in row blocks of at most _BLOCK_CELLS / _LIVE candidates,
+    evaluated in column slices of at most _BLOCK_CELLS / _LIVE loss cells.
     """
     loss.check_theta([grid.lo, grid.hi])
-    step, m = max(1, len(rows)), 0  # squared and absolute loss: one block, O(n) cells per row
+    step, m = max(1, len(rows)), 0
     if loss.kind is LossKind.TABULATED:  # per row: t + 1 + t pairs candidates, m lines each
         t = len(sup_points(grid.lo, grid.hi, loss.theta_breaks)) - 1
         m = 2 * len(sup_points(a, b, loss.y_breaks))
-        step = max(1, _BLOCK_CELLS // (t + 1 + t * m * (m - 1) // 2))
+        step = max(1, _BLOCK_CELLS // (_LIVE * (t + 1 + t * m * (m - 1) // 2)))
     thetas, values = [], []
     for part in (rows[i:i + step] for i in range(0, len(rows), step)):
         cand = _candidates(loss, part, a, b, grid.lo, grid.hi)
-        w = max(1, _BLOCK_CELLS // (len(part) * m)) if m else cand.shape[1]
+        w = max(1, _BLOCK_CELLS // (_LIVE * len(part) * m)) if m else cand.shape[1]
         vals = np.hstack([upper_risk_batch(loss, part, a, b, cand[:, j:j + w])
                           for j in range(0, cand.shape[1], w)])
         best = np.arange(len(part)), np.argmin(vals, axis=1)

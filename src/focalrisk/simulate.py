@@ -19,15 +19,16 @@ from .conformal import NonconformityScore, nested_set_index, rank_rows
 from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
-from .risk import RiskCurve, RiskKind, format_csv, minimize_rows, upper_risk_batch
+from .risk import RiskCurve, RiskKind, batch_cells, format_csv, minimize_rows, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
-_CHUNK_CELLS = 1 << 18  # largest array one chunk of replications builds: 2 MiB of float64
+_CHUNK_CELLS = 1 << 18  # float64 cells one chunk keeps live, by row_cells: 2 MiB
 _MAX_ROW = 1 << 24  # largest sample size drawn: 128 MiB of float64 per sample
 _MAX_DRAWS = 1 << 28  # values one run of replications may draw: 1.06e8 took 6 s on 2 cores
 _MAX_REPLICATIONS = 1 << 18  # replications of one run: ~2-3 us of stream setup each at n = 1
 _MAX_CURVES = 1 << 24  # replications x thetas of one simulate run: 128 MiB of stored curves
 _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
+_KEY_BLOCK = 1 << 12  # replications keyed per pass: ~90 bytes of temporaries each
 
 
 def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Generator:
@@ -38,15 +39,17 @@ def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Gen
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _philox_keys(seed: int, n: int, replications: int) -> np.ndarray:
-    """(replications, 2) uint64: ``SeedSequence([seed, n, r]).generate_state(2, np.uint64)``.
+def _philox_keys(seed: int, n: int, stop: int, start: int = 0) -> np.ndarray:
+    """(stop - start, 2) uint64: ``SeedSequence([seed, n, r]).generate_state(2, np.uint64)``
+    for r = start, ..., stop - 1.
 
     numpy's SeedSequence mixing (pool size 4, then generate_state) in uint32 arithmetic,
     over every r at once: its hash constants do not depend on the entropy words.
     """
+    replications = stop - start
     entropy = [np.full(replications, x >> shift & 0xFFFFFFFF, np.uint32)  # little-endian words
                for x in (int(seed), int(n)) for shift in range(0, max(x.bit_length(), 1), 32)]
-    entropy.append(np.arange(replications, dtype=np.uint32))  # r < _MAX_REPLICATIONS: one word
+    entropy.append(np.arange(start, stop, dtype=np.uint32))  # r < _MAX_REPLICATIONS: one word
     const = 0x43B0D7E5
 
     def hashmix(value, mult=0x931E8875):
@@ -71,8 +74,8 @@ def _philox_keys(seed: int, n: int, replications: int) -> np.ndarray:
 
 def _streams(seed: int, n: int, replications: int) -> Iterator[np.random.Generator]:
     """``replication_rng(seed, n, r)`` for r = 0, 1, ..., bit for bit, keyed by one
-    ``_philox_keys`` pass at the call: one Generator is reset per r, so a stream lasts until
-    the next."""
+    ``_philox_keys`` pass per _KEY_BLOCK replications: one Generator is reset per r, so a
+    stream lasts until the next."""
     if n < 1:  # both refused before any key (SeedSequence refuses n < 0 and seed < 0 too)
         raise EmptySample(f"sample size n={n} is below 1")
     if seed < 0:
@@ -85,7 +88,9 @@ def _streams(seed: int, n: int, replications: int) -> Iterator[np.random.Generat
         bitgen.state = state
         return rng
 
-    return map(keyed, _philox_keys(seed, n, replications))
+    blocks = (_philox_keys(seed, n, min(start + _KEY_BLOCK, replications), start)
+              for start in range(0, replications, _KEY_BLOCK))
+    return map(keyed, itertools.chain.from_iterable(blocks))
 
 
 def _raw_draw(out: np.ndarray, lo: float, hi: float, mass: float,
@@ -117,8 +122,11 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     """Replications 0, 1, ... in order, as (r, n + held_out) matrices.
 
     Row r is ``replication_rng(seed, n, r)``'s first n + held_out draws in the support,
-    its first n sorted and checked.  The caller builds at most row_cells cells per row,
-    and r keeps r * row_cells within the chunk budget (r >= 1).  Caps come before any key.
+    its first n sorted and checked.  row_cells counts the float64 cells the caller keeps
+    live per row, the row itself included (``risk.batch_cells`` for the closed form and its
+    minimizer), and r keeps r * row_cells within the chunk budget (r >= 1).  Each row is
+    drawn from its own stream and evaluated alone, so output is the same for any chunking,
+    on any support.  Caps come before any key.
     """
     (lo, hi), mass, width = support, normal_mass(*support), n + held_out
     if replications > _MAX_REPLICATIONS or width * replications > _MAX_DRAWS:
@@ -232,7 +240,8 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
     a, b = config.model.support
     for n in config.n_values:
         curves, minimizers, done = np.empty((reps, grid.count)), np.empty(reps), 0
-        for rows in sample_chunks((a, b), config.master_seed, n, reps, n * grid.count):
+        cells = batch_cells(config.loss, n, grid.count, a, b, minimize=True)
+        for rows in sample_chunks((a, b), config.master_seed, n, reps, cells):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused
                 chunk = upper_risk_batch(config.loss, rows, a, b, grid.points)
             if not np.isfinite(chunk).all():  # the loss overflows somewhere on the grid
@@ -259,6 +268,7 @@ def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], 
         raise ValueError(f"replications={replications}: need at least 1")
     ks = np.array([nested_set_index(n, alpha) for alpha in alphas], dtype=int)[:, None]
     hits = np.zeros((len(alphas), len(scores)), dtype=int)
+    # a row keeps itself live, n + 1 cells; a rank pass adds O(1) per row and score
     for rows in sample_chunks(model.support, seed, n, replications, n + 1, held_out=1):
         for j, score in enumerate(scores):
             ranks = rank_rows(rows[:, :n], rows[:, n:], score)[:, 0]

@@ -426,20 +426,41 @@ class TestPointwiseReports:
         assert 0 < sum(r.empirical_violation_rate for r in got) < len(got)  # not all 0 or 1
 
     def test_chunks_within_budget(self, monkeypatch):
-        # each chunk is evaluated as one (r, len(thetas), n) block of the closed form
+        # the traced peak from each chunk's draw until the next, its closed form included,
+        # stays within twice the chunk budget of float64 cells
+        import tracemalloc
+
         import focalrisk.consistency as consistency
         from focalrisk.simulate import _CHUNK_CELLS, sample_chunks
 
-        blocks = []
+        peaks = []
 
         def recorded(*args):
             for rows in sample_chunks(*args):
-                blocks.append(rows.size * 3)
+                tracemalloc.reset_peak()
                 yield rows
+                peaks.append(tracemalloc.get_traced_memory()[1])
 
         monkeypatch.setattr(consistency, "sample_chunks", recorded)
-        pointwise_reports(MODEL, sq, [0.0, 0.5, 1.0], 300, [1.0], 1000, 1)
-        assert len(blocks) > 1 and max(blocks) <= _CHUNK_CELLS
+        pointwise_reports(MODEL, sq, [0.0, 0.5], 300, [1.0], 100, 1)  # first-call allocations
+        tracemalloc.start()
+        try:
+            pointwise_reports(MODEL, sq, [0.0, 0.5, 1.0], 300, [1.0], 1000, 1)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) > 1 and max(peaks) <= 2 * _CHUNK_CELLS * 8
+
+    @pytest.mark.parametrize("loss", [sq, absolute_error_loss((-1, 1))])
+    def test_any_chunk_budget_gives_the_same_reports(self, loss, monkeypatch):
+        # on [-3, 10] the support's centre lies above most rows: no row may see its chunk
+        import focalrisk.simulate as simulate
+
+        model, reports = TrueModel.truncated_std_normal(-3, 10), []
+        for budget in (simulate._CHUNK_CELLS, 2000):
+            monkeypatch.setattr(simulate, "_CHUNK_CELLS", budget)
+            reports.append(pointwise_reports(model, loss, [0.0, 0.5, -1.0], 30, [0.05, 0.3],
+                                             200, 7))
+        assert reports[0] == reports[1]
 
     def test_verify_pointwise_is_one_point_view(self):
         reports = pointwise_reports(MODEL, sq, [0.0, 0.5], 40, [0.5, 1.0], 100, 3)

@@ -18,12 +18,13 @@ from focalrisk import (
     run_replications,
     sample_truncated_normal,
     squared_error_loss,
+    tabulated_loss,
 )
 from focalrisk.conformal import coverage_probability, nested_set_index
 from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
                               InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
-from focalrisk.risk import RiskCurve
+from focalrisk.risk import RiskCurve, batch_cells, minimize_rows, upper_risk_batch
 from focalrisk.simulate import (_CHUNK_CELLS, _philox_keys, _raw_draw, _streams, sample_chunks,
                                 write_summary)
 
@@ -126,6 +127,29 @@ class TestStreams:
     def test_keys_equal_seed_sequence(self, seed, n, r):
         want = np.random.SeedSequence([seed, n, r]).generate_state(2, np.uint64)
         assert np.array_equal(_philox_keys(seed, n, r + 1)[r], want)
+        assert np.array_equal(_philox_keys(seed, n, r + 1, r)[0], want)  # keyed alone
+
+    def test_key_blocks_join_into_one_run_of_streams(self, monkeypatch):
+        import focalrisk.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_KEY_BLOCK", 3)
+        for r, rng in enumerate(_streams(5, 7, 10)):  # blocks 0-2, 3-5, 6-8 and 9
+            assert str(rng.bit_generator.state) == str(replication_rng(5, 7, r).bit_generator.state)
+
+    def test_keys_of_a_large_run_take_one_block_at_a_time(self):
+        # keying all 2^18 replications at once peaked at 23.0 MiB before the first draw
+        import tracemalloc
+
+        cells = batch_cells(squared_error_loss(), 1, 101, -3.0, 3.0)
+        next(sample_chunks((-3.0, 3.0), 0, 1, 3, cells))  # first-call allocations
+        tracemalloc.start()
+        try:
+            rows = next(sample_chunks((-3.0, 3.0), 0, 1, 1 << 18, cells))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (_CHUNK_CELLS // cells, 1)
+        assert peak < 2**20
 
     @pytest.mark.parametrize("lo, hi", [(-3.0, 3.0), (3.0, 4.0)])  # [3, 4]: near the mass floor
     @pytest.mark.parametrize("seed", [6, 2**64 + 6])
@@ -200,6 +224,32 @@ class TestSampleChunks:
             tracemalloc.stop()
         assert rows.shape == (_CHUNK_CELLS // width, width)
         assert peak < 1.5 * rows.nbytes
+
+    @pytest.mark.parametrize("n, k", [(20, 101), (1063, 101), (95, 3)])
+    @pytest.mark.parametrize("kind", ["squared", "absolute", "table"])
+    def test_chunk_peak_memory_within_twice_the_budget(self, kind, n, k):
+        # one full chunk, sized by batch_cells, drawn, then its curves and minimizers
+        import tracemalloc
+
+        from focalrisk import absolute_error_loss
+
+        knots = np.linspace(-1, 1, 12)
+        loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss(),
+                "table": tabulated_loss(knots, 3 * knots, (knots[:, None] - 3 * knots) ** 2,
+                                        convex_in_y=True)}[kind]
+        grid, cells = ThetaGrid(-1, 1, k), batch_cells(loss, n, k, -3.0, 3.0, minimize=True)
+        per_chunk = _CHUNK_CELLS // cells
+        next(sample_chunks((-3.0, 3.0), 0, n, 1, cells))  # first-call allocations
+        tracemalloc.start()
+        try:
+            rows = next(sample_chunks((-3.0, 3.0), 0, n, per_chunk, cells))
+            upper_risk_batch(loss, rows, -3.0, 3.0, grid.points)
+            minimize_rows(loss, rows, -3.0, 3.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (per_chunk, n)
+        assert peak <= 2 * _CHUNK_CELLS * 8
 
     def test_rows_checked(self):
         with pytest.raises(EmptySample):
@@ -379,15 +429,25 @@ class TestRunReplications:
         # R spans several chunks; each replication must equal the one-sample path
         from focalrisk import minimize_upper_risk
         from focalrisk.risk import closed_form_curve
-        from focalrisk.simulate import _CHUNK_CELLS
+        import focalrisk.simulate as simulate
 
-        n, grid = 300, ThetaGrid(-1, 1, 101)
-        per_chunk = _CHUNK_CELLS // (n * grid.count)
+        n, grid, loss = 300, ThetaGrid(-1, 1, 101), squared_error_loss((-1, 1))
+        per_chunk = _CHUNK_CELLS // batch_cells(loss, n, grid.count, -3.0, 3.0, minimize=True)
         cfg = SimConfig(
-            model=MODEL, loss=squared_error_loss((-1, 1)), n_values=(n,),
+            model=MODEL, loss=loss, n_values=(n,),
             replications=2 * per_chunk + 3, theta_grid=grid, master_seed=4,
         )
-        s = run_replications(cfg).per_n[n]
+        chunks, sampler = [], simulate.sample_chunks
+
+        def recorded(*args):
+            for rows in sampler(*args):
+                chunks.append(len(rows))
+                yield rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "sample_chunks", recorded)
+            s = run_replications(cfg).per_n[n]
+        assert chunks == [per_chunk, per_chunk, 3]
         curves, minimizers = [], []
         for r in range(cfg.replications):
             sample = sample_truncated_normal(n, -3, 3, replication_rng(4, n, r))
@@ -399,6 +459,25 @@ class TestRunReplications:
         lo, med, hi = aggregate_percentiles(curves, [p_lo, 0.5, p_hi])
         for got, want in ((s.band_lo, lo), (s.median_curve, med), (s.band_hi, hi)):
             assert np.array_equal(got.values, want.values)
+
+    def test_any_chunk_budget_gives_the_same_summary(self, monkeypatch):
+        # on [-3, 10] the support's centre lies above most rows: no row may see its chunk
+        import focalrisk.simulate as simulate
+
+        cfg = SimConfig(model=TrueModel.truncated_std_normal(-3, 10),
+                        loss=squared_error_loss((-1, 1)), n_values=(20, 50), replications=60,
+                        theta_grid=ThetaGrid(-1, 1, 21), master_seed=2)
+        summaries = []
+        for budget in (_CHUNK_CELLS, 3000):  # one chunk per n, then chunks of 2 and 1 rows
+            monkeypatch.setattr(simulate, "_CHUNK_CELLS", budget)
+            summaries.append(run_replications(cfg).per_n)
+        for n, s in summaries[0].items():
+            t = summaries[1][n]
+            for got, want in ((s.median_curve, t.median_curve), (s.band_lo, t.band_lo),
+                              (s.band_hi, t.band_hi)):
+                assert np.array_equal(got.values, want.values)
+            assert np.array_equal(s.minimizers, t.minimizers)
+            assert np.array_equal(s.histogram_counts, t.histogram_counts)
 
     def test_serialization_deterministic(self, tmp_path):
         summary = run_replications(_small_config(reps=8))
