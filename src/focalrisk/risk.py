@@ -234,11 +234,11 @@ def batch_cells(loss: LossSpec, n: int, k: int, a: float, b: float,
                 minimize: bool = False) -> int:
     """Float64 cells one sorted row of n values keeps live in ``upper_risk_batch`` at k
     thetas, and in ``minimize_rows`` if minimize: _LIVE (n + k P), P the y sup points of
-    [a, b] (a table builds (k, 2K) per row, K cells between them).  Squared and absolute
-    loss minimize at n + 2 and 2n + 3 candidates per row; a table's minimizer blocks its
-    own candidates within _BLOCK_CELLS."""
-    if minimize and loss.kind is not LossKind.TABULATED:
-        k = max(k, n + 2 if loss.kind is LossKind.SQUARED_ERROR else 2 * n + 3)
+    [a, b] (a table builds (k, 2K) per row, K cells between them).  Squared loss minimizes
+    at 1 candidate per row, absolute loss at 2n + 3; a table's minimizer blocks its own
+    candidates within _BLOCK_CELLS."""
+    if minimize and loss.kind is LossKind.ABSOLUTE_ERROR:
+        k = max(k, 2 * n + 3)
     return _LIVE * (n + k * len(sup_points(a, b, loss.y_breaks)))
 
 
@@ -295,12 +295,14 @@ def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
 
     With Z = {a, data, b}, (n+1) U(theta) is the sum of loss(theta, z) over Z
     less its min.  Squared and absolute loss: on the cell of the z_j nearest
-    theta, the sum over the other points, and U is convex; squared: each cell's
-    vertex (sum Z - z_j)/(n+1), clipped to the cell; absolute: Z and the cell
-    ends.  Clipped to [lo, hi], these hold U's min (U falls towards [a, b]).
-    Tabulated: between the theta sup points q, a line less the min of the lines
-    loss(., z), z in a, b and the y-cells' first and last data points, so U is
-    least at q or where two of those lines cross inside a cell.
+    theta, the sum over the other points, and U is convex.  Squared: one theta,
+    the argmin; cell j's vertex v_j = (sum Z - z_j)/(n+1) falls with j and its
+    ends e_{j-1} <= e_j rise, so the first cell with v_j <= e_j holds the min,
+    at v_j clipped to the cell.  Absolute: Z and the cell ends.  Clipped to
+    [lo, hi], these hold U's min there (U is convex).  Tabulated: between the
+    theta sup points q, a line less the min of the lines loss(., z), z in a, b
+    and the y-cells' first and last data points, so U is least at q or where two
+    of those lines cross inside a cell.
     """
     col = np.ones((len(rows), 1))
     if loss.kind is LossKind.TABULATED:
@@ -317,7 +319,9 @@ def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
     ends = 0.5 * (z[:, :-1] + z[:, 1:])  # the cells' common ends
     if loss.kind is LossKind.SQUARED_ERROR:
         vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
-        cand = np.clip(vertex, np.hstack([-np.inf * col, ends]), np.hstack([ends, np.inf * col]))
+        j = np.count_nonzero(vertex[:, :-1] > ends, axis=1)[:, None]  # the first v_j <= e_j
+        i, edges = np.arange(len(rows))[:, None], np.hstack([-np.inf * col, ends, np.inf * col])
+        cand = np.clip(vertex[i, j], edges[i, j], edges[i, j + 1])
     else:
         cand = np.empty((len(rows), 2 * z.shape[1] - 1))
         cand[:, ::2], cand[:, 1::2] = z, ends
@@ -329,7 +333,8 @@ def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
     """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
     Exact: the best of the closed form at ``_candidates``, ties to the lowest
-    theta.  Squared and absolute loss take the rows as one block (``batch_cells``).
+    theta; squared loss evaluates it at one theta per row.  Squared and absolute
+    loss take the rows as one block (``batch_cells``).
     Tabulated losses run in row blocks of at most _BLOCK_CELLS / _LIVE candidates,
     evaluated in column slices of at most _BLOCK_CELLS / _LIVE loss cells.
     """

@@ -100,10 +100,29 @@ def _raw_draw(out: np.ndarray, lo: float, hi: float, mass: float,
     while filled < n:
         need = n - filled
         batch = rng.standard_normal(min(max(need + 8, int(need * 1.1 / mass)), _MAX_BATCH))
-        keep = batch[(batch >= lo) & (batch <= hi)][:need]
+        inside = batch >= lo
+        inside &= batch <= hi  # two masks live, not three
+        keep = batch[inside][:need]
         out[filled : filled + len(keep)] = keep
         filled += len(keep)
     return out
+
+
+def _draw_block(rows: np.ndarray, streams: Iterator[np.random.Generator], batch: int,
+                lo: float, hi: float) -> np.ndarray:
+    """Fills each row, one stream each, with its first rows.shape[1] draws in [lo, hi] if its
+    stream's first batch holds as many (~17 B live a draw); returns the other rows' indices."""
+    draws = np.empty((len(rows), batch))
+    for r, rng in zip(range(len(rows)), streams):  # no row view outlives the buffer
+        rng.standard_normal(out=draws[r])
+    inside = draws >= lo
+    inside &= draws <= hi
+    counts, width = np.count_nonzero(inside, axis=1), rows.shape[1]
+    take, kept = np.where(counts >= width, width, 0), draws[inside]
+    del draws, inside
+    keep = np.repeat(np.tile([True, False], len(rows)), np.c_[take, counts - take].ravel())
+    rows[take > 0] = kept[keep].reshape(-1, width)
+    return np.flatnonzero(take == 0)
 
 
 def sample_truncated_normal(n: int, lo: float, hi: float,
@@ -127,6 +146,11 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     minimizer), and r keeps r * row_cells within the chunk budget (r >= 1).  Each row is
     drawn from its own stream and evaluated alone, so output is the same for any chunking,
     on any support.  Caps come before any key.
+
+    Rows whose first batch (``_raw_draw``'s) holds n + held_out draws in the support with 4
+    sd to spare, as on [-3, 3], are drawn in blocks and accepted at once (``_draw_block``);
+    one still short is drawn again from its stream's start.  Elsewhere, as near the mass
+    floor, rows are drawn one at a time, each finished from its live stream.
     """
     (lo, hi), mass, width = support, normal_mass(*support), n + held_out
     if replications > _MAX_REPLICATIONS or width * replications > _MAX_DRAWS:
@@ -135,11 +159,20 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     if width > _MAX_ROW:
         raise SampleTooLarge(f"sample size n={width:.6g} exceeds {_MAX_ROW} values per sample")
     step = max(1, _CHUNK_CELLS // max(row_cells, 1))
+    batch = min(max(width + 8, int(width * 1.1 / mass)), _MAX_BATCH)  # _raw_draw's first
+    mean = batch * mass  # expected in the support: binomial, sd (mean (1 - mass))^(1/2)
+    blocks = mean - width > 4 * (mean * (1 - mass)) ** 0.5
+    block = max(1, _CHUNK_CELLS // (16 * batch))  # rows of <= 2^14 draws: 1/8 of the budget
     streams = _streams(seed, n, replications)
     for start in range(0, replications, step):
         rows = np.empty((min(step, replications - start), width))
-        for row, rng in zip(rows, streams):
-            _raw_draw(row, lo, hi, mass, rng)
+        if blocks:
+            for first in range(0, len(rows), block):
+                for r in first + _draw_block(rows[first:first + block], streams, batch, lo, hi):
+                    _raw_draw(rows[r], lo, hi, mass, replication_rng(seed, n, start + r))  # rare
+        else:  # one at a time, each row finished from its own live stream
+            for row, rng in zip(rows, streams):
+                _raw_draw(row, lo, hi, mass, rng)
         rows[:, :n].sort(axis=1)
         check_values(rows.reshape(-1), lo, hi)  # held-out draws too: rows[:, :n] would copy
         yield rows
@@ -284,10 +317,11 @@ def write_summary(summary: ReplicationSummary, out_dir: str | Path) -> None:
     for n, s in summary.per_n.items():
         for name, c in (("median", s.median_curve), ("band_lo", s.band_lo),
                         ("band_hi", s.band_hi)):
-            text = format_csv("theta,value", zip(c.grid.points, c.values))
+            text = format_csv("theta,value", zip(c.grid.points.tolist(), c.values.tolist()))
             (out / f"{name}_n{n}.csv").write_text(text)
-        (out / f"minimizers_n{n}.csv").write_text("".join(f"{v:.17g}\n" for v in s.minimizers))
-        edges = s.histogram_edges
+        minimizers = s.minimizers.tolist()
+        (out / f"minimizers_n{n}.csv").write_text("%.17g\n" * len(minimizers) % tuple(minimizers))
+        edges = s.histogram_edges.tolist()
         rows = zip(edges[:-1], edges[1:], s.histogram_counts.tolist())
         (out / f"histogram_n{n}.csv").write_text(format_csv("bin_lo,bin_hi,count", rows))
     meta = {

@@ -1,15 +1,17 @@
 """Scalar references for the package's batched paths.
 
 Golden section is what the package's minimizers once matched bit for bit; the
-package dropped it for exact minimizers.  The focal sum is the per-set,
-per-piece loop that the batched focal upper risk replaced.  The tests keep
-both so that the earlier results stay reproducible as oracles.
+package dropped it for exact minimizers.  The all-candidates squared-loss
+minimizer is the exact one the single-candidate minimizer replaced.  The focal
+sum is the per-set, per-piece loop that the batched focal upper risk replaced.
+The tests keep them so that the earlier results stay reproducible as oracles.
 """
 
 import numpy as np
 
 from focalrisk.conformal import FocalSystem
 from focalrisk.data_model import sup_points
+from focalrisk.risk import upper_risk_batch
 
 _INV_GOLDEN = (5 ** 0.5 - 1) / 2
 
@@ -53,3 +55,19 @@ def focal_sum_upper_risk(loss, focal, theta):
         total += max((float(np.max(loss(theta, sup_points(lo, hi, loss.y_breaks))))
                       for lo, hi in pieces), default=0.0)
     return total / focal.n_plus_1
+
+
+def squared_all_candidates_min(loss, rows, a, b, lo, hi):
+    """Squared-loss argmin and minimum of each sorted row's upper risk on [lo, hi], from every
+    cell's candidate: with Z = {a, data, b} and the cells' ends e the midpoints of neighbours
+    in Z, the vertex (sum Z - z_j) / (n + 1) clipped to its cell, then to [lo, hi]; the best
+    closed form among them, ties to the lowest theta."""
+    col = np.ones((len(rows), 1))
+    z = np.hstack([a * col, rows, b * col])
+    ends = 0.5 * (z[:, :-1] + z[:, 1:])
+    vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
+    cand = np.clip(vertex, np.hstack([-np.inf * col, ends]), np.hstack([ends, np.inf * col]))
+    cand = np.clip(cand, lo, hi)
+    vals = upper_risk_batch(loss, rows, a, b, cand)
+    best = np.arange(len(rows)), np.argmin(vals, axis=1)
+    return cand[best], vals[best]

@@ -38,7 +38,8 @@ from focalrisk.risk import (
     true_risk_curve,
     upper_risk_batch,
 )
-from oracles import focal_sum_upper_risk, focal_table, scalar_golden_section_min
+from oracles import (focal_sum_upper_risk, focal_table, scalar_golden_section_min,
+                     squared_all_candidates_min)
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -842,6 +843,45 @@ class TestExactMinimizer:
                 if n > 2:
                     rows[:3] = np.round(rows[:3])  # ties
                 _check_exact_minimizer(loss, np.sort(rows, axis=1), ThetaGrid(lo, hi, count))
+
+    @pytest.mark.parametrize("a, b", [(-3.0, 10.0), (-50.0, 2.0)])
+    def test_squared_one_candidate_equals_all_candidates(self, a, b):
+        # U is convex, so one cell's clipped vertex is its min; the reference takes the best of
+        # every cell's.  Rows with ties, all equal, at the support's ends, and n = 1; grids
+        # around the data, beyond it on either side, and of one point
+        rng = np.random.default_rng(int(b - a))
+        loss = squared_error_loss((a - 10, b + 10))
+        checked = 0
+        for n in (1, 2, 3, 10, 57, 300):
+            rows = rng.uniform(a, b, (40, n))
+            rows[:10] = np.round(rows[:10])  # ties
+            rows[10:15] = rng.uniform(a, b, (5, 1))  # all equal
+            rows[15:20] = rng.choice([a, b], (5, n))
+            rows[20:22] = [[a], [b]]
+            rows = np.sort(rows, axis=1)
+            grids = [(a - 10, b + 10), (a - 10, a - 5), (b + 5, b + 10), (a, a), (b, b), (0, 0)]
+            grids += [tuple(np.sort(rng.uniform(a - 10, b + 10, 2))) for _ in range(12)]
+            grids += [(t, t) for t in rng.uniform(a, b, 4)]
+            for lo, hi in grids:
+                grid = ThetaGrid(lo, hi, 5 if lo < hi else 1)
+                theta, value = minimize_rows(loss, rows, a, b, grid)
+                want_theta, want_value = squared_all_candidates_min(loss, rows, a, b, lo, hi)
+                assert np.all(np.abs(theta - want_theta)
+                              <= 1e-15 * np.maximum(1, np.abs(want_theta)))
+                assert np.all(value <= want_value + _ulps(want_value))
+                checked += len(rows)
+        assert checked == 6 * 40 * 22
+
+    def test_squared_study_rows_equal_all_candidates(self):
+        # simulate's defaults: 1000 rows each of n = 20 and 200 on [-3, 3], thetas in [-1, 1]
+        from focalrisk.simulate import sample_chunks
+
+        for n in (20, 200):
+            rows = next(sample_chunks((-3.0, 3.0), 0, n, 1000, n))
+            theta, value = minimize_rows(sq11, rows, -3.0, 3.0, ThetaGrid(-1, 1, 101))
+            want_theta, want_value = squared_all_candidates_min(sq11, rows, -3.0, 3.0, -1, 1)
+            assert theta.tobytes() == want_theta.tobytes()
+            assert value.tobytes() == want_value.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(case=_table_rows(), data=st.data())

@@ -199,6 +199,54 @@ class TestSampleChunks:
                          for r in range(reps)])
         assert np.array_equal(np.concatenate(chunks), want)
 
+    @pytest.mark.parametrize("lo, hi, n, max_batch, mass, alone", [
+        (-3.0, 3.0, 40, 1 << 20, None, "none"),  # blocks of rows, none short
+        (-3.0, 3.0, 40, 40, None, "all"),  # a batch cap at the row's width: one at a time
+        (3.0, 4.0, 40, 4096, None, "all"),
+        (-1.0, 1.0, 20, 1 << 20, 1.0, "some"),  # an overstated mass: blocks with short rows
+        (3.0, 4.0, 5, 1 << 20, 1.0, "all")])
+    def test_short_rows_equal_per_replication_samples(self, lo, hi, n, max_batch, mass, alone,
+                                                      monkeypatch):
+        # a row short of its width in its block's draws is drawn again, alone, from its own
+        # stream; rows drawn one at a time finish from theirs: either way, the sampler's rows
+        import focalrisk.simulate as simulate
+
+        want = np.stack([sample_truncated_normal(n, lo, hi, replication_rng(3, n, r)).values
+                         for r in range(60)])
+        calls, raw_draw = [], simulate._raw_draw
+
+        def recorded(out, *args):
+            calls.append(out.size)
+            return raw_draw(out, *args)
+
+        monkeypatch.setattr(simulate, "_MAX_BATCH", max_batch)
+        monkeypatch.setattr(simulate, "_raw_draw", recorded)
+        if mass is not None:  # first batches too small for the rows: values do not move
+            monkeypatch.setattr(simulate, "normal_mass", lambda lo, hi: mass)
+        got = np.concatenate(list(sample_chunks((lo, hi), 3, n, 60, _CHUNK_CELLS // 25)))
+        assert np.array_equal(got, want)
+        assert calls == [n] * len(calls)
+        assert {"none": len(calls) == 0, "all": len(calls) == 60,
+                "some": 0 < len(calls) < 60}[alone]
+
+    def test_chunk_peak_memory_near_the_mass_floor(self):
+        # on [3, 4] (mass 1.3e-3) a row's first batch is ~1.7e5 draws at n = 200; 11 B a
+        # draw is that batch with three masks live, what one row took drawn with them
+        # (11.03 B measured): a chunk of 16 rows stays below it
+        import tracemalloc
+
+        n = 200
+        batch = int(n * 1.1 / normal_mass(3.0, 4.0))
+        next(sample_chunks((3.0, 4.0), 0, n, 1, n))  # first-call allocations
+        tracemalloc.start()
+        try:
+            rows = next(sample_chunks((3.0, 4.0), 2, n, 16, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (16, n)
+        assert peak <= 11 * batch
+
     def test_held_out_column_follows_the_sorted_sample(self):
         n, reps, seed = 30, 12, 4
         chunks = list(sample_chunks((-3.0, 3.0), seed, n, reps, _CHUNK_CELLS // 5, held_out=1))
