@@ -157,22 +157,22 @@ def cmd_verify_bounds(args) -> int:
     thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
     for eps in epsilons:
         consistency.check_epsilon(eps)
-    if args.uniform:  # before any pointwise report is written
+    if args.uniform:  # before any draw
         conformal.check_alpha(args.alpha)
         grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
+    reports = {}  # every report before any file, so a refused run writes none
     for n in _parse_list(args.n, int):
-        reports = consistency.pointwise_reports(
+        pointwise = consistency.pointwise_reports(
             model, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
         )
-        for report, (eps, theta) in zip(reports, itertools.product(epsilons, thetas)):
-            _write(out / f"bound_n{n}_eps{eps:g}_theta{theta:g}.json", report.to_json() + "\n")
-    if args.uniform:
-        for eps in epsilons:
-            report = consistency.verify_uniform(
-                model, loss, grid, eps, args.alpha, args.seed,
-                replications=args.replications,
-            )
-            _write(out / f"uniform_eps{eps:g}.json", report.to_json() + "\n")
+        for report, (eps, theta) in zip(pointwise, itertools.product(epsilons, thetas)):
+            reports[f"bound_n{n}_eps{eps:g}_theta{theta:g}.json"] = report
+    for eps in epsilons if args.uniform else []:
+        reports[f"uniform_eps{eps:g}.json"] = consistency.verify_uniform(
+            model, loss, grid, eps, args.alpha, args.seed, replications=args.replications,
+        )
+    for name, report in reports.items():
+        _write(out / name, report.to_json() + "\n")
     return 0
 
 

@@ -230,15 +230,11 @@ def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, theta
     return (n_rn + m_theta) / (rows.shape[1] + 1)
 
 
-def batch_cells(loss: LossSpec, n: int, k: int, a: float, b: float,
-                minimize: bool = False) -> int:
+def batch_cells(loss: LossSpec, n: int, k: int, a: float, b: float) -> int:
     """Float64 cells one sorted row of n values keeps live in ``upper_risk_batch`` at k
-    thetas, and in ``minimize_rows`` if minimize: _LIVE (n + k P), P the y sup points of
-    [a, b] (a table builds (k, 2K) per row, K cells between them).  Squared loss minimizes
-    at 1 candidate per row, absolute loss at 2n + 3; a table's minimizer blocks its own
-    candidates within _BLOCK_CELLS."""
-    if minimize and loss.kind is LossKind.ABSOLUTE_ERROR:
-        k = max(k, 2 * n + 3)
+    thetas: _LIVE (n + k P), P the y sup points of [a, b] (a table builds (k, 2K) per row, K
+    cells between them).  It bounds ``minimize_rows`` too: squared and absolute loss minimize
+    at 1 candidate per row, and a table's minimizer blocks its own within _BLOCK_CELLS."""
     return _LIVE * (n + k * len(sup_points(a, b, loss.y_breaks)))
 
 
@@ -295,14 +291,16 @@ def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
 
     With Z = {a, data, b}, (n+1) U(theta) is the sum of loss(theta, z) over Z
     less its min.  Squared and absolute loss: on the cell of the z_j nearest
-    theta, the sum over the other points, and U is convex.  Squared: one theta,
-    the argmin; cell j's vertex v_j = (sum Z - z_j)/(n+1) falls with j and its
-    ends e_{j-1} <= e_j rise, so the first cell with v_j <= e_j holds the min,
-    at v_j clipped to the cell.  Absolute: Z and the cell ends.  Clipped to
-    [lo, hi], these hold U's min there (U is convex).  Tabulated: between the
-    theta sup points q, a line less the min of the lines loss(., z), z in a, b
-    and the y-cells' first and last data points, so U is least at q or where two
-    of those lines cross inside a cell.
+    theta, between the midpoints e_{j-1} <= e_j of z_j and its neighbours, the sum
+    over the other points, so U is convex and one theta per row is its argmin,
+    clipped to [lo, hi].  Squared: cell j's vertex v_j = (sum Z - z_j)/(n+1) falls
+    with j while its ends rise, so the first cell with v_j <= e_j holds the min,
+    at v_j clipped to the cell.  Absolute: U bends only at the midpoints (the
+    kinks at Z cancel) and has slope 2j - n - 1 on cell j, so it is least at
+    e_{n//2}, the lowest end of the flat minimum when n is odd.  Tabulated:
+    between the theta sup points q, a line less the min of the lines loss(., z),
+    z in a, b and the y-cells' first and last data points, so U is least at q or
+    where two of those lines cross inside a cell.
     """
     col = np.ones((len(rows), 1))
     if loss.kind is LossKind.TABULATED:
@@ -317,15 +315,12 @@ def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
         return np.sort(np.clip(np.hstack([q * col, cross]), lo, hi), axis=1)
     z = np.hstack([a * col, rows, b * col])
     ends = 0.5 * (z[:, :-1] + z[:, 1:])  # the cells' common ends
-    if loss.kind is LossKind.SQUARED_ERROR:
-        vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
-        j = np.count_nonzero(vertex[:, :-1] > ends, axis=1)[:, None]  # the first v_j <= e_j
-        i, edges = np.arange(len(rows))[:, None], np.hstack([-np.inf * col, ends, np.inf * col])
-        cand = np.clip(vertex[i, j], edges[i, j], edges[i, j + 1])
-    else:
-        cand = np.empty((len(rows), 2 * z.shape[1] - 1))
-        cand[:, ::2], cand[:, 1::2] = z, ends
-    return np.clip(cand, lo, hi)
+    if loss.kind is LossKind.ABSOLUTE_ERROR:
+        return np.clip(ends[:, rows.shape[1] // 2, None], lo, hi)
+    vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
+    j = np.count_nonzero(vertex[:, :-1] > ends, axis=1)[:, None]  # the first v_j <= e_j
+    i, edges = np.arange(len(rows))[:, None], np.hstack([-np.inf * col, ends, np.inf * col])
+    return np.clip(np.clip(vertex[i, j], edges[i, j], edges[i, j + 1]), lo, hi)
 
 
 def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
@@ -333,8 +328,8 @@ def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
     """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
 
     Exact: the best of the closed form at ``_candidates``, ties to the lowest
-    theta; squared loss evaluates it at one theta per row.  Squared and absolute
-    loss take the rows as one block (``batch_cells``).
+    theta; squared and absolute loss evaluate it at one theta per row and take the
+    rows as one block (``batch_cells``).
     Tabulated losses run in row blocks of at most _BLOCK_CELLS / _LIVE candidates,
     evaluated in column slices of at most _BLOCK_CELLS / _LIVE loss cells.
     """

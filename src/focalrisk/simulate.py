@@ -273,7 +273,7 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
     a, b = config.model.support
     for n in config.n_values:
         curves, minimizers, done = np.empty((reps, grid.count)), np.empty(reps), 0
-        cells = batch_cells(config.loss, n, grid.count, a, b, minimize=True)
+        cells = batch_cells(config.loss, n, grid.count, a, b)
         for rows in sample_chunks((a, b), config.master_seed, n, reps, cells):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused
                 chunk = upper_risk_batch(config.loss, rows, a, b, grid.points)

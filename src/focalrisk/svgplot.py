@@ -37,6 +37,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi], or [lo - 0.5, hi + 0.5] if it has zero width."""
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
@@ -103,12 +108,9 @@ def render_curves(
 ) -> str:
     """Line plot with optional shaded bands: curves are (label, color, y)."""
     ys = [c[2] for c in curves] + [b for _, lo, hi in bands for b in (lo, hi)]
-    y_lo = min(float(np.min(v)) for v in ys)
-    y_hi = max(float(np.max(v)) for v in ys)
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    y_lo, y_hi = _widen(min(float(np.min(v)) for v in ys), max(float(np.max(v)) for v in ys))
     pad = 0.05 * (y_hi - y_lo)
-    frame = _Frame(float(x[0]), float(x[-1]), y_lo - pad, y_hi + pad)
+    frame = _Frame(*_widen(float(x[0]), float(x[-1])), y_lo - pad, y_hi + pad)
     parts = []
     for color, lo, hi in bands:
         fwd = " ".join(f"{_fmt(frame.px(a))},{_fmt(frame.py(b))}" for a, b in zip(x, hi))

@@ -1,10 +1,11 @@
 """Scalar references for the package's batched paths.
 
 Golden section is what the package's minimizers once matched bit for bit; the
-package dropped it for exact minimizers.  The all-candidates squared-loss
-minimizer is the exact one the single-candidate minimizer replaced.  The focal
-sum is the per-set, per-piece loop that the batched focal upper risk replaced.
-The tests keep them so that the earlier results stay reproducible as oracles.
+package dropped it for exact minimizers.  The all-candidates squared- and
+absolute-loss minimizers are the exact ones the single-candidate minimizers
+replaced.  The focal sum is the per-set, per-piece loop that the batched focal
+upper risk replaced.  The tests keep them so that the earlier results stay
+reproducible as oracles.
 """
 
 import numpy as np
@@ -67,6 +68,21 @@ def squared_all_candidates_min(loss, rows, a, b, lo, hi):
     ends = 0.5 * (z[:, :-1] + z[:, 1:])
     vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
     cand = np.clip(vertex, np.hstack([-np.inf * col, ends]), np.hstack([ends, np.inf * col]))
+    cand = np.clip(cand, lo, hi)
+    vals = upper_risk_batch(loss, rows, a, b, cand)
+    best = np.arange(len(rows)), np.argmin(vals, axis=1)
+    return cand[best], vals[best]
+
+
+def absolute_all_candidates_min(loss, rows, a, b, lo, hi):
+    """Absolute-loss argmin and minimum of each sorted row's upper risk on [lo, hi], from every
+    kink: with Z = {a, data, b}, the points of Z and the midpoints of neighbours in Z,
+    interleaved in ascending order and clipped to [lo, hi]; the best closed form among them,
+    ties to the lowest theta."""
+    col = np.ones((len(rows), 1))
+    z = np.hstack([a * col, rows, b * col])
+    cand = np.empty((len(rows), 2 * z.shape[1] - 1))
+    cand[:, ::2], cand[:, 1::2] = z, 0.5 * (z[:, :-1] + z[:, 1:])
     cand = np.clip(cand, lo, hi)
     vals = upper_risk_batch(loss, rows, a, b, cand)
     best = np.arange(len(rows)), np.argmin(vals, axis=1)

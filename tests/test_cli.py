@@ -134,14 +134,15 @@ class TestSimulate:
             assert f.read_bytes() == (b / f.name).read_bytes()
 
     def test_svg_outputs(self, tmp_path):
-        assert run([
-            "simulate", "--n", "6", "--replications", "5", "--seed", "0",
-            "--theta-count", "11", "--svg", "--out", str(tmp_path),
-        ]) == 0
-        svg = (tmp_path / "risk_curves.svg").read_text()
-        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
-        assert "<script" not in svg
-        assert (tmp_path / "minimizer_histograms.svg").exists()
+        # a one-point grid plots a zero-width x range
+        for i, grid in enumerate([["11"], ["1", "--theta-lo=0", "--theta-hi=0"]]):
+            out = tmp_path / str(i)
+            assert run(["simulate", "--n", "6", "--replications", "5", "--seed", "0",
+                        "--theta-count", *grid, "--svg", "--out", str(out)]) == 0
+            svg = (out / "risk_curves.svg").read_text()
+            assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+            assert "<script" not in svg
+            assert (out / "minimizer_histograms.svg").exists()
 
     def test_non_finite_curve_exits_2_before_any_file(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -429,6 +430,16 @@ def test_unbounded_witness_n_is_refused_before_any_draw(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_refused_uniform_check_writes_no_pointwise_report(tmp_path):
+    # the pointwise report at n = 50 is computed, then the uniform check's witness n is refused
+    argv = ["verify-bounds", "--n", "50", "--epsilon", "0.001", "--replications", "100",
+            "--uniform", "--out", str(tmp_path)]
+    out = _fresh_cli(argv, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("SampleTooLarge:") and out.stderr.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-bounds", "--n", "", "--uniform", "--epsilon", "1e-2"],  # n = 1.06e7, 1000 times
     ["coverage", "--n", "300000", "--replications", "1000"],
@@ -616,7 +627,8 @@ def _argv(draw):
     argv = [command, "--n", pick(["1", "7", "4,30"]), "--replications", pick(["1", "100", "200"]),
             *support]
     if command == "simulate":
-        return argv + ["--theta-count", draw(st.sampled_from(["5", "6", "65"])),
+        grid = draw(st.sampled_from([["5"], ["6"], ["65"], ["1", "--theta-lo=0", "--theta-hi=0"]]))
+        return argv + ["--theta-count", *grid, *draw(st.sampled_from([[], ["--svg"]])),
                        "--bins", draw(st.sampled_from(["0", "1", "30", "65537"])),
                        "--percentile-hi", draw(st.sampled_from(["0.95", "1.5", "nan"]))]
     if command == "coverage":
@@ -637,6 +649,9 @@ def _argv(draw):
 # 3M/epsilon - 1 overflows to inf: was an OverflowError in min_sample_size
 @example(argv=["verify-bounds", "--n", "1", "--replications", "100", "--theta-hi=1e80",
                "--epsilon", "1e-160"], small_caps=False)
+# a one-point grid plotted: was a ZeroDivisionError in the curves' SVG
+@example(argv=["simulate", "--n", "5", "--replications", "3", "--theta-count", "1",
+               "--theta-lo=0", "--theta-hi=0", "--svg"], small_caps=False)
 def test_exit_code_contract(argv, small_caps):
     # small caps put the sizes drawn above at, or one past, each cap: grid points 64,
     # replications 100, and 100 replications x 5 thetas of stored curves

@@ -38,8 +38,8 @@ from focalrisk.risk import (
     true_risk_curve,
     upper_risk_batch,
 )
-from oracles import (focal_sum_upper_risk, focal_table, scalar_golden_section_min,
-                     squared_all_candidates_min)
+from oracles import (absolute_all_candidates_min, focal_sum_upper_risk, focal_table,
+                     scalar_golden_section_min, squared_all_candidates_min)
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -704,6 +704,26 @@ class TestRefineGridMin:
 
 
 EXACT_LOSSES = [squared_error_loss((-8, 8)), absolute_error_loss((-8, 8))]
+
+
+def _one_candidate_cases(a, b):
+    """(sorted rows, lo, hi) on support [a, b]: rows of n = 1 to 300 with ties, all equal and at
+    the support's ends; grids around the data, beyond it on either side, and of one point."""
+    rng = np.random.default_rng(int(b - a))
+    for n in (1, 2, 3, 10, 57, 300):
+        rows = rng.uniform(a, b, (40, n))
+        rows[:10] = np.round(rows[:10])  # ties
+        rows[10:15] = rng.uniform(a, b, (5, 1))  # all equal
+        rows[15:20] = rng.choice([a, b], (5, n))
+        rows[20:22] = [[a], [b]]
+        rows = np.sort(rows, axis=1)
+        grids = [(a - 10, b + 10), (a - 10, a - 5), (b + 5, b + 10), (a, a), (b, b), (0, 0)]
+        grids += [tuple(np.sort(rng.uniform(a - 10, b + 10, 2))) for _ in range(12)]
+        grids += [(t, t) for t in rng.uniform(a, b, 4)]
+        for lo, hi in grids:
+            yield rows, lo, hi
+
+
 TABLE = tabulated_loss([-1, 0, 1], [-3, -1, 0.5, 3], [[3, 1, 0, 2], [2, 0.5, 1, 3], [4, 2, 1, 3]],
                        convex_in_y=True)
 
@@ -847,29 +867,31 @@ class TestExactMinimizer:
     @pytest.mark.parametrize("a, b", [(-3.0, 10.0), (-50.0, 2.0)])
     def test_squared_one_candidate_equals_all_candidates(self, a, b):
         # U is convex, so one cell's clipped vertex is its min; the reference takes the best of
-        # every cell's.  Rows with ties, all equal, at the support's ends, and n = 1; grids
-        # around the data, beyond it on either side, and of one point
-        rng = np.random.default_rng(int(b - a))
-        loss = squared_error_loss((a - 10, b + 10))
-        checked = 0
-        for n in (1, 2, 3, 10, 57, 300):
-            rows = rng.uniform(a, b, (40, n))
-            rows[:10] = np.round(rows[:10])  # ties
-            rows[10:15] = rng.uniform(a, b, (5, 1))  # all equal
-            rows[15:20] = rng.choice([a, b], (5, n))
-            rows[20:22] = [[a], [b]]
-            rows = np.sort(rows, axis=1)
-            grids = [(a - 10, b + 10), (a - 10, a - 5), (b + 5, b + 10), (a, a), (b, b), (0, 0)]
-            grids += [tuple(np.sort(rng.uniform(a - 10, b + 10, 2))) for _ in range(12)]
-            grids += [(t, t) for t in rng.uniform(a, b, 4)]
-            for lo, hi in grids:
-                grid = ThetaGrid(lo, hi, 5 if lo < hi else 1)
-                theta, value = minimize_rows(loss, rows, a, b, grid)
-                want_theta, want_value = squared_all_candidates_min(loss, rows, a, b, lo, hi)
-                assert np.all(np.abs(theta - want_theta)
-                              <= 1e-15 * np.maximum(1, np.abs(want_theta)))
+        # every cell's
+        loss, checked = squared_error_loss((a - 10, b + 10)), 0
+        for rows, lo, hi in _one_candidate_cases(a, b):
+            theta, value = minimize_rows(loss, rows, a, b, ThetaGrid(lo, hi, 5 if lo < hi else 1))
+            want_theta, want_value = squared_all_candidates_min(loss, rows, a, b, lo, hi)
+            assert np.all(np.abs(theta - want_theta) <= 1e-15 * np.maximum(1, np.abs(want_theta)))
+            assert np.all(value <= want_value + _ulps(want_value))
+            checked += len(rows)
+        assert checked == 6 * 40 * 22
+
+    @pytest.mark.parametrize("a, b", [(-3.0, 10.0), (-50.0, 2.0)])
+    def test_absolute_one_candidate_against_all_candidates(self, a, b):
+        # U bends only at the midpoints, with slope 2j - n - 1: even n has one argmin, among
+        # the reference's candidates; odd n a flat one, whose lowest end is taken
+        loss, checked = absolute_error_loss((a - 10, b + 10)), 0
+        for rows, lo, hi in _one_candidate_cases(a, b):
+            theta, value = minimize_rows(loss, rows, a, b, ThetaGrid(lo, hi, 5 if lo < hi else 1))
+            want_theta, want_value = absolute_all_candidates_min(loss, rows, a, b, lo, hi)
+            if rows.shape[1] % 2 == 0:
+                assert theta.tobytes() == want_theta.tobytes()
+                assert value.tobytes() == want_value.tobytes()
+            else:
+                assert np.all(theta <= want_theta)
                 assert np.all(value <= want_value + _ulps(want_value))
-                checked += len(rows)
+            checked += len(rows)
         assert checked == 6 * 40 * 22
 
     def test_squared_study_rows_equal_all_candidates(self):
@@ -882,6 +904,20 @@ class TestExactMinimizer:
             want_theta, want_value = squared_all_candidates_min(sq11, rows, -3.0, 3.0, -1, 1)
             assert theta.tobytes() == want_theta.tobytes()
             assert value.tobytes() == want_value.tobytes()
+
+    def test_absolute_study_rows_at_the_lowest_minimizer(self):
+        # n = 21 is odd, so U is flat about the median; the all-candidates argmin landed
+        # inside the flat part on 181 of these 1000 rows, by up to 0.364
+        from focalrisk.simulate import sample_chunks
+
+        loss = absolute_error_loss((-1, 1))
+        rows = next(sample_chunks((-3.0, 3.0), 0, 21, 1000, 21))
+        theta = minimize_rows(loss, rows, -3.0, 3.0, ThetaGrid(-1, 1, 101))[0]
+        inside = theta > -1
+        below = np.column_stack([theta - 1e-9, theta])[inside]
+        at = upper_risk_batch(loss, rows[inside], -3.0, 3.0, below)
+        assert inside.sum() > 900
+        assert np.all(at[:, 0] > at[:, 1])
 
     @settings(max_examples=100, deadline=None)
     @given(case=_table_rows(), data=st.data())

@@ -285,7 +285,7 @@ class TestSampleChunks:
         loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss(),
                 "table": tabulated_loss(knots, 3 * knots, (knots[:, None] - 3 * knots) ** 2,
                                         convex_in_y=True)}[kind]
-        grid, cells = ThetaGrid(-1, 1, k), batch_cells(loss, n, k, -3.0, 3.0, minimize=True)
+        grid, cells = ThetaGrid(-1, 1, k), batch_cells(loss, n, k, -3.0, 3.0)
         per_chunk = _CHUNK_CELLS // cells
         next(sample_chunks((-3.0, 3.0), 0, n, 1, cells))  # first-call allocations
         tracemalloc.start()
@@ -480,7 +480,7 @@ class TestRunReplications:
         import focalrisk.simulate as simulate
 
         n, grid, loss = 300, ThetaGrid(-1, 1, 101), squared_error_loss((-1, 1))
-        per_chunk = _CHUNK_CELLS // batch_cells(loss, n, grid.count, -3.0, 3.0, minimize=True)
+        per_chunk = _CHUNK_CELLS // batch_cells(loss, n, grid.count, -3.0, 3.0)
         cfg = SimConfig(
             model=MODEL, loss=loss, n_values=(n,),
             replications=2 * per_chunk + 3, theta_grid=grid, master_seed=4,
