@@ -160,8 +160,13 @@ def cmd_verify_bounds(args) -> int:
     if args.uniform:  # before any draw
         conformal.check_alpha(args.alpha)
         grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
+    ns = _parse_list(args.n, int) if thetas and epsilons else []  # no report needs no draw
+    uniform_ns = [consistency.uniform_n(loss, model.support, grid, eps, args.alpha)
+                  for eps in epsilons] if args.uniform else []
+    for n in ns + uniform_ns:  # every sample size before the first draw
+        simulate.check_run(n, args.replications, args.seed)
     reports = {}  # every report before any file, so a refused run writes none
-    for n in _parse_list(args.n, int):
+    for n in ns:
         pointwise = consistency.pointwise_reports(
             model, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
         )
@@ -183,8 +188,11 @@ def cmd_coverage(args) -> int:
         conformal.check_alpha(alpha)
     for name in (s for s in score_names if s not in _SCORES):
         raise ValidationFailure(f"UnknownScore: {name}")
-    scores, rows, ns = [_SCORES[name]() for name in score_names], [], _parse_list(args.n, int)
-    for n in ns if alphas and scores else []:  # no row to fill needs no draw
+    scores, rows = [_SCORES[name]() for name in score_names], []
+    ns = _parse_list(args.n, int) if alphas and scores else []  # no row to fill needs no draw
+    for n in ns:  # every n, its held-out draw included, before the first draw
+        simulate.check_run(n, args.replications, args.seed, held_out=1)
+    for n in ns:
         emp = simulate.coverage_experiment(model, scores, n, alphas, args.replications, args.seed)
         for (i, alpha), j in itertools.product(enumerate(alphas), range(len(scores))):
             k = conformal.nested_set_index(n, alpha)

@@ -155,6 +155,14 @@ def witness_uniform(
     return max(1, math.ceil(n))
 
 
+def uniform_n(loss: LossSpec, support: tuple[float, float], theta_grid: ThetaGrid,
+              epsilon: float, alpha: float) -> int:
+    """``verify_uniform``'s sample size: max(witness_uniform, min_sample_size)."""
+    consts = constants(loss, support, (theta_grid.lo, theta_grid.hi))
+    return max(witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
+               min_sample_size(epsilon, consts.M))
+
+
 @dataclass(frozen=True)
 class UniformReport:
     epsilon: float
@@ -180,15 +188,13 @@ def verify_uniform(
 ) -> UniformReport:
     """Monte Carlo estimate of the uniform-deviation probability on the grid.
 
-    Uses n = max(witness_uniform, min_sample_size).  The witness n is the
+    Uses n = ``uniform_n``, max(witness_uniform, min_sample_size).  The witness n is the
     empirical risk's, below what the upper risk's 2/9 tail bound needs, so
     the theorem does not certify the estimate; it is an observation.
     """
     check_epsilon(epsilon)
     loss.check_convex()
-    consts = constants(loss, model.support, (theta_grid.lo, theta_grid.hi))
-    n = max(witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
-            min_sample_size(epsilon, consts.M))
+    n = uniform_n(loss, model.support, theta_grid, epsilon, alpha)
     violations = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon))
                      for dev in _deviations(model, loss, theta_grid.points, n, replications, seed))
     est = violations / replications

@@ -27,8 +27,10 @@ centre clipped to each row's range, absolute by each row's median, which bounds
 each sum by 2 n R_n.  So the rounding scales with the data's spread and theta's
 distance from them, not with the support's width, and a row's result does not
 depend on the other rows it is batched with.  A curve of k
-thetas costs O(n + k log n) per row (tabulated: O(n + k K), K cells), and
-``minimize_rows`` takes the exact argmin of the upper risk.
+thetas costs O(n + k log n) per row (tabulated: O(n + k K), K cells).  ``argmin_rows``
+gives the exact argmin of the upper risk, the MFGF decision rule: squared and absolute
+loss from a rule on the sorted row, with no closed form evaluated; a table as the best
+of the closed form at its candidates.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _cells(rows: np.ndarray, p: np.ndarray):
 def _below(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """c = #{y < theta} per row, (r, k), for thetas (k,) shared by every row or (r, k)."""
     t = np.broadcast_to(thetas, (len(rows), thetas.shape[-1]))
-    return np.array([np.searchsorted(row, ti) for row, ti in zip(rows, t)], dtype=np.intp)
+    return np.array([row.searchsorted(ti) for row, ti in zip(rows, t)], dtype=np.intp)
 
 
 def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas) -> np.ndarray:
@@ -233,8 +235,8 @@ def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, theta
 def batch_cells(loss: LossSpec, n: int, k: int, a: float, b: float) -> int:
     """Float64 cells one sorted row of n values keeps live in ``upper_risk_batch`` at k
     thetas: _LIVE (n + k P), P the y sup points of [a, b] (a table builds (k, 2K) per row, K
-    cells between them).  It bounds ``minimize_rows`` too: squared and absolute loss minimize
-    at 1 candidate per row, and a table's minimizer blocks its own within _BLOCK_CELLS."""
+    cells between them).  It bounds ``argmin_rows`` too: squared and absolute loss build
+    O(n) cells per row and evaluate nothing, and a table's blocks stay within _BLOCK_CELLS."""
     return _LIVE * (n + k * len(sup_points(a, b, loss.y_breaks)))
 
 
@@ -285,75 +287,67 @@ def risk_curve(
     return RiskCurve(grid=grid, values=vals, kind=kind)
 
 
-def _candidates(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
-                hi: float) -> np.ndarray:
-    """Ascending thetas per row among which the closed form attains its min on [lo, hi].
+def argmin_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
+                grid: ThetaGrid) -> np.ndarray:
+    """Each sorted sample row's exact argmin of the upper risk on [grid.lo, grid.hi], (r,),
+    ties to the lowest theta.
 
     With Z = {a, data, b}, (n+1) U(theta) is the sum of loss(theta, z) over Z
     less its min.  Squared and absolute loss: on the cell of the z_j nearest
     theta, between the midpoints e_{j-1} <= e_j of z_j and its neighbours, the sum
-    over the other points, so U is convex and one theta per row is its argmin,
-    clipped to [lo, hi].  Squared: cell j's vertex v_j = (sum Z - z_j)/(n+1) falls
-    with j while its ends rise, so the first cell with v_j <= e_j holds the min,
-    at v_j clipped to the cell.  Absolute: U bends only at the midpoints (the
-    kinks at Z cancel) and has slope 2j - n - 1 on cell j, so it is least at
-    e_{n//2}, the lowest end of the flat minimum when n is odd.  Tabulated:
-    between the theta sup points q, a line less the min of the lines loss(., z),
-    z in a, b and the y-cells' first and last data points, so U is least at q or
-    where two of those lines cross inside a cell.
+    over the other points, so U is convex and its argmin is one theta per row,
+    clipped to [lo, hi], with no closed form evaluated.  Squared: cell j's vertex
+    v_j = (sum Z - z_j)/(n+1) falls with j while its ends rise, so the first cell
+    with v_j <= e_j holds the min, at v_j clipped to the cell.  Absolute: U bends
+    only at the midpoints (the kinks at Z cancel) and has slope 2j - n - 1 on cell
+    j, so it is least at e_{n//2}, the lowest end of the flat minimum when n is
+    odd.  Tabulated: ``_table_argmin``.
     """
-    col = np.ones((len(rows), 1))
+    loss.check_theta([grid.lo, grid.hi])
+    loss.check_convex()
     if loss.kind is LossKind.TABULATED:
-        q = sup_points(lo, hi, loss.theta_breaks)
-        z = np.hstack([a * col, b * col, _cells(rows, sup_points(a, b, loss.y_breaks))[3]])
-        i, j = np.triu_indices(z.shape[1], 1)
+        return _table_argmin(loss, rows, a, b, grid.lo, grid.hi)
+    col = np.ones((len(rows), 1))
+    z = np.hstack([a * col, rows, b * col])
+    ends = 0.5 * (z[:, :-1] + z[:, 1:])  # the cells' common ends
+    if loss.kind is LossKind.ABSOLUTE_ERROR:
+        return np.clip(ends[:, rows.shape[1] // 2], grid.lo, grid.hi)
+    vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
+    j = np.count_nonzero(vertex[:, :-1] > ends, axis=1)  # the first v_j <= e_j
+    i, edges = np.arange(len(rows)), np.hstack([-np.inf * col, ends, np.inf * col])
+    return np.clip(np.clip(vertex[i, j], edges[i, j], edges[i, j + 1]), grid.lo, grid.hi)
+
+
+def _table_argmin(loss: LossSpec, rows: np.ndarray, a: float, b: float, lo: float,
+                  hi: float) -> np.ndarray:
+    """A table's argmin per row, (r,): between the theta sup points q, (n+1) U is a line less
+    the min of the m lines loss(., z), z in a, b and the y-cells' first and last data points,
+    so U is least at q or where two lines cross inside a cell.  The best closed form there,
+    ties to the lowest theta, in row blocks of at most _BLOCK_CELLS / _LIVE candidates and
+    column slices of at most _BLOCK_CELLS / _LIVE loss cells."""
+    q, p = sup_points(lo, hi, loss.theta_breaks), sup_points(a, b, loss.y_breaks)
+    t, m = len(q) - 1, 2 * len(p)  # per row: t + 1 + t pairs candidates, m lines each
+    step = max(1, _BLOCK_CELLS // (_LIVE * (t + 1 + t * m * (m - 1) // 2)))
+    (i, j), best = np.triu_indices(m, 1), []
+    for part in (rows[s:s + step] for s in range(0, len(rows), step)):
+        col = np.ones((len(part), 1))
+        z = np.hstack([a * col, b * col, _cells(part, p)[3]])
         v = np.asarray(loss(q[:, None], z[:, None, :]), dtype=float)  # (r, q, z)
         d = v[..., i] - v[..., j]  # the gap of every pair of lines at every q
         d0, d1 = d[:, :-1], d[:, 1:]
         s = np.divide(d0, d0 - d1, out=np.zeros_like(d0), where=np.sign(d0) != np.sign(d1))
-        cross = (q[:-1, None] + s * np.diff(q)[:, None]).reshape(len(rows), -1)
-        return np.sort(np.clip(np.hstack([q * col, cross]), lo, hi), axis=1)
-    z = np.hstack([a * col, rows, b * col])
-    ends = 0.5 * (z[:, :-1] + z[:, 1:])  # the cells' common ends
-    if loss.kind is LossKind.ABSOLUTE_ERROR:
-        return np.clip(ends[:, rows.shape[1] // 2, None], lo, hi)
-    vertex = (z.sum(axis=1, keepdims=True) - z) / (z.shape[1] - 1)
-    j = np.count_nonzero(vertex[:, :-1] > ends, axis=1)[:, None]  # the first v_j <= e_j
-    i, edges = np.arange(len(rows))[:, None], np.hstack([-np.inf * col, ends, np.inf * col])
-    return np.clip(np.clip(vertex[i, j], edges[i, j], edges[i, j + 1]), lo, hi)
-
-
-def minimize_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,
-                  grid: ThetaGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin and minimum over [grid.lo, grid.hi] of each sample row's upper risk.
-
-    Exact: the best of the closed form at ``_candidates``, ties to the lowest
-    theta; squared and absolute loss evaluate it at one theta per row and take the
-    rows as one block (``batch_cells``).
-    Tabulated losses run in row blocks of at most _BLOCK_CELLS / _LIVE candidates,
-    evaluated in column slices of at most _BLOCK_CELLS / _LIVE loss cells.
-    """
-    loss.check_theta([grid.lo, grid.hi])
-    step, m = max(1, len(rows)), 0
-    if loss.kind is LossKind.TABULATED:  # per row: t + 1 + t pairs candidates, m lines each
-        t = len(sup_points(grid.lo, grid.hi, loss.theta_breaks)) - 1
-        m = 2 * len(sup_points(a, b, loss.y_breaks))
-        step = max(1, _BLOCK_CELLS // (_LIVE * (t + 1 + t * m * (m - 1) // 2)))
-    thetas, values = [], []
-    for part in (rows[i:i + step] for i in range(0, len(rows), step)):
-        cand = _candidates(loss, part, a, b, grid.lo, grid.hi)
-        w = max(1, _BLOCK_CELLS // (_LIVE * len(part) * m)) if m else cand.shape[1]
-        vals = np.hstack([upper_risk_batch(loss, part, a, b, cand[:, j:j + w])
-                          for j in range(0, cand.shape[1], w)])
-        best = np.arange(len(part)), np.argmin(vals, axis=1)
-        thetas.append(cand[best])
-        values.append(vals[best])
-    return np.concatenate(thetas), np.concatenate(values)
+        cross = (q[:-1, None] + s * np.diff(q)[:, None]).reshape(len(part), -1)
+        cand = np.sort(np.clip(np.hstack([q * col, cross]), lo, hi), axis=1)
+        w = max(1, _BLOCK_CELLS // (_LIVE * len(part) * m))
+        vals = np.hstack([upper_risk_batch(loss, part, a, b, cand[:, c:c + w])
+                          for c in range(0, cand.shape[1], w)])
+        best.append(cand[np.arange(len(part)), np.argmin(vals, axis=1)])
+    return np.concatenate(best)
 
 
 def minimize_upper_risk(loss: LossSpec, sample: BoundedSample,
                         grid: ThetaGrid) -> tuple[float, float]:
-    """Argmin and minimum of the upper risk on [grid.lo, grid.hi], as in ``minimize_rows``."""
-    theta, val = minimize_rows(loss, sample.values[None], sample.support_lo, sample.support_hi,
-                               grid)
-    return float(theta[0]), float(val[0])
+    """``argmin_rows`` of one sample, and the closed form there."""
+    rows, a, b = sample.values[None], sample.support_lo, sample.support_hi
+    theta = argmin_rows(loss, rows, a, b, grid)
+    return float(theta[0]), float(upper_risk_batch(loss, rows, a, b, theta[:, None])[0, 0])

@@ -19,7 +19,7 @@ from .conformal import NonconformityScore, nested_set_index, rank_rows
 from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
                          make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
-from .risk import RiskCurve, RiskKind, batch_cells, format_csv, minimize_rows, upper_risk_batch
+from .risk import RiskCurve, RiskKind, argmin_rows, batch_cells, format_csv, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # float64 cells one chunk keeps live, by row_cells: 2 MiB
@@ -75,11 +75,7 @@ def _philox_keys(seed: int, n: int, stop: int, start: int = 0) -> np.ndarray:
 def _streams(seed: int, n: int, replications: int) -> Iterator[np.random.Generator]:
     """``replication_rng(seed, n, r)`` for r = 0, 1, ..., bit for bit, keyed by one
     ``_philox_keys`` pass per _KEY_BLOCK replications: one Generator is reset per r, so a
-    stream lasts until the next."""
-    if n < 1:  # both refused before any key (SeedSequence refuses n < 0 and seed < 0 too)
-        raise EmptySample(f"sample size n={n} is below 1")
-    if seed < 0:
-        raise ValueError(f"seed={seed}: expected a non-negative integer")
+    stream lasts until the next.  ``check_run`` comes first."""
     bitgen = np.random.Philox(0)
     state, rng = bitgen.state, np.random.Generator(bitgen)  # counter 0, buffer empty: as new
 
@@ -136,6 +132,23 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
     return make_sample(_raw_draw(np.empty(n), lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 
+def check_run(n: int, replications: int, seed: int, held_out: int = 0) -> None:
+    """Refuses, before any key or draw, a run of replications samples of n values, each with
+    held_out more draws: n below 1, a negative seed (SeedSequence refuses both too), more
+    than _MAX_REPLICATIONS replications or _MAX_DRAWS values, or rows above _MAX_ROW."""
+    if n < 1:
+        raise EmptySample(f"sample size n={n} is below 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed}: expected a non-negative integer")
+    width = n + held_out
+    size = f"sample size n={n:.6g}" + (f" plus {held_out} held out" if held_out else "")
+    if replications > _MAX_REPLICATIONS or width * replications > _MAX_DRAWS:
+        raise SampleTooLarge(f"{size} times {replications} replications exceeds "
+                             f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
+    if width > _MAX_ROW:
+        raise SampleTooLarge(f"{size} exceeds {_MAX_ROW} values per sample")
+
+
 def sample_chunks(support: tuple[float, float], seed: int, n: int, replications: int,
                   row_cells: int, held_out: int = 0) -> Iterator[np.ndarray]:
     """Replications 0, 1, ... in order, as (r, n + held_out) matrices.
@@ -145,7 +158,7 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     live per row, the row itself included (``risk.batch_cells`` for the closed form and its
     minimizer), and r keeps r * row_cells within the chunk budget (r >= 1).  Each row is
     drawn from its own stream and evaluated alone, so output is the same for any chunking,
-    on any support.  Caps come before any key.
+    on any support.  ``check_run`` comes before any key.
 
     Rows whose first batch (``_raw_draw``'s) holds n + held_out draws in the support with 4
     sd to spare, as on [-3, 3], are drawn in blocks and accepted at once (``_draw_block``);
@@ -153,11 +166,7 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     floor, rows are drawn one at a time, each finished from its live stream.
     """
     (lo, hi), mass, width = support, normal_mass(*support), n + held_out
-    if replications > _MAX_REPLICATIONS or width * replications > _MAX_DRAWS:
-        raise SampleTooLarge(f"sample size n={width:.6g} times {replications} replications exceeds "
-                             f"{_MAX_DRAWS} values or {_MAX_REPLICATIONS} replications per run")
-    if width > _MAX_ROW:
-        raise SampleTooLarge(f"sample size n={width:.6g} exceeds {_MAX_ROW} values per sample")
+    check_run(n, replications, seed, held_out)
     step = max(1, _CHUNK_CELLS // max(row_cells, 1))
     batch = min(max(width + 8, int(width * 1.1 / mass)), _MAX_BATCH)  # _raw_draw's first
     mean = batch * mass  # expected in the support: binomial, sd (mean (1 - mass))^(1/2)
@@ -200,6 +209,8 @@ class SimConfig:
         if self.replications * self.theta_grid.count > _MAX_CURVES:  # before any draw
             raise SampleTooLarge(f"{self.replications} replications times {self.theta_grid.count} "
                                  f"thetas exceeds {_MAX_CURVES} stored curve values")
+        for n in self.n_values:  # every n before the first draw
+            check_run(n, self.replications, self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -281,7 +292,7 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
                 raise NonFiniteValue(f"upper risk is not finite on [{grid.lo}, {grid.hi}]")
             part, done = slice(done, done + len(rows)), done + len(rows)
             curves[part] = chunk
-            minimizers[part] = minimize_rows(config.loss, rows, a, b, grid)[0]
+            minimizers[part] = argmin_rows(config.loss, rows, a, b, grid)
         lo_c, med_c, hi_c = _percentile_curves(grid, curves, [p_lo, 0.5, p_hi], RiskKind.UPPER)
         per_n[n] = NSummary(med_c, lo_c, hi_c, minimizers,
                             *histogram(minimizers, config.histogram_bins))

@@ -5,14 +5,15 @@ package dropped it for exact minimizers.  The all-candidates squared- and
 absolute-loss minimizers are the exact ones the single-candidate minimizers
 replaced.  The focal sum is the per-set, per-piece loop that the batched focal
 upper risk replaced.  The tests keep them so that the earlier results stay
-reproducible as oracles.
+reproducible as oracles.  ``argmin_and_min`` is the (argmin, minimum) pair the
+row minimizer returned before it returned the argmin alone.
 """
 
 import numpy as np
 
 from focalrisk.conformal import FocalSystem
 from focalrisk.data_model import sup_points
-from focalrisk.risk import upper_risk_batch
+from focalrisk.risk import argmin_rows, upper_risk_batch
 
 _INV_GOLDEN = (5 ** 0.5 - 1) / 2
 
@@ -87,3 +88,9 @@ def absolute_all_candidates_min(loss, rows, a, b, lo, hi):
     vals = upper_risk_batch(loss, rows, a, b, cand)
     best = np.arange(len(rows)), np.argmin(vals, axis=1)
     return cand[best], vals[best]
+
+
+def argmin_and_min(loss, rows, a, b, grid):
+    """``argmin_rows`` of each sorted row and the closed-form upper risk there, (r,) each."""
+    theta = argmin_rows(loss, rows, a, b, grid)
+    return theta, upper_risk_batch(loss, rows, a, b, theta[:, None])[:, 0]

@@ -452,6 +452,32 @@ def test_draws_beyond_the_run_limit_are_refused_before_any_draw(tmp_path, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, n", [
+    # the pointwise n = 20000 ran first, then the uniform n was refused
+    (["verify-bounds", "--n", "20000", "--epsilon", "0.001", "--replications", "1000",
+      "--uniform"], "n=1.06291e+09 times"),
+    # n = 200 and 2000 ran first, then n = 300000 was refused
+    (["simulate", "--n", "200,2000,300000", "--replications", "10000"], "n=300000 times"),
+    # the message read n=300001: the held-out draw is not part of n
+    (["coverage", "--n", "20,2000,300000", "--replications", "10000"],
+     "n=300000 plus 1 held out times"),
+])
+def test_every_sample_size_is_refused_before_the_first_draw(tmp_path, monkeypatch, capsys, argv,
+                                                             n):
+    import focalrisk.simulate as simulate
+
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(simulate, "_draw_block", no_draws)
+    monkeypatch.setattr(simulate, "_raw_draw", no_draws)
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("SampleTooLarge: sample size " + n) and err.count("\n") == 1
+    assert "replications exceeds" in err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv, error", [
     (["simulate", "--n", "1", "--replications", "268435456"], "SampleTooLarge"),
     (["predict", "--values", "0.1,0.5", "--score", "loo-mean", "--grid-points", "1000000000"],

@@ -31,15 +31,15 @@ from focalrisk.data_model import ModelKind
 from focalrisk.errors import EmptyFocalSetWarning, NonConvexLoss, ThetaOutOfDomain
 from focalrisk.consistency import _loss_range
 from focalrisk.risk import (
+    argmin_rows,
     closed_form_curve,
     focal_upper_risk_curve,
     format_csv,
-    minimize_rows,
     true_risk_curve,
     upper_risk_batch,
 )
-from oracles import (absolute_all_candidates_min, focal_sum_upper_risk, focal_table,
-                     scalar_golden_section_min, squared_all_candidates_min)
+from oracles import (absolute_all_candidates_min, argmin_and_min, focal_sum_upper_risk,
+                     focal_table, scalar_golden_section_min, squared_all_candidates_min)
 
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
@@ -176,7 +176,7 @@ class TestEmpiricalRisk:
         with pytest.raises(NonConvexLoss):
             upper_risk_batch(BUMPY, s.values[None], -3.0, 3.0, grid.points)
         with pytest.raises(NonConvexLoss):
-            minimize_rows(BUMPY, s.values[None], -3.0, 3.0, grid)
+            argmin_rows(BUMPY, s.values[None], -3.0, 3.0, grid)
 
     def test_array_theta_domain(self):
         sq11.check_theta(np.linspace(-1, 1, 5))
@@ -633,7 +633,7 @@ class TestMinimizeUpperRisk:
                 with pytest.raises(ThetaOutOfDomain):
                     minimize_upper_risk(loss, s, grid)
                 with pytest.raises(ThetaOutOfDomain):
-                    minimize_rows(loss, s.values[None], -3.0, 3.0, grid)
+                    argmin_rows(loss, s.values[None], -3.0, 3.0, grid)
 
 
 def _parent_minimize_rows(loss, rows, a, b, grid, tol=1e-9):
@@ -673,11 +673,14 @@ def _ulps(x, count=4):
 
 
 def _check_exact_minimizer(loss, rows, grid):
-    """minimize_rows against a dense grid and the earlier golden section, both on the table."""
-    theta, value = minimize_rows(loss, rows, -3.0, 3.0, grid)
+    """argmin_rows against a dense grid and the earlier golden section, both on the table;
+    minimize_upper_risk gives each row's argmin and the closed form's bytes there."""
+    theta, value = argmin_and_min(loss, rows, -3.0, 3.0, grid)
     assert np.all((grid.lo <= theta) & (theta <= grid.hi))
-    at_theta = upper_risk_batch(loss, rows, -3.0, 3.0, theta[:, None])[:, 0]
-    assert value.tobytes() == at_theta.tobytes()
+    for row, row_theta in zip(rows, theta):
+        got_theta, got_value = minimize_upper_risk(loss, make_sample(row, -3, 3), grid)
+        at_theta = upper_risk_batch(loss, row[None], -3.0, 3.0, [[got_theta]])[0, 0]
+        assert got_theta == row_theta and np.float64(got_value).tobytes() == at_theta.tobytes()
     knots = [t for t in loss.theta_breaks if grid.lo <= t <= grid.hi]
     dense = np.append(np.linspace(grid.lo, grid.hi, 20001), knots)
     pieces = np.array_split(dense, 1 + dense.size * rows.size // 2**18)  # tables of <= 2 MiB
@@ -845,13 +848,13 @@ class TestRowsAlone:
         alone = np.vstack([upper_risk_batch(loss, row[None], a, b, thetas) for row in rows])
         assert np.array_equal(upper_risk_batch(loss, rows, a, b, thetas), alone)
         grid, part = ThetaGrid(-1, 1, 21), rows[::10]
-        alone = [minimize_rows(loss, row[None], a, b, grid) for row in part]
-        for got, want in zip(minimize_rows(loss, part, a, b, grid), zip(*alone)):
+        alone = [argmin_and_min(loss, row[None], a, b, grid) for row in part]
+        for got, want in zip(argmin_and_min(loss, part, a, b, grid), zip(*alone)):
             assert np.array_equal(got, np.concatenate(want))
 
 
 class TestExactMinimizer:
-    """minimize_rows: the best of the closed form at exact candidates."""
+    """argmin_rows: each row's exact argmin, ties to the lowest theta."""
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_at_most_dense_grid_and_golden_section(self, loss):
@@ -870,7 +873,7 @@ class TestExactMinimizer:
         # every cell's
         loss, checked = squared_error_loss((a - 10, b + 10)), 0
         for rows, lo, hi in _one_candidate_cases(a, b):
-            theta, value = minimize_rows(loss, rows, a, b, ThetaGrid(lo, hi, 5 if lo < hi else 1))
+            theta, value = argmin_and_min(loss, rows, a, b, ThetaGrid(lo, hi, 5 if lo < hi else 1))
             want_theta, want_value = squared_all_candidates_min(loss, rows, a, b, lo, hi)
             assert np.all(np.abs(theta - want_theta) <= 1e-15 * np.maximum(1, np.abs(want_theta)))
             assert np.all(value <= want_value + _ulps(want_value))
@@ -883,7 +886,7 @@ class TestExactMinimizer:
         # the reference's candidates; odd n a flat one, whose lowest end is taken
         loss, checked = absolute_error_loss((a - 10, b + 10)), 0
         for rows, lo, hi in _one_candidate_cases(a, b):
-            theta, value = minimize_rows(loss, rows, a, b, ThetaGrid(lo, hi, 5 if lo < hi else 1))
+            theta, value = argmin_and_min(loss, rows, a, b, ThetaGrid(lo, hi, 5 if lo < hi else 1))
             want_theta, want_value = absolute_all_candidates_min(loss, rows, a, b, lo, hi)
             if rows.shape[1] % 2 == 0:
                 assert theta.tobytes() == want_theta.tobytes()
@@ -900,7 +903,7 @@ class TestExactMinimizer:
 
         for n in (20, 200):
             rows = next(sample_chunks((-3.0, 3.0), 0, n, 1000, n))
-            theta, value = minimize_rows(sq11, rows, -3.0, 3.0, ThetaGrid(-1, 1, 101))
+            theta, value = argmin_and_min(sq11, rows, -3.0, 3.0, ThetaGrid(-1, 1, 101))
             want_theta, want_value = squared_all_candidates_min(sq11, rows, -3.0, 3.0, -1, 1)
             assert theta.tobytes() == want_theta.tobytes()
             assert value.tobytes() == want_value.tobytes()
@@ -912,7 +915,7 @@ class TestExactMinimizer:
 
         loss = absolute_error_loss((-1, 1))
         rows = next(sample_chunks((-3.0, 3.0), 0, 21, 1000, 21))
-        theta = minimize_rows(loss, rows, -3.0, 3.0, ThetaGrid(-1, 1, 101))[0]
+        theta = argmin_rows(loss, rows, -3.0, 3.0, ThetaGrid(-1, 1, 101))
         inside = theta > -1
         below = np.column_stack([theta - 1e-9, theta])[inside]
         at = upper_risk_batch(loss, rows[inside], -3.0, 3.0, below)
@@ -951,7 +954,7 @@ class TestExactMinimizer:
         grid = ThetaGrid(-1, 1, 101)
         tracemalloc.start()
         try:
-            minimize_rows(loss, rows, -3.0, 3.0, grid)
+            argmin_and_min(loss, rows, -3.0, 3.0, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -972,7 +975,7 @@ class TestExactMinimizer:
                 return f(t, y)
 
             loss = dataclasses.replace(base, evaluate=evaluate)
-            minimize_rows(loss, rows, -3.0, 3.0, grid)
+            argmin_and_min(loss, rows, -3.0, 3.0, grid)
             minimize_upper_risk(loss, make_sample(rows[0], -3, 3), grid)
             largest[base.kind.value, n] = max(sizes)
         for kind in ("squared", "absolute"):

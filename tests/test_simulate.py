@@ -24,9 +24,10 @@ from focalrisk.conformal import coverage_probability, nested_set_index
 from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
                               InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
-from focalrisk.risk import RiskCurve, batch_cells, minimize_rows, upper_risk_batch
+from focalrisk.risk import RiskCurve, batch_cells, upper_risk_batch
 from focalrisk.simulate import (_CHUNK_CELLS, _philox_keys, _raw_draw, _streams, sample_chunks,
                                 write_summary)
+from oracles import argmin_and_min
 
 MODEL = TrueModel.truncated_std_normal(-3, 3)
 TRUNC_VAR = 0.97333692466254148
@@ -171,10 +172,13 @@ class TestStreams:
             assert len(got.batches) == len(want.batches)
             assert all(map(np.array_equal, got.batches, want.batches))
 
-    def test_negative_seed_refused(self):
+    def test_negative_seed_refused(self, monkeypatch):
         # before any key: SeedSequence, which replication_rng still calls, refuses it too
+        import focalrisk.simulate as simulate
+
+        monkeypatch.setattr(simulate, "_streams", _no_streams)
         with pytest.raises(ValueError, match="non-negative"):
-            next(_streams(-1, 5, 3))
+            next(sample_chunks((-3.0, 3.0), -1, 5, 3, 1))
         with pytest.raises(ValueError, match="non-negative"):
             replication_rng(-1, 5, 0)
 
@@ -292,7 +296,7 @@ class TestSampleChunks:
         try:
             rows = next(sample_chunks((-3.0, 3.0), 0, n, per_chunk, cells))
             upper_risk_batch(loss, rows, -3.0, 3.0, grid.points)
-            minimize_rows(loss, rows, -3.0, 3.0, grid)
+            argmin_and_min(loss, rows, -3.0, 3.0, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -315,7 +319,7 @@ class TestSampleChunks:
         monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
         with pytest.raises(SampleTooLarge, match="n=10 times 11 replications"):
             next(sample_chunks((-3.0, 3.0), 0, 10, 11, 1))
-        with pytest.raises(SampleTooLarge, match="n=11 times 10 replications"):  # n + 1 each
+        with pytest.raises(SampleTooLarge, match="n=10 plus 1 held out times 10 replications"):
             coverage_experiment(MODEL, [NonconformityScore.identity()], 10, [0.2], 10, 0)
 
     def test_replications_capped_before_any_draw(self, monkeypatch):
@@ -542,6 +546,28 @@ class TestRunReplications:
         with pytest.raises(NonConvexLoss):
             run_replications(SimConfig(model=MODEL, loss=bumpy, n_values=(10,), replications=3,
                                        theta_grid=ThetaGrid(-1, 1, 5)))
+
+    @pytest.mark.parametrize("kind", ["squared", "absolute"])
+    def test_closed_form_only_on_the_grid(self, monkeypatch, kind):
+        # the minimizers need no closed form: it was evaluated again at each row's argmin
+        import focalrisk.risk as risk_mod
+        import focalrisk.simulate as simulate
+        from focalrisk import absolute_error_loss
+
+        shapes = []
+
+        def record(loss, rows, a, b, thetas, upper=risk_mod.upper_risk_batch):
+            shapes.append(np.shape(thetas))
+            return upper(loss, rows, a, b, thetas)
+
+        monkeypatch.setattr(risk_mod, "upper_risk_batch", record)
+        monkeypatch.setattr(simulate, "upper_risk_batch", record)
+        loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss()}[kind]
+        grid = ThetaGrid(-1, 1, 21)
+        summary = run_replications(SimConfig(model=MODEL, loss=loss, n_values=(10, 31),
+                                             replications=40, theta_grid=grid))
+        assert all(len(s.minimizers) == 40 for s in summary.per_n.values())
+        assert shapes and set(shapes) == {(grid.count,)}
 
     def test_file_inventory(self, tmp_path):
         summary = run_replications(_small_config(reps=3))
