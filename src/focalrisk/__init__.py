@@ -40,11 +40,8 @@ from .data_model import (
 from .risk import (
     RiskCurve,
     RiskKind,
-    UpperRiskDecomposition,
-    empirical_risk,
     minimize_upper_risk,
     risk_curve,
-    sup_on_interval,
     true_risk,
     upper_risk_closed_form,
     upper_risk_general,

@@ -26,10 +26,6 @@ from .data_model import (
 )
 from .errors import FocalRiskError
 
-_SCORES = {
-    "identity": conformal.NonconformityScore.identity,
-    "loo-mean": conformal.NonconformityScore.distance_to_loo_mean,
-}
 _LOSSES = {"squared": squared_error_loss, "absolute": absolute_error_loss}
 
 
@@ -81,7 +77,8 @@ def cmd_predict(args) -> int:
     data = _read_data(args)
     sample = make_sample(data, args.lo, args.hi)
     ys = conformal.y_grid(args.lo, args.hi, 1001)
-    focal = conformal.focal_sets(sample, _SCORES[args.score](), grid_points=args.grid_points)
+    focal = conformal.focal_sets(sample, conformal.NonconformityScore(args.score),
+                                 grid_points=args.grid_points)
     pred = conformal.prediction_set(focal, args.alpha)
     out = _out_dir(args)
     _write(out / "focal.txt", conformal.serialize_focal_system(focal))
@@ -186,9 +183,10 @@ def cmd_coverage(args) -> int:
     alphas, score_names = _parse_list(args.alpha, float), _parse_list(args.score, str)
     for alpha in alphas:  # every alpha and score name is checked before the first experiment
         conformal.check_alpha(alpha)
-    for name in (s for s in score_names if s not in _SCORES):
+    known = [s.value for s in conformal.NonconformityScore]
+    for name in (s for s in score_names if s not in known):
         raise ValidationFailure(f"UnknownScore: {name}")
-    scores, rows = [_SCORES[name]() for name in score_names], []
+    scores, rows = list(map(conformal.NonconformityScore, score_names)), []
     ns = _parse_list(args.n, int) if alphas and scores else []  # no row to fill needs no draw
     for n in ns:  # every n, its held-out draw included, before the first draw
         simulate.check_run(n, args.replications, args.seed, held_out=1)
@@ -229,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="input file, one number per line, # comments")
     p.add_argument("--values", help="inline comma-separated data")
     _add_support(p)
-    p.add_argument("--score", choices=sorted(_SCORES), default="identity")
+    p.add_argument("--score", choices=[s.value for s in conformal.NonconformityScore],
+                   default="identity")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--grid-points", type=int, default=2001)
     p.add_argument("--out")

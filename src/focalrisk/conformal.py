@@ -1,6 +1,7 @@
-"""Nonconformity scoring, rank pivots, focal sets, and prediction sets.
+"""Nonconformity scores, rank pivots, focal sets, and prediction sets.
 
-The rank of a candidate value among the augmented scores is uniform on
+A score is one of two fixed symmetric ones: the identity, or the distance to the
+leave-one-out mean.  The rank of a candidate value among the augmented scores is uniform on
 {1, ..., n+1} under exchangeability; the level sets of that rank are the
 focal sets, each carrying mass 1/(n+1).  Unions of the first k focal sets
 are prediction sets with exact marginal coverage k/(n+1).  Every focal system,
@@ -13,7 +14,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,39 +31,20 @@ from .errors import (
 Interval = tuple[float, float]
 
 
-class ScoreKind(enum.Enum):
+class NonconformityScore(enum.Enum):
+    """Symmetric score of one held-out component of an augmented sample of n+1 values:
+    the value itself, or its distance to the mean of the other n."""
+
     IDENTITY = "identity"
     DISTANCE_TO_LOO_MEAN = "loo-mean"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class NonconformityScore:
-    """Symmetric score of one held-out component of an augmented sample.
-
-    ``evaluate(i, values)`` scores component i of the n+1 augmented values;
-    it must not depend on the order of the other n components.
-    """
-
-    kind: ScoreKind
-    evaluate: Callable[[int, np.ndarray], float]
 
     @staticmethod
     def identity() -> "NonconformityScore":
-        return NonconformityScore(ScoreKind.IDENTITY, lambda i, vals: float(vals[i]))
+        return NonconformityScore.IDENTITY
 
     @staticmethod
     def distance_to_loo_mean() -> "NonconformityScore":
-        def score(i: int, vals: np.ndarray) -> float:
-            total = float(np.sum(vals))
-            loo_mean = (total - vals[i]) / (len(vals) - 1)
-            return abs(float(vals[i]) - loo_mean)
-
-        return NonconformityScore(ScoreKind.DISTANCE_TO_LOO_MEAN, score)
-
-    @staticmethod
-    def custom(fn: Callable[[int, np.ndarray], float]) -> "NonconformityScore":
-        return NonconformityScore(ScoreKind.CUSTOM, fn)
+        return NonconformityScore.DISTANCE_TO_LOO_MEAN
 
 
 @dataclass(frozen=True, eq=False)  # array fields: == and hash by identity, never ambiguous
@@ -85,10 +67,6 @@ class FocalSystem:
         for v, lo, hi in zip(self.index.tolist(), self.lo.tolist(), self.hi.tolist()):
             sets[v - 1].append((lo, hi))
         return tuple(map(tuple, sets))
-
-    @property
-    def mass_each(self) -> float:
-        return 1.0 / self.n_plus_1
 
     def containing_index(self, y):
         """1-based index of the focal set containing y; elementwise for an array.
@@ -134,27 +112,31 @@ def _first(rows: np.ndarray, m: int, past) -> np.ndarray:
 def rank_rows(rows: np.ndarray, ys: np.ndarray, score: NonconformityScore) -> np.ndarray:
     """Ascending rank of each candidate ys[i, j] (r, m) among the sorted data rows[i] (r, n).
 
-    Ties go to the candidate: rank = 1 + #{data scores <= candidate score}.  Built-in
-    scores are monotone in the sorted data point, so the count comes from bisection.
+    Ties go to the candidate: rank = 1 + #{data scores <= candidate score}.  Both scores
+    are monotone in the sorted data point, so the count comes from bisection.  A loo-mean
+    row whose sums could overflow is ranked on its values times 2^-k, k = (n+1).bit_length():
+    exact, so the ranks are those of the row, and its sum of n+1 values is then finite.
     """
     n, m = rows.shape[1], ys.shape[1]
-    if score.kind is ScoreKind.IDENTITY:
+    if score is NonconformityScore.IDENTITY:
         return 1 + _first(rows, m, lambda x: x > ys)
-    if score.kind is ScoreKind.DISTANCE_TO_LOO_MEAN:
+    with np.errstate(over="ignore", invalid="ignore"):
         total = rows.sum(axis=1)[:, None] + ys  # pairwise row sums, as np.sum of one row
+        big = np.maximum(np.abs(ys), np.maximum(np.abs(rows[:, :1]), np.abs(rows[:, -1:])))
+        wide = ~np.isfinite(np.abs(total) + 2 * big).all(axis=1)  # bounds |total - x|, |signed|
+    if wide.any():
+        scale = np.where(wide, 2.0 ** -(n + 1).bit_length(), 1.0)[:, None]
+        rows, ys = rows * scale, ys * scale
+        total = rows.sum(axis=1)[:, None] + ys
+        if not np.isfinite(total).all():
+            raise NonFiniteValue("a sample's leave-one-out sum is not finite")
 
-        def signed(x):  # rises with x, rounding included, so #{|signed| <= cand} is
-            return x - (total - x) / n  # first(signed > cand) - first(signed >= -cand)
+    def signed(x):  # rises with x, rounding included, so #{|signed| <= cand} is
+        return x - (total - x) / n  # first(signed > cand) - first(signed >= -cand)
 
-        cand = np.abs(signed(ys))
-        above = _first(rows, m, lambda x: signed(x) > cand)
-        return 1 + above - _first(rows, m, lambda x: signed(x) >= -cand)
-    out = np.empty(ys.shape[:2], dtype=int)
-    for i, j in np.ndindex(out.shape):
-        augmented = np.append(rows[i], ys[i, j])
-        cand = score.evaluate(n, augmented)
-        out[i, j] = 1 + sum(score.evaluate(k, augmented) <= cand for k in range(n))
-    return out
+    cand = np.abs(signed(ys))
+    above = _first(rows, m, lambda x: signed(x) > cand)
+    return 1 + above - _first(rows, m, lambda x: signed(x) >= -cand)
 
 
 def rank_candidates(sample: BoundedSample, ys, score: NonconformityScore) -> np.ndarray:
@@ -184,12 +166,12 @@ def focal_sets(sample: BoundedSample, score: NonconformityScore,
     """Construct the rank level sets as a piece table.
 
     Identity scores give the exact order-statistic gaps, one piece per set.
-    Other scores are resolved on a ``y_grid`` of grid_points points over the
+    The loo-mean score is resolved on a ``y_grid`` of grid_points points over the
     support; each maximal run of equal rank is widened half a grid step, and
     to the next run's start, so the runs tile the support.
     """
     a, b, n = sample.support_lo, sample.support_hi, sample.n
-    if score.kind is ScoreKind.IDENTITY:
+    if score is NonconformityScore.IDENTITY:
         knots = np.concatenate([[a], sample.values, [b]])
         return FocalSystem(np.arange(1, n + 2), knots[:-1], knots[1:], n + 1, a, b)
 

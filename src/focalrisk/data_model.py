@@ -1,7 +1,8 @@
 """Core value types: bounded samples, losses, parameter grids, data models.
 
-Everything here is immutable after construction and safe to share across
-threads.
+A sample keeps only its sorted values, since every score and risk is symmetric in the
+data; the input order is not stored.  Everything here is immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -31,26 +32,15 @@ MAX_GRID = 1 << 16  # points of a theta or y grid, refused above before any allo
 
 @dataclass(frozen=True)
 class BoundedSample:
-    """n observations on a known bounded support [lo, hi], stored sorted.
-
-    ``original_order[i]`` is the position in the raw input of the i-th
-    sorted value, so the input list is recoverable.
-    """
+    """n observations on a known bounded support [lo, hi], stored sorted."""
 
     values: np.ndarray
     support_lo: float
     support_hi: float
-    original_order: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def to_original(self) -> np.ndarray:
-        """Reconstruct the raw input ordering."""
-        out = np.empty_like(self.values)
-        out[self.original_order] = self.values
-        return out
 
 
 def check_support(lo: float, hi: float) -> None:
@@ -77,11 +67,9 @@ def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
     """Validate and sort raw observations into a BoundedSample."""
     arr = np.asarray(raw, dtype=float)
     check_values(arr, lo, hi)
-    order = np.argsort(arr, kind="stable")
-    values = arr[order]
+    values = np.sort(arr, kind="stable")  # -0.0 and 0.0 keep their input order
     values.setflags(write=False)
-    order.setflags(write=False)
-    return BoundedSample(values, float(lo), float(hi), order)
+    return BoundedSample(values, float(lo), float(hi))
 
 
 class LossKind(enum.Enum):

@@ -64,29 +64,12 @@ class RiskCurve:
     values: np.ndarray
     kind: RiskKind
 
-    def to_csv(self) -> str:
-        kinds = [self.kind.value] * self.grid.count
-        return format_csv("theta,value,kind", zip(self.grid.points, self.values, kinds))
-
 
 def format_csv(header: str, rows: Iterable[Iterable]) -> str:
     """CSV text, typed by the first row: numbers as %.17g (round-trip exact), strings as is."""
     rows = [tuple(row) for row in rows]
     line = ",".join(["%s" if isinstance(v, str) else "%.17g" for v in rows[0]]) if rows else ""
     return "\n".join([header] + [line % row for row in rows]) + "\n"
-
-
-@dataclass(frozen=True)
-class UpperRiskDecomposition:
-    """Upper risk split into its empirical part and the endpoint slack."""
-
-    theta: float
-    empirical_part: float
-    slack: float
-
-    @property
-    def total(self) -> float:
-        return self.empirical_part + self.slack
 
 
 def empirical_risk_curve(loss: LossSpec, sample: BoundedSample, thetas) -> np.ndarray:
@@ -98,11 +81,6 @@ def empirical_risk_curve(loss: LossSpec, sample: BoundedSample, thetas) -> np.nd
     step = _BLOCK_CELLS // len(sup_points(a, b, loss.y_breaks))
     return np.concatenate([_n_rn(loss, sample.values[None], a, b, thetas[i:i + step])[0]
                            for i in range(0, len(thetas), step)]) / sample.n
-
-
-def empirical_risk(loss: LossSpec, sample: BoundedSample, theta: float) -> float:
-    """Empirical risk at one theta: the one-point view of ``empirical_risk_curve``."""
-    return float(empirical_risk_curve(loss, sample, [theta])[0])
 
 
 def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
@@ -152,12 +130,6 @@ def focal_upper_risk_curve(loss: LossSpec, focal: FocalSystem, thetas) -> np.nda
 def upper_risk_general(loss: LossSpec, focal: FocalSystem, theta: float) -> float:
     """Upper risk at one theta: the one-point view of ``focal_upper_risk_curve``."""
     return float(focal_upper_risk_curve(loss, focal, [theta])[0])
-
-
-def sup_on_interval(loss: LossSpec, theta: float, lo: float, hi: float) -> float:
-    """Supremum of loss(theta, .) over [lo, hi], exact: a one-piece ``focal_upper_risk_curve``."""
-    piece = FocalSystem(np.ones(1, int), np.array([lo], float), np.array([hi], float), 1, lo, hi)
-    return float(focal_upper_risk_curve(loss, piece, [theta])[0])
 
 
 def _cells(rows: np.ndarray, p: np.ndarray):
@@ -240,15 +212,12 @@ def batch_cells(loss: LossSpec, n: int, k: int, a: float, b: float) -> int:
     return _LIVE * (n + k * len(sup_points(a, b, loss.y_breaks)))
 
 
-def upper_risk_closed_form(
-    loss: LossSpec, sample: BoundedSample, theta: float
-) -> UpperRiskDecomposition:
-    """Closed form for convex losses under the identity score, as n R_n/(n+1) + M/(n+1)."""
+def upper_risk_closed_form(loss: LossSpec, sample: BoundedSample, theta: float) -> float:
+    """Closed form for convex losses under the identity score at one theta."""
     loss.check_convex()
     loss.check_theta(theta)
-    core = _closed_form_core(loss, sample.values[None], sample.support_lo, sample.support_hi,
-                             [theta])
-    return UpperRiskDecomposition(theta, *(float(v[0, 0] / (sample.n + 1)) for v in core))
+    return float(upper_risk_batch(loss, sample.values[None], sample.support_lo,
+                                  sample.support_hi, [theta])[0, 0])
 
 
 def closed_form_curve(loss: LossSpec, sample: BoundedSample, thetas: np.ndarray) -> np.ndarray:

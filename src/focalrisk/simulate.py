@@ -125,10 +125,10 @@ def sample_truncated_normal(n: int, lo: float, hi: float,
                             rng: np.random.Generator) -> BoundedSample:
     """n iid draws from the standard normal restricted to [lo, hi], by rejection.
 
-    Acceptance is ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3.
+    Acceptance is ~0.9973 on [-3, 3]; ``normal_mass`` refuses rates below 1e-3, and
+    ``check_run`` sizes below 1 or above _MAX_ROW.
     """
-    if n > _MAX_ROW:
-        raise SampleTooLarge(f"sample size n={n:.6g} exceeds {_MAX_ROW} values per sample")
+    check_run(n, 1, 0)
     return make_sample(_raw_draw(np.empty(n), lo, hi, normal_mass(lo, hi), rng), lo, hi)
 
 

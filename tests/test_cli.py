@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -75,6 +76,22 @@ class TestPredict:
         assert run(["predict", "--values=2,2.3", "--score", "loo-mean", "--grid-points", "21",
                     "--out", str(tmp_path)]) == 0
         assert (tmp_path / "contour.csv").exists()
+
+    def test_loo_mean_near_the_largest_float(self, tmp_path):
+        # the data's sum overflowed, so ranks 1 and 2 were unattained and focal.txt held one
+        # set; every rank is attained, in the same runs as for the data scaled down
+        def indices(values, hi, name):
+            argv = ["predict", "--values", values, "--lo", "0", "--hi", hi, "--score",
+                    "loo-mean", "--grid-points", "11", "--out", str(tmp_path / name)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(argv) == 0
+            text = (tmp_path / name / "focal.txt").read_text()
+            return [line.split()[0] for line in text.splitlines()]
+
+        got = indices("1e308,1.5e308", "1.7e308", "big")
+        assert set(got) == {"1", "2", "3"}
+        assert got == indices("1,1.5", "1.7", "small")
 
 
 class TestRiskCurve:

@@ -23,7 +23,8 @@ from focalrisk.conformal import (
     rank_rows,
     serialize_focal_system,
 )
-from focalrisk.errors import IndexOutOfRange, InvalidAlpha, MissingGrid, OutOfSupport
+from focalrisk.errors import (IndexOutOfRange, InvalidAlpha, MissingGrid, NonFiniteValue,
+                              OutOfSupport)
 from oracles import focal_table
 
 identity = NonconformityScore.identity()
@@ -50,14 +51,6 @@ class TestRankCandidate:
         with pytest.raises(OutOfSupport):
             rank_candidate(s, 1.5, identity)
 
-    def test_custom_matches_builtin(self):
-        s = make_sample([1, 2, 3, 4], 0, 5)
-        custom = NonconformityScore.custom(
-            lambda i, vals: abs(vals[i] - (vals.sum() - vals[i]) / (len(vals) - 1))
-        )
-        for y in [0.3, 1.7, 2.5, 4.9]:
-            assert rank_candidate(s, y, custom) == rank_candidate(s, y, loo_mean)
-
     @given(
         st.lists(st.floats(0, 1), min_size=1, max_size=30),
         st.floats(0, 1),
@@ -78,7 +71,7 @@ class TestFocalSets:
     def test_singleton(self):
         f = focal_sets(make_sample([0.5], 0, 1), identity)
         assert f.sets == (((0.0, 0.5),), ((0.5, 1.0),))
-        assert f.mass_each == 0.5
+        assert f.n_plus_1 == 2
 
     def test_grid_level_sets(self):
         s = make_sample([1, 2, 3, 4], 0, 5)
@@ -245,17 +238,20 @@ def test_serialization_round_trip():
 
 
 def _scalar_rank(sample, y, score):
-    """The one-candidate arithmetic of the scalar path, as an oracle."""
+    """The one-candidate arithmetic of the scalar path, as an oracle.  Where a loo-mean
+    score overflows, the scores of the values times 2^-k, k = (n+1).bit_length(), which
+    stay finite."""
     vals, n = sample.values, sample.n
     if score is identity:
         return 1 + bisect_right(list(vals), y)
-    if score is loo_mean:
-        total = float(np.sum(vals)) + y
-        cand = abs(y - (total - y) / n)
-        return 1 + int(np.count_nonzero(np.abs(vals - (total - vals) / n) <= cand))
-    augmented = np.append(vals, y)
-    cand = score.evaluate(n, augmented)
-    return 1 + sum(1 for i in range(n) if score.evaluate(i, augmented) <= cand)
+    for scale in (1.0, 2.0 ** -(n + 1).bit_length()):
+        aug = np.append(vals, y) * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum(aug[:n])) + aug[n]
+            scores = np.abs(aug - (total - aug) / n)
+        if np.isfinite(scores).all():
+            break
+    return 1 + int(np.count_nonzero(scores[:n] <= scores[n]))
 
 
 def _exact_index(sample, y):
@@ -273,16 +269,11 @@ def _scalar_index(focal, y):
     raise AssertionError(f"y={y} not covered")
 
 
-custom_loo = NonconformityScore.custom(
-    lambda i, vals: abs(vals[i] - (vals.sum() - vals[i]) / (len(vals) - 1))
-)
-
-
 class TestBatched:
     @given(
         st.lists(st.floats(-2, 2), min_size=1, max_size=25),
         st.lists(st.floats(-2, 2), max_size=10),
-        st.sampled_from([identity, loo_mean, custom_loo]),
+        st.sampled_from([identity, loo_mean]),
     )
     def test_rank_candidates_match_scalar(self, raw, extra, score):
         s = make_sample(raw, -2, 2)
@@ -293,7 +284,7 @@ class TestBatched:
         assert type(rank_candidate(s, float(ys[0]), score)) is int
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300), m=st.integers(1, 3),
-           score=st.sampled_from([identity, loo_mean, custom_loo]))
+           score=st.sampled_from([identity, loo_mean]))
     def test_rank_rows_match_rank_candidate(self, seed, n, m, score):
         # rows laid out as coverage ranks them: the sorted first n columns of a wider matrix,
         # the held-out candidates after; n > 128 takes np.sum's pairwise blocks
@@ -319,7 +310,7 @@ class TestBatched:
         assert rank_candidates(s, ys, loo_mean).tolist() == expected
 
     @pytest.mark.filterwarnings("ignore::focalrisk.errors.EmptyFocalSetWarning")
-    @pytest.mark.parametrize("score", [identity, loo_mean])
+    @pytest.mark.parametrize("score", [identity, loo_mean], ids=["score0", "score1"])
     def test_contour_array_matches_loop(self, score):
         raw = [0.3, 1.1, 1.1, 2.0, 2.6, 4.2, 4.9]
         f = focal_sets(make_sample(raw, 0, 5), score, grid_points=101)
@@ -335,16 +326,15 @@ class TestBatched:
         assert f.containing_index(ys).tolist() == [f.containing_index(y) for y in ys.tolist()]
         assert type(contour(f, 1.1)) is float and type(f.containing_index(1.1)) is int
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @given(n=st.integers(1, 300), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
            tied=st.booleans(), huge=st.booleans(), score=st.sampled_from([identity, loo_mean]))
     @example(n=1, m=4, seed=0, tied=False, huge=True, score=loo_mean)
     @example(n=5, m=3, seed=1, tied=True, huge=False, score=loo_mean)
     def test_rank_rows_at_the_edges(self, n, m, seed, tied, huge, score):
         # data and candidates near +-1e308 overflow the row sums to +-inf and, once
-        # np.sum's pairwise blocks overflow both ways (n > 128), to NaN; ties among the
-        # data, and candidates at data points and at the support ends
+        # np.sum's pairwise blocks overflow both ways (n > 128), to NaN, so those rows are
+        # ranked on scaled values; ties among the data, and candidates at data points and
+        # at the support ends
         rng = np.random.default_rng(seed)
         end = BIG if huge else 2.0
         mat = rng.uniform(-1, 1, (3, n + m)) * (1.7e308 if huge else 2.0)
@@ -359,16 +349,35 @@ class TestBatched:
         assert got.tolist() == [[_scalar_rank(s, float(y), score) for y in row[n:]]
                                 for s, row in zip(samples, mat)]
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_loo_mean_nan_row_sum(self):
-        # pairwise blocks of -inf and +inf: the row total is NaN, every score compares false
+        # pairwise blocks of -inf and +inf made the row total NaN, every score compared
+        # false and every candidate took rank 1; the row is ranked on its values times 2^-9
         row = np.repeat([-1.7e308, 1.7e308], 128)
-        assert np.isnan(row.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(row.sum())
         s = make_sample(row, -BIG, BIG)
         ys = np.array([-BIG, 0.0, 1.7e308, BIG])
-        assert rank_rows(row[None], ys[None], loo_mean)[0].tolist() == [
-            _scalar_rank(s, float(y), loo_mean) for y in ys] == [1, 1, 1, 1]
+        got = rank_rows(row[None], ys[None], loo_mean)[0].tolist()
+        assert got == [_scalar_rank(s, float(y), loo_mean) for y in ys] == [257, 1, 129, 257]
+        assert got == rank_rows(row[None] / 2**9, ys[None] / 2**9, loo_mean)[0].tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 129, 300])
+    def test_loo_mean_ranks_keep_under_scaling(self, n):
+        # the data times 2^1020: from n = 40 their sum overflows, yet the ranks are the data's
+        rng = np.random.default_rng(n)
+        raw = rng.integers(0, 2**20, n) / 2**20
+        raw[rng.random(n) < 0.3] = raw[0]  # ties among the data
+        ys = np.concatenate([np.linspace(-1, 1, 201), raw])
+        big = 2.0 ** 1020
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.sum(raw * big)) == (n < 40)
+        small = rank_candidates(make_sample(raw, -1, 1), ys, loo_mean)
+        scaled = rank_candidates(make_sample(raw * big, -big, big), ys * big, loo_mean)
+        assert scaled.tolist() == small.tolist()
+
+    def test_loo_mean_refuses_a_sum_that_scaling_cannot_rescue(self):
+        with pytest.raises(NonFiniteValue):
+            rank_rows(np.array([[1.0, np.inf]]), np.array([[0.0]]), loo_mean)
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(0, 12)),
                     max_size=12),
@@ -393,7 +402,7 @@ class TestBatched:
         f = focal_table([[(1.0, 2.0)], [(0.0, 1.0)], [(2.0, 3.0)]], 0.0, 3.0)
         assert f.containing_index(np.array([0.5, 1.0, 2.0, 2.5])).tolist() == [2, 1, 1, 3]
 
-    @pytest.mark.parametrize("score", [identity, loo_mean])
+    @pytest.mark.parametrize("score", [identity, loo_mean], ids=["score0", "score1"])
     def test_one_out_of_support_y_raises(self, score):
         f = focal_sets(make_sample([1, 2, 3, 4], 0, 5), score)
         for bad in (5.5, -1e-9, np.nan):

@@ -38,16 +38,17 @@ class TestMakeSample:
         with pytest.raises(DegenerateSupport):
             make_sample([0.5], 1, 1)
 
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=40))
-    def test_round_trip_original_order(self, raw):
-        s = make_sample(raw, 0, 1)
-        assert s.to_original().tolist() == raw
+    def test_signed_zeros_keep_their_input_order(self):
+        # -0.0 == 0.0, so only a stable sort keeps their order, and focal.txt prints the sign;
+        # numpy 2.4's default sort reorders them
+        raw = np.random.default_rng(0).choice([-1.0, -0.0, 0.0, 1.0], 600)
+        want = raw[np.argsort(raw, kind="stable")]
+        assert np.array_equal(np.signbit(make_sample(raw, -1, 1).values), np.signbit(want))
 
     def test_idempotent_on_sorted(self):
         raw = [0.1, 0.2, 0.3]
         s = make_sample(raw, 0, 1)
         assert s.values.tolist() == raw
-        assert s.to_original().tolist() == raw
 
 
 class TestTruncatedNormalDensity:

@@ -15,13 +15,11 @@ from focalrisk import (
     TrueModel,
     absolute_error_loss,
     constant_loss,
-    empirical_risk,
     focal_sets,
     make_sample,
     minimize_upper_risk,
     risk_curve,
     squared_error_loss,
-    sup_on_interval,
     tabulated_loss,
     true_risk,
     upper_risk_closed_form,
@@ -31,8 +29,10 @@ from focalrisk.data_model import ModelKind
 from focalrisk.errors import EmptyFocalSetWarning, NonConvexLoss, ThetaOutOfDomain
 from focalrisk.consistency import _loss_range
 from focalrisk.risk import (
+    _closed_form_core,
     argmin_rows,
     closed_form_curve,
+    empirical_risk_curve,
     focal_upper_risk_curve,
     format_csv,
     true_risk_curve,
@@ -92,26 +92,26 @@ def _empirical_curve_peak(loss):
 class TestEmpiricalRisk:
     def test_hand_checked(self):
         s = make_sample([0.2, 0.8], 0, 1)
-        assert empirical_risk(sq01, s, 0.5) == pytest.approx(0.09)
-        assert empirical_risk(sq01, s, 0.0) == pytest.approx(0.34)
+        assert empirical_risk_curve(sq01, s, [0.5])[0] == pytest.approx(0.09)
+        assert empirical_risk_curve(sq01, s, [0.0])[0] == pytest.approx(0.34)
 
     def test_constant(self):
         s = make_sample([0.1, 0.9], 0, 1)
-        assert empirical_risk(constant_loss(2.5, (0, 1)), s, 0.3) == pytest.approx(2.5)
+        assert empirical_risk_curve(constant_loss(2.5, (0, 1)), s, [0.3])[0] == pytest.approx(2.5)
 
     def test_theta_domain(self):
         s = make_sample([0.2], 0, 1)
         with pytest.raises(ThetaOutOfDomain):
-            empirical_risk(sq01, s, 2.0)
+            empirical_risk_curve(sq01, s, [2.0])[0]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, 1000, 5000, 40000])
     def test_curve_equals_pointwise_mean(self, n):
-        # the curve and its one-point view take the same per-row n R_n: equal bit for bit,
+        # the curve and one-theta curves take the same per-row n R_n: equal bit for bit,
         # and both equal the correctly rounded mean of the loss values
         for s, grid, losses in _empirical_cases(n):
             for loss in losses:
                 curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
-                want = np.array([empirical_risk(loss, s, t) for t in grid.points])
+                want = np.array([empirical_risk_curve(loss, s, [t])[0] for t in grid.points])
                 assert curve.tobytes() == want.tobytes()
                 _assert_fsum_mean(curve, loss, s, grid)
 
@@ -132,7 +132,7 @@ class TestEmpiricalRisk:
             for loss in losses:
                 curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
                 _assert_fsum_mean(curve, loss, s, grid)
-                assert empirical_risk(loss, s, grid.points[3]) == curve[3]
+                assert empirical_risk_curve(loss, s, [grid.points[3]])[0] == curve[3]
 
     @pytest.mark.parametrize("n", [7, 1000])
     def test_table_near_its_zero(self, n):
@@ -140,7 +140,7 @@ class TestEmpiricalRisk:
         # ~3e-10, small against the table's 1 at y = -1.  The oracle takes each loss from
         # 0.5 - y, exact there; BUMPY's own interpolation rounds them to ~1e-16 absolute.
         y = 0.5 - np.random.default_rng(n).uniform(0, 1e-9, n)
-        got = empirical_risk(BUMPY, make_sample(y, -3, 3), 1.0)
+        got = empirical_risk_curve(BUMPY, make_sample(y, -3, 3), [1.0])[0]
         want = math.fsum((0.5 - y) / 1.5) / n
         assert abs(got - want) <= 1e-13 * want
 
@@ -315,20 +315,25 @@ class TestTrueRiskCurve:
 
 
 class TestSupOnInterval:
+    # the upper risk of a one-piece focal system is the sup of the loss over the piece
     def test_endpoint_max(self):
-        assert sup_on_interval(sq01, 0.0, 0.2, 0.8) == pytest.approx(0.64)
+        piece = focal_table([[(0.2, 0.8)]], 0.2, 0.8)
+        assert focal_upper_risk_curve(sq01, piece, [0.0])[0] == pytest.approx(0.64)
 
     def test_degenerate(self):
-        assert sup_on_interval(sq01, 0.3, 0.5, 0.5) == pytest.approx(0.04)
+        piece = focal_table([[(0.5, 0.5)]], 0.5, 0.5)
+        assert focal_upper_risk_curve(sq01, piece, [0.3])[0] == pytest.approx(0.04)
 
     def test_symmetric_endpoints(self):
-        assert sup_on_interval(sq01, 0.5, 0.2, 0.8) == pytest.approx(0.09)
+        piece = focal_table([[(0.2, 0.8)]], 0.2, 0.8)
+        assert focal_upper_risk_curve(sq01, piece, [0.5])[0] == pytest.approx(0.09)
 
     def test_nonconvex_exact_at_interior_knot(self):
         # the peak sits on the y-knot 0.5, inside the interval: no grid can miss it
         bumpy = tabulated_loss([0.0, 1.0], [0.0, 0.5, 1.0], np.array([[0, 3, 0], [0, 3, 0]]))
-        assert sup_on_interval(bumpy, 0.0, 0.0, 1.0) == 3.0
-        assert sup_on_interval(bumpy, 0.0, 0.2, 0.3) == pytest.approx(1.8, abs=1e-15)
+        whole, part = focal_table([[(0.0, 1.0)]], 0.0, 1.0), focal_table([[(0.2, 0.3)]], 0.2, 0.3)
+        assert focal_upper_risk_curve(bumpy, whole, [0.0])[0] == 3.0
+        assert focal_upper_risk_curve(bumpy, part, [0.0])[0] == pytest.approx(1.8, abs=1e-15)
 
 
 @st.composite
@@ -356,7 +361,7 @@ def test_tabulated_extrema_exact(case):
     # ulp or so on a plateau, hence the tolerance on the refined inf and the grid.
     loss, ky, top, a, b, thetas = case
     vals = loss(thetas[:, None], [a, *(y for y in ky if a < y < b), b])
-    sups = np.array([sup_on_interval(loss, t, a, b) for t in thetas])
+    sups = focal_upper_risk_curve(loss, focal_table([[(a, b)]], a, b), thetas)
     assert np.array_equal(sups, vals.max(axis=1))
     tol = 8 * np.finfo(float).eps * max(1.0, top)
     np.testing.assert_allclose(_loss_range(loss, thetas, a, b),
@@ -445,19 +450,16 @@ def test_focal_curve_passes_of_any_size_agree(monkeypatch):
 class TestUpperRiskClosedForm:
     def test_matches_general_at_zero(self):
         s = make_sample([0.2, 0.8], 0, 1)
-        d = upper_risk_closed_form(sq01, s, 0.0)
-        assert d.slack * 3 == pytest.approx(1.0)
-        assert d.total == pytest.approx(0.56)
+        assert _core(sq01, s, 0.0)[1] == pytest.approx(1.0)
+        assert upper_risk_closed_form(sq01, s, 0.0) == pytest.approx(0.56)
 
     def test_constant(self):
         s = make_sample([0.3, 0.6], 0, 1)
-        d = upper_risk_closed_form(constant_loss(2.0, (0, 1)), s, 0.5)
-        assert d.total == pytest.approx(2.0)
+        assert upper_risk_closed_form(constant_loss(2.0, (0, 1)), s, 0.5) == pytest.approx(2.0)
 
     def test_midpoint_theta(self):
         s = make_sample([0.2, 0.8], 0, 1)
-        d = upper_risk_closed_form(sq01, s, 0.5)
-        assert d.total == pytest.approx(0.59 / 3)
+        assert upper_risk_closed_form(sq01, s, 0.5) == pytest.approx(0.59 / 3)
 
     def test_requires_convexity(self):
         from focalrisk import tabulated_loss
@@ -466,6 +468,12 @@ class TestUpperRiskClosedForm:
         s = make_sample([0.5], 0, 1)
         with pytest.raises(NonConvexLoss):
             upper_risk_closed_form(bumpy, s, 0.0)
+
+
+def _core(loss, s, theta):
+    """n R_n and M of the closed form at one theta."""
+    n_rn, m_theta = _closed_form_core(loss, s.values[None], s.support_lo, s.support_hi, [theta])
+    return float(n_rn[0, 0]), float(m_theta[0, 0])
 
 
 def _random_sample(rng):
@@ -484,22 +492,24 @@ def test_closed_form_equivalence_random(loss_fn):
         f = focal_sets(s, NonconformityScore.identity())
         for theta in rng.uniform(-2, 2, 5):
             general = upper_risk_general(loss, f, theta)
-            closed = upper_risk_closed_form(loss, s, theta).total
+            closed = upper_risk_closed_form(loss, s, theta)
             assert abs(general - closed) <= 1e-12
 
 
 def test_slack_bounds():
+    # U = n R_n / (n+1) + M / (n+1) with 0 <= M <= loss(theta, a) + loss(theta, b)
     rng = np.random.default_rng(3)
     loss = sq11
     for _ in range(100):
         s = make_sample(rng.uniform(-3, 3, int(rng.integers(1, 30))), -3, 3)
         theta = rng.uniform(-1, 1)
-        d = upper_risk_closed_form(loss, s, theta)
+        n_rn, m_theta = _core(loss, s, theta)
         la, lb = float(loss(theta, -3.0)), float(loss(theta, 3.0))
-        assert d.slack >= -1e-12
-        assert d.slack <= (la + lb) / (s.n + 1) + 1e-12
+        assert upper_risk_closed_form(loss, s, theta) == pytest.approx(
+            n_rn / (s.n + 1) + m_theta / (s.n + 1), rel=1e-15)
+        assert n_rn / s.n == pytest.approx(empirical_risk_curve(loss, s, [theta])[0], rel=1e-14)
+        assert -1e-12 <= m_theta <= la + lb + 1e-12
         # M(theta) dominates both endpoint losses
-        m_theta = d.slack * (s.n + 1)
         assert m_theta >= max(la, lb) - 1e-12
 
 
@@ -512,8 +522,7 @@ def test_slack_monotone_under_refinement():
         theta = rng.uniform(-1, 1)
         s_small = make_sample(vals[:9], -3, 3)
         s_big = make_sample(vals, -3, 3)
-        m_small = upper_risk_closed_form(sq11, s_small, theta).slack * 10
-        m_big = upper_risk_closed_form(sq11, s_big, theta).slack * 11
+        m_small, m_big = _core(sq11, s_small, theta)[1], _core(sq11, s_big, theta)[1]
         assert m_big >= m_small - 1e-12
 
 
@@ -542,7 +551,7 @@ class TestRiskCurve:
         s = make_sample([0.2, 0.8], 0, 1)
         grid = ThetaGrid(0, 1, 5)
         c = risk_curve(sq01, grid, RiskKind.UPPER, sample=s)
-        text = c.to_csv()
+        text = format_csv("theta,value,kind", zip(grid.points, c.values, ["upper"] * 5))
         lines = text.strip().splitlines()[1:]
         parsed = [(float(a), float(b)) for a, b, _ in (l.split(",") for l in lines)]
         text2 = "theta,value,kind\n" + "".join(

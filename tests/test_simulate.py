@@ -25,12 +25,17 @@ from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
                               InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve, batch_cells, upper_risk_batch
-from focalrisk.simulate import (_CHUNK_CELLS, _philox_keys, _raw_draw, _streams, sample_chunks,
-                                write_summary)
+from focalrisk.simulate import (_CHUNK_CELLS, _MAX_ROW, _philox_keys, _raw_draw, _streams,
+                                sample_chunks, write_summary)
 from oracles import argmin_and_min
 
 MODEL = TrueModel.truncated_std_normal(-3, 3)
 TRUNC_VAR = 0.97333692466254148
+
+
+def _draws(n, rng):
+    """rng's first n draws in [-3, 3], in draw order."""
+    return _raw_draw(np.empty(n), -3, 3, normal_mass(-3, 3), rng)
 
 
 def _no_streams(*args):
@@ -57,6 +62,22 @@ class TestSampleTruncatedNormal:
         # before, numpy's SeedSequence refused it with a message about entropy
         with pytest.raises(EmptySample):
             replication_rng(0, -3, 0)
+
+    @pytest.mark.parametrize("n, error", [(0, EmptySample), (-3, EmptySample),
+                                          (_MAX_ROW + 1, SampleTooLarge)])
+    def test_sample_size_refused_before_allocation(self, n, error):
+        # n = -3 ended in numpy's untyped "negative dimensions"; a row over the cap would
+        # take 128 MiB before its refusal
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                sample_truncated_normal(n, -3, 3, replication_rng(0, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_negligible_mass_refused(self):
         # The sampler runs in a fresh interpreter with a timeout: without the check it hangs.
@@ -87,8 +108,10 @@ class TestSampleTruncatedNormal:
                 y = rng.standard_normal()
                 if lo <= y <= hi:
                     kept.append(y)
+            out = _raw_draw(np.empty(n), lo, hi, normal_mass(lo, hi), replication_rng(11, n, r))
+            assert out.tolist() == kept
             s = sample_truncated_normal(n, lo, hi, replication_rng(11, n, r))
-            assert s.to_original().tolist() == kept
+            assert s.values.tolist() == sorted(kept)
 
     def test_batches_scale_with_acceptance(self):
         # [3, 4] accepts 1.3e-3 of the draws; batches of ~1.1 x the values still
@@ -256,7 +279,7 @@ class TestSampleChunks:
         chunks = list(sample_chunks((-3.0, 3.0), seed, n, reps, _CHUNK_CELLS // 5, held_out=1))
         assert [c.shape for c in chunks] == [(5, n + 1), (5, n + 1), (2, n + 1)]
         for r, row in enumerate(np.concatenate(chunks)):
-            draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
+            draws = _draws(n + 1, replication_rng(seed, n, r))
             assert row[n] == draws[n]
             assert np.array_equal(row[:n], np.sort(draws[:n]))
 
@@ -464,17 +487,14 @@ class TestRunReplications:
 
     def test_domination(self):
         # every replicated upper-risk curve >= n * R_n / (n+1) pointwise
-        from focalrisk import empirical_risk, make_sample
-        from focalrisk.risk import closed_form_curve
+        from focalrisk.risk import closed_form_curve, empirical_risk_curve
 
         cfg = _small_config(reps=10)
         for r in range(10):
             rng = replication_rng(cfg.master_seed, 10, r)
             sample = sample_truncated_normal(10, -3, 3, rng)
             upper = closed_form_curve(cfg.loss, sample, cfg.theta_grid.points)
-            emp = np.array(
-                [empirical_risk(cfg.loss, sample, t) for t in cfg.theta_grid.points]
-            )
+            emp = empirical_risk_curve(cfg.loss, sample, cfg.theta_grid.points)
             assert np.all(upper >= 10 * emp / 11 - 1e-12)
 
     def test_chunks_match_per_replication(self):
@@ -607,7 +627,8 @@ class TestCoverageExperiment:
         assert abs(emp - nominal) <= half_width + 0.01
 
     @pytest.mark.parametrize("score", [NonconformityScore.identity(),
-                                       NonconformityScore.distance_to_loo_mean()])
+                                       NonconformityScore.distance_to_loo_mean()],
+                             ids=["score0", "score1"])
     def test_hits_equal_per_replication_oracle(self, score):
         # one score's hit counts against a loop over replication_rng(seed, n, r)
         from focalrisk import make_sample, rank_candidate
@@ -615,7 +636,7 @@ class TestCoverageExperiment:
         n, alphas, reps, seed = 7, [0.05, 0.3, 0.5], 300, 5
         ks, hits = [nested_set_index(n, alpha) for alpha in alphas], np.zeros((3, 1), dtype=int)
         for r in range(reps):
-            draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
+            draws = _draws(n + 1, replication_rng(seed, n, r))
             sample = make_sample(draws[:n], -3, 3)
             rank = rank_candidate(sample, float(draws[n]), score)
             hits[:, 0] += [rank <= k for k in ks]
@@ -627,11 +648,10 @@ class TestCoverageExperiment:
         from focalrisk import make_sample, rank_candidate
 
         n, alphas, reps, seed = 7, [0.05, 0.3, 0.5], 300, 5
-        scores = [NonconformityScore.identity(), NonconformityScore.distance_to_loo_mean(),
-                  NonconformityScore.custom(lambda i, vals: float(np.max(vals) - vals[i]))]
-        ks, hits = [nested_set_index(n, alpha) for alpha in alphas], np.zeros((3, 3), dtype=int)
+        scores = [NonconformityScore.identity(), NonconformityScore.distance_to_loo_mean()]
+        ks, hits = [nested_set_index(n, alpha) for alpha in alphas], np.zeros((3, 2), dtype=int)
         for r in range(reps):
-            draws = sample_truncated_normal(n + 1, -3, 3, replication_rng(seed, n, r)).to_original()
+            draws = _draws(n + 1, replication_rng(seed, n, r))
             sample = make_sample(draws[:n], -3, 3)
             for (i, k), (j, score) in itertools.product(enumerate(ks), enumerate(scores)):
                 hits[i, j] += rank_candidate(sample, float(draws[n]), score) <= k
