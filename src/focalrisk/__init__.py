@@ -35,7 +35,6 @@ from .data_model import (
     make_sample,
     squared_error_loss,
     tabulated_loss,
-    truncated_normal_density,
 )
 from .risk import (
     RiskCurve,

@@ -1,4 +1,8 @@
-"""Core value types: bounded samples, losses, parameter grids, data models.
+"""Core value types: bounded samples, losses, parameter grids and the data model.
+
+The one data model, ``TrueModel``, is the standard normal truncated to its support: the
+distribution every Monte Carlo engine draws, so a true risk is always that of the
+sampled distribution.
 
 A sample keeps only its sorted values, since every score and risk is symmetric in the
 data; the input order is not stored.  Everything here is immutable after construction
@@ -227,12 +231,6 @@ class ThetaGrid:
         object.__setattr__(self, "points", pts)
 
 
-class ModelKind(enum.Enum):
-    TRUNCATED_STD_NORMAL = "truncated_std_normal"
-    TABULATED = "tabulated"
-    POINT_MASS = "point_mass"
-
-
 def _std_normal_pdf(y):
     return np.exp(-0.5 * np.asarray(y, dtype=float) ** 2) / _SQRT_2PI
 
@@ -250,60 +248,35 @@ def normal_mass(lo: float, hi: float) -> float:
     return mass
 
 
-def truncated_normal_density(y, lo: float, hi: float):
-    """Density of the standard normal restricted to [lo, hi]; 0 outside."""
-    mass = normal_mass(lo, hi)
-    y = np.asarray(y, dtype=float)
-    inside = (y >= lo) & (y <= hi)
-    out = np.where(inside, _std_normal_pdf(y) / mass, 0.0)
-    return out if out.shape else float(out)
-
-
 @dataclass(frozen=True)
 class TrueModel:
-    """A data-generating distribution on a bounded support.
+    """The standard normal truncated to ``support``: the distribution every sampler here
+    draws, so a true risk is always that of the sampled distribution.
 
-    ``breaks``: the true risk's quadrature panel edges (default: the support's
-    ends); the density is 0 outside them, smooth or polynomial between them.
+    ``mass`` is the support's normal mass (``normal_mass`` refuses the support first);
+    ``breaks``, the true risk's quadrature panel edges, span the support where the density
+    is nonzero in float64, at most 1 apart.
     """
 
-    kind: ModelKind
-    density: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
-    breaks: tuple[float, ...] = ()
+    mass: float = field(init=False)
+    breaks: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        lo, hi = self.support
+        object.__setattr__(self, "mass", normal_mass(lo, hi))
+        e0, e1 = max(lo, -_NORMAL_EDGE), min(hi, _NORMAL_EDGE)  # panels at most 1 wide
+        breaks = np.linspace(e0, e1, math.ceil(e1 - e0) + 1).tolist()
+        object.__setattr__(self, "breaks", tuple(breaks))
 
     @staticmethod
     def truncated_std_normal(lo: float = -3.0, hi: float = 3.0) -> "TrueModel":
-        normal_mass(lo, hi)
-        e0, e1 = max(lo, -_NORMAL_EDGE), min(hi, _NORMAL_EDGE)  # panels at most 1 wide
-        return TrueModel(
-            kind=ModelKind.TRUNCATED_STD_NORMAL,
-            density=lambda y: truncated_normal_density(y, lo, hi),
-            support=(float(lo), float(hi)),
-            breaks=tuple(np.linspace(e0, e1, math.ceil(e1 - e0) + 1).tolist()),
-        )
+        return TrueModel((float(lo), float(hi)))
 
-    @staticmethod
-    def tabulated(y_knots: Sequence[float], dens: Sequence[float]) -> "TrueModel":
-        """Piecewise-linear density on knots; must integrate to 1 (1e-10)."""
-        yk, dv = _knots(y_knots), np.asarray(dens, dtype=float)
-        if not (np.isfinite(dv) & (dv >= 0)).all():
-            raise ValueError("density values must be finite and nonnegative")
-        total = np.trapezoid(dv, yk)
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"density integrates to {total}, not 1")
-        return TrueModel(
-            kind=ModelKind.TABULATED,
-            density=lambda y: np.interp(y, yk, dv, left=0.0, right=0.0),
-            support=(float(yk[0]), float(yk[-1])),
-            breaks=tuple(yk.tolist()),
-        )
-
-    @staticmethod
-    def point_mass(y0: float) -> "TrueModel":
-        """Degenerate distribution; handled specially by risk integration."""
-        return TrueModel(
-            kind=ModelKind.POINT_MASS,
-            density=lambda y: np.full_like(np.asarray(y, dtype=float), np.inf),
-            support=(float(y0), float(y0)),
-        )
+    def density(self, y):
+        """Density of the standard normal restricted to the support; 0 outside."""
+        lo, hi = self.support
+        y = np.asarray(y, dtype=float)
+        inside = (y >= lo) & (y <= hi)
+        out = np.where(inside, _std_normal_pdf(y) / self.mass, 0.0)
+        return out if out.shape else float(out)

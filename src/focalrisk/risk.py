@@ -42,8 +42,7 @@ from typing import Iterable
 import numpy as np
 
 from .conformal import FocalSystem
-from .data_model import (BoundedSample, LossKind, LossSpec, ModelKind, ThetaGrid, TrueModel,
-                         sup_points)
+from .data_model import BoundedSample, LossKind, LossSpec, ThetaGrid, TrueModel, sup_points
 from .errors import NonFiniteValue
 from .quadrature import integrate
 
@@ -84,7 +83,9 @@ def empirical_risk_curve(loss: LossSpec, sample: BoundedSample, thetas) -> np.nd
 
 
 def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
-    """True risk E loss(theta, Y) at every theta, by one quadrature pass.
+    """True risk E loss(theta, Y) at every theta, by one quadrature pass, for Y drawn from
+    the model: the truncated standard normal every sampler draws, so this is always the
+    true risk of the sampled distribution.
 
     Panels run between the model's breaks, the loss's y-breaks and theta (the
     kink of the absolute loss), so the integrand is smooth or polynomial on
@@ -92,11 +93,8 @@ def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
     """
     thetas = np.asarray(thetas, dtype=float)
     loss.check_theta(thetas)
-    lo, hi = model.support
-    if model.kind is ModelKind.POINT_MASS or lo == hi:
-        return np.asarray(loss(thetas, lo), dtype=float)
-    edges = np.asarray(model.breaks or model.support, dtype=float)
-    edges = np.sort(np.append(edges, [y for y in loss.y_breaks if edges[0] < y < edges[-1]]))
+    lo, hi = model.breaks[0], model.breaks[-1]
+    edges = np.sort(np.append(model.breaks, [y for y in loss.y_breaks if lo < y < hi]))
     step, curve = max(1, _CHUNK_PANELS // len(edges)), []
     for t in (thetas[i:i + step, None] for i in range(0, len(thetas), step)):
         ends = np.sort(np.hstack([np.tile(edges, (len(t), 1)), t.clip(edges[0], edges[-1])]))
@@ -232,25 +230,21 @@ def risk_curve(
     kind: RiskKind,
     sample: BoundedSample | None = None,
     model: TrueModel | None = None,
-    focal: FocalSystem | None = None,
 ) -> RiskCurve:
-    """Evaluate one of the risk functionals across the parameter grid."""
+    """Evaluate one of the risk functionals across the parameter grid: the true risk of the
+    model, or the empirical or closed-form upper risk of the sample."""
     loss.check_theta(grid.points)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
-        if kind is RiskKind.EMPIRICAL:
-            if sample is None:
-                raise ValueError("empirical risk needs a sample")
-            vals = empirical_risk_curve(loss, sample, grid.points)
-        elif kind is RiskKind.TRUE:
+        if kind is RiskKind.TRUE:
             if model is None:
                 raise ValueError("true risk needs a model")
             vals = true_risk_curve(loss, model, grid.points)
-        elif focal is not None:
-            vals = focal_upper_risk_curve(loss, focal, grid.points)
-        elif sample is not None:
-            vals = closed_form_curve(loss, sample, grid.points)
+        elif sample is None:
+            raise ValueError(f"{kind.value} risk needs a sample")
+        elif kind is RiskKind.EMPIRICAL:
+            vals = empirical_risk_curve(loss, sample, grid.points)
         else:
-            raise ValueError("upper risk needs a focal system or a sample")
+            vals = closed_form_curve(loss, sample, grid.points)
     if not np.isfinite(vals).all():  # the loss overflows somewhere on the grid
         raise NonFiniteValue(f"{kind.value} risk is not finite on [{grid.lo}, {grid.hi}]")
     return RiskCurve(grid=grid, values=vals, kind=kind)

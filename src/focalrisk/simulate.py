@@ -252,23 +252,17 @@ def aggregate_percentiles(
     return _percentile_curves(grid, np.vstack([c.values for c in curves]), probs, curves[0].kind)
 
 
-def histogram(
-    values: Sequence[float],
-    bins: int,
-    value_range: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width histogram; the last bin includes its upper edge."""
+def histogram(values: Sequence[float], bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equal-width histogram over the values' range (one unit wide about a single value);
+    the last bin includes its upper edge."""
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise EmptyInput("no values to histogram")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if value_range is None:
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = value_range
+    lo, hi = float(np.min(vals)), float(np.max(vals))
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
     counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
     return edges, counts
 
@@ -347,7 +341,7 @@ def write_summary(summary: ReplicationSummary, out_dir: str | Path) -> None:
         },
         "percentiles": list(cfg.percentiles),
         "histogram_bins": cfg.histogram_bins,
-        "model": cfg.model.kind.value,
+        "model": "truncated_std_normal",
         "support": list(cfg.model.support),
         "loss": cfg.loss.kind.value,
     }

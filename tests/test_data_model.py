@@ -10,9 +10,9 @@ from focalrisk import (
     make_sample,
     squared_error_loss,
     tabulated_loss,
-    truncated_normal_density,
 )
-from focalrisk.errors import DegenerateSupport, EmptySample, OutOfSupport
+from focalrisk.errors import (DegenerateSupport, EmptySample, NonFiniteValue, OutOfSupport,
+                              SupportMassTooSmall)
 from focalrisk.quadrature import integrate
 
 
@@ -52,31 +52,34 @@ class TestMakeSample:
 
 
 class TestTruncatedNormalDensity:
+    density = TrueModel.truncated_std_normal(-3, 3).density
+
     def test_value_at_zero(self):
         # phi(0) / (Phi(3) - Phi(-3)), frozen from a 40-digit erf oracle
-        assert truncated_normal_density(0, -3, 3) == pytest.approx(
-            0.40002225892128481, abs=1e-12
-        )
+        assert self.density(0) == pytest.approx(0.40002225892128481, abs=1e-12)
 
     def test_outside_support(self):
-        assert truncated_normal_density(4, -3, 3) == 0.0
+        assert self.density(4) == 0.0
 
     @given(st.floats(0.01, 3))
     def test_symmetry(self, y):
-        assert truncated_normal_density(-y, -3, 3) == pytest.approx(
-            truncated_normal_density(y, -3, 3), rel=1e-12
-        )
+        assert self.density(-y) == pytest.approx(self.density(y), rel=1e-12)
 
     def test_integrates_to_one(self):
         # one pass over six unit panels, the layout the normal model's true risk uses
-        parts = integrate(lambda y: truncated_normal_density(y, -3, 3),
-                          np.arange(-3.0, 3.0), np.arange(-2.0, 4.0))
+        parts = integrate(self.density, np.arange(-3.0, 3.0), np.arange(-2.0, 4.0))
         assert parts.shape == (6,)
         assert parts.sum() == pytest.approx(1.0, abs=1e-14)
 
     def test_degenerate_support(self):
         with pytest.raises(DegenerateSupport):
-            truncated_normal_density(0, 2, 2)
+            TrueModel.truncated_std_normal(2, 2)
+
+    def test_refuses_what_normal_mass_refuses(self):
+        for lo, hi, error in ((2, 2, DegenerateSupport), (30, 40, SupportMassTooSmall),
+                              (-np.inf, 3, NonFiniteValue)):
+            with pytest.raises(error):
+                TrueModel.truncated_std_normal(lo, hi)
 
 
 def test_squared_loss_convexity_consequence():
@@ -164,25 +167,3 @@ class TestThetaGrid:
         for count in (MAX_GRID + 1, 10**9, 10**30):  # 10^9 points would take 7.45 GiB
             with pytest.raises(ValueError, match="grid points exceeds"):
                 ThetaGrid(-1, 1, count)
-
-
-class TestTrueModel:
-    def test_tabulated_normalization_enforced(self):
-        with pytest.raises(ValueError):
-            TrueModel.tabulated([0, 1], [1.0, 2.0])
-
-    def test_tabulated_ok(self):
-        m = TrueModel.tabulated([0, 1], [1.0, 1.0])
-        assert m.density(0.5) == pytest.approx(1.0)
-        assert m.density(2.0) == 0.0
-
-    def test_tabulated_refuses_non_finite_densities(self):
-        # abs(nan - 1) > 1e-10 is false, so the normalization check let NaN through
-        for dens in ([np.nan, np.nan], [np.inf, 1.0]):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                TrueModel.tabulated([0, 1], dens)
-
-    def test_tabulated_refuses_malformed_knots(self):
-        for knots in ([1, 0], [0, np.nan], [0, 0, 1]):
-            with pytest.raises(ValueError, match="strictly ascending"):
-                TrueModel.tabulated(knots, [1.0] * len(knots))

@@ -25,9 +25,9 @@ from focalrisk import (
     upper_risk_closed_form,
     upper_risk_general,
 )
-from focalrisk.data_model import ModelKind
 from focalrisk.errors import EmptyFocalSetWarning, NonConvexLoss, ThetaOutOfDomain
 from focalrisk.consistency import _loss_range
+from focalrisk.quadrature import integrate
 from focalrisk.risk import (
     _closed_form_core,
     argmin_rows,
@@ -196,10 +196,6 @@ class TestTrueRisk:
         model = TrueModel.truncated_std_normal(-3, 3)
         assert true_risk(sq11, model, 1.0) == pytest.approx(TRUNC_VAR + 1.0, abs=1e-12)
 
-    def test_point_mass(self):
-        model = TrueModel.point_mass(0.4)
-        assert true_risk(sq01, model, 0.1) == pytest.approx(0.09)
-
 
 def _phi(y):
     return math.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
@@ -257,27 +253,27 @@ class TestTrueRiskCurve:
         # theta outside, at the ends of, and inside the support
         thetas = [a - 1.0, a, a + 0.3 * (b - a), 0.5 * (a + b), b - 0.25, b, b + 1.0]
         loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((a - 1, b + 1))
-        got = true_risk_curve(loss, TrueModel.truncated_std_normal(a, b), thetas)
+        model = TrueModel.truncated_std_normal(a, b)
+        got = true_risk_curve(loss, model, thetas)
         assert got.tolist() == pytest.approx([moment(a, b, t) for t in thetas],
                                              rel=1e-12, abs=1e-12)
+        # the density integrates to 1: the true risk of a loss that is 1 everywhere
+        assert true_risk_curve(constant_loss(1.0, loss.theta_domain), model, [a]) == \
+            pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["squared", "absolute"])
     def test_tabulated_model_exact(self, kind):
-        # polynomial on every panel between knots and theta: exact to rounding
+        # a piecewise-linear density: polynomial on every panel between knots and theta, so
+        # the quadrature is exact to rounding
         knots, dens = [-1.0, -0.25, 0.5, 2.0], [0.0, 0.5, 0.5, 1.0 / 12.0]
-        model = TrueModel.tabulated(knots, dens)
-        thetas = [-1.5, -1.0, -0.25, 0.3, 1.999, 2.0, 2.5]
+        thetas = np.array([-1.5, -1.0, -0.25, 0.3, 1.999, 2.0, 2.5])
         loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((-2, 3))
-        got = true_risk_curve(loss, model, thetas)
+        ends = np.sort(np.hstack([np.tile(knots, (len(thetas), 1)),
+                                  thetas.clip(knots[0], knots[-1])[:, None]]))
+        got = integrate(lambda y: loss(thetas[:, None, None], y) * np.interp(y, knots, dens),
+                        ends[:, :-1], ends[:, 1:]).sum(axis=1)
         want = [float(_exact_piecewise(kind, knots, dens, t)) for t in thetas]
         assert np.max(np.abs(got - want)) <= 1e-13
-
-    def test_model_without_breaks_uses_its_support(self):
-        uniform = TrueModel(kind=ModelKind.TABULATED, support=(0.0, 2.0),
-                            density=lambda y: np.where((y >= 0) & (y <= 2), 0.5, 0.0))
-        thetas = np.array([-1.0, 0.5, 1.0, 3.0])
-        got = true_risk_curve(squared_error_loss((-1, 3)), uniform, thetas)
-        assert np.max(np.abs(got - (1.0 / 3.0 + (1.0 - thetas) ** 2))) <= 1e-14
 
     def test_tabulated_loss_kinks(self):
         # y-knots off the normal model's unit panels: the panels must split there
@@ -537,9 +533,9 @@ class TestRiskCurve:
         s = make_sample([0.2, 0.5, 0.8], 0, 1)
         grid = ThetaGrid(0, 1, 21)
         f = focal_sets(s, NonconformityScore.identity())
-        via_focal = risk_curve(sq01, grid, RiskKind.UPPER, focal=f)
+        via_focal = focal_upper_risk_curve(sq01, f, grid.points)
         via_sample = risk_curve(sq01, grid, RiskKind.UPPER, sample=s)
-        assert np.max(np.abs(via_focal.values - via_sample.values)) <= 1e-12
+        assert np.max(np.abs(via_focal - via_sample.values)) <= 1e-12
 
     def test_true_curve_shape(self):
         model = TrueModel.truncated_std_normal(-3, 3)
@@ -566,9 +562,9 @@ class TestRiskCurve:
         with pytest.raises(NonConvexLoss):
             risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, sample=s)
         focal = focal_sets(s, NonconformityScore.identity())
-        c = risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, focal=focal)
+        c = focal_upper_risk_curve(bumpy, focal, ThetaGrid(-1, 1, 5).points)
         # focal sets [-3, -1], [-1, 0.5], [0.5, 2], [2, 3]: exact sups 2, 3 (at the knot 0), 2.5, 1
-        assert np.allclose(c.values, 2.125, rtol=0, atol=1e-15)
+        assert np.allclose(c, 2.125, rtol=0, atol=1e-15)
 
 
 class TestFormatCsv:
@@ -669,7 +665,7 @@ def _table_core(loss, rows, a, b, thetas):
     la, lb = np.asarray(loss(thetas, a)), np.asarray(loss(thetas, b))
     table = np.asarray(loss(thetas[..., None], rows[:, None, :]), dtype=float)
     m_theta = la + lb - np.minimum(np.minimum(la, lb), table.min(axis=-1))
-    return rows.shape[1] * table.mean(axis=-1), m_theta
+    return table.sum(axis=-1), m_theta
 
 
 def _table_upper(loss, rows, a, b, thetas):
@@ -784,7 +780,9 @@ def _check_core(loss, rows, a, b, thetas):
     else:
         assert m_theta.tobytes() == want_m.tobytes()
     scale = want_n_rn + want_m  # (n+1) times the upper risk, at least M > 0
-    underflow = 8 * np.finfo(float).smallest_subnormal  # a table value may be subnormal
+    # a table value may be subnormal: 8 ulps for the closed form, and the oracle rounds each
+    # of its n table values by up to half an ulp
+    underflow = (8 + rows.shape[1] / 2) * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale + underflow)
     upper = upper_risk_batch(loss, rows, a, b, thetas)
     want = _table_upper(loss, rows, a, b, thetas)
@@ -810,6 +808,14 @@ class TestSufficientStatistics:
                                                        st.sampled_from(tk)), min_size=1)))
         _check_core(loss, rows, -3.0, 3.0, thetas)
         _check_core(loss, rows, -3.0, 3.0, np.resize(thetas, (len(rows), 3)))
+
+    def test_subnormal_table(self):
+        # at theta = 0 the loss is 2.5e-324 at y = 0, which rounds to 0 in the oracle's table:
+        # n R_n is 8.5 subnormal ulps, 9 by the closed form and 1 by the table's sum
+        loss = tabulated_loss([-0.1, 0], [-0.1, 0.1], [[0, 0], [0, 5e-324]], convex_in_y=True)
+        rows = np.array([[0.0] * 15 + [1.0]])
+        _check_core(loss, rows, -3.0, 3.0, np.array([0.0]))
+        _check_core(loss, rows, -3.0, 3.0, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_one_observation_and_all_tied(self, loss):

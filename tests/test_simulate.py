@@ -437,7 +437,8 @@ class TestHistogram:
         assert np.count_nonzero(counts) == 1
 
     def test_upper_edge_in_last_bin(self):
-        edges, counts = histogram([0, 0.25, 0.5, 0.75, 1], bins=2, value_range=(0, 1))
+        edges, counts = histogram([0, 0.25, 0.5, 0.75, 1], bins=2)
+        assert edges.tolist() == [0, 0.5, 1]
         assert counts.tolist() == [2, 3]
 
     def test_conservation(self):
