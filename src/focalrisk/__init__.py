@@ -31,10 +31,8 @@ from .data_model import (
     ThetaGrid,
     TrueModel,
     absolute_error_loss,
-    constant_loss,
     make_sample,
     squared_error_loss,
-    tabulated_loss,
 )
 from .risk import (
     RiskCurve,

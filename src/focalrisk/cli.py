@@ -27,6 +27,7 @@ from .data_model import (
 from .errors import FocalRiskError
 
 _LOSSES = {"squared": squared_error_loss, "absolute": absolute_error_loss}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class ValidationFailure(Exception):
@@ -313,7 +314,9 @@ def _apply_config(parser, args, cfg: dict, explicit: set) -> None:
         if key in explicit or action is None:
             continue
         if action.nargs == 0:  # a store_true flag
-            setattr(args, key, val.lower() in ("1", "true", "yes"))
+            if val.lower() not in _BOOLEANS:
+                raise ValidationFailure(f"BadConfigValue: {key} = {val!r} not a boolean")
+            setattr(args, key, _BOOLEANS[val.lower()])
             continue
         try:
             value = action.type(val) if action.type else val

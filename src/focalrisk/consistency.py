@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .conformal import check_alpha
-from .data_model import LossSpec, ThetaGrid, TrueModel, sup_points
+from .data_model import LossSpec, ThetaGrid, TrueModel
 from .errors import NonFiniteValue, NonpositiveEpsilon
 from .risk import batch_cells, true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
@@ -30,9 +30,10 @@ class ConsistencyConstants:
 
 
 def _loss_range(loss: LossSpec, thetas, a: float, b: float):
-    """sup - inf of loss(theta, .) over [a, b] per theta, exact (the ``LossSpec`` contract)."""
+    """sup - inf of loss(theta, .) over [a, b] per theta, exact (the ``LossSpec`` contract):
+    the sup at a or b, the inf there or at clip(theta, a, b)."""
     t = np.asarray(thetas, dtype=float)
-    vals = np.asarray(loss(t[..., None], sup_points(a, b, loss.y_breaks)), dtype=float)
+    vals = np.asarray(loss(t[..., None], [a, b]), dtype=float)
     out = vals.max(axis=-1) - np.minimum(vals.min(axis=-1), loss(t, np.clip(t, a, b)))
     return out if out.shape else float(out)
 
@@ -42,13 +43,13 @@ def constants(
 ) -> ConsistencyConstants:
     """M = sup loss(., a) + sup loss(., b) on the theta span; L(theta) = range on [a, b].
 
-    Both are exact, from ``sup_points`` on each axis (the ``LossSpec`` contract), and so
-    is L_max, L's max at the span's sup points: L is convex between theta-breaks or, for
-    squared and absolute loss, greatest at a span end.  M and L_max must be finite
+    Both are exact, since loss(., y) is convex and loss(theta, .) convex with its min at
+    y = theta (the ``LossSpec`` contract): M's sups are at the span's ends, and so is
+    L_max, L's max, since L is greatest at a span end.  M and L_max must be finite
     (``NonFiniteValue``), so no draw starts with them infinite.
     """
     a, b = support
-    thetas = sup_points(*span, loss.theta_breaks)
+    thetas = np.array(span, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M or L_max is refused
         m = float(np.asarray(loss(thetas[:, None], [a, b]), dtype=float).max(axis=0).sum())
         l_max = float(np.max(_loss_range(loss, thetas, a, b)))
@@ -102,7 +103,7 @@ def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
     if replications < 100:  # the floor of both Monte Carlo checks
         raise ValueError(f"replications={replications}: need at least 100")
     targets, (a, b) = true_risk_curve(loss, model, thetas), model.support
-    cells = batch_cells(loss, n, len(thetas), a, b)
+    cells = batch_cells(n, len(thetas))
     for rows in sample_chunks(model.support, seed, n, replications, cells):
         yield np.abs(upper_risk_batch(loss, rows, a, b, thetas) - targets)
 
@@ -116,7 +117,6 @@ def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons
     """
     for eps in epsilons:
         check_epsilon(eps)
-    loss.check_convex()
     thetas = np.asarray(thetas, dtype=float)
     if not (len(thetas) and len(epsilons)):
         return []
@@ -193,7 +193,6 @@ def verify_uniform(
     the theorem does not certify the estimate; it is an observation.
     """
     check_epsilon(epsilon)
-    loss.check_convex()
     n = uniform_n(loss, model.support, theta_grid, epsilon, alpha)
     violations = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon))
                      for dev in _deviations(model, loss, theta_grid.points, n, replications, seed))

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DegenerateSupport,
     EmptySample,
-    NonConvexLoss,
     NonFiniteValue,
     OutOfSupport,
     SupportMassTooSmall,
@@ -79,35 +78,21 @@ def make_sample(raw: Sequence[float], lo: float, hi: float) -> BoundedSample:
 class LossKind(enum.Enum):
     SQUARED_ERROR = "squared"
     ABSOLUTE_ERROR = "absolute"
-    TABULATED = "tabulated"
-
-
-def sup_points(lo: float, hi: float, breaks: Sequence[float]) -> np.ndarray:
-    """lo, the breaks strictly inside (lo, hi), and hi: the candidates for a sup (``LossSpec``)."""
-    return np.array([lo, *(x for x in breaks if lo < x < hi), hi], dtype=float)
 
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A nonnegative loss (theta, y) -> R+ with a convexity-in-y attestation.
+    """A nonnegative loss (theta, y) -> R+, squared or absolute error.
 
-    ``evaluate`` accepts scalars or numpy arrays (broadcasting).  ``y_breaks``
-    and ``theta_breaks``, a tabulated loss's knots (ascending; else empty), are
-    where it may have a kink along each axis.  Contract, so the extrema on [lo, hi] are exact:
-    - loss(theta, .) is convex with its min at y = theta (squared, absolute), or
-      linear between and beyond its y_breaks (bilinear tables are flat outside
-      their knots): its sup is at ``sup_points(lo, hi, y_breaks)``, its inf
-      there or at clip(theta, lo, hi);
-    - loss(., y) is convex, or linear between and beyond its theta_breaks: its
-      sup is at ``sup_points(lo, hi, theta_breaks)``.
+    ``evaluate`` accepts scalars or numpy arrays (broadcasting).  Contract, so the
+    extrema on [lo, hi] are exact: loss(theta, .) is convex with its min at y = theta,
+    and loss(., y) is convex.  So a sup over an interval, in either argument, is the max
+    at its two ends, and the inf over y in [lo, hi] is at clip(theta, lo, hi).
     """
 
     kind: LossKind
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    convex_in_y: bool
     theta_domain: tuple[float, float]
-    y_breaks: tuple[float, ...] = ()
-    theta_breaks: tuple[float, ...] = ()
 
     def __call__(self, theta, y):
         return self.evaluate(np.asarray(theta, dtype=float), np.asarray(y, dtype=float))
@@ -120,16 +105,11 @@ class LossSpec:
         if outside.any():
             raise ThetaOutOfDomain(f"theta={t[outside][0]} outside [{lo}, {hi}]")
 
-    def check_convex(self) -> None:  # the closed-form upper risk's precondition
-        if not self.convex_in_y:
-            raise NonConvexLoss("closed form requires the convexity attestation")
-
 
 def squared_error_loss(theta_domain: tuple[float, float] = (-1.0, 1.0)) -> LossSpec:
     return LossSpec(
         kind=LossKind.SQUARED_ERROR,
         evaluate=lambda t, y: (y - t) ** 2,
-        convex_in_y=True,
         theta_domain=theta_domain,
     )
 
@@ -138,73 +118,7 @@ def absolute_error_loss(theta_domain: tuple[float, float] = (-1.0, 1.0)) -> Loss
     return LossSpec(
         kind=LossKind.ABSOLUTE_ERROR,
         evaluate=lambda t, y: np.abs(y - t),
-        convex_in_y=True,
         theta_domain=theta_domain,
-    )
-
-
-def _knot_cell(knots: np.ndarray, x: np.ndarray):
-    """Per x: the ends (i, i1) of its cell among the knots and the weight of i1, in [0, 1]."""
-    i = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, max(knots.size - 2, 0))
-    if knots.size == 1:
-        return i, i, np.zeros_like(x)
-    return i, i + 1, np.clip((x - knots[i]) / (knots[i + 1] - knots[i]), 0.0, 1.0)
-
-
-def _knots(raw: Sequence[float]) -> np.ndarray:
-    """raw as a float array; ValueError unless finite and strictly ascending (at least one)."""
-    knots = np.asarray(raw, dtype=float)  # closed form and np.interp need ascending gaps > 0
-    if not (knots.ndim == 1 and knots.size and np.isfinite(knots).all()
-            and (np.diff(knots) > 0).all()):
-        raise ValueError("knots must be finite and strictly ascending")
-    return knots
-
-
-def tabulated_loss(
-    theta_knots: Sequence[float],
-    y_knots: Sequence[float],
-    table: np.ndarray,
-    convex_in_y: bool = False,
-) -> LossSpec:
-    """Loss given on a (theta, y) grid, bilinearly interpolated between knots."""
-    tk, yk = _knots(theta_knots), _knots(y_knots)
-    tab = np.asarray(table, dtype=float)
-    if tab.shape != (tk.size, yk.size):
-        raise ValueError("table shape must be (len(theta_knots), len(y_knots))")
-    if not (np.isfinite(tab) & (tab >= 0)).all():
-        raise ValueError("loss table must be finite and nonnegative")
-
-    def evaluate(t, y):
-        t_b, y_b = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(y, dtype=float))
-        (it, it1, wt), (iy, iy1, wy) = _knot_cell(tk, t_b), _knot_cell(yk, y_b)
-        out = (
-            tab[it, iy] * (1 - wt) * (1 - wy)
-            + tab[it1, iy] * wt * (1 - wy)
-            + tab[it, iy1] * (1 - wt) * wy
-            + tab[it1, iy1] * wt * wy
-        )
-        return out if out.shape else float(out)
-
-    return LossSpec(
-        kind=LossKind.TABULATED,
-        evaluate=evaluate,
-        convex_in_y=convex_in_y,
-        theta_domain=(float(tk[0]), float(tk[-1])),
-        y_breaks=tuple(yk.tolist()),
-        theta_breaks=tuple(tk.tolist()),
-    )
-
-
-def constant_loss(c: float, theta_domain: tuple[float, float] = (-1.0, 1.0)) -> LossSpec:
-    """Loss identically equal to c >= 0, tabulated on a trivial grid."""
-    if not (math.isfinite(c) and c >= 0):
-        raise ValueError(f"c={c}: a loss must be finite and nonnegative")
-    lo, hi = theta_domain
-    return LossSpec(
-        kind=LossKind.TABULATED,
-        evaluate=lambda t, y: np.broadcast_arrays(t, y)[0] * 0.0 + c,
-        convex_in_y=True,
-        theta_domain=(lo, hi),
     )
 
 

@@ -41,10 +41,6 @@ class ThetaOutOfDomain(FocalRiskError):
     """Parameter value outside the declared parameter domain."""
 
 
-class NonConvexLoss(FocalRiskError):
-    """Operation requires the convexity-in-y attestation."""
-
-
 class IndexOutOfRange(FocalRiskError):
     """A rank or focal index is outside 1..n+1."""
 

@@ -29,6 +29,7 @@ _MAX_REPLICATIONS = 1 << 18  # replications of one run: ~2-3 us of stream setup 
 _MAX_CURVES = 1 << 24  # replications x thetas of one simulate run: 128 MiB of stored curves
 _MAX_BATCH = 1 << 20  # rejection-sampler draws per batch: 8 MiB of float64
 _KEY_BLOCK = 1 << 12  # replications keyed per pass: ~90 bytes of temporaries each
+_MAX_FLOAT = float(np.finfo(float).max)
 
 
 def replication_rng(master_seed: int, n: int, replication: int) -> np.random.Generator:
@@ -254,7 +255,9 @@ def aggregate_percentiles(
 
 def histogram(values: Sequence[float], bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram over the values' range (one unit wide about a single value);
-    the last bin includes its upper edge."""
+    the last bin includes its upper edge.  A range too narrow for bins an ulp wide, as far
+    from 0, is widened at each end by 2 bins ulps of its largest end, so each bin spans at
+    least 2 ulps wherever it lies."""
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise EmptyInput("no values to histogram")
@@ -263,6 +266,10 @@ def histogram(values: Sequence[float], bins: int) -> tuple[np.ndarray, np.ndarra
     lo, hi = float(np.min(vals)), float(np.max(vals))
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
+    if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0).all():  # np.histogram's edge check
+        end = max(abs(lo), abs(hi))
+        pad = 2 * bins * (end - float(np.nextafter(end, 0.0)))  # the ulp below: finite at max
+        lo, hi = max(lo - pad, -_MAX_FLOAT), min(hi + pad, _MAX_FLOAT)
     counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
     return edges, counts
 
@@ -278,7 +285,7 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
     a, b = config.model.support
     for n in config.n_values:
         curves, minimizers, done = np.empty((reps, grid.count)), np.empty(reps), 0
-        cells = batch_cells(config.loss, n, grid.count, a, b)
+        cells = batch_cells(n, grid.count)
         for rows in sample_chunks((a, b), config.master_seed, n, reps, cells):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused
                 chunk = upper_risk_batch(config.loss, rows, a, b, grid.points)

@@ -4,7 +4,8 @@ Golden section is what the package's minimizers once matched bit for bit; the
 package dropped it for exact minimizers.  The all-candidates squared- and
 absolute-loss minimizers are the exact ones the single-candidate minimizers
 replaced.  The focal sum is the per-set, per-piece loop that the batched focal
-upper risk replaced.  The tests keep them so that the earlier results stay
+upper risk replaced; each piece's sup is the max of the loss at its two ends,
+since both losses are convex in y.  The tests keep them so that the earlier results stay
 reproducible as oracles.  ``argmin_and_min`` is the (argmin, minimum) pair the
 row minimizer returned before it returned the argmin alone.
 """
@@ -12,7 +13,6 @@ row minimizer returned before it returned the argmin alone.
 import numpy as np
 
 from focalrisk.conformal import FocalSystem
-from focalrisk.data_model import sup_points
 from focalrisk.risk import argmin_rows, upper_risk_batch
 
 _INV_GOLDEN = (5 ** 0.5 - 1) / 2
@@ -49,13 +49,13 @@ def focal_table(sets, lo, hi):
 
 def focal_sum_upper_risk(loss, focal, theta):
     """The upper risk at one theta, set by set and piece by piece: each piece's sup is the
-    max of the loss at its ``sup_points``, each set's the max over its pieces (an empty
-    set adds 0), and the sets' sups are summed in order and divided by n + 1."""
+    max of the loss at its two ends, each set's the max over its pieces (an empty set adds
+    0), and the sets' sups are summed in order and divided by n + 1."""
     loss.check_theta(theta)
     total = 0.0
     for pieces in focal.sets:
-        total += max((float(np.max(loss(theta, sup_points(lo, hi, loss.y_breaks))))
-                      for lo, hi in pieces), default=0.0)
+        total += max((float(max(loss(theta, lo), loss(theta, hi))) for lo, hi in pieces),
+                     default=0.0)
     return total / focal.n_plus_1
 
 

@@ -173,6 +173,17 @@ class TestSimulate:
             "simulate", "--n", "5", "--replications", "0", "--out", str(tmp_path),
         ]) == 2
 
+    def test_narrow_theta_range_far_from_zero(self, tmp_path):
+        # every minimizer clips to 1e15, where the histogram's +-0.5 held 30 bins under an
+        # ulp (0.125): the run exited 2 with numpy's "Too many bins" and wrote no file
+        out = tmp_path / "out"
+        assert run(["simulate", "--n", "5,8", "--replications", "20", "--theta-count", "5",
+                    "--theta-lo", "1e15", "--theta-hi", "2e15", "--svg", "--out", str(out)]) == 0
+        for n in (5, 8):
+            rows = (out / f"histogram_n{n}.csv").read_text().splitlines()[1:]
+            assert len(rows) == 30 and sum(int(r.split(",")[2]) for r in rows) == 20
+        assert (out / "minimizer_histograms.svg").exists()
+
 
 class TestVerifyBounds:
     def test_reports(self, tmp_path):
@@ -347,6 +358,16 @@ class TestConfigFile:
         line = (tmp_path / "cfgout" / "prediction.txt").read_text().splitlines()[0]
         assert "k=3" in line
 
+    def test_config_booleans(self, tmp_path):
+        # 1/true/yes and 0/false/no, in any case
+        for i, (value, on) in enumerate([("No", False), ("0", False), ("FALSE", False),
+                                         ("Yes", True), ("1", True), ("true", True)]):
+            cfg, out = tmp_path / f"{i}.cfg", tmp_path / str(i)
+            cfg.write_text(f"svg = {value}\n")
+            assert run(["--config", str(cfg), "simulate", "--n", "4", "--replications", "3",
+                        "--theta-count", "3", "--out", str(out)]) == 0
+            assert (out / "risk_curves.svg").exists() is on
+
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out = {tmp_path / 'o2'}\nalpha = 0.3\nlo = 0\nhi = 1\n")
@@ -357,6 +378,8 @@ class TestConfigFile:
         ("loss = cubic", ["risk-curve", "--values", "0.5"]),
         ("score = bogus", ["predict", "--values", "0.5"]),
         ("theta-count = many", ["risk-curve", "--values", "0.5"]),
+        # a misspelled boolean was read as false: the run went on without its uniform report
+        ("uniform = ture", ["verify-bounds", "--n", "20", "--replications", "100"]),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line, command):
         cfg = tmp_path / "run.cfg"
@@ -538,6 +561,22 @@ def test_negative_value_after_its_flag(tmp_path, argv, flag, value):
         return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
 
     assert outputs("apart", flag, value) == outputs("joined", f"{flag}={value}")
+
+
+def test_loss_choices_are_the_loss_kinds():
+    # a loss the library offers but no command reaches would show here
+    import argparse
+
+    from focalrisk.cli import build_parser
+    from focalrisk.data_model import LossKind
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    with_loss = {name: next(a for a in p._actions if a.dest == "loss")
+                 for name, p in commands.items() if any(a.dest == "loss" for a in p._actions)}
+    assert sorted(with_loss) == ["risk-curve", "simulate", "verify-bounds"]
+    for action in with_loss.values():
+        assert set(action.choices) == {k.value for k in LossKind}
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path):

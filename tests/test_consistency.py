@@ -10,29 +10,20 @@ from focalrisk import (
     ThetaGrid,
     TrueModel,
     absolute_error_loss,
-    constant_loss,
     constants,
     hoeffding_bound,
     min_sample_size,
     squared_error_loss,
-    tabulated_loss,
     verify_pointwise,
     verify_uniform,
     witness_uniform,
 )
 from focalrisk.consistency import BoundReport, _loss_range, check_epsilon, pointwise_reports
-from focalrisk.errors import InvalidAlpha, NonConvexLoss, NonFiniteValue, NonpositiveEpsilon
+from focalrisk.errors import InvalidAlpha, NonFiniteValue, NonpositiveEpsilon
 from oracles import scalar_golden_section_min
 
 sq = squared_error_loss((-1, 1))
 GRID = ThetaGrid(-1, 1, 41)
-
-
-def _bumpy():  # not attested convex in y: the closed form is wrong for it
-    return tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
-
-
-BUMPY = _bumpy()  # 3 - |y| at every theta
 ABSOLUTE = absolute_error_loss((-1, 1))
 
 
@@ -49,20 +40,15 @@ class TestConstants:
         c = constants(sq, (-3, 3), (-1, 1))
         assert c.L_of_theta(0.0) == pytest.approx(9.0, abs=1e-9)
 
-    def test_constant_loss(self):
-        c = constants(constant_loss(2.0, (-1, 1)), (-3, 3), (-1, 1))
-        assert c.M == pytest.approx(4.0)
-        assert c.L_of_theta(0.5) == pytest.approx(0.0, abs=1e-9)
-
     def test_L_max(self):
         c = constants(sq, (-3, 3), (-1, 1))
         # largest range over theta in [-1, 1]: (3 + 1)^2 = 16 at theta = +/-1
         assert c.L_max == pytest.approx(16.0, abs=1e-9)
 
     def test_extrema_beyond_ulp_tolerance_terminate(self):
-        # Past |x| = 8192 one ulp exceeds the 1e-12 refinement tolerance: the sup of M at
-        # theta_hi = 1e4 and the inf of L at the support end -9000 must still be found.
-        # A fresh interpreter with a timeout turns a non-terminating search into a failure.
+        # Past |x| = 8192 one ulp exceeds 1e-12: the sup of M at theta_hi = 1e4 and the inf
+        # of L at the support end -9000 must still be exact.  A fresh interpreter with a
+        # timeout turns a run that does not end into a failure.
         import subprocess
         import sys
         from pathlib import Path
@@ -138,23 +124,20 @@ def _parent_convex_loss_range(loss, thetas, a, b):
 
 
 class TestConstantsEqualParent:
-    # Bit for bit the parent's values, except two that were off by rounding: BUMPY's M
-    # (golden section gave 3.500000000000001 for 3.5) and the absolute loss's L (the
-    # refined inf |y - theta| ~ 1e-13 for 0); those two are held to exact oracles.
-    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, constant_loss(0.0),
-                                      constant_loss(2.0), BUMPY, squared_error_loss((-1, 5))])
+    # Bit for bit the parent's values, except the absolute loss's L, which was off by
+    # rounding (the refined inf |y - theta| ~ 1e-13 for 0) and is held to an exact oracle.
+    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, absolute_error_loss((-1, 5)),
+                                      squared_error_loss((-2, 0.5)), absolute_error_loss((-2, 0.5)),
+                                      squared_error_loss((-1, 5))])
     @pytest.mark.parametrize("grid", [ThetaGrid(0.5, 0.5, 1), ThetaGrid(-1, 1, 2),
                                       ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
     def test_M(self, loss, grid):
         for support in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
             got = constants(loss, support, (grid.lo, grid.hi)).M
-            if loss is BUMPY:
-                assert got == 6.0 - abs(support[0]) - abs(support[1])
-            else:
-                want = _parent_M(loss, support, grid)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            want = _parent_M(loss, support, grid)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, constant_loss(2.0)])
+    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, squared_error_loss((-1, 5))])
     def test_convex_loss_range(self, loss):
         thetas = np.array([-1.0, -0.3, 0.0, 0.4, 1.0])
         for a, b in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
@@ -165,8 +148,8 @@ class TestConstantsEqualParent:
             assert got.tobytes() == want.tobytes()
 
 
-    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, constant_loss(0.0), constant_loss(2.0),
-                                      squared_error_loss((-1, 5))])
+    @pytest.mark.parametrize("loss", [sq, ABSOLUTE, absolute_error_loss((-1, 5)),
+                                      squared_error_loss((-2, 0.5)), squared_error_loss((-1, 5))])
     @pytest.mark.parametrize("grid", [ThetaGrid(0.5, 0.5, 1), ThetaGrid(-1, 1, 2),
                                       ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
     def test_L_max(self, loss, grid):
@@ -174,78 +157,30 @@ class TestConstantsEqualParent:
         for a, b in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5), (-1.0, 0.8)):
             got = constants(loss, (a, b), (grid.lo, grid.hi)).L_max
             want = float(np.max(_loss_range(loss, grid.points, a, b)))
-            if loss is ABSOLUTE:  # at most the grid's rounding above, within 2 ulps of it
+            if loss.kind is ABSOLUTE.kind:  # at most the grid's rounding above, within 2 ulps
                 assert want - 2 * np.spacing(want) <= got <= want
             else:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestConstantsExact:
-    def test_narrow_peak_between_grid_points(self):
-        # theta knots 0, 0.005, 0.01: the peak of 10 at 0.005 lies between two points of
-        # the 201-point grid, where golden section from the grid's best cell missed it
-        spike = tabulated_loss([-1, 0, 0.005, 0.01, 1], [-3, 3],
-                               np.array([[9.5, 0, 10, 0, 9.5]] * 2).T, convex_in_y=True)
-        consts = constants(spike, (-3, 3), (-1, 1))
-        assert consts.M == 20.0
-        assert min_sample_size(1.0, consts.M) == 59
-        report = verify_pointwise(MODEL, spike, 0.0, 56, 1.0, 100, 1)
-        assert not report.threshold_met
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_tabulated_against_dense_grids(self, data):
-        def knots(lo, hi):
-            ks = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=6, unique=True))
-            return [k / 10 for k in sorted(ks)]
-
-        tk, yk = knots(-20, 20), knots(-40, 40)
-        value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
-        table = np.array([[data.draw(value) for _ in yk] for _ in tk])
-        loss = tabulated_loss(tk, yk, table)
-        a, b = sorted(data.draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2, unique=True)))
-        lo, hi = sorted(data.draw(st.lists(st.floats(tk[0], tk[-1]), min_size=2, max_size=2)))
-        consts = constants(loss, (a, b), (lo, hi))
-        tol = 1e-12 * max(1.0, table.max())
-        dense = loss(np.linspace(lo, hi, 20001)[:, None], [a, b])
-        assert consts.M >= dense.max(axis=0).sum() - tol
-        # the y-knots join the dense y grid, which alone would miss a knot's peak by up to
-        # its slope times a step; the points between the knots show any extremum elsewhere
-        ys = np.union1d(np.linspace(a, b, 20001), [y for y in yk if a < y < b])
-        thetas = np.array(data.draw(st.lists(st.floats(tk[0], tk[-1]), min_size=1, max_size=4)))
-        vals = loss(thetas[:, None], ys)
-        want = vals.max(axis=1) - vals.min(axis=1)
-        np.testing.assert_allclose(consts.L_of_theta(thetas), want, rtol=0, atol=tol)
-
-
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_L_max_at_least_dense_grid_max(self, data):
         a, b = sorted(data.draw(st.lists(st.floats(-5, 5), min_size=2, max_size=2, unique=True)))
-        kind = data.draw(st.sampled_from(["squared", "absolute", "tabulated"]))
-        if kind == "tabulated":
-            def knots(lo, hi):
-                ks = data.draw(st.lists(st.integers(lo, hi), min_size=2, max_size=6, unique=True))
-                return [k / 10 for k in sorted(ks)]
-
-            tk, yk = knots(-20, 20), knots(-60, 60)
-            value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
-            loss = tabulated_loss(tk, yk, [[data.draw(value) for _ in yk] for _ in tk], True)
-            domain = (tk[0], tk[-1])
-        else:
-            loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((-8, 8))
-            domain = (-8.0, 8.0)
-        lo, hi = sorted(data.draw(st.lists(st.floats(*domain), min_size=2, max_size=2)))
+        kind = data.draw(st.sampled_from(["squared", "absolute"]))
+        loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((-8, 8))
+        lo, hi = sorted(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=2)))
         l_max = constants(loss, (a, b), (lo, hi)).L_max
         dense = _loss_range(loss, np.linspace(lo, hi, 20001), a, b).max()
         assert l_max >= dense - 1e-12 * max(1.0, dense)
 
     def test_one_point_theta_domain(self):
-        # a tabulated loss with one theta-knot: its domain [0, 0] holds no two-point grid
-        loss = tabulated_loss([0.0], [-3, 3], [[1, 2]], convex_in_y=True)
+        # a theta domain [0, 0] holds no two-point grid: M = 9 + 9, so n = 20 < 53
+        loss = squared_error_loss((0.0, 0.0))
         report = verify_pointwise(MODEL, loss, 0.0, 20, 1.0, 100, 1)
-        assert report.empirical_violation_rate == 0.0 and report.n == 20
-        assert constants(loss, (-3, 3), loss.theta_domain).M == 3.0
+        assert report.n == 20 and not report.threshold_met
+        assert constants(loss, (-3, 3), loss.theta_domain).M == 18.0
 
 
 class TestMinSampleSize:
@@ -317,14 +252,6 @@ MODEL = TrueModel.truncated_std_normal(-3, 3)
 
 
 class TestVerifyPointwise:
-    def test_constant_loss_never_violates(self):
-        report = verify_pointwise(
-            MODEL, constant_loss(1.0, (-1, 1)), 0.0, n=20, epsilon=0.1,
-            replications=100, seed=1,
-        )
-        assert report.empirical_violation_rate == 0.0
-        assert report.bound == 0.0
-
     def test_threshold_flag(self):
         report = verify_pointwise(
             MODEL, sq, 0.0, n=10, epsilon=1.0, replications=100, seed=1,
@@ -336,13 +263,8 @@ class TestVerifyPointwise:
         assert report.threshold_met
 
     def test_closed_form_guards(self):
-        from focalrisk import tabulated_loss
-        from focalrisk.errors import NonConvexLoss, ThetaOutOfDomain
+        from focalrisk.errors import ThetaOutOfDomain
 
-        bumpy = tabulated_loss([-1.0, 1.0], [-3.0, 3.0], np.ones((2, 2)))
-        with pytest.raises(NonConvexLoss):
-            verify_pointwise(MODEL, bumpy, 0.0, n=20, epsilon=1.0, replications=100,
-                             seed=1)
         with pytest.raises(ThetaOutOfDomain):
             verify_pointwise(MODEL, sq, 1.5, n=20, epsilon=1.0, replications=100,
                              seed=1)
@@ -369,14 +291,6 @@ class TestVerifyPointwise:
 
 
 class TestVerifyUniform:
-    def test_constant_loss(self):
-        report = verify_uniform(
-            MODEL, constant_loss(1.0, (-1, 1)), GRID, epsilon=0.1, alpha=0.05,
-            seed=2, replications=100,
-        )
-        assert report.estimated_probability == 0.0
-        assert report.within_alpha
-
     def test_squared_loss_within_alpha(self):
         report = verify_uniform(
             MODEL, sq, ThetaGrid(-1, 1, 11), epsilon=2.0, alpha=0.1,
@@ -391,12 +305,6 @@ class TestVerifyUniform:
             seed=4, replications=100,
         )
         assert report.estimated_probability == 0.0
-
-    def test_verify_uniform_nonconvex(self):
-        # the closed form would silently report 0.0 for this loss
-        with pytest.raises(NonConvexLoss):
-            verify_uniform(MODEL, _bumpy(), ThetaGrid(-1, 1, 5), epsilon=1.0, alpha=0.05,
-                           seed=1, replications=100)
 
 
 class TestPointwiseReports:
@@ -480,16 +388,6 @@ class TestPointwiseReports:
             monkeypatch.setattr(consistency, name, _must_not_run)
         with pytest.raises(error):
             pointwise_reports(MODEL, sq, [0.0], 20, epsilons, 100, 1)
-
-    def test_nonconvex_refused_before_any_work(self, monkeypatch):
-        import focalrisk.consistency as consistency
-
-        for name in ("constants", "sample_chunks", "true_risk_curve"):
-            monkeypatch.setattr(consistency, name, _must_not_run)
-        with pytest.raises(NonConvexLoss):
-            pointwise_reports(MODEL, _bumpy(), [0.0], 20, [1.0], 100, 1)
-        with pytest.raises(NonConvexLoss):
-            verify_uniform(MODEL, _bumpy(), GRID, 1.0, 0.05, 1, replications=100)
 
 
 class TestEpsilonChecks:

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from focalrisk import (
     ThetaGrid,
     TrueModel,
-    constant_loss,
     make_sample,
     squared_error_loss,
-    tabulated_loss,
 )
 from focalrisk.errors import (DegenerateSupport, EmptySample, NonFiniteValue, OutOfSupport,
                               SupportMassTooSmall)
@@ -91,56 +89,6 @@ def test_squared_loss_convexity_consequence():
         theta = rng.uniform(-1, 1)
         vals = loss(theta, y)
         assert vals[1] <= max(vals[0], vals[2]) + 1e-12
-
-
-def test_tabulated_loss_interpolates():
-    loss = tabulated_loss([0.0, 1.0], [0.0, 1.0], np.array([[0.0, 2.0], [4.0, 6.0]]))
-    assert loss(0.0, 0.5) == pytest.approx(1.0)
-    assert loss(0.5, 0.5) == pytest.approx(3.0)
-    assert loss(1.0, 1.0) == pytest.approx(6.0)
-
-
-class TestTabulatedLossRefusesMalformedTables:
-    # the closed form divides by the gaps between knots, and a table value reaches every sum
-    def test_descending_knots(self):
-        with pytest.raises(ValueError, match="ascending"):
-            tabulated_loss([1.0, 0.0], [0.0, 1.0], np.ones((2, 2)))
-        with pytest.raises(ValueError, match="ascending"):
-            tabulated_loss([0.0, 1.0], [1.0, 0.0], np.ones((2, 2)))
-
-    def test_duplicate_knots(self):
-        with pytest.raises(ValueError, match="ascending"):
-            tabulated_loss([0.0, 0.0, 1.0], [0.0, 1.0], np.ones((3, 2)))
-        with pytest.raises(ValueError, match="ascending"):
-            tabulated_loss([0.0, 1.0], [0.0, 0.5, 0.5], np.ones((2, 3)))
-
-    def test_non_finite_knots(self):
-        for bad in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite"):
-                tabulated_loss([0.0, bad], [0.0, 1.0], np.ones((2, 2)))
-            with pytest.raises(ValueError, match="finite"):
-                tabulated_loss([0.0, 1.0], [bad, 1.0], np.ones((2, 2)))
-
-    def test_non_finite_table(self):
-        for bad in (np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite"):
-                tabulated_loss([0.0, 1.0], [0.0, 1.0], np.array([[0.0, 1.0], [bad, 2.0]]))
-
-    def test_no_knots(self):
-        with pytest.raises(ValueError, match="ascending"):
-            tabulated_loss([], [0.0, 1.0], np.ones((0, 2)))
-
-    def test_one_knot_per_axis_still_works(self):
-        loss = tabulated_loss([0.5], [2.0], np.array([[3.0]]))
-        assert loss.theta_domain == (0.5, 0.5) and loss(0.5, -7.0) == 3.0
-
-
-def test_constant_loss_refuses_negative_or_non_finite_c():
-    # c = -1 gave an upper risk of -1, though every loss is nonnegative
-    for c in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            constant_loss(c)
-    assert constant_loss(0.0)(0.3, 2.0) == 0.0
 
 
 class TestThetaGrid:

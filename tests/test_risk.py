@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -14,19 +15,16 @@ from focalrisk import (
     ThetaGrid,
     TrueModel,
     absolute_error_loss,
-    constant_loss,
     focal_sets,
     make_sample,
     minimize_upper_risk,
     risk_curve,
     squared_error_loss,
-    tabulated_loss,
     true_risk,
     upper_risk_closed_form,
     upper_risk_general,
 )
-from focalrisk.errors import EmptyFocalSetWarning, NonConvexLoss, ThetaOutOfDomain
-from focalrisk.consistency import _loss_range
+from focalrisk.errors import EmptyFocalSetWarning, ThetaOutOfDomain
 from focalrisk.quadrature import integrate
 from focalrisk.risk import (
     _closed_form_core,
@@ -47,8 +45,7 @@ TRUNC_VAR = 0.97333692466254148
 
 sq01 = squared_error_loss((0, 1))
 sq11 = squared_error_loss((-1, 1))
-# linear in y between its knots, but not convex in y
-BUMPY = tabulated_loss([-1, 0, 1], [-3, -1, 0.5, 3], [[3, 0, 4, 1], [0, 5, 1, 2], [2, 1, 0, 6]])
+abs11 = absolute_error_loss((-1, 1))
 
 
 def _empirical_cases(n):
@@ -59,7 +56,7 @@ def _empirical_cases(n):
     edge = 2.95 + rng.uniform(-1e-4, 1e-4, n)
     fill = [squared_error_loss, absolute_error_loss]
     yield (make_sample(rng.uniform(-3, 3, n), -3, 3), ThetaGrid(-1, 1, 21),
-           [sq11, absolute_error_loss((-1, 1)), constant_loss(0.7), BUMPY])
+           [sq11, abs11])
     for hi in (1e9, 1e17):
         yield (make_sample(0.3 + rng.uniform(-0.01, 0.01, n), 0, hi), ThetaGrid(0, 1, 21),
                [f((0, 1)) for f in fill])
@@ -95,10 +92,6 @@ class TestEmpiricalRisk:
         assert empirical_risk_curve(sq01, s, [0.5])[0] == pytest.approx(0.09)
         assert empirical_risk_curve(sq01, s, [0.0])[0] == pytest.approx(0.34)
 
-    def test_constant(self):
-        s = make_sample([0.1, 0.9], 0, 1)
-        assert empirical_risk_curve(constant_loss(2.5, (0, 1)), s, [0.3])[0] == pytest.approx(2.5)
-
     def test_theta_domain(self):
         s = make_sample([0.2], 0, 1)
         with pytest.raises(ThetaOutOfDomain):
@@ -119,13 +112,6 @@ class TestEmpiricalRisk:
         # the whole (theta, n) table of this curve would take 65536 x 500 x 8 bytes = 262 MB
         assert _empirical_curve_peak(sq11) < 8 * 2**20
 
-    def test_table_curve_memory_bounded_in_thetas(self):
-        # a table's (theta, y knot) loss values alone take 65536 x 100 x 8 = 52 MB, so its
-        # thetas go in passes: peak 18.5 MiB measured
-        table = tabulated_loss([-1, 1], np.linspace(-3, 3, 100),
-                               np.linspace(0, 1, 200).reshape(2, 100))
-        assert _empirical_curve_peak(table) < 32 * 2**20
-
     def test_equals_fsum_of_the_losses(self):
         # n = 1e5: the bound is ~450 ulps, ~sqrt(n) ulps for the sequential sums
         for s, grid, losses in _empirical_cases(100_000):
@@ -134,21 +120,11 @@ class TestEmpiricalRisk:
                 _assert_fsum_mean(curve, loss, s, grid)
                 assert empirical_risk_curve(loss, s, [grid.points[3]])[0] == curve[3]
 
-    @pytest.mark.parametrize("n", [7, 1000])
-    def test_table_near_its_zero(self, n):
-        # BUMPY at theta = 1 is (0.5 - y) / 1.5 on [-1, 0.5]: data 1e-9 below 0.5 have losses
-        # ~3e-10, small against the table's 1 at y = -1.  The oracle takes each loss from
-        # 0.5 - y, exact there; BUMPY's own interpolation rounds them to ~1e-16 absolute.
-        y = 0.5 - np.random.default_rng(n).uniform(0, 1e-9, n)
-        got = empirical_risk_curve(BUMPY, make_sample(y, -3, 3), [1.0])[0]
-        want = math.fsum((0.5 - y) / 1.5) / n
-        assert abs(got - want) <= 1e-13 * want
-
     def test_curve_work_linear_in_n_plus_thetas(self):
         # the (theta, n) loss table took 4097 x 5000 = 2.0e7 loss values; n R_n takes none
-        # for squared and absolute loss and one per theta and y sup point for a table
+        # for squared and absolute loss
         grid, sizes = ThetaGrid(-1, 1, 4097), {}
-        for base in (sq11, absolute_error_loss((-1, 1)), BUMPY):
+        for base in (sq11, abs11):
             for n in (50, 5000):
                 s = make_sample(np.random.default_rng(n).uniform(-3, 3, n), -3, 3)
                 cells = []
@@ -161,22 +137,8 @@ class TestEmpiricalRisk:
                 risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
                 sizes[base.kind.value, n] = sum(cells)
         assert sizes["squared", 5000] == sizes["absolute", 5000] == 0
-        assert sizes["tabulated", 5000] == 4097 * 4  # BUMPY: 4 y sup points on [-3, 3]
-        for kind in ("squared", "absolute", "tabulated"):
+        for kind in ("squared", "absolute"):
             assert sizes[kind, 5000] == sizes[kind, 50]  # nothing grows with n
-
-    def test_nonconvex_table_has_an_empirical_risk_but_no_closed_form(self):
-        s = make_sample([-1.0, 0.5, 2.0], -3, 3)
-        grid = ThetaGrid(-1, 1, 5)
-        curve = risk_curve(BUMPY, grid, RiskKind.EMPIRICAL, sample=s).values
-        want = [math.fsum(BUMPY(t, s.values)) / 3 for t in grid.points]
-        assert np.allclose(curve, want, rtol=1e-15, atol=0)
-        with pytest.raises(NonConvexLoss):
-            risk_curve(BUMPY, grid, RiskKind.UPPER, sample=s)
-        with pytest.raises(NonConvexLoss):
-            upper_risk_batch(BUMPY, s.values[None], -3.0, 3.0, grid.points)
-        with pytest.raises(NonConvexLoss):
-            argmin_rows(BUMPY, s.values[None], -3.0, 3.0, grid)
 
     def test_array_theta_domain(self):
         sq11.check_theta(np.linspace(-1, 1, 5))
@@ -257,8 +219,9 @@ class TestTrueRiskCurve:
         got = true_risk_curve(loss, model, thetas)
         assert got.tolist() == pytest.approx([moment(a, b, t) for t in thetas],
                                              rel=1e-12, abs=1e-12)
-        # the density integrates to 1: the true risk of a loss that is 1 everywhere
-        assert true_risk_curve(constant_loss(1.0, loss.theta_domain), model, [a]) == \
+        # the density integrates to 1 over the model's panels
+        edges = np.array(model.breaks)
+        assert integrate(model.density, edges[:-1], edges[1:]).sum() == \
             pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["squared", "absolute"])
@@ -274,24 +237,6 @@ class TestTrueRiskCurve:
                         ends[:, :-1], ends[:, 1:]).sum(axis=1)
         want = [float(_exact_piecewise(kind, knots, dens, t)) for t in thetas]
         assert np.max(np.abs(got - want)) <= 1e-13
-
-    def test_tabulated_loss_kinks(self):
-        # y-knots off the normal model's unit panels: the panels must split there
-        loss = tabulated_loss([-1.0, 0.0, 1.0], [-3.0, -1.3, 0.2, 1.7, 3.0],
-                              np.array([[4.0, 1.0, 0.0, 2.0, 5.0],
-                                        [3.0, 0.5, 1.5, 0.0, 2.0],
-                                        [1.0, 2.5, 0.0, 3.0, 0.5]]))
-        model = TrueModel.truncated_std_normal(-3, 3)
-        thetas = np.array([-1.0, -0.35, 0.0, 0.6, 1.0])
-        got = true_risk_curve(loss, model, thetas)
-        # dense reference: composite Simpson, 4000 intervals between consecutive knots
-        want = np.zeros_like(thetas)
-        for u, v in zip(loss.y_breaks, loss.y_breaks[1:]):
-            ys = np.linspace(u, v, 4001)
-            f = loss(thetas[:, None], ys) * model.density(ys)
-            h = (v - u) / 4000
-            want += h / 3 * (f[:, 0] + f[:, -1] + 4 * f[:, 1:-1:2].sum(1) + 2 * f[:, 2:-1:2].sum(1))
-        assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_passes_of_any_size_agree(self, monkeypatch):
         import focalrisk.risk as risk_mod
@@ -324,59 +269,12 @@ class TestSupOnInterval:
         piece = focal_table([[(0.2, 0.8)]], 0.2, 0.8)
         assert focal_upper_risk_curve(sq01, piece, [0.5])[0] == pytest.approx(0.09)
 
-    def test_nonconvex_exact_at_interior_knot(self):
-        # the peak sits on the y-knot 0.5, inside the interval: no grid can miss it
-        bumpy = tabulated_loss([0.0, 1.0], [0.0, 0.5, 1.0], np.array([[0, 3, 0], [0, 3, 0]]))
-        whole, part = focal_table([[(0.0, 1.0)]], 0.0, 1.0), focal_table([[(0.2, 0.3)]], 0.2, 0.3)
-        assert focal_upper_risk_curve(bumpy, whole, [0.0])[0] == 3.0
-        assert focal_upper_risk_curve(bumpy, part, [0.0])[0] == pytest.approx(1.8, abs=1e-15)
-
-
-@st.composite
-def _tabulated_case(draw):
-    """A tabulated loss (convex in y or not), an interval and thetas; with plateaus in y."""
-    ky = sorted(draw(st.lists(st.integers(-30, 30), min_size=1, max_size=6, unique=True)))
-    ky = [k / 10 for k in ky]
-    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
-    if draw(st.booleans()):  # convex in y: |y - c| scaled and shifted
-        c, scale, shift = draw(st.floats(-3, 3)), draw(st.floats(0, 3)), draw(value)
-        rows = [[shift + scale * abs(y - c) for y in ky]] * 2
-    else:
-        rows = [[draw(value) for _ in ky] for _ in range(2)]
-    loss = tabulated_loss([-1.0, 1.0], ky, np.array(rows), convex_in_y=draw(st.booleans()))
-    a, b = sorted(draw(st.lists(st.floats(-4, 4), min_size=2, max_size=2)))
-    thetas = np.array(draw(st.lists(st.floats(-1, 1), min_size=1, max_size=4)))
-    return loss, ky, max(map(max, rows)), a, b, thetas
-
-
-@settings(max_examples=200, deadline=None)
-@given(_tabulated_case())
-def test_tabulated_extrema_exact(case):
-    # The sup over [a, b] is the max over the ends and the y-knots inside, and the
-    # loss range is that max minus their min.  Bilinear interpolation rounds by an
-    # ulp or so on a plateau, hence the tolerance on the refined inf and the grid.
-    loss, ky, top, a, b, thetas = case
-    vals = loss(thetas[:, None], [a, *(y for y in ky if a < y < b), b])
-    sups = focal_upper_risk_curve(loss, focal_table([[(a, b)]], a, b), thetas)
-    assert np.array_equal(sups, vals.max(axis=1))
-    tol = 8 * np.finfo(float).eps * max(1.0, top)
-    np.testing.assert_allclose(_loss_range(loss, thetas, a, b),
-                               vals.max(axis=1) - vals.min(axis=1), rtol=0, atol=tol)
-    dense = loss(thetas[:, None], np.linspace(a, b, 1001))
-    assert (dense.max(axis=1) <= sups + tol).all()
-    assert (dense.min(axis=1) >= vals.min(axis=1) - tol).all()
-
 
 class TestUpperRiskGeneral:
     def test_three_focal_sets(self):
         s = make_sample([0.2, 0.8], 0, 1)
         f = focal_sets(s, NonconformityScore.identity())
         assert upper_risk_general(sq01, f, 0.0) == pytest.approx(0.56)
-
-    def test_constant_loss(self):
-        s = make_sample([0.3, 0.7], 0, 1)
-        f = focal_sets(s, NonconformityScore.identity())
-        assert upper_risk_general(constant_loss(1.5, (0, 1)), f, 0.2) == pytest.approx(1.5)
 
     def test_singleton(self):
         s = make_sample([0.5], 0, 1)
@@ -403,8 +301,7 @@ def _focal_case(draw):
             score = getattr(NonconformityScore, {"identity": "identity",
                                                  "loo-mean": "distance_to_loo_mean"}[kind])()
             focal = focal_sets(make_sample(raw, -3, 3), score, draw(st.integers(2, 61)))
-    # BUMPY: not convex in y, with y-knots -1 and 0.5 inside pieces
-    loss = draw(st.sampled_from([sq11, absolute_error_loss((-1, 1)), constant_loss(0.7), BUMPY]))
+    loss = draw(st.sampled_from([sq11, abs11]))
     thetas = np.array(draw(st.lists(st.floats(-1, 1), min_size=1, max_size=6)))
     return focal, loss, thetas
 
@@ -426,7 +323,7 @@ def test_focal_curve_with_empty_sets():
                        NonconformityScore.distance_to_loo_mean(), grid_points=5)
     assert f.sets[0] == () and len(f.sets[2]) == 2
     thetas = np.linspace(-1, 1, 9)
-    for loss in (sq11, BUMPY):
+    for loss in (sq11, abs11):
         want = [focal_sum_upper_risk(loss, f, t) for t in thetas]
         assert np.max(np.abs(focal_upper_risk_curve(loss, f, thetas) - want)) <= 1e-12
 
@@ -437,10 +334,10 @@ def test_focal_curve_passes_of_any_size_agree(monkeypatch):
     f = focal_sets(make_sample(np.random.default_rng(1).uniform(-3, 3, 50), -3, 3),
                    NonconformityScore.identity())
     thetas = np.linspace(-1, 1, 101)
-    whole = focal_upper_risk_curve(BUMPY, f, thetas)
+    whole = focal_upper_risk_curve(abs11, f, thetas)
     for cells in (1, 1000):
         monkeypatch.setattr(risk_mod, "_BLOCK_CELLS", cells)
-        assert np.array_equal(focal_upper_risk_curve(BUMPY, f, thetas), whole)
+        assert np.array_equal(focal_upper_risk_curve(abs11, f, thetas), whole)
 
 
 class TestUpperRiskClosedForm:
@@ -449,21 +346,9 @@ class TestUpperRiskClosedForm:
         assert _core(sq01, s, 0.0)[1] == pytest.approx(1.0)
         assert upper_risk_closed_form(sq01, s, 0.0) == pytest.approx(0.56)
 
-    def test_constant(self):
-        s = make_sample([0.3, 0.6], 0, 1)
-        assert upper_risk_closed_form(constant_loss(2.0, (0, 1)), s, 0.5) == pytest.approx(2.0)
-
     def test_midpoint_theta(self):
         s = make_sample([0.2, 0.8], 0, 1)
         assert upper_risk_closed_form(sq01, s, 0.5) == pytest.approx(0.59 / 3)
-
-    def test_requires_convexity(self):
-        from focalrisk import tabulated_loss
-
-        bumpy = tabulated_loss([0.0, 1.0], [0.0, 1.0], np.ones((2, 2)))
-        s = make_sample([0.5], 0, 1)
-        with pytest.raises(NonConvexLoss):
-            upper_risk_closed_form(bumpy, s, 0.0)
 
 
 def _core(loss, s, theta):
@@ -523,12 +408,6 @@ def test_slack_monotone_under_refinement():
 
 
 class TestRiskCurve:
-    def test_empirical_constant(self):
-        s = make_sample([0.4], 0, 1)
-        grid = ThetaGrid(0, 1, 11)
-        c = risk_curve(constant_loss(1.0, (0, 1)), grid, RiskKind.EMPIRICAL, sample=s)
-        assert np.allclose(c.values, 1.0)
-
     def test_upper_closed_vs_general_on_grid(self):
         s = make_sample([0.2, 0.5, 0.8], 0, 1)
         grid = ThetaGrid(0, 1, 21)
@@ -554,17 +433,6 @@ class TestRiskCurve:
             f"{t:.17g},{v:.17g},upper\n" for t, v in parsed
         )
         assert text2 == text
-
-    def test_upper_from_sample_refuses_nonconvex_loss(self):
-        # the closed form is not this loss's upper risk; the focal sum still is
-        bumpy = tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
-        s = make_sample([-1.0, 0.5, 2.0], -3, 3)
-        with pytest.raises(NonConvexLoss):
-            risk_curve(bumpy, ThetaGrid(-1, 1, 5), RiskKind.UPPER, sample=s)
-        focal = focal_sets(s, NonconformityScore.identity())
-        c = focal_upper_risk_curve(bumpy, focal, ThetaGrid(-1, 1, 5).points)
-        # focal sets [-3, -1], [-1, 0.5], [0.5, 2], [2, 3]: exact sups 2, 3 (at the knot 0), 2.5, 1
-        assert np.allclose(c, 2.125, rtol=0, atol=1e-15)
 
 
 class TestFormatCsv:
@@ -594,11 +462,13 @@ class TestMinimizeUpperRisk:
         assert value == pytest.approx(0.19666666666666668, abs=1e-9)
 
     def test_constant_ties_to_lowest_index(self):
+        # absolute loss, Z = {0, 0.5, 1}: U is 0.5 on all of [0.25, 0.75], so on the grid
         s = make_sample([0.5], 0, 1)
-        grid = ThetaGrid(0, 1, 11)
-        theta, value = minimize_upper_risk(constant_loss(1.0, (0, 1)), s, grid)
+        grid = ThetaGrid(0.3, 0.7, 11)
+        theta, value = minimize_upper_risk(absolute_error_loss((0, 1)), s, grid)
         assert theta == grid.lo
-        assert value == pytest.approx(1.0)
+        assert value == pytest.approx(0.5)
+        assert np.allclose(closed_form_curve(absolute_error_loss((0, 1)), s, grid.points), 0.5)
 
     def test_refined_below_grid(self):
         rng = np.random.default_rng(9)
@@ -615,25 +485,10 @@ class TestMinimizeUpperRisk:
             theta, value = minimize_upper_risk(sq11, s, ThetaGrid(-1, 1, 21))
             assert value == closed_form_curve(sq11, s, np.array([theta]))[0]
 
-    def test_convex_in_y_but_not_unimodal_in_theta(self):
-        # loss = c(theta) + |y| on y knots -3, 0, 3: convex in y, while c has a shallow
-        # dip at theta=-0.1 and its deepest one at 0.4.  Golden section on [-0.5, 0.5]
-        # (around the grid argmin 0) went left and stopped in the shallow dip at 2.9.
-        tk = np.linspace(-1, 1, 21)
-        c = 1.0 + 2.0 * np.abs(tk)
-        c[9], c[14] = 0.9, 0.0
-        loss = tabulated_loss(tk, [-3, 0, 3], np.stack([c + 3, c, c + 3], axis=1), True)
-        s = make_sample([-1.0, 0.5, 1.0], -3, 3)
-        theta, value = minimize_upper_risk(loss, s, ThetaGrid(-1, 1, 5))
-        assert value == closed_form_curve(loss, s, np.array([theta]))[0]
-        dense = closed_form_curve(loss, s, np.linspace(-1, 1, 20001)).min()
-        assert theta == pytest.approx(0.4) and value <= dense + _ulps(dense)
-        assert value == pytest.approx(2.0)
-
     def test_grid_outside_the_theta_domain_is_refused(self):
         # risk_curve refuses this grid; the minimizer returned theta = 1.4875 outside [-1, 1]
         s = make_sample([2.9, 2.95, 3.0], -3, 3)
-        for loss in (sq11, absolute_error_loss((-1, 1)), constant_loss(1.0)):
+        for loss in (sq11, abs11):
             for grid in (ThetaGrid(-5, 5, 11), ThetaGrid(-1, 1.5, 3), ThetaGrid(-2, -2, 1)):
                 with pytest.raises(ThetaOutOfDomain):
                     minimize_upper_risk(loss, s, grid)
@@ -642,8 +497,8 @@ class TestMinimizeUpperRisk:
 
 
 def _parent_minimize_rows(loss, rows, a, b, grid, tol=1e-9):
-    """The earlier tabulated-loss minimizer on the table path: golden section over the
-    cells next to the grid argmin (ties to the lowest index), kept if strictly lower."""
+    """The earlier minimizer on the loss-table path: golden section over the cells next
+    to the grid argmin (ties to the lowest index), kept if strictly lower."""
     curves = _table_upper(loss, rows, a, b, grid.points)
     idx = np.argmin(curves, axis=1)
     theta0, best = grid.points[idx], curves[np.arange(len(idx)), idx]
@@ -686,8 +541,7 @@ def _check_exact_minimizer(loss, rows, grid):
         got_theta, got_value = minimize_upper_risk(loss, make_sample(row, -3, 3), grid)
         at_theta = upper_risk_batch(loss, row[None], -3.0, 3.0, [[got_theta]])[0, 0]
         assert got_theta == row_theta and np.float64(got_value).tobytes() == at_theta.tobytes()
-    knots = [t for t in loss.theta_breaks if grid.lo <= t <= grid.hi]
-    dense = np.append(np.linspace(grid.lo, grid.hi, 20001), knots)
+    dense = np.linspace(grid.lo, grid.hi, 20001)
     pieces = np.array_split(dense, 1 + dense.size * rows.size // 2**18)  # tables of <= 2 MiB
     dense_min = np.min([_table_upper(loss, rows, -3.0, 3.0, d).min(axis=1) for d in pieces], axis=0)
     assert np.all(value <= dense_min + _ulps(dense_min))
@@ -698,8 +552,8 @@ def _check_exact_minimizer(loss, rows, grid):
 
 
 class TestRefineGridMin:
-    LOSSES = [sq11, absolute_error_loss((-1, 1)), constant_loss(0.0), constant_loss(1.5),
-              tabulated_loss([-1, 1], [-3, 0, 3], [[3, 0, 3], [4, 1, 4]], convex_in_y=True)]
+    LOSSES = [sq11, abs11, squared_error_loss((-8, 8)), absolute_error_loss((-8, 8)),
+              squared_error_loss((-2, 2))]
 
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("count", [1, 2, 5, 21])
@@ -732,28 +586,6 @@ def _one_candidate_cases(a, b):
             yield rows, lo, hi
 
 
-TABLE = tabulated_loss([-1, 0, 1], [-3, -1, 0.5, 3], [[3, 1, 0, 2], [2, 0.5, 1, 3], [4, 2, 1, 3]],
-                       convex_in_y=True)
-
-
-@st.composite
-def _table_rows(draw):
-    """A tabulated loss with 2-6 knots per axis and ties in its table, and sorted rows on
-    [-3, 3] with ties and values on the y-knots."""
-    def knots(lo, hi):
-        ks = draw(st.lists(st.integers(lo, hi), min_size=2, max_size=6, unique=True))
-        return [k / 10 for k in sorted(ks)]
-
-    tk, yk = knots(-10, 10), knots(-40, 40)  # y-knots inside and beyond [-3, 3]
-    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0, 10))
-    loss = tabulated_loss(tk, yk, [[draw(value) for _ in yk] for _ in tk], convex_in_y=True)
-    point = st.one_of(st.floats(-3, 3), st.sampled_from([-3.0, 3.0, *(y for y in yk
-                                                                      if -3 <= y <= 3)]))
-    r, n = draw(st.integers(1, 3)), draw(st.integers(1, 20))
-    rows = np.sort(np.reshape(draw(st.lists(point, min_size=r * n, max_size=r * n)), (r, n)))
-    return loss, tk, rows
-
-
 @st.composite
 def _rows_and_thetas(draw):
     """Sorted rows on a support, with ties, and thetas on, between and beyond the data."""
@@ -775,13 +607,10 @@ def _check_core(loss, rows, a, b, thetas):
     n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
     want_n_rn, want_m = _table_core(loss, rows, a, b, thetas)
     assert n_rn.shape == want_n_rn.shape
-    if loss.kind.value == "tabulated":  # interpolation may round an inner point an ulp lower
-        assert np.all(np.abs(m_theta - want_m) <= _ulps(want_m))
-    else:
-        assert m_theta.tobytes() == want_m.tobytes()
+    assert m_theta.tobytes() == want_m.tobytes()
     scale = want_n_rn + want_m  # (n+1) times the upper risk, at least M > 0
-    # a table value may be subnormal: 8 ulps for the closed form, and the oracle rounds each
-    # of its n table values by up to half an ulp
+    # a loss value may be subnormal: 8 ulps for the closed form, and the oracle rounds each
+    # of its n loss values by up to half an ulp
     underflow = (8 + rows.shape[1] / 2) * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale + underflow)
     upper = upper_risk_batch(loss, rows, a, b, thetas)
@@ -800,22 +629,14 @@ class TestSufficientStatistics:
         _check_core(loss, rows, a, b, thetas)  # (k,): the thetas of every row
         _check_core(loss, rows, a, b, np.resize(thetas, (len(rows), 3)))  # (r, k): per row
 
-    @settings(max_examples=300, deadline=None)
-    @given(case=_table_rows(), data=st.data())
-    def test_tabulated_equals_table_path(self, case, data):
-        loss, tk, rows = case
-        thetas = np.array(data.draw(st.lists(st.one_of(st.floats(tk[0], tk[-1]),
-                                                       st.sampled_from(tk)), min_size=1)))
-        _check_core(loss, rows, -3.0, 3.0, thetas)
-        _check_core(loss, rows, -3.0, 3.0, np.resize(thetas, (len(rows), 3)))
-
     def test_subnormal_table(self):
-        # at theta = 0 the loss is 2.5e-324 at y = 0, which rounds to 0 in the oracle's table:
-        # n R_n is 8.5 subnormal ulps, 9 by the closed form and 1 by the table's sum
-        loss = tabulated_loss([-0.1, 0], [-0.1, 0.1], [[0, 0], [0, 5e-324]], convex_in_y=True)
-        rows = np.array([[0.0] * 15 + [1.0]])
+        # absolute loss at theta = 0: the loss table holds the subnormal 5e-324 and zeros
+        loss = absolute_error_loss((-0.1, 0.1))
+        rows = np.array([[0.0] * 15 + [5e-324]])
         _check_core(loss, rows, -3.0, 3.0, np.array([0.0]))
         _check_core(loss, rows, -3.0, 3.0, np.zeros((1, 3)))
+        n_rn, _ = _closed_form_core(loss, rows, -3.0, 3.0, [0.0])
+        assert n_rn[0, 0] == 5e-324
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_one_observation_and_all_tied(self, loss):
@@ -830,8 +651,7 @@ class TestSufficientStatistics:
             rows = np.sort(lo + rng.uniform(0, 6, (50, 40)), axis=1)
             _check_core(loss, rows, lo, lo + 6, lo + np.linspace(-1, 7, 33))
 
-    @pytest.mark.parametrize("loss", [*EXACT_LOSSES, TABLE], ids=["squared", "absolute",
-                                                                "tabulated"])
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_memory_stays_linear_in_n(self, loss):
         # the loss table of this call would take 101 x 2e5 x 8 bytes = 162 MB
         import tracemalloc
@@ -850,8 +670,7 @@ class TestSufficientStatistics:
 class TestRowsAlone:
     """A chunk of sample rows gives each row's result bit for bit, whatever rows share it."""
 
-    @pytest.mark.parametrize("loss", [*EXACT_LOSSES, TABLE], ids=["squared", "absolute",
-                                                                "tabulated"])
+    @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     @pytest.mark.parametrize("a, b", [(-3.0, 3.0), (-3.0, 10.0)])
     def test_chunk_equals_rows_one_by_one(self, loss, a, b):
         # on [-3, 10] the support's centre 3.5 lies above most rows' maxima: one shift for
@@ -937,51 +756,12 @@ class TestExactMinimizer:
         assert inside.sum() > 900
         assert np.all(at[:, 0] > at[:, 1])
 
-    @settings(max_examples=100, deadline=None)
-    @given(case=_table_rows(), data=st.data())
-    def test_tabulated_at_most_dense_grid_and_golden_section(self, case, data):
-        loss, tk, rows = case
-        lo, hi = sorted(data.draw(st.lists(st.one_of(st.floats(tk[0], tk[-1]),
-                                                     st.sampled_from(tk)), min_size=2,
-                                           max_size=2)))
-        count = data.draw(st.integers(2, 21)) if lo < hi else 1
-        _check_exact_minimizer(loss, rows, ThetaGrid(lo, hi, count))
-
-    def test_random_tables_at_most_dense_grid_and_golden_section(self):
-        # golden section stopped in a local minimum, above the dense grid, on 38 of these
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            tk = np.sort(rng.choice(np.arange(-10, 11), rng.integers(2, 7), replace=False)) / 10
-            yk = np.sort(rng.choice(np.arange(-40, 41), rng.integers(2, 7), replace=False)) / 10
-            loss = tabulated_loss(tk, yk, rng.uniform(0, 10, (len(tk), len(yk))), True)
-            rows = np.sort(rng.uniform(-3, 3, (1, rng.integers(1, 21))), axis=1)
-            _check_exact_minimizer(loss, rows, ThetaGrid(tk[0], tk[-1], int(rng.integers(2, 22))))
-
-    def test_one_row_of_many_knots_stays_within_its_slices(self):
-        # 30 knots per axis: ~4e4 candidates and 2.2e6 loss cells per row, 141 MiB peak
-        # when one row was one block; slices of the candidates bound it, argmin unchanged
-        import tracemalloc
-
-        rng = np.random.default_rng(4)
-        loss = tabulated_loss(np.linspace(-1, 1, 30), np.linspace(-3.5, 3.5, 30),
-                              rng.uniform(0, 10, (30, 30)), convex_in_y=True)
-        rows = np.sort(rng.uniform(-3, 3, (2, 200)), axis=1)
-        grid = ThetaGrid(-1, 1, 101)
-        tracemalloc.start()
-        try:
-            argmin_and_min(loss, rows, -3.0, 3.0, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
-        _check_exact_minimizer(loss, rows, grid)
-
     def test_no_golden_section_and_no_loss_table(self):
         import focalrisk.risk as risk_mod
 
         assert not hasattr(risk_mod, "golden_section_min")
         grid, largest = ThetaGrid(-1, 1, 21), {}
-        for base, n in [(EXACT_LOSSES[0], 30), (EXACT_LOSSES[1], 30), (TABLE, 30), (TABLE, 300)]:
+        for base, n in itertools.product(EXACT_LOSSES, (30, 300)):
             rows = np.sort(np.random.default_rng(2).uniform(-3, 3, (5, n)), axis=1)
             sizes = []
 
@@ -995,7 +775,7 @@ class TestExactMinimizer:
             largest[base.kind.value, n] = max(sizes)
         for kind in ("squared", "absolute"):
             assert largest[kind, 30] <= 5 * (2 * 32 + 1)  # one value per row and candidate
-        assert largest["tabulated", 300] == largest["tabulated", 30]  # nothing grows with n
+            assert largest[kind, 300] == largest[kind, 30]  # nothing grows with n
 
     def test_no_grid_curve(self, monkeypatch):
         # every closed form the exact minimizer takes is at its (r, k) candidates
@@ -1009,7 +789,7 @@ class TestExactMinimizer:
 
         monkeypatch.setattr(risk_mod, "upper_risk_batch", record)
         s = make_sample(np.random.default_rng(3).uniform(-3, 3, 12), -3, 3)
-        for loss in (*EXACT_LOSSES, TABLE):
+        for loss in EXACT_LOSSES:
             minimize_upper_risk(loss, s, ThetaGrid(-1, 1, 101))
         assert shapes and all(len(shape) == 2 for shape in shapes)
 

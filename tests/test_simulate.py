@@ -18,12 +18,11 @@ from focalrisk import (
     run_replications,
     sample_truncated_normal,
     squared_error_loss,
-    tabulated_loss,
 )
 from focalrisk.conformal import coverage_probability, nested_set_index
 from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
-                              InvalidAlpha, NonConvexLoss, SampleTooLarge, SupportMassTooSmall)
+                              InvalidAlpha, SampleTooLarge, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve, batch_cells, upper_risk_batch
 from focalrisk.simulate import (_CHUNK_CELLS, _MAX_ROW, _philox_keys, _raw_draw, _streams,
                                 sample_chunks, write_summary)
@@ -164,7 +163,7 @@ class TestStreams:
         # keying all 2^18 replications at once peaked at 23.0 MiB before the first draw
         import tracemalloc
 
-        cells = batch_cells(squared_error_loss(), 1, 101, -3.0, 3.0)
+        cells = batch_cells(1, 101)
         next(sample_chunks((-3.0, 3.0), 0, 1, 3, cells))  # first-call allocations
         tracemalloc.start()
         try:
@@ -301,18 +300,15 @@ class TestSampleChunks:
         assert peak < 1.5 * rows.nbytes
 
     @pytest.mark.parametrize("n, k", [(20, 101), (1063, 101), (95, 3)])
-    @pytest.mark.parametrize("kind", ["squared", "absolute", "table"])
+    @pytest.mark.parametrize("kind", ["squared", "absolute"])
     def test_chunk_peak_memory_within_twice_the_budget(self, kind, n, k):
         # one full chunk, sized by batch_cells, drawn, then its curves and minimizers
         import tracemalloc
 
         from focalrisk import absolute_error_loss
 
-        knots = np.linspace(-1, 1, 12)
-        loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss(),
-                "table": tabulated_loss(knots, 3 * knots, (knots[:, None] - 3 * knots) ** 2,
-                                        convex_in_y=True)}[kind]
-        grid, cells = ThetaGrid(-1, 1, k), batch_cells(loss, n, k, -3.0, 3.0)
+        loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss()}[kind]
+        grid, cells = ThetaGrid(-1, 1, k), batch_cells(n, k)
         per_chunk = _CHUNK_CELLS // cells
         next(sample_chunks((-3.0, 3.0), 0, n, 1, cells))  # first-call allocations
         tracemalloc.start()
@@ -451,6 +447,43 @@ class TestHistogram:
         with pytest.raises(EmptyInput):
             histogram([], bins=3)
 
+    def test_narrow_range_far_from_zero(self):
+        # one ulp at 1e15 is 0.125, so 30 bins of the +-0.5 about one value, or of a range
+        # 0.25 wide, fell under an ulp: np.histogram raised "Too many bins for data range"
+        for vals in ([1e15] * 3, [1e15, 1e15 + 0.25]):
+            edges, counts = histogram(vals, bins=30)
+            assert counts.sum() == len(vals) and np.all(np.diff(edges) > 0)
+            assert edges[0] <= min(vals) and max(vals) <= edges[-1]
+        big = np.finfo(float).max  # no end may overflow
+        for vals in ([big] * 2, [-big] * 2, [np.nextafter(2.0**60, 0)] * 3, [0.0, 5e-324]):
+            for bins in (1, 7, 30, 65536):
+                edges, counts = histogram(vals, bins=bins)
+                assert counts.sum() == len(vals) and np.all(np.diff(edges) > 0)
+
+    def test_ranges_wide_enough_keep_their_bytes(self):
+        # the earlier histogram, where np.histogram accepts its range
+        def parent(vals, bins):
+            lo, hi = min(vals), max(vals)
+            if lo == hi:
+                lo, hi = lo - 0.5, hi + 0.5
+            counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
+            return edges, counts
+
+        rng, kept = np.random.default_rng(3), 0
+        for centre in (0.0, 1.0, -7.5, 1e6, 1e12, 1e15, -1e15, 1e17):
+            for width in (0.0, 0.25, 1.0, 4.0, 30.0, 1e3):
+                vals = (centre + width * rng.uniform(0, 1, 5)).tolist() + [centre]
+                for bins in (1, 2, 30):
+                    try:
+                        want = parent(vals, bins)
+                    except ValueError:  # too narrow: widened now
+                        continue
+                    got = histogram(vals, bins)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+                    kept += 1
+        assert kept > 100
+
 
 def _small_config(reps=5, seed=0):
     return SimConfig(
@@ -505,7 +538,7 @@ class TestRunReplications:
         import focalrisk.simulate as simulate
 
         n, grid, loss = 300, ThetaGrid(-1, 1, 101), squared_error_loss((-1, 1))
-        per_chunk = _CHUNK_CELLS // batch_cells(loss, n, grid.count, -3.0, 3.0)
+        per_chunk = _CHUNK_CELLS // batch_cells(n, grid.count)
         cfg = SimConfig(
             model=MODEL, loss=loss, n_values=(n,),
             replications=2 * per_chunk + 3, theta_grid=grid, master_seed=4,
@@ -558,15 +591,6 @@ class TestRunReplications:
         write_summary(run_replications(_small_config(reps=8)), tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
-
-    def test_nonconvex_loss_refused(self):
-        # the closed form is not the upper risk of this loss; it used to return curves
-        from focalrisk import tabulated_loss
-
-        bumpy = tabulated_loss([-1, 1], [-3, 0, 3], [[0, 3, 0], [0, 3, 0]])
-        with pytest.raises(NonConvexLoss):
-            run_replications(SimConfig(model=MODEL, loss=bumpy, n_values=(10,), replications=3,
-                                       theta_grid=ThetaGrid(-1, 1, 5)))
 
     @pytest.mark.parametrize("kind", ["squared", "absolute"])
     def test_closed_form_only_on_the_grid(self, monkeypatch, kind):
