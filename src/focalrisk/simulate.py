@@ -232,12 +232,19 @@ class ReplicationSummary:
 
 def _percentile_curves(grid: ThetaGrid, stack: np.ndarray, probs: Sequence[float],
                        kind: RiskKind) -> list[RiskCurve]:
-    """Percentiles of the (m, k) stack's columns, linear between order statistics at p*(m-1).
+    """Percentiles of the (m, k) stack's columns, linear between order statistics at p*(m-1):
+    np.percentile's "linear" rule (Hyndman and Fan type 7) and arithmetic, over one sort.
 
-    The stack is reordered in place."""
-    vals = np.percentile(stack, [100.0 * p for p in probs], axis=0, method="linear",
-                         overwrite_input=True)
-    return [RiskCurve(grid=grid, values=v, kind=kind) for v in vals]
+    The stack is sorted in place."""
+    stack.sort(axis=0)
+    v = (len(stack) - 1) * np.true_divide([100.0 * p for p in probs], 100)[:, None]
+    i = np.floor(v)
+    gamma = v - i
+    below = i[:, 0].astype(np.intp)
+    a, b = stack[below], stack[np.minimum(below + 1, len(stack) - 1)]
+    vals = a + (b - a) * gamma
+    np.subtract(b, (b - a) * (1 - gamma), out=vals, where=gamma >= 0.5)  # numpy's two-sided lerp
+    return [RiskCurve(grid=grid, values=row, kind=kind) for row in vals]
 
 
 def aggregate_percentiles(
@@ -250,20 +257,25 @@ def aggregate_percentiles(
     for c in curves[1:]:
         if c.grid.count != grid.count or (c.grid.lo, c.grid.hi) != (grid.lo, grid.hi):
             raise GridMismatch("curves evaluated on different grids")
-    return _percentile_curves(grid, np.vstack([c.values for c in curves]), probs, curves[0].kind)
+    stack = np.vstack([c.values for c in curves])
+    if not np.isfinite(stack).all():
+        raise NonFiniteValue("a curve to aggregate is not finite")
+    return _percentile_curves(grid, stack, probs, curves[0].kind)
 
 
 def histogram(values: Sequence[float], bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Equal-width histogram over the values' range (one unit wide about a single value);
     the last bin includes its upper edge.  A range too narrow for bins an ulp wide, as far
     from 0, is widened at each end by 2 bins ulps of its largest end, so each bin spans at
-    least 2 ulps wherever it lies."""
+    least 2 ulps wherever it lies.  NaN, inf and a range wider than floats are refused."""
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise EmptyInput("no values to histogram")
     if bins < 1:
         raise ValueError("bins must be >= 1")
     lo, hi = float(np.min(vals)), float(np.max(vals))
+    if not np.isfinite(hi - lo):  # NaN, inf, or a range wider than the largest float
+        raise NonFiniteValue(f"histogram range [{lo}, {hi}] is not finite, or wider than floats")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
     if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0).all():  # np.histogram's edge check

@@ -612,6 +612,36 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_budget(tmp_path):
+    # a bare np.unique (inside np.percentile, say) imports numpy.ma: ~9 ms and ~1.3 MiB
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import focalrisk
+
+    code = """if True:
+        import sys
+        from focalrisk.cli import build_parser, main
+        build_parser()
+        print("numpy.random" in sys.modules)
+        values = ["--values", "0.1,0.5,-0.3,0.2,0.7"]
+        for argv in (["predict", *values, "--grid-points", "11"],
+                     ["risk-curve", *values, "--theta-count", "5", "--model", "truncnorm"],
+                     ["simulate", "--n", "4,6", "--replications", "7", "--theta-count", "5",
+                      "--svg"],
+                     ["verify-bounds", "--n", "5", "--replications", "100", "--theta-count", "5",
+                      "--uniform"],
+                     ["coverage", "--n", "5", "--replications", "10"]):
+            assert main([*argv, "--out", sys.argv[1] + "/" + argv[0]]) == 0, argv
+        print("numpy.ma" in sys.modules)
+    """
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "False"]
+
+
 def _exit_code(argv):
     """(exit code, stderr) of one in-process run; an uncaught exception fails the caller."""
     err = io.StringIO()

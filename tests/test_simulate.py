@@ -1,8 +1,9 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from focalrisk import (
@@ -22,7 +23,7 @@ from focalrisk import (
 from focalrisk.conformal import coverage_probability, nested_set_index
 from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
-                              InvalidAlpha, SampleTooLarge, SupportMassTooSmall)
+                              InvalidAlpha, NonFiniteValue, SampleTooLarge, SupportMassTooSmall)
 from focalrisk.risk import RiskCurve, batch_cells, upper_risk_batch
 from focalrisk.simulate import (_CHUNK_CELLS, _MAX_ROW, _philox_keys, _raw_draw, _streams,
                                 sample_chunks, write_summary)
@@ -30,6 +31,7 @@ from oracles import argmin_and_min
 
 MODEL = TrueModel.truncated_std_normal(-3, 3)
 TRUNC_VAR = 0.97333692466254148
+_BIG = float(np.finfo(float).max)
 
 
 def _draws(n, rng):
@@ -404,15 +406,34 @@ class TestAggregatePercentiles:
         out = aggregate_percentiles(curves, [0.95])
         assert np.allclose(out[0].values, 2.9)
 
-    def test_equal_one_percentile_at_a_time(self):
-        # one np.percentile call, in place, against one call per prob on a copy (with ties)
-        grid = ThetaGrid(0, 1, 7)
-        stack = np.round(np.random.default_rng(3).normal(size=(257, 7)), 2)
-        probs = [0.05, 0.5, 0.95, 0.0, 1.0, 0.333]
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(1, 1500), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           decimals=st.integers(0, 3),
+           probs=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0, 1)),
+                          min_size=1, max_size=8))
+    @example(m=1, k=1, seed=0, decimals=0, probs=[0.0, 1.0, 1.0, 0.05])
+    @example(m=2, k=3, seed=1, decimals=1, probs=[0.0, 0.05, 0.5, 0.95, 1.0])
+    @example(m=257, k=7, seed=3, decimals=2, probs=[0.05, 0.5, 0.95, 0.0, 1.0, 0.333])
+    def test_equal_one_percentile_at_a_time(self, m, k, seed, decimals, probs):
+        # one sort, in place, against one np.percentile call per prob on a copy (rounding
+        # makes ties); only a zero's sign may differ, in a column holding both -0.0 and 0.0
+        # (sort and partition may order them apart) or a lone -0.0 (numpy's b - 0.0, here a + 0.0)
+        stack = np.round(np.random.default_rng(seed).normal(size=(m, k)), decimals)
+        grid = ThetaGrid(0, 1, k)
         out = aggregate_percentiles([RiskCurve(grid, row, RiskKind.UPPER) for row in stack], probs)
+        zero = stack == 0
+        negative_zero = (zero & np.signbit(stack)).any(axis=0)
+        plain = ~(negative_zero & ((zero & ~np.signbit(stack)).any(axis=0) | (m == 1)))
         for got, p in zip(out, probs):
             want = np.percentile(stack, 100.0 * p, axis=0, method="linear")
-            assert got.values.tobytes() == want.tobytes()
+            assert got.values[plain].tobytes() == want[plain].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curve_refused(self, bad):
+        # np.percentile returned NaN bands here
+        curves = [_flat_curve(1.0, self.grid), _flat_curve(bad, self.grid)]
+        with pytest.raises(NonFiniteValue):
+            aggregate_percentiles(curves, [0.5])
 
     def test_grid_mismatch(self):
         other = ThetaGrid(0, 2, 5)
@@ -460,6 +481,15 @@ class TestHistogram:
                 edges, counts = histogram(vals, bins=bins)
                 assert counts.sum() == len(vals) and np.all(np.diff(edges) > 0)
 
+    @pytest.mark.parametrize("vals", [[-1e308, 1e308], [-_BIG, _BIG], [0.0, np.nan],
+                                      [np.inf, np.inf], [-np.inf, 0.0]])
+    def test_range_wider_than_floats_refused(self, vals):
+        # hi - lo overflowed: three overflow RuntimeWarnings, then numpy's "Too many bins"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="not finite"):
+                histogram(vals, bins=3)
+
     def test_ranges_wide_enough_keep_their_bytes(self):
         # the earlier histogram, where np.histogram accepts its range
         def parent(vals, bins):
@@ -483,6 +513,10 @@ class TestHistogram:
                     assert got[1].tobytes() == want[1].tobytes()
                     kept += 1
         assert kept > 100
+        for vals in ([1e308, 1.5e308], [-1e308, 0.0]):  # wide ranges a float still holds
+            got, want = histogram(vals, 3), parent(vals, 3)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def _small_config(reps=5, seed=0):
