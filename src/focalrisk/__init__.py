@@ -35,7 +35,6 @@ from .data_model import (
     squared_error_loss,
 )
 from .risk import (
-    RiskCurve,
     RiskKind,
     minimize_upper_risk,
     risk_curve,
@@ -44,7 +43,6 @@ from .risk import (
     upper_risk_general,
 )
 from .simulate import (
-    ReplicationSummary,
     SimConfig,
     aggregate_percentiles,
     coverage_experiment,

@@ -101,8 +101,8 @@ def cmd_risk_curve(args) -> int:
     true_vals = [""] * grid.count
     if args.model == "truncnorm":
         model = TrueModel.truncated_std_normal(args.lo, args.hi)
-        true_vals = risk.risk_curve(loss, grid, risk.RiskKind.TRUE, model=model).values
-    rows = zip(grid.points, emp.values, upper.values, true_vals)
+        true_vals = risk.risk_curve(loss, grid, risk.RiskKind.TRUE, model=model)
+    rows = zip(grid.points, emp, upper, true_vals)
     _write(_out_dir(args) / "risk_curve.csv", risk.format_csv("theta,empirical,upper,true", rows))
     return 0
 
@@ -120,9 +120,9 @@ def cmd_simulate(args) -> int:
         histogram_bins=args.bins,
         master_seed=args.seed,
     )
-    summary = simulate.run_replications(config)
+    per_n = simulate.run_replications(config)
     out = _out_dir(args)
-    simulate.write_summary(summary, out)
+    simulate.write_summary(config, per_n, out)
     if args.svg:
         from . import svgplot
 
@@ -132,10 +132,10 @@ def cmd_simulate(args) -> int:
         curves = [("true risk", "#000000", true_curve)]
         bands = []
         hists = []
-        for i, (n, s) in enumerate(summary.per_n.items()):
+        for i, (n, s) in enumerate(per_n.items()):
             color = palette[i % len(palette)]
-            curves.append((f"median upper risk, n={n}", color, s.median_curve.values))
-            bands.append((color, s.band_lo.values, s.band_hi.values))
+            curves.append((f"median upper risk, n={n}", color, s.median_curve))
+            bands.append((color, s.band_lo, s.band_hi))
             hists.append((f"n={n}", color, s.histogram_edges, s.histogram_counts))
         _write(
             out / "risk_curves.svg",

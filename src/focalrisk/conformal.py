@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data_model import MAX_GRID, BoundedSample
+from .data_model import MAX_GRID, BoundedSample, linspace
 from .errors import (
     EmptyFocalSetWarning,
     IndexOutOfRange,
@@ -59,14 +59,6 @@ class FocalSystem:
     n_plus_1: int
     support_lo: float
     support_hi: float
-
-    @property
-    def sets(self) -> tuple[tuple[Interval, ...], ...]:
-        """The pieces of each set 1..n+1: a view of the table."""
-        sets: list[list[Interval]] = [[] for _ in range(self.n_plus_1)]
-        for v, lo, hi in zip(self.index.tolist(), self.lo.tolist(), self.hi.tolist()):
-            sets[v - 1].append((lo, hi))
-        return tuple(map(tuple, sets))
 
     def containing_index(self, y):
         """1-based index of the focal set containing y; elementwise for an array.
@@ -151,14 +143,12 @@ def rank_candidate(sample: BoundedSample, y: float, score: NonconformityScore) -
 
 
 def y_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """``np.linspace(lo, hi, points)``, refused where its step would overflow."""
+    """``np.linspace(lo, hi, points)``, refused where it is not finite (``linspace``)."""
     if points < 2:
         raise MissingGrid("general scores need a y-grid with at least 2 points")
     if points > MAX_GRID:
         raise ValueError(f"{points} grid points exceeds {MAX_GRID}")
-    if not math.isfinite(float(hi) - float(lo)):
-        raise NonFiniteValue(f"support [{lo}, {hi}] is wider than the largest float")
-    return np.linspace(lo, hi, points)
+    return linspace(lo, hi, points, "support")
 
 
 def focal_sets(sample: BoundedSample, score: NonconformityScore,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,37 +24,35 @@ from .simulate import sample_chunks
 @dataclass(frozen=True)
 class ConsistencyConstants:
     M: float
-    L_of_theta: Callable  # a float for a float theta, an array for an array
     L_max: float
 
 
-def _loss_range(loss: LossSpec, thetas, a: float, b: float):
-    """sup - inf of loss(theta, .) over [a, b] per theta, exact (the ``LossSpec`` contract):
-    the sup at a or b, the inf there or at clip(theta, a, b)."""
+def _loss_range(loss: LossSpec, thetas, a: float, b: float) -> np.ndarray:
+    """L(theta), sup - inf of loss(theta, .) over [a, b], per theta, exact (the ``LossSpec``
+    contract): the sup at a or b, the inf there or at clip(theta, a, b)."""
     t = np.asarray(thetas, dtype=float)
-    vals = np.asarray(loss(t[..., None], [a, b]), dtype=float)
-    out = vals.max(axis=-1) - np.minimum(vals.min(axis=-1), loss(t, np.clip(t, a, b)))
-    return out if out.shape else float(out)
+    vals = loss(t[..., None], [a, b])
+    return vals.max(axis=-1) - np.minimum(vals.min(axis=-1), loss(t, np.clip(t, a, b)))
 
 
 def constants(
     loss: LossSpec, support: tuple[float, float], span: tuple[float, float]
 ) -> ConsistencyConstants:
-    """M = sup loss(., a) + sup loss(., b) on the theta span; L(theta) = range on [a, b].
+    """M = sup loss(., a) + sup loss(., b), and L_max = sup ``_loss_range``, on the theta span.
 
     Both are exact, since loss(., y) is convex and loss(theta, .) convex with its min at
     y = theta (the ``LossSpec`` contract): M's sups are at the span's ends, and so is
-    L_max, L's max, since L is greatest at a span end.  M and L_max must be finite
+    L_max, since L is greatest at a span end.  M and L_max must be finite
     (``NonFiniteValue``), so no draw starts with them infinite.
     """
     a, b = support
     thetas = np.array(span, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite M or L_max is refused
-        m = float(np.asarray(loss(thetas[:, None], [a, b]), dtype=float).max(axis=0).sum())
+        m = float(loss(thetas[:, None], [a, b]).max(axis=0).sum())
         l_max = float(np.max(_loss_range(loss, thetas, a, b)))
     if not (math.isfinite(m) and math.isfinite(l_max)):  # the loss overflows on the span
         raise NonFiniteValue(f"M={m}, L_max={l_max}: loss not finite on the theta span {span}")
-    return ConsistencyConstants(M=m, L_of_theta=lambda t: _loss_range(loss, t, a, b), L_max=l_max)
+    return ConsistencyConstants(M=m, L_max=l_max)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -122,8 +119,8 @@ def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons
         return []
     consts = constants(loss, model.support, loss.theta_domain)
     met = [n >= min_sample_size(eps, consts.M) for eps in epsilons]  # may refuse: before any draw
-    ranges, eps_axis = consts.L_of_theta(thetas).tolist(), np.reshape(epsilons, (-1, 1, 1))
-    violations = sum(np.count_nonzero(dev > eps_axis, axis=1)
+    ranges = _loss_range(loss, thetas, *model.support).tolist()
+    violations = sum(np.count_nonzero(dev > np.reshape(epsilons, (-1, 1, 1)), axis=1)
                      for dev in _deviations(model, loss, thetas, n, replications, seed))
     return [BoundReport(eps, n, met_eps, hoeffding_bound(n, eps, L), int(count) / replications,
                         replications, seed)

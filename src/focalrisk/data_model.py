@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,20 +82,20 @@ class LossKind(enum.Enum):
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A nonnegative loss (theta, y) -> R+, squared or absolute error.
+    """A nonnegative loss (theta, y) -> R+: (y - theta)**2 or |y - theta| by its kind.
 
-    ``evaluate`` accepts scalars or numpy arrays (broadcasting).  Contract, so the
-    extrema on [lo, hi] are exact: loss(theta, .) is convex with its min at y = theta,
-    and loss(., y) is convex.  So a sup over an interval, in either argument, is the max
-    at its two ends, and the inf over y in [lo, hi] is at clip(theta, lo, hi).
+    A call accepts scalars or numpy arrays (broadcasting).  Contract, so the extrema on
+    [lo, hi] are exact: loss(theta, .) is convex with its min at y = theta, and
+    loss(., y) is convex.  So a sup over an interval, in either argument, is the max at
+    its two ends, and the inf over y in [lo, hi] is at clip(theta, lo, hi).
     """
 
     kind: LossKind
-    evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_domain: tuple[float, float]
 
-    def __call__(self, theta, y):
-        return self.evaluate(np.asarray(theta, dtype=float), np.asarray(y, dtype=float))
+    def __call__(self, theta, y):  # y - t unnamed, so numpy may square it in place
+        t, y = np.asarray(theta, dtype=float), np.asarray(y, dtype=float)
+        return (y - t) ** 2 if self.kind is LossKind.SQUARED_ERROR else np.abs(y - t)
 
     def check_theta(self, theta) -> None:
         """Raise unless theta, a scalar or an array, lies in the theta domain."""
@@ -107,19 +107,23 @@ class LossSpec:
 
 
 def squared_error_loss(theta_domain: tuple[float, float] = (-1.0, 1.0)) -> LossSpec:
-    return LossSpec(
-        kind=LossKind.SQUARED_ERROR,
-        evaluate=lambda t, y: (y - t) ** 2,
-        theta_domain=theta_domain,
-    )
+    return LossSpec(LossKind.SQUARED_ERROR, theta_domain)
 
 
 def absolute_error_loss(theta_domain: tuple[float, float] = (-1.0, 1.0)) -> LossSpec:
-    return LossSpec(
-        kind=LossKind.ABSOLUTE_ERROR,
-        evaluate=lambda t, y: np.abs(y - t),
-        theta_domain=theta_domain,
-    )
+    return LossSpec(LossKind.ABSOLUTE_ERROR, theta_domain)
+
+
+def linspace(lo: float, hi: float, count: int, what: str = "grid") -> np.ndarray:
+    """``np.linspace(lo, hi, count)``, refused where its width or a point is not finite; near
+    the largest float, numpy's last point may overflow before it is set to hi: that is silent."""
+    if not math.isfinite(float(hi) - float(lo)):  # NaN, inf, or wider than the largest float
+        raise NonFiniteValue(f"{what} [{lo}, {hi}] is not finite, or wider than floats")
+    with np.errstate(over="ignore"):
+        pts = np.linspace(lo, hi, count)
+    if not np.isfinite(pts).all():
+        raise NonFiniteValue(f"{what} [{lo}, {hi}] has a point that is not finite")
+    return pts
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,9 @@ class ThetaGrid:
             raise ValueError("count must be positive")
         if self.count > MAX_GRID:
             raise ValueError(f"{self.count} grid points exceeds {MAX_GRID}")
-        if not math.isfinite(float(self.hi) - float(self.lo)):  # linspace's step must be finite
-            raise NonFiniteValue(f"grid [{self.lo}, {self.hi}] is not finite, or wider than floats")
+        pts = linspace(self.lo, self.hi, self.count)
         if not (self.lo < self.hi or self.lo == self.hi and self.count == 1):
             raise ValueError("need lo < hi, or lo == hi for a one-point grid")
-        pts = np.linspace(self.lo, self.hi, self.count)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -32,7 +32,6 @@ evaluated.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -53,13 +52,6 @@ class RiskKind(enum.Enum):
     EMPIRICAL = "empirical"
     TRUE = "true"
     UPPER = "upper"
-
-
-@dataclass(frozen=True)
-class RiskCurve:
-    grid: ThetaGrid
-    values: np.ndarray
-    kind: RiskKind
 
 
 def format_csv(header: str, rows: Iterable[Iterable]) -> str:
@@ -153,8 +145,7 @@ def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thet
     thetas is (k,), shared by every row, or (r, k).
     """
     thetas = np.asarray(thetas, dtype=float)
-    la = np.asarray(loss(thetas, a), dtype=float)
-    lb = np.asarray(loss(thetas, b), dtype=float)
+    la, lb = loss(thetas, a), loss(thetas, b)
     # loss(theta, .) is least at y = theta (``LossSpec``): over the data, at a neighbour
     c, i = _below(rows, thetas), np.arange(len(rows))[:, None]
     below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, rows.shape[1] - 1)]
@@ -194,9 +185,9 @@ def risk_curve(
     kind: RiskKind,
     sample: BoundedSample | None = None,
     model: TrueModel | None = None,
-) -> RiskCurve:
-    """Evaluate one of the risk functionals across the parameter grid: the true risk of the
-    model, or the empirical or closed-form upper risk of the sample."""
+) -> np.ndarray:
+    """One of the risk functionals at every point of the parameter grid: the true risk of
+    the model, or the empirical or closed-form upper risk of the sample."""
     loss.check_theta(grid.points)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
         if kind is RiskKind.TRUE:
@@ -211,7 +202,7 @@ def risk_curve(
             vals = closed_form_curve(loss, sample, grid.points)
     if not np.isfinite(vals).all():  # the loss overflows somewhere on the grid
         raise NonFiniteValue(f"{kind.value} risk is not finite on [{grid.lo}, {grid.hi}]")
-    return RiskCurve(grid=grid, values=vals, kind=kind)
+    return vals
 
 
 def argmin_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -17,9 +17,9 @@ import numpy as np
 
 from .conformal import NonconformityScore, nested_set_index, rank_rows
 from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
-                         make_sample, normal_mass)
+                         linspace, make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
-from .risk import RiskCurve, RiskKind, argmin_rows, batch_cells, format_csv, upper_risk_batch
+from .risk import argmin_rows, batch_cells, format_csv, upper_risk_batch
 
 RNG_ALGORITHM = "philox4x64 (numpy.random.Philox)"
 _CHUNK_CELLS = 1 << 18  # float64 cells one chunk keeps live, by row_cells: 2 MiB
@@ -76,12 +76,15 @@ def _philox_keys(seed: int, n: int, stop: int, start: int = 0) -> np.ndarray:
 def _streams(seed: int, n: int, replications: int) -> Iterator[np.random.Generator]:
     """``replication_rng(seed, n, r)`` for r = 0, 1, ..., bit for bit, keyed by one
     ``_philox_keys`` pass per _KEY_BLOCK replications: one Generator is reset per r, so a
-    stream lasts until the next.  ``check_run`` comes first."""
+    stream lasts until the next.  ``check_run`` comes first.  Keys are set as Python ints,
+    one row at a time: numpy's state setter reads them faster than uint64 elements."""
     bitgen = np.random.Philox(0)
-    state, rng = bitgen.state, np.random.Generator(bitgen)  # counter 0, buffer empty: as new
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # as new
 
     def keyed(key):
-        state["state"]["key"] = key
+        state["state"]["key"] = key.tolist()
         bitgen.state = state
         return rng
 
@@ -216,24 +219,17 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class NSummary:
-    median_curve: RiskCurve
-    band_lo: RiskCurve
-    band_hi: RiskCurve
+    median_curve: np.ndarray
+    band_lo: np.ndarray
+    band_hi: np.ndarray
     minimizers: np.ndarray
     histogram_edges: np.ndarray
     histogram_counts: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReplicationSummary:
-    config: SimConfig
-    per_n: dict[int, NSummary] = field(default_factory=dict)
-
-
-def _percentile_curves(grid: ThetaGrid, stack: np.ndarray, probs: Sequence[float],
-                       kind: RiskKind) -> list[RiskCurve]:
-    """Percentiles of the (m, k) stack's columns, linear between order statistics at p*(m-1):
-    np.percentile's "linear" rule (Hyndman and Fan type 7) and arithmetic, over one sort.
+def _percentile_curves(stack: np.ndarray, probs: Sequence[float]) -> np.ndarray:
+    """Percentiles of the (m, k) stack's columns, a row per prob, linear between order
+    statistics at p*(m-1): np.percentile's "linear" rule (Hyndman and Fan type 7), one sort.
 
     The stack is sorted in place."""
     stack.sort(axis=0)
@@ -244,23 +240,19 @@ def _percentile_curves(grid: ThetaGrid, stack: np.ndarray, probs: Sequence[float
     a, b = stack[below], stack[np.minimum(below + 1, len(stack) - 1)]
     vals = a + (b - a) * gamma
     np.subtract(b, (b - a) * (1 - gamma), out=vals, where=gamma >= 0.5)  # numpy's two-sided lerp
-    return [RiskCurve(grid=grid, values=row, kind=kind) for row in vals]
+    return vals
 
 
-def aggregate_percentiles(
-    curves: Sequence[RiskCurve], probs: Sequence[float]
-) -> list[RiskCurve]:
-    """Pointwise empirical percentiles across curves sharing one grid."""
+def aggregate_percentiles(curves: Sequence[np.ndarray], probs: Sequence[float]) -> np.ndarray:
+    """Pointwise empirical percentiles across 1-D curves of one length, a row per prob."""
     if not curves:
         raise EmptyInput("no curves to aggregate")
-    grid = curves[0].grid
-    for c in curves[1:]:
-        if c.grid.count != grid.count or (c.grid.lo, c.grid.hi) != (grid.lo, grid.hi):
-            raise GridMismatch("curves evaluated on different grids")
-    stack = np.vstack([c.values for c in curves])
+    if len({np.shape(c) for c in curves}) > 1 or np.ndim(curves[0]) != 1:
+        raise GridMismatch("curves are not 1-D arrays of one length")
+    stack = np.vstack(curves)
     if not np.isfinite(stack).all():
         raise NonFiniteValue("a curve to aggregate is not finite")
-    return _percentile_curves(grid, stack, probs, curves[0].kind)
+    return _percentile_curves(stack, probs)
 
 
 def histogram(values: Sequence[float], bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -274,20 +266,19 @@ def histogram(values: Sequence[float], bins: int) -> tuple[np.ndarray, np.ndarra
     if bins < 1:
         raise ValueError("bins must be >= 1")
     lo, hi = float(np.min(vals)), float(np.max(vals))
-    if not np.isfinite(hi - lo):  # NaN, inf, or a range wider than the largest float
-        raise NonFiniteValue(f"histogram range [{lo}, {hi}] is not finite, or wider than floats")
     if lo == hi:
         lo, hi = lo - 0.5, hi + 0.5
-    if not (np.diff(np.linspace(lo, hi, bins + 1)) > 0).all():  # np.histogram's edge check
+    if not (np.diff(linspace(lo, hi, bins + 1, "histogram range")) > 0).all():  # numpy's check
         end = max(abs(lo), abs(hi))
         pad = 2 * bins * (end - float(np.nextafter(end, 0.0)))  # the ulp below: finite at max
         lo, hi = max(lo - pad, -_MAX_FLOAT), min(hi + pad, _MAX_FLOAT)
-    counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
+    with np.errstate(over="ignore"):  # np.histogram's own linspace: see ``linspace``
+        counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
     return edges, counts
 
 
-def run_replications(config: SimConfig) -> ReplicationSummary:
-    """Replication sweep: upper-risk curves, percentile bands, minimizers.
+def run_replications(config: SimConfig) -> dict[int, NSummary]:
+    """Replication sweep: upper-risk curves, percentile bands, minimizers, by n.
 
     All replications of one n run as one batched path, chunk by chunk.
     """
@@ -306,10 +297,10 @@ def run_replications(config: SimConfig) -> ReplicationSummary:
             part, done = slice(done, done + len(rows)), done + len(rows)
             curves[part] = chunk
             minimizers[part] = argmin_rows(config.loss, rows, a, b, grid)
-        lo_c, med_c, hi_c = _percentile_curves(grid, curves, [p_lo, 0.5, p_hi], RiskKind.UPPER)
+        lo_c, med_c, hi_c = _percentile_curves(curves, [p_lo, 0.5, p_hi])
         per_n[n] = NSummary(med_c, lo_c, hi_c, minimizers,
                             *histogram(minimizers, config.histogram_bins))
-    return ReplicationSummary(config=config, per_n=per_n)
+    return per_n
 
 
 def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], n: int,
@@ -333,15 +324,15 @@ def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], 
     return hits / replications
 
 
-def write_summary(summary: ReplicationSummary, out_dir: str | Path) -> None:
-    """Serialize a ReplicationSummary to a directory of CSV files."""
+def write_summary(config: SimConfig, per_n: dict[int, NSummary], out_dir: str | Path) -> None:
+    """Serialize ``run_replications(config)`` to a directory of CSV files and meta.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = summary.config
-    for n, s in summary.per_n.items():
+    thetas = config.theta_grid.points.tolist()
+    for n, s in per_n.items():
         for name, c in (("median", s.median_curve), ("band_lo", s.band_lo),
                         ("band_hi", s.band_hi)):
-            text = format_csv("theta,value", zip(c.grid.points.tolist(), c.values.tolist()))
+            text = format_csv("theta,value", zip(thetas, c.tolist()))
             (out / f"{name}_n{n}.csv").write_text(text)
         minimizers = s.minimizers.tolist()
         (out / f"minimizers_n{n}.csv").write_text("%.17g\n" * len(minimizers) % tuple(minimizers))
@@ -350,18 +341,18 @@ def write_summary(summary: ReplicationSummary, out_dir: str | Path) -> None:
         (out / f"histogram_n{n}.csv").write_text(format_csv("bin_lo,bin_hi,count", rows))
     meta = {
         "rng": RNG_ALGORITHM,
-        "master_seed": cfg.master_seed,
-        "n_values": list(cfg.n_values),
-        "replications": cfg.replications,
+        "master_seed": config.master_seed,
+        "n_values": list(config.n_values),
+        "replications": config.replications,
         "theta_grid": {
-            "lo": cfg.theta_grid.lo,
-            "hi": cfg.theta_grid.hi,
-            "count": cfg.theta_grid.count,
+            "lo": config.theta_grid.lo,
+            "hi": config.theta_grid.hi,
+            "count": config.theta_grid.count,
         },
-        "percentiles": list(cfg.percentiles),
-        "histogram_bins": cfg.histogram_bins,
+        "percentiles": list(config.percentiles),
+        "histogram_bins": config.histogram_bins,
         "model": "truncated_std_normal",
-        "support": list(cfg.model.support),
-        "loss": cfg.loss.kind.value,
+        "support": list(config.model.support),
+        "loss": config.loss.kind.value,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")

@@ -52,11 +52,10 @@ def focal_sum_upper_risk(loss, focal, theta):
     max of the loss at its two ends, each set's the max over its pieces (an empty set adds
     0), and the sets' sups are summed in order and divided by n + 1."""
     loss.check_theta(theta)
-    total = 0.0
-    for pieces in focal.sets:
-        total += max((float(max(loss(theta, lo), loss(theta, hi))) for lo, hi in pieces),
-                     default=0.0)
-    return total / focal.n_plus_1
+    sups = [0.0] * focal.n_plus_1
+    for v, lo, hi in zip(focal.index.tolist(), focal.lo.tolist(), focal.hi.tolist()):
+        sups[v - 1] = max(sups[v - 1], float(max(loss(theta, lo), loss(theta, hi))))
+    return sum(sups) / focal.n_plus_1
 
 
 def squared_all_candidates_min(loss, rows, a, b, lo, hi):

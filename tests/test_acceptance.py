@@ -35,6 +35,7 @@ from focalrisk import (
 )
 from focalrisk.cli import main as cli_main
 from focalrisk.conformal import nested_set_index
+from focalrisk.consistency import _loss_range
 from focalrisk.data_model import normal_mass
 from focalrisk.simulate import _raw_draw
 
@@ -126,9 +127,9 @@ def study():
 
 
 def test_criterion_4a_minimizer_means(study):
-    _, summary = study
-    mean_20 = float(np.mean(summary.per_n[20].minimizers))
-    mean_200 = float(np.mean(summary.per_n[200].minimizers))
+    _, per_n = study
+    mean_20 = float(np.mean(per_n[20].minimizers))
+    mean_200 = float(np.mean(per_n[200].minimizers))
     ok = abs(mean_20) <= 0.15 and abs(mean_200) <= 0.05
     report(
         f"minimizer means center at 0 (n=20: {mean_20:+.4f}, n=200: {mean_200:+.4f})",
@@ -137,9 +138,9 @@ def test_criterion_4a_minimizer_means(study):
 
 
 def test_criterion_4b_minimizer_concentration(study):
-    _, summary = study
-    sd_20 = float(np.std(summary.per_n[20].minimizers))
-    sd_200 = float(np.std(summary.per_n[200].minimizers))
+    _, per_n = study
+    sd_20 = float(np.std(per_n[20].minimizers))
+    sd_200 = float(np.std(per_n[200].minimizers))
     report(
         f"minimizer sd shrinks (n=20: {sd_20:.4f} > n=200: {sd_200:.4f})",
         sd_200 < sd_20,
@@ -147,13 +148,13 @@ def test_criterion_4b_minimizer_concentration(study):
 
 
 def test_criterion_4c_median_curve_behavior(study):
-    config, summary = study
+    config, per_n = study
     thetas = config.theta_grid.points
     true_curve = TRUNC_VAR + thetas**2
     ok = True
     sups = {}
     for n in (20, 200):
-        s = summary.per_n[n]
+        s = per_n[n]
         # median of the per-replication empirical curves (streams regenerated)
         emp_curves = np.empty((config.replications, len(thetas)))
         for r in range(config.replications):
@@ -161,9 +162,9 @@ def test_criterion_4c_median_curve_behavior(study):
             sample = sample_truncated_normal(n, -3, 3, rng)
             emp_curves[r] = ((thetas[:, None] - sample.values[None, :]) ** 2).mean(axis=1)
         emp_median = np.median(emp_curves, axis=0)
-        if not np.all(s.median_curve.values >= n * emp_median / (n + 1) - 1e-12):
+        if not np.all(s.median_curve >= n * emp_median / (n + 1) - 1e-12):
             ok = False
-        sups[n] = float(np.max(np.abs(s.median_curve.values - true_curve)))
+        sups[n] = float(np.max(np.abs(s.median_curve - true_curve)))
     ok = ok and sups[200] < sups[20]
     report(
         f"median curve dominates and converges (sup dist n=20: {sups[20]:.4f}, "
@@ -202,7 +203,7 @@ def test_criterion_5_theorem_bound_respected():
 
 def test_criterion_6_constants_oracle():
     c = constants(squared_error_loss((-1, 1)), (-3, 3), (-1, 1))
-    l0 = c.L_of_theta(0.0)
+    l0 = float(_loss_range(squared_error_loss((-1, 1)), 0.0, -3, 3))
     risk0 = true_risk(squared_error_loss((-1, 1)), MODEL, 0.0)
     ok = (
         abs(c.M - 32.0) <= 1e-9

@@ -538,6 +538,9 @@ def test_every_sample_size_is_refused_before_the_first_draw(tmp_path, monkeypatc
       for score in ("loo-mean", "identity")),
     (["risk-curve", "--values", "0.1,0.2", "--theta-lo=-1.7e308", "--theta-hi", "1.7e308"],
      "NonFiniteValue"),
+    # a grid to the largest float: linspace's overflow warning came before the loss's error
+    (["risk-curve", "--values", "0.1,0.2", "--theta-lo=-1.7976931348623157e308", "--theta-hi",
+      "0", "--theta-count", "4"], "NonFiniteValue"),
 ])
 def test_refusals_print_one_line_in_a_fresh_interpreter(tmp_path, argv, error):
     # a fresh interpreter shows what pytest's warning capture hides, and with a timeout

@@ -64,13 +64,12 @@ class TestRankCandidate:
 class TestFocalSets:
     def test_identity_gaps(self):
         f = focal_sets(make_sample([0.2, 0.8], 0, 1), identity)
-        assert f.sets == (((0.0, 0.2),), ((0.2, 0.8),), ((0.8, 1.0),))
         assert (f.index.tolist(), f.lo.tolist(), f.hi.tolist()) == ([1, 2, 3], [0, 0.2, 0.8],
                                                                     [0.2, 0.8, 1])
 
     def test_singleton(self):
         f = focal_sets(make_sample([0.5], 0, 1), identity)
-        assert f.sets == (((0.0, 0.5),), ((0.5, 1.0),))
+        assert (f.index.tolist(), f.lo.tolist(), f.hi.tolist()) == ([1, 2], [0, 0.5], [0.5, 1])
         assert f.n_plus_1 == 2
 
     def test_grid_level_sets(self):
@@ -78,37 +77,31 @@ class TestFocalSets:
         f = focal_sets(s, loo_mean, grid_points=2001)
         assert f.n_plus_1 == 5
         # the lowest-rank set is a single interval containing 2.5
-        assert len(f.sets[0]) == 1
-        lo, hi = f.sets[0][0]
-        assert lo <= 2.5 <= hi
+        first = f.index == 1
+        assert np.count_nonzero(first) == 1
+        assert f.lo[first][0] <= 2.5 <= f.hi[first][0]
         # the widened runs tile the support
-        total = sum(hi - lo for pieces in f.sets for lo, hi in pieces)
+        total = sum((f.hi - f.lo).tolist())
         assert total == pytest.approx(5.0, abs=1e-9)
 
     def test_grid_membership_unique(self):
         s = make_sample([1, 2, 3, 4], 0, 5)
         f = focal_sets(s, loo_mean, grid_points=401)
         for y in np.linspace(0, 5, 401):
-            hits = sum(
-                1
-                for pieces in f.sets
-                for lo, hi in pieces
-                if lo < y < hi
-            )
-            assert hits <= 1
+            assert np.count_nonzero((f.lo < y) & (y < f.hi)) <= 1
 
     def test_grid_runs_leave_no_gap(self):
         # a run ended at 2.5499999999999994 and the next began at 2.5500000000000003,
         # so contour refused the y in between as not covered
         f = focal_sets(make_sample([2, 2.3], -3, 3), loo_mean, grid_points=21)
-        assert merge_intervals([iv for pieces in f.sets for iv in pieces]) == ((-3.0, 3.0),)
+        assert merge_intervals(list(zip(f.lo.tolist(), f.hi.tolist()))) == ((-3.0, 3.0),)
         assert contour(f, 2.55) > 0
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=25, unique=True))
     def test_identity_tiling(self, raw):
         s = make_sample(raw, 0, 1)
         f = focal_sets(s, identity)
-        total = sum(hi - lo for pieces in f.sets for lo, hi in pieces)
+        total = sum((f.hi - f.lo).tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -230,8 +223,7 @@ def test_serialization_round_trip():
     for line in text.strip().splitlines():
         v, lo, hi = line.split()
         rebuilt.append((int(v), float(lo), float(hi)))
-    flat = [(v, lo, hi) for v, pieces in enumerate(f.sets, 1) for lo, hi in pieces]
-    assert rebuilt == flat
+    assert rebuilt == list(zip(f.index.tolist(), f.lo.tolist(), f.hi.tolist()))
     # bit-exact: re-serializing parsed values reproduces the bytes
     text2 = "\n".join(f"{v} {lo:.17g} {hi:.17g}" for v, lo, hi in rebuilt) + "\n"
     assert text2 == text
@@ -261,11 +253,10 @@ def _exact_index(sample, y):
 
 
 def _scalar_index(focal, y):
-    """The one-point scan of containing_index, as an oracle."""
-    for v, pieces in enumerate(focal.sets, start=1):
-        for lo, hi in pieces:
-            if lo <= y <= hi:
-                return v
+    """The one-point scan of containing_index, as an oracle: the table in scan order."""
+    for v, lo, hi in zip(focal.index.tolist(), focal.lo.tolist(), focal.hi.tolist()):
+        if lo <= y <= hi:
+            return v
     raise AssertionError(f"y={y} not covered")
 
 
@@ -314,7 +305,7 @@ class TestBatched:
     def test_contour_array_matches_loop(self, score):
         raw = [0.3, 1.1, 1.1, 2.0, 2.6, 4.2, 4.9]
         f = focal_sets(make_sample(raw, 0, 5), score, grid_points=101)
-        edges = [e for pieces in f.sets for piece in pieces for e in piece]
+        edges = f.lo.tolist() + f.hi.tolist()
         ys = np.array(sorted(set(edges + raw + np.linspace(0, 5, 77).tolist())))
         m = f.n_plus_1
         got = contour(f, ys)
@@ -390,7 +381,7 @@ class TestBatched:
             sets[v].append((min(i, j) / 4, max(i, j) / 4))
         f = focal_table(sets, 0.0, 3.0)
         ys = [y / 8 for y in ys]
-        covered = [any(lo <= y <= hi for p in f.sets for lo, hi in p) for y in ys]
+        covered = [bool(np.any((f.lo <= y) & (y <= f.hi))) for y in ys]
         if all(covered):
             assert f.containing_index(np.array(ys)).tolist() == [_scalar_index(f, y) for y in ys]
         else:

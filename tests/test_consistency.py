@@ -37,8 +37,7 @@ class TestConstants:
         assert c.M == pytest.approx(32.0, abs=1e-9)
 
     def test_squared_loss_L_at_zero(self):
-        c = constants(sq, (-3, 3), (-1, 1))
-        assert c.L_of_theta(0.0) == pytest.approx(9.0, abs=1e-9)
+        assert _loss_range(sq, 0.0, -3, 3) == pytest.approx(9.0, abs=1e-9)
 
     def test_L_max(self):
         c = constants(sq, (-3, 3), (-1, 1))
@@ -57,9 +56,10 @@ class TestConstants:
 
         code = (
             "from focalrisk import constants, squared_error_loss as sq\n"
+            "from focalrisk.consistency import _loss_range\n"
             "c = constants(sq((-1, 1e4)), (-3, 3), (-1, 1e4))\n"
-            "d = constants(sq((-1, 1)), (-2e4, -9000), (-1, 1))\n"
-            "print(repr(c.M), repr(c.L_max), repr(d.L_of_theta(0.0)))\n"
+            "l_zero = float(_loss_range(sq((-1, 1)), 0.0, -2e4, -9000))\n"
+            "print(repr(c.M), repr(c.L_max), repr(l_zero))\n"
         )
         env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -328,7 +328,7 @@ class TestPointwiseReports:
                 violations = np.count_nonzero(np.abs(upper - true_risk(loss, MODEL, theta)) > eps)
                 want.append(BoundReport(
                     epsilon=eps, n=n, threshold_met=n >= min_sample_size(eps, consts.M),
-                    bound=hoeffding_bound(n, eps, consts.L_of_theta(theta)),
+                    bound=hoeffding_bound(n, eps, float(_loss_range(loss, theta, -3, 3))),
                     empirical_violation_rate=violations / reps, replications=reps, seed=7))
         assert got == want
         assert 0 < sum(r.empirical_violation_rate for r in got) < len(got)  # not all 0 or 1

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from focalrisk import (
     ThetaGrid,
     TrueModel,
+    absolute_error_loss,
     make_sample,
     squared_error_loss,
 )
@@ -91,6 +95,39 @@ def test_squared_loss_convexity_consequence():
         assert vals[1] <= max(vals[0], vals[2]) + 1e-12
 
 
+@given(st.data())
+def test_loss_is_its_kind_formula_bit_for_bit(data):
+    # Python floats, arrays and broadcast shapes; |y|, |theta| <= 1e150 keeps squares finite
+    make = data.draw(st.sampled_from([squared_error_loss, absolute_error_loss]))
+    reals = st.floats(-1e150, 1e150)
+    if data.draw(st.booleans()):
+        t, y, shape = data.draw(reals), data.draw(reals), ()
+    else:
+        shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                             max_side=4))
+        t, y = (data.draw(hnp.arrays(float, s, elements=reals)) for s in shapes.input_shapes)
+        shape = shapes.result_shape
+    got = make((-1, 1))(t, y)
+    want = (y - t) ** 2 if make is squared_error_loss else np.abs(y - t)
+    assert np.shape(got) == shape
+    assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_squared_loss_peak_is_one_array():
+    # (y - theta) ** 2 of an unnamed difference lets numpy square it in its own buffer; a
+    # named difference kept both arrays live, doubling the traced peak
+    import tracemalloc
+
+    y = np.zeros(1 << 17)
+    tracemalloc.start()
+    try:
+        squared_error_loss()(0.5, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * y.nbytes
+
+
 class TestThetaGrid:
     def test_endpoints(self):
         g = ThetaGrid(-1, 1, 5)
@@ -115,3 +152,17 @@ class TestThetaGrid:
         for count in (MAX_GRID + 1, 10**9, 10**30):  # 10^9 points would take 7.45 GiB
             with pytest.raises(ValueError, match="grid points exceeds"):
                 ThetaGrid(-1, 1, count)
+
+    def test_range_to_the_largest_float_without_warning(self):
+        # numpy's last step overflowed, a RuntimeWarning, before it set that point to hi
+        big = float(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = ThetaGrid(-big, 0, 4).points, ThetaGrid(0, big, 4).points
+        assert low.tolist() == [-big, -1.1984620899082103e308, -5.992310449541052e307, 0.0]
+        assert high.tolist() == [0.0, 5.992310449541053e307, 1.1984620899082105e308, big]
+
+    @pytest.mark.parametrize("lo, hi", [(-1.7e308, 1.7e308), (0.0, np.nan), (-np.inf, 0.0)])
+    def test_range_not_finite_refused(self, lo, hi):
+        with pytest.raises(NonFiniteValue, match="not finite"):
+            ThetaGrid(lo, hi, 4)

@@ -24,6 +24,7 @@ from focalrisk import (
     upper_risk_closed_form,
     upper_risk_general,
 )
+from focalrisk.data_model import LossSpec
 from focalrisk.errors import EmptyFocalSetWarning, ThetaOutOfDomain
 from focalrisk.quadrature import integrate
 from focalrisk.risk import (
@@ -46,6 +47,17 @@ TRUNC_VAR = 0.97333692466254148
 sq01 = squared_error_loss((0, 1))
 sq11 = squared_error_loss((-1, 1))
 abs11 = absolute_error_loss((-1, 1))
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountedLoss(LossSpec):
+    """A loss that records the broadcast size of each call."""
+
+    sizes: list = dataclasses.field(default_factory=list, compare=False)
+
+    def __call__(self, theta, y):
+        self.sizes.append(np.broadcast(theta, y).size)
+        return super().__call__(theta, y)
 
 
 def _empirical_cases(n):
@@ -103,7 +115,7 @@ class TestEmpiricalRisk:
         # and both equal the correctly rounded mean of the loss values
         for s, grid, losses in _empirical_cases(n):
             for loss in losses:
-                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
+                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
                 want = np.array([empirical_risk_curve(loss, s, [t])[0] for t in grid.points])
                 assert curve.tobytes() == want.tobytes()
                 _assert_fsum_mean(curve, loss, s, grid)
@@ -116,7 +128,7 @@ class TestEmpiricalRisk:
         # n = 1e5: the bound is ~450 ulps, ~sqrt(n) ulps for the sequential sums
         for s, grid, losses in _empirical_cases(100_000):
             for loss in losses:
-                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s).values
+                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
                 _assert_fsum_mean(curve, loss, s, grid)
                 assert empirical_risk_curve(loss, s, [grid.points[3]])[0] == curve[3]
 
@@ -127,15 +139,9 @@ class TestEmpiricalRisk:
         for base in (sq11, abs11):
             for n in (50, 5000):
                 s = make_sample(np.random.default_rng(n).uniform(-3, 3, n), -3, 3)
-                cells = []
-
-                def evaluate(t, y, f=base.evaluate):
-                    cells.append(np.broadcast(t, y).size)
-                    return f(t, y)
-
-                loss = dataclasses.replace(base, evaluate=evaluate)
+                loss = _CountedLoss(base.kind, base.theta_domain)
                 risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
-                sizes[base.kind.value, n] = sum(cells)
+                sizes[base.kind.value, n] = sum(loss.sizes)
         assert sizes["squared", 5000] == sizes["absolute", 5000] == 0
         for kind in ("squared", "absolute"):
             assert sizes[kind, 5000] == sizes[kind, 50]  # nothing grows with n
@@ -321,7 +327,7 @@ def test_focal_curve_with_empty_sets():
     with pytest.warns(EmptyFocalSetWarning, match=r"\[1\]"):
         f = focal_sets(make_sample([-2.0, 0.5, 1.0, 2.0], -3, 3),
                        NonconformityScore.distance_to_loo_mean(), grid_points=5)
-    assert f.sets[0] == () and len(f.sets[2]) == 2
+    assert np.count_nonzero(f.index == 1) == 0 and np.count_nonzero(f.index == 3) == 2
     thetas = np.linspace(-1, 1, 9)
     for loss in (sq11, abs11):
         want = [focal_sum_upper_risk(loss, f, t) for t in thetas]
@@ -414,19 +420,19 @@ class TestRiskCurve:
         f = focal_sets(s, NonconformityScore.identity())
         via_focal = focal_upper_risk_curve(sq01, f, grid.points)
         via_sample = risk_curve(sq01, grid, RiskKind.UPPER, sample=s)
-        assert np.max(np.abs(via_focal - via_sample.values)) <= 1e-12
+        assert np.max(np.abs(via_focal - via_sample)) <= 1e-12
 
     def test_true_curve_shape(self):
         model = TrueModel.truncated_std_normal(-3, 3)
         grid = ThetaGrid(-1, 1, 9)
         c = risk_curve(sq11, grid, RiskKind.TRUE, model=model)
-        assert np.allclose(c.values, TRUNC_VAR + grid.points**2, rtol=0, atol=1e-12)
+        assert np.allclose(c, TRUNC_VAR + grid.points**2, rtol=0, atol=1e-12)
 
     def test_csv_round_trip(self):
         s = make_sample([0.2, 0.8], 0, 1)
         grid = ThetaGrid(0, 1, 5)
         c = risk_curve(sq01, grid, RiskKind.UPPER, sample=s)
-        text = format_csv("theta,value,kind", zip(grid.points, c.values, ["upper"] * 5))
+        text = format_csv("theta,value,kind", zip(grid.points, c, ["upper"] * 5))
         lines = text.strip().splitlines()[1:]
         parsed = [(float(a), float(b)) for a, b, _ in (l.split(",") for l in lines)]
         text2 = "theta,value,kind\n" + "".join(
@@ -763,16 +769,10 @@ class TestExactMinimizer:
         grid, largest = ThetaGrid(-1, 1, 21), {}
         for base, n in itertools.product(EXACT_LOSSES, (30, 300)):
             rows = np.sort(np.random.default_rng(2).uniform(-3, 3, (5, n)), axis=1)
-            sizes = []
-
-            def evaluate(t, y, f=base.evaluate):
-                sizes.append(np.broadcast(t, y).size)
-                return f(t, y)
-
-            loss = dataclasses.replace(base, evaluate=evaluate)
+            loss = _CountedLoss(base.kind, base.theta_domain)
             argmin_and_min(loss, rows, -3.0, 3.0, grid)
             minimize_upper_risk(loss, make_sample(rows[0], -3, 3), grid)
-            largest[base.kind.value, n] = max(sizes)
+            largest[base.kind.value, n] = max(loss.sizes)
         for kind in ("squared", "absolute"):
             assert largest[kind, 30] <= 5 * (2 * 32 + 1)  # one value per row and candidate
             assert largest[kind, 300] == largest[kind, 30]  # nothing grows with n

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from focalrisk import (
     NonconformityScore,
-    RiskKind,
     SimConfig,
     ThetaGrid,
     TrueModel,
@@ -24,7 +23,7 @@ from focalrisk.conformal import coverage_probability, nested_set_index
 from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptyInput, EmptySample, GridMismatch,
                               InvalidAlpha, NonFiniteValue, SampleTooLarge, SupportMassTooSmall)
-from focalrisk.risk import RiskCurve, batch_cells, upper_risk_batch
+from focalrisk.risk import batch_cells, upper_risk_batch
 from focalrisk.simulate import (_CHUNK_CELLS, _MAX_ROW, _philox_keys, _raw_draw, _streams,
                                 sample_chunks, write_summary)
 from oracles import argmin_and_min
@@ -382,29 +381,25 @@ class TestSampleChunks:
                                        replications=10, theta_grid=ThetaGrid(-1, 1, 5), **field))
 
 
-def _flat_curve(value, grid):
-    return RiskCurve(grid=grid, values=np.full(grid.count, float(value)), kind=RiskKind.UPPER)
+def _flat_curve(value, count=5):
+    return np.full(count, float(value))
 
 
 class TestAggregatePercentiles:
-    grid = ThetaGrid(0, 1, 5)
-
     def test_identical_curves(self):
-        curves = [_flat_curve(2.0, self.grid)] * 4
+        curves = [_flat_curve(2.0)] * 4
         out = aggregate_percentiles(curves, [0.05, 0.5, 0.95])
         for c in out:
-            assert np.allclose(c.values, 2.0)
+            assert np.allclose(c, 2.0)
 
     def test_two_curve_median_is_average(self):
-        out = aggregate_percentiles(
-            [_flat_curve(1.0, self.grid), _flat_curve(3.0, self.grid)], [0.5]
-        )
-        assert np.allclose(out[0].values, 2.0)
+        out = aggregate_percentiles([_flat_curve(1.0), _flat_curve(3.0)], [0.5])
+        assert np.allclose(out[0], 2.0)
 
     def test_interpolated_position(self):
-        curves = [_flat_curve(v, self.grid) for v in (1.0, 2.0, 3.0)]
+        curves = [_flat_curve(v) for v in (1.0, 2.0, 3.0)]
         out = aggregate_percentiles(curves, [0.95])
-        assert np.allclose(out[0].values, 2.9)
+        assert np.allclose(out[0], 2.9)
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(1, 1500), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
@@ -419,28 +414,27 @@ class TestAggregatePercentiles:
         # makes ties); only a zero's sign may differ, in a column holding both -0.0 and 0.0
         # (sort and partition may order them apart) or a lone -0.0 (numpy's b - 0.0, here a + 0.0)
         stack = np.round(np.random.default_rng(seed).normal(size=(m, k)), decimals)
-        grid = ThetaGrid(0, 1, k)
-        out = aggregate_percentiles([RiskCurve(grid, row, RiskKind.UPPER) for row in stack], probs)
+        out = aggregate_percentiles(list(stack), probs)
         zero = stack == 0
         negative_zero = (zero & np.signbit(stack)).any(axis=0)
         plain = ~(negative_zero & ((zero & ~np.signbit(stack)).any(axis=0) | (m == 1)))
         for got, p in zip(out, probs):
             want = np.percentile(stack, 100.0 * p, axis=0, method="linear")
-            assert got.values[plain].tobytes() == want[plain].tobytes()
+            assert got[plain].tobytes() == want[plain].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_curve_refused(self, bad):
         # np.percentile returned NaN bands here
-        curves = [_flat_curve(1.0, self.grid), _flat_curve(bad, self.grid)]
+        curves = [_flat_curve(1.0), _flat_curve(bad)]
         with pytest.raises(NonFiniteValue):
             aggregate_percentiles(curves, [0.5])
 
     def test_grid_mismatch(self):
-        other = ThetaGrid(0, 2, 5)
+        # a curve is an array on its caller's grid: only its length can disagree
         with pytest.raises(GridMismatch):
-            aggregate_percentiles(
-                [_flat_curve(1, self.grid), _flat_curve(1, other)], [0.5]
-            )
+            aggregate_percentiles([_flat_curve(1), _flat_curve(1, 6)], [0.5])
+        with pytest.raises(GridMismatch):
+            aggregate_percentiles([np.ones((2, 5))], [0.5])
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
@@ -490,6 +484,15 @@ class TestHistogram:
             with pytest.raises(NonFiniteValue, match="not finite"):
                 histogram(vals, bins=3)
 
+    def test_range_to_the_largest_float_counted_without_warning(self):
+        # linspace's last step overflowed, a RuntimeWarning, in the edge check and again in
+        # np.histogram, before numpy set that edge to the range's end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            edges, counts = histogram([-_BIG, 0.0], 3)
+        assert edges.tolist() == [-_BIG, -1.1984620899082103e308, -5.992310449541052e307, 0.0]
+        assert counts.tolist() == [1, 0, 1]
+
     def test_ranges_wide_enough_keep_their_bytes(self):
         # the earlier histogram, where np.histogram accepts its range
         def parent(vals, bins):
@@ -532,26 +535,22 @@ def _small_config(reps=5, seed=0):
 
 class TestRunReplications:
     def test_single_replication_bands_collapse(self):
-        summary = run_replications(_small_config(reps=1))
-        s = summary.per_n[10]
-        assert np.array_equal(s.band_lo.values, s.median_curve.values)
-        assert np.array_equal(s.band_hi.values, s.median_curve.values)
+        s = run_replications(_small_config(reps=1))[10]
+        assert np.array_equal(s.band_lo, s.median_curve)
+        assert np.array_equal(s.band_hi, s.median_curve)
 
     def test_band_ordering_and_counts(self):
-        summary = run_replications(_small_config(reps=20))
-        s = summary.per_n[10]
-        assert np.all(s.band_lo.values <= s.median_curve.values)
-        assert np.all(s.median_curve.values <= s.band_hi.values)
+        s = run_replications(_small_config(reps=20))[10]
+        assert np.all(s.band_lo <= s.median_curve)
+        assert np.all(s.median_curve <= s.band_hi)
         assert len(s.minimizers) == 20
         assert s.histogram_counts.sum() == 20
 
     def test_rerun_identical(self):
         s1 = run_replications(_small_config(reps=16))
         s2 = run_replications(_small_config(reps=16))
-        assert np.array_equal(s1.per_n[10].minimizers, s2.per_n[10].minimizers)
-        assert np.array_equal(
-            s1.per_n[10].median_curve.values, s2.per_n[10].median_curve.values
-        )
+        assert np.array_equal(s1[10].minimizers, s2[10].minimizers)
+        assert np.array_equal(s1[10].median_curve, s2[10].median_curve)
 
     def test_domination(self):
         # every replicated upper-risk curve >= n * R_n / (n+1) pointwise
@@ -586,19 +585,18 @@ class TestRunReplications:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "sample_chunks", recorded)
-            s = run_replications(cfg).per_n[n]
+            s = run_replications(cfg)[n]
         assert chunks == [per_chunk, per_chunk, 3]
         curves, minimizers = [], []
         for r in range(cfg.replications):
             sample = sample_truncated_normal(n, -3, 3, replication_rng(4, n, r))
-            curves.append(RiskCurve(grid, closed_form_curve(cfg.loss, sample, grid.points),
-                                    RiskKind.UPPER))
+            curves.append(closed_form_curve(cfg.loss, sample, grid.points))
             minimizers.append(minimize_upper_risk(cfg.loss, sample, grid)[0])
         assert np.array_equal(s.minimizers, minimizers)
         p_lo, p_hi = cfg.percentiles
         lo, med, hi = aggregate_percentiles(curves, [p_lo, 0.5, p_hi])
         for got, want in ((s.band_lo, lo), (s.median_curve, med), (s.band_hi, hi)):
-            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got, want)
 
     def test_any_chunk_budget_gives_the_same_summary(self, monkeypatch):
         # on [-3, 10] the support's centre lies above most rows: no row may see its chunk
@@ -610,19 +608,19 @@ class TestRunReplications:
         summaries = []
         for budget in (_CHUNK_CELLS, 3000):  # one chunk per n, then chunks of 2 and 1 rows
             monkeypatch.setattr(simulate, "_CHUNK_CELLS", budget)
-            summaries.append(run_replications(cfg).per_n)
+            summaries.append(run_replications(cfg))
         for n, s in summaries[0].items():
             t = summaries[1][n]
             for got, want in ((s.median_curve, t.median_curve), (s.band_lo, t.band_lo),
                               (s.band_hi, t.band_hi)):
-                assert np.array_equal(got.values, want.values)
+                assert np.array_equal(got, want)
             assert np.array_equal(s.minimizers, t.minimizers)
             assert np.array_equal(s.histogram_counts, t.histogram_counts)
 
     def test_serialization_deterministic(self, tmp_path):
-        summary = run_replications(_small_config(reps=8))
-        write_summary(summary, tmp_path / "a")
-        write_summary(run_replications(_small_config(reps=8)), tmp_path / "b")
+        cfg = _small_config(reps=8)
+        write_summary(cfg, run_replications(cfg), tmp_path / "a")
+        write_summary(cfg, run_replications(_small_config(reps=8)), tmp_path / "b")
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
@@ -643,14 +641,39 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "upper_risk_batch", record)
         loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss()}[kind]
         grid = ThetaGrid(-1, 1, 21)
-        summary = run_replications(SimConfig(model=MODEL, loss=loss, n_values=(10, 31),
-                                             replications=40, theta_grid=grid))
-        assert all(len(s.minimizers) == 40 for s in summary.per_n.values())
+        per_n = run_replications(SimConfig(model=MODEL, loss=loss, n_values=(10, 31),
+                                           replications=40, theta_grid=grid))
+        assert all(len(s.minimizers) == 40 for s in per_n.values())
         assert shapes and set(shapes) == {(grid.count,)}
 
+    def test_files_parse_back_to_the_summary(self, tmp_path):
+        # every number is written %.17g, so float() of each field gives the array back exactly
+        cfg = SimConfig(model=MODEL, loss=squared_error_loss((-1, 1)), n_values=(4, 9),
+                        replications=7, theta_grid=ThetaGrid(-1, 1, 11), histogram_bins=5,
+                        master_seed=3)
+        per_n = run_replications(cfg)
+        write_summary(cfg, per_n, tmp_path)
+
+        def table(name):
+            lines = (tmp_path / name).read_text().splitlines()
+            return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+
+        for n, s in per_n.items():
+            for name, curve in (("median", s.median_curve), ("band_lo", s.band_lo),
+                                ("band_hi", s.band_hi)):
+                got = table(f"{name}_n{n}.csv")
+                assert got[:, 0].tobytes() == cfg.theta_grid.points.tobytes()
+                assert got[:, 1].tobytes() == curve.tobytes()
+            minimizers = [float(x) for x in (tmp_path / f"minimizers_n{n}.csv").read_text().split()]
+            assert np.array(minimizers).tobytes() == s.minimizers.tobytes()
+            got = table(f"histogram_n{n}.csv")
+            assert got[:, 0].tobytes() == s.histogram_edges[:-1].tobytes()
+            assert got[:, 1].tobytes() == s.histogram_edges[1:].tobytes()
+            assert got[:, 2].astype(int).tolist() == s.histogram_counts.tolist()
+
     def test_file_inventory(self, tmp_path):
-        summary = run_replications(_small_config(reps=3))
-        write_summary(summary, tmp_path)
+        cfg = _small_config(reps=3)
+        write_summary(cfg, run_replications(cfg), tmp_path)
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {
             "median_n10.csv", "band_lo_n10.csv", "band_hi_n10.csv",
