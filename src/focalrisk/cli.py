@@ -4,6 +4,9 @@ Subcommands: predict, risk-curve, simulate, verify-bounds, coverage.
 Exit codes: 0 success, 2 validation error, 3 output write failure.
 Flags override an optional key=value config file (--config); the default
 output directory can be set via the FOCALRISK_OUT environment variable.
+
+Building the parser loads no numpy: each command imports the numeric modules
+it uses, so --help and every refused argument or config value exit without them.
 """
 
 from __future__ import annotations
@@ -16,17 +19,9 @@ import re
 import sys
 from pathlib import Path
 
-from . import conformal, consistency, risk, simulate
-from .data_model import (
-    ThetaGrid,
-    TrueModel,
-    absolute_error_loss,
-    make_sample,
-    squared_error_loss,
-)
 from .errors import FocalRiskError
 
-_LOSSES = {"squared": squared_error_loss, "absolute": absolute_error_loss}
+_LOSSES = ["absolute", "squared"]  # the LossKind values, sorted
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -75,6 +70,9 @@ def _parse_list(raw, cast):
 
 
 def cmd_predict(args) -> int:
+    from . import conformal, risk
+    from .data_model import make_sample
+
     data = _read_data(args)
     sample = make_sample(data, args.lo, args.hi)
     ys = conformal.y_grid(args.lo, args.hi, 1001)
@@ -92,9 +90,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_risk_curve(args) -> int:
+    from . import risk
+    from .data_model import LossKind, LossSpec, ThetaGrid, TrueModel, make_sample
+
     data = _read_data(args)
     sample = make_sample(data, args.lo, args.hi)
-    loss = _LOSSES[args.loss]((args.theta_lo, args.theta_hi))
+    loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
     grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
     emp = risk.risk_curve(loss, grid, risk.RiskKind.EMPIRICAL, sample=sample)
     upper = risk.risk_curve(loss, grid, risk.RiskKind.UPPER, sample=sample)
@@ -108,8 +109,11 @@ def cmd_risk_curve(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import risk, simulate
+    from .data_model import LossKind, LossSpec, ThetaGrid, TrueModel
+
     model = TrueModel.truncated_std_normal(args.lo, args.hi)
-    loss = _LOSSES[args.loss]((args.theta_lo, args.theta_hi))
+    loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
     config = simulate.SimConfig(
         model=model,
         loss=loss,
@@ -149,8 +153,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
+    from . import conformal, consistency, simulate
+    from .data_model import LossKind, LossSpec, ThetaGrid, TrueModel
+
     model = TrueModel.truncated_std_normal(args.lo, args.hi)
-    loss = _LOSSES[args.loss]((args.theta_lo, args.theta_hi))
+    loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
     out = _out_dir(args)
     thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
     for eps in epsilons:
@@ -180,6 +187,9 @@ def cmd_verify_bounds(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    from . import conformal, risk, simulate
+    from .data_model import TrueModel
+
     model = TrueModel.truncated_std_normal(args.lo, args.hi)
     alphas, score_names = _parse_list(args.alpha, float), _parse_list(args.score, str)
     for alpha in alphas:  # every alpha and score name is checked before the first experiment
@@ -228,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="input file, one number per line, # comments")
     p.add_argument("--values", help="inline comma-separated data")
     _add_support(p)
-    p.add_argument("--score", choices=[s.value for s in conformal.NonconformityScore],
-                   default="identity")
+    p.add_argument("--score", choices=["identity", "loo-mean"], default="identity")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--grid-points", type=int, default=2001)
     p.add_argument("--out")
@@ -239,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--values")
     _add_support(p)
-    p.add_argument("--loss", choices=sorted(_LOSSES), default="squared")
+    p.add_argument("--loss", choices=_LOSSES, default="squared")
     _add_theta(p)
     p.add_argument("--model", choices=["truncnorm"], default=None)
     p.add_argument("--out")
@@ -250,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="20,200", help="comma-separated sample sizes")
     p.add_argument("--replications", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss", choices=sorted(_LOSSES), default="squared")
+    p.add_argument("--loss", choices=_LOSSES, default="squared")
     _add_theta(p)
     p.add_argument("--percentile-lo", type=float, default=0.05)
     p.add_argument("--percentile-hi", type=float, default=0.95)
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-bounds", help="concentration-bound reports", allow_abbrev=False)
     _add_support(p)
-    p.add_argument("--loss", choices=sorted(_LOSSES), default="squared")
+    p.add_argument("--loss", choices=_LOSSES, default="squared")
     _add_theta(p)
     p.add_argument("--theta", default="0", help="comma-separated theta values")
     p.add_argument("--n", default="100")

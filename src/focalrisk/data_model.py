@@ -93,9 +93,12 @@ class LossSpec:
     kind: LossKind
     theta_domain: tuple[float, float]
 
-    def __call__(self, theta, y):  # y - t unnamed, so numpy may square it in place
+    def __call__(self, theta, y):
         t, y = np.asarray(theta, dtype=float), np.asarray(y, dtype=float)
-        return (y - t) ** 2 if self.kind is LossKind.SQUARED_ERROR else np.abs(y - t)
+        if self.kind is LossKind.SQUARED_ERROR:
+            return (y - t) ** 2  # y - t unnamed, so numpy may square it in place
+        d = y - t  # an array, or a float64 scalar when both are 0-d
+        return np.abs(d, out=d if d.ndim else None)
 
     def check_theta(self, theta) -> None:
         """Raise unless theta, a scalar or an array, lies in the theta domain."""

@@ -616,18 +616,37 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_budget(tmp_path):
-    # a bare np.unique (inside np.percentile, say) imports numpy.ma: ~9 ms and ~1.3 MiB
+    # The parser loads no numpy, so --help and every refused argument or config value exit
+    # without it; each case runs in a fresh interpreter.  A bare np.unique (inside
+    # np.percentile, say) imports numpy.ma: ~9 ms and ~1.3 MiB.
     import subprocess
     import sys
     from pathlib import Path
 
     import focalrisk
 
+    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+    config = tmp_path / "bad.cfg"
+    config.write_text("loss = cubic\n")
+    run_main = "from focalrisk.cli import main; raise SystemExit(main({}))"
+    cases = [  # (statement, exit code)
+        ("import focalrisk", 0),
+        ("from focalrisk.cli import build_parser; build_parser()", 0),
+        (run_main.format(["-h"]), 0),
+        (run_main.format(["predict", "--alpha", "x"]), 2),
+        (run_main.format(["--config", str(config), "risk-curve", "--values", "0.1"]), 2),
+    ]
+    for statement, want in cases:
+        code = f"import sys\ntry:\n    {statement}\nfinally:\n    print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert (out.returncode, out.stdout.split()[-1]) == (want, "False"), statement
+    # the --config case runs last
+    assert out.stderr == "BadConfigValue: loss = 'cubic' not in ['absolute', 'squared']\n"
+
     code = """if True:
         import sys
-        from focalrisk.cli import build_parser, main
-        build_parser()
-        print("numpy.random" in sys.modules)
+        from focalrisk.cli import main
         values = ["--values", "0.1,0.5,-0.3,0.2,0.7"]
         for argv in (["predict", *values, "--grid-points", "11"],
                      ["risk-curve", *values, "--theta-count", "5", "--model", "truncnorm"],
@@ -639,10 +658,41 @@ def test_import_budget(tmp_path):
             assert main([*argv, "--out", sys.argv[1] + "/" + argv[0]]) == 0, argv
         print("numpy.ma" in sys.modules)
     """
-    env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False"]
+
+
+def test_package_names_load_from_their_home_modules():
+    import sys
+
+    import focalrisk
+
+    for name in focalrisk.__all__:
+        value = getattr(focalrisk, name)
+        assert value.__module__.startswith("focalrisk."), name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError):
+        focalrisk.no_such_name
+    namespace = {}
+    exec("from focalrisk import *", namespace)
+    assert all(namespace[name] is getattr(focalrisk, name) for name in focalrisk.__all__)
+
+
+def test_literal_choices_are_the_enum_values():
+    import argparse
+
+    from focalrisk import NonconformityScore
+    from focalrisk.cli import build_parser
+    from focalrisk.data_model import LossKind
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {(command, a.dest): a.choices for command, p in sub.choices.items()
+               for a in p._actions if a.choices is not None}
+    scores, losses = [s.value for s in NonconformityScore], sorted(k.value for k in LossKind)
+    assert choices == {("predict", "score"): scores, ("risk-curve", "loss"): losses,
+                       ("risk-curve", "model"): ["truncnorm"], ("simulate", "loss"): losses,
+                       ("verify-bounds", "loss"): losses}
 
 
 def _exit_code(argv):

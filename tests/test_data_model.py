@@ -113,19 +113,28 @@ def test_loss_is_its_kind_formula_bit_for_bit(data):
     assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
+def _traced_peak(loss, y):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        loss(0.5, y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_squared_loss_peak_is_one_array():
     # (y - theta) ** 2 of an unnamed difference lets numpy square it in its own buffer; a
     # named difference kept both arrays live, doubling the traced peak
-    import tracemalloc
-
     y = np.zeros(1 << 17)
-    tracemalloc.start()
-    try:
-        squared_error_loss()(0.5, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * y.nbytes
+    assert _traced_peak(squared_error_loss(), y) < 1.5 * y.nbytes
+
+
+def test_absolute_loss_peak_is_one_array():
+    # np.abs(y - theta) without out= kept the difference and its absolute value live
+    y = np.zeros(1 << 17)
+    assert _traced_peak(absolute_error_loss(), y) < 1.5 * y.nbytes
 
 
 class TestThetaGrid:
