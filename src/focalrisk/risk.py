@@ -43,9 +43,9 @@ from .quadrature import integrate
 
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
 _BLOCK_CELLS = 1 << 18  # loss values per pass of the focal upper risk
-# float64 cells a chunk budgets per counted cell of a row: squared and absolute loss peak
-# at 3-6 (tracemalloc), so this is headroom; chunk shapes, and with them memory, follow it
-_LIVE = 16
+# float64 cells a chunk budgets per counted cell of a row: at 6 a chunk's draw, closed form
+# and minimizer peak at 0.54-0.84 of the budget (tracemalloc, both losses); at 5, 0.9999
+_LIVE = 6
 
 
 class RiskKind(enum.Enum):

@@ -111,18 +111,17 @@ def _raw_draw(out: np.ndarray, lo: float, hi: float, mass: float,
 def _draw_block(rows: np.ndarray, streams: Iterator[np.random.Generator], batch: int,
                 lo: float, hi: float) -> np.ndarray:
     """Fills each row, one stream each, with its first rows.shape[1] draws in [lo, hi] if its
-    stream's first batch holds as many (~17 B live a draw); returns the other rows' indices."""
+    stream's first batch holds as many (~24 B live a draw); returns the other rows' indices."""
     draws = np.empty((len(rows), batch))
     for r, rng in zip(range(len(rows)), streams):  # no row view outlives the buffer
         rng.standard_normal(out=draws[r])
     inside = draws >= lo
     inside &= draws <= hi
     counts, width = np.count_nonzero(inside, axis=1), rows.shape[1]
-    take, kept = np.where(counts >= width, width, 0), draws[inside]
+    full, kept = counts >= width, draws[inside]  # row r starts in kept at its predecessors' counts
     del draws, inside
-    keep = np.repeat(np.tile([True, False], len(rows)), np.c_[take, counts - take].ravel())
-    rows[take > 0] = kept[keep].reshape(-1, width)
-    return np.flatnonzero(take == 0)
+    rows[full] = kept[(np.cumsum(counts) - counts)[full, None] + np.arange(width)]
+    return np.flatnonzero(~full)
 
 
 def sample_truncated_normal(n: int, lo: float, hi: float,
@@ -164,18 +163,21 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     drawn from its own stream and evaluated alone, so output is the same for any chunking,
     on any support.  ``check_run`` comes before any key.
 
-    Rows whose first batch (``_raw_draw``'s) holds n + held_out draws in the support with 4
-    sd to spare, as on [-3, 3], are drawn in blocks and accepted at once (``_draw_block``);
-    one still short is drawn again from its stream's start.  Elsewhere, as near the mass
-    floor, rows are drawn one at a time, each finished from its live stream.
+    Where ``_raw_draw``'s first batch holds n + held_out draws in the support with 4 sd to
+    spare, as on [-3, 3], rows draw the least batch that does, in blocks, accepted at once
+    (``_draw_block``); one still short is drawn again from its stream's start.  Elsewhere,
+    as near the mass floor, rows are drawn one at a time, each finished from its live stream.
     """
     (lo, hi), mass, width = support, normal_mass(*support), n + held_out
     check_run(n, replications, seed, held_out)
     step = max(1, _CHUNK_CELLS // max(row_cells, 1))
-    batch = min(max(width + 8, int(width * 1.1 / mass)), _MAX_BATCH)  # _raw_draw's first
-    mean = batch * mass  # expected in the support: binomial, sd (mean (1 - mass))^(1/2)
-    blocks = mean - width > 4 * (mean * (1 - mass)) ** 0.5
-    block = max(1, _CHUNK_CELLS // (16 * batch))  # rows of <= 2^14 draws: 1/8 of the budget
+    first = min(max(width + 8, int(width * 1.1 / mass)), _MAX_BATCH)  # _raw_draw's batch
+    spare = 4 * (1 - mass) ** 0.5  # 4 sd of a batch's draws inside, per (batch mass)^(1/2)
+    batch = int((spare / 2 + (spare * spare / 4 + width) ** 0.5) ** 2 / mass)  # the root, floored
+    while not batch * mass - width > spare * (batch * mass) ** 0.5:  # the least batch
+        batch += 1
+    blocks = batch <= first  # so first holds width with 4 sd to spare too
+    block = max(1, _CHUNK_CELLS // (16 * batch))  # rows of <= 2^14 draws: 3/16 of the budget
     streams = _streams(seed, n, replications)
     for start in range(0, replications, step):
         rows = np.empty((min(step, replications - start), width))
@@ -286,8 +288,9 @@ def run_replications(config: SimConfig) -> dict[int, NSummary]:
     p_lo, p_hi = config.percentiles
     grid, reps = config.theta_grid, config.replications
     a, b = config.model.support
+    curves = np.empty((reps, grid.count))  # every row rewritten for each n, then sorted
     for n in config.n_values:
-        curves, minimizers, done = np.empty((reps, grid.count)), np.empty(reps), 0
+        minimizers, done = np.empty(reps), 0
         cells = batch_cells(n, grid.count)
         for rows in sample_chunks((a, b), config.master_seed, n, reps, cells):
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite chunk is refused

@@ -118,12 +118,27 @@ CASES = {
 }
 
 
+def _digests(argv, out):
+    assert main(argv + ["--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_digests(name, tmp_path):
     argv, expected = CASES[name]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(tmp_path.iterdir())
-    }
-    assert got == expected
+    assert _digests(argv, tmp_path) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "20,200", "--replications", "300", "--svg"],
+    ["verify-bounds", "--theta", "0,1", "--n", "95", "--replications", "200", "--uniform"]])
+def test_digests_do_not_depend_on_chunking(argv, tmp_path, monkeypatch):
+    # risk._LIVE sets the rows per chunk: one chunk per run of replications at 1, 2 to 17 at
+    # 16; every row is drawn from its own stream and evaluated alone
+    import focalrisk.risk as risk
+
+    digests = []
+    for live in (1, 6, 16):
+        monkeypatch.setattr(risk, "_LIVE", live)
+        digests.append(_digests(argv, tmp_path / str(live)))
+    assert digests[0] == digests[1] == digests[2]

@@ -230,7 +230,7 @@ class TestSampleChunks:
         (-3.0, 3.0, 40, 1 << 20, None, "none"),  # blocks of rows, none short
         (-3.0, 3.0, 40, 40, None, "all"),  # a batch cap at the row's width: one at a time
         (3.0, 4.0, 40, 4096, None, "all"),
-        (-1.0, 1.0, 20, 1 << 20, 1.0, "some"),  # an overstated mass: blocks with short rows
+        (-1.0, 1.0, 20, 1 << 20, 0.93, "some"),  # mass 0.68 overstated: 28 draws, some short
         (3.0, 4.0, 5, 1 << 20, 1.0, "all")])
     def test_short_rows_equal_per_replication_samples(self, lo, hi, n, max_batch, mass, alone,
                                                       monkeypatch):
@@ -255,6 +255,33 @@ class TestSampleChunks:
         assert calls == [n] * len(calls)
         assert {"none": len(calls) == 0, "all": len(calls) == 60,
                 "some": 0 < len(calls) < 60}[alone]
+
+    @pytest.mark.parametrize("n", [1, 20, 200, 1063])
+    def test_first_batch_is_the_least_with_4_sd_to_spare(self, n, monkeypatch):
+        # a block row's one batch from its stream holds n draws in [-3, 3], 4 sd of the
+        # binomial count to spare, and one draw fewer would not: 22 at n = 20, not 28
+        import focalrisk.simulate as simulate
+
+        sizes, streams, mass = [], simulate._streams, normal_mass(-3.0, 3.0)
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size=None, out=None):
+                sizes.append(size if out is None else out.size)
+                return self.rng.standard_normal(size, out=out)
+
+        def spare(batch):
+            return batch * mass - n > 4 * (batch * mass * (1 - mass)) ** 0.5
+
+        monkeypatch.setattr(simulate, "_streams", lambda *args: map(Recording, streams(*args)))
+        got = np.concatenate(list(sample_chunks((-3.0, 3.0), 5, n, 40, 1)))
+        assert len(sizes) == 40 and len(set(sizes)) == 1
+        assert spare(sizes[0]) and not spare(sizes[0] - 1)
+        want = [sample_truncated_normal(n, -3, 3, replication_rng(5, n, r)).values
+                for r in range(40)]
+        assert np.array_equal(got, np.stack(want))
 
     def test_chunk_peak_memory_near_the_mass_floor(self):
         # on [3, 4] (mass 1.3e-3) a row's first batch is ~1.7e5 draws at n = 200; 11 B a
@@ -300,10 +327,12 @@ class TestSampleChunks:
         assert rows.shape == (_CHUNK_CELLS // width, width)
         assert peak < 1.5 * rows.nbytes
 
-    @pytest.mark.parametrize("n, k", [(20, 101), (1063, 101), (95, 3)])
+    @pytest.mark.parametrize("n, k", [(20, 101), (1063, 101), (95, 3), (200, 101), (190, 3)])
     @pytest.mark.parametrize("kind", ["squared", "absolute"])
-    def test_chunk_peak_memory_within_twice_the_budget(self, kind, n, k):
-        # one full chunk, sized by batch_cells, drawn, then its curves and minimizers
+    def test_chunk_peak_memory_within_the_budget(self, kind, n, k):
+        # one full chunk, sized by batch_cells, drawn, then its curves and minimizers, at the
+        # benchmark's shapes: study's (20, 200 at 101), bounds' pointwise (95, 190 at 3) and
+        # uniform (1063 at 101)
         import tracemalloc
 
         from focalrisk import absolute_error_loss
@@ -321,7 +350,7 @@ class TestSampleChunks:
         finally:
             tracemalloc.stop()
         assert rows.shape == (per_chunk, n)
-        assert peak <= 2 * _CHUNK_CELLS * 8
+        assert peak <= _CHUNK_CELLS * 8
 
     def test_rows_checked(self):
         with pytest.raises(EmptySample):
