@@ -91,7 +91,7 @@ def cmd_predict(args) -> int:
 
 def cmd_risk_curve(args) -> int:
     from . import risk
-    from .data_model import LossKind, LossSpec, ThetaGrid, TrueModel, make_sample
+    from .data_model import LossKind, LossSpec, ThetaGrid, make_sample
 
     data = _read_data(args)
     sample = make_sample(data, args.lo, args.hi)
@@ -101,8 +101,7 @@ def cmd_risk_curve(args) -> int:
     upper = risk.risk_curve(loss, grid, risk.RiskKind.UPPER, sample=sample)
     true_vals = [""] * grid.count
     if args.model == "truncnorm":
-        model = TrueModel.truncated_std_normal(args.lo, args.hi)
-        true_vals = risk.risk_curve(loss, grid, risk.RiskKind.TRUE, model=model)
+        true_vals = risk.risk_curve(loss, grid, risk.RiskKind.TRUE, support=(args.lo, args.hi))
     rows = zip(grid.points, emp, upper, true_vals)
     _write(_out_dir(args) / "risk_curve.csv", risk.format_csv("theta,empirical,upper,true", rows))
     return 0
@@ -110,12 +109,12 @@ def cmd_risk_curve(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import risk, simulate
-    from .data_model import LossKind, LossSpec, ThetaGrid, TrueModel
+    from .data_model import LossKind, LossSpec, ThetaGrid, normal_mass
 
-    model = TrueModel.truncated_std_normal(args.lo, args.hi)
+    normal_mass(args.lo, args.hi)  # a support is refused before any other argument
     loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
     config = simulate.SimConfig(
-        model=model,
+        support=(args.lo, args.hi),
         loss=loss,
         n_values=tuple(_parse_list(args.n, int)),
         replications=args.replications,
@@ -131,7 +130,7 @@ def cmd_simulate(args) -> int:
         from . import svgplot
 
         thetas = config.theta_grid.points
-        true_curve = risk.true_risk_curve(loss, model, thetas)
+        true_curve = risk.true_risk_curve(loss, config.support, thetas)
         palette = ["#d62728", "#1f77b4", "#2ca02c", "#9467bd"]
         curves = [("true risk", "#000000", true_curve)]
         bands = []
@@ -154,9 +153,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     from . import conformal, consistency, simulate
-    from .data_model import LossKind, LossSpec, ThetaGrid, TrueModel
+    from .data_model import LossKind, LossSpec, ThetaGrid, normal_mass
 
-    model = TrueModel.truncated_std_normal(args.lo, args.hi)
+    support = (args.lo, args.hi)
+    normal_mass(*support)  # a support is refused before any other argument
     loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
     out = _out_dir(args)
     thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
@@ -166,20 +166,20 @@ def cmd_verify_bounds(args) -> int:
         conformal.check_alpha(args.alpha)
         grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
     ns = _parse_list(args.n, int) if thetas and epsilons else []  # no report needs no draw
-    uniform_ns = [consistency.uniform_n(loss, model.support, grid, eps, args.alpha)
+    uniform_ns = [consistency.uniform_n(loss, support, grid, eps, args.alpha)
                   for eps in epsilons] if args.uniform else []
     for n in ns + uniform_ns:  # every sample size before the first draw
         simulate.check_run(n, args.replications, args.seed)
     reports = {}  # every report before any file, so a refused run writes none
     for n in ns:
         pointwise = consistency.pointwise_reports(
-            model, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
+            support, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
         )
         for report, (eps, theta) in zip(pointwise, itertools.product(epsilons, thetas)):
             reports[f"bound_n{n}_eps{eps:g}_theta{theta:g}.json"] = report
     for eps in epsilons if args.uniform else []:
         reports[f"uniform_eps{eps:g}.json"] = consistency.verify_uniform(
-            model, loss, grid, eps, args.alpha, args.seed, replications=args.replications,
+            support, loss, grid, eps, args.alpha, args.seed, replications=args.replications,
         )
     for name, report in reports.items():
         _write(out / name, report.to_json() + "\n")
@@ -188,9 +188,9 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_coverage(args) -> int:
     from . import conformal, risk, simulate
-    from .data_model import TrueModel
+    from .data_model import normal_mass
 
-    model = TrueModel.truncated_std_normal(args.lo, args.hi)
+    normal_mass(args.lo, args.hi)  # a support is refused before any other argument
     alphas, score_names = _parse_list(args.alpha, float), _parse_list(args.score, str)
     for alpha in alphas:  # every alpha and score name is checked before the first experiment
         conformal.check_alpha(alpha)
@@ -202,7 +202,8 @@ def cmd_coverage(args) -> int:
     for n in ns:  # every n, its held-out draw included, before the first draw
         simulate.check_run(n, args.replications, args.seed, held_out=1)
     for n in ns:
-        emp = simulate.coverage_experiment(model, scores, n, alphas, args.replications, args.seed)
+        emp = simulate.coverage_experiment((args.lo, args.hi), scores, n, alphas,
+                                           args.replications, args.seed)
         for (i, alpha), j in itertools.product(enumerate(alphas), range(len(scores))):
             k = conformal.nested_set_index(n, alpha)
             nominal = conformal.coverage_probability(n, k)

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .conformal import check_alpha
-from .data_model import LossSpec, ThetaGrid, TrueModel
+from .data_model import LossSpec, ThetaGrid
 from .errors import NonFiniteValue, NonpositiveEpsilon
 from .risk import batch_cells, true_risk_curve, upper_risk_batch
 from .simulate import sample_chunks
@@ -94,18 +94,18 @@ class BoundReport:
         return json.dumps(asdict(self))
 
 
-def _deviations(model: TrueModel, loss: LossSpec, thetas: np.ndarray, n: int,
+def _deviations(support: tuple[float, float], loss: LossSpec, thetas: np.ndarray, n: int,
                 replications: int, seed: int):
     """|upper risk - true risk| at every theta, as (r, len(thetas)) chunks of replications."""
     if replications < 100:  # the floor of both Monte Carlo checks
         raise ValueError(f"replications={replications}: need at least 100")
-    targets, (a, b) = true_risk_curve(loss, model, thetas), model.support
+    targets, (a, b) = true_risk_curve(loss, support, thetas), support
     cells = batch_cells(n, len(thetas))
-    for rows in sample_chunks(model.support, seed, n, replications, cells):
+    for rows in sample_chunks(support, seed, n, replications, cells):
         yield np.abs(upper_risk_batch(loss, rows, a, b, thetas) - targets)
 
 
-def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons,
+def pointwise_reports(support: tuple[float, float], loss: LossSpec, thetas, n: int, epsilons,
                       replications: int, seed: int) -> list[BoundReport]:
     """Monte Carlo checks of the pointwise deviation bound, in (epsilon, theta) order.
 
@@ -117,21 +117,21 @@ def pointwise_reports(model: TrueModel, loss: LossSpec, thetas, n: int, epsilons
     thetas = np.asarray(thetas, dtype=float)
     if not (len(thetas) and len(epsilons)):
         return []
-    consts = constants(loss, model.support, loss.theta_domain)
+    consts = constants(loss, support, loss.theta_domain)
     met = [n >= min_sample_size(eps, consts.M) for eps in epsilons]  # may refuse: before any draw
-    ranges = _loss_range(loss, thetas, *model.support).tolist()
+    ranges = _loss_range(loss, thetas, *support).tolist()
     violations = sum(np.count_nonzero(dev > np.reshape(epsilons, (-1, 1, 1)), axis=1)
-                     for dev in _deviations(model, loss, thetas, n, replications, seed))
+                     for dev in _deviations(support, loss, thetas, n, replications, seed))
     return [BoundReport(eps, n, met_eps, hoeffding_bound(n, eps, L), int(count) / replications,
                         replications, seed)
             for eps, met_eps, counts in zip(epsilons, met, violations)
             for L, count in zip(ranges, counts)]
 
 
-def verify_pointwise(model: TrueModel, loss: LossSpec, theta: float, n: int, epsilon: float,
-                     replications: int, seed: int) -> BoundReport:
+def verify_pointwise(support: tuple[float, float], loss: LossSpec, theta: float, n: int,
+                     epsilon: float, replications: int, seed: int) -> BoundReport:
     """Monte Carlo check of the pointwise bound at one theta; see ``pointwise_reports``."""
-    return pointwise_reports(model, loss, [theta], n, [epsilon], replications, seed)[0]
+    return pointwise_reports(support, loss, [theta], n, [epsilon], replications, seed)[0]
 
 
 def witness_uniform(
@@ -175,7 +175,7 @@ class UniformReport:
 
 
 def verify_uniform(
-    model: TrueModel,
+    support: tuple[float, float],
     loss: LossSpec,
     theta_grid: ThetaGrid,
     epsilon: float,
@@ -190,8 +190,7 @@ def verify_uniform(
     the theorem does not certify the estimate; it is an observation.
     """
     check_epsilon(epsilon)
-    n = uniform_n(loss, model.support, theta_grid, epsilon, alpha)
-    violations = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon))
-                     for dev in _deviations(model, loss, theta_grid.points, n, replications, seed))
-    est = violations / replications
+    n = uniform_n(loss, support, theta_grid, epsilon, alpha)
+    devs = _deviations(support, loss, theta_grid.points, n, replications, seed)
+    est = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon)) for dev in devs) / replications
     return UniformReport(epsilon, alpha, n, est, est < alpha, replications, seed)

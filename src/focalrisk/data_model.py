@@ -1,8 +1,8 @@
 """Core value types: bounded samples, losses, parameter grids and the data model.
 
-The one data model, ``TrueModel``, is the standard normal truncated to its support: the
-distribution every Monte Carlo engine draws, so a true risk is always that of the
-sampled distribution.
+The one data model is the standard normal truncated to a support (lo, hi), so the
+support is the whole model: the distribution every Monte Carlo engine draws, so a true
+risk is always that of the sampled distribution.
 
 A sample keeps only its sorted values, since every score and risk is symmetric in the
 data; the input order is not stored.  Everything here is immutable after construction
@@ -27,9 +27,7 @@ from .errors import (
     ThetaOutOfDomain,
 )
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _MASS_FLOOR = 1e-3  # below it, rejection sampling need not end and the density divides by ~0
-_NORMAL_EDGE = 38.6  # exp(-y^2 / 2) underflows to 0 in float64 just beyond it
 MAX_GRID = 1 << 16  # points of a theta or y grid, refused above before any allocation
 
 
@@ -150,52 +148,14 @@ class ThetaGrid:
         object.__setattr__(self, "points", pts)
 
 
-def _std_normal_pdf(y):
-    return np.exp(-0.5 * np.asarray(y, dtype=float) ** 2) / _SQRT_2PI
-
-
-def _std_normal_cdf(y):
-    return 0.5 * (1.0 + math.erf(y / math.sqrt(2.0)))
-
-
 def normal_mass(lo: float, hi: float) -> float:
-    """Standard-normal mass of the support [lo, hi], refused below _MASS_FLOOR."""
+    """Standard-normal mass of the support [lo, hi], refused below _MASS_FLOOR: a difference
+    of the tails on the support's side of 0, which does not cancel where both ends are far."""
     check_support(lo, hi)
-    mass = _std_normal_cdf(hi) - _std_normal_cdf(lo)
+    if lo >= 0:  # Q(lo) - Q(hi), Q the upper tail
+        mass = 0.5 * math.erfc(lo / math.sqrt(2.0)) - 0.5 * math.erfc(hi / math.sqrt(2.0))
+    else:  # Phi(hi) - Phi(lo), Phi the lower tail
+        mass = 0.5 * math.erfc(-hi / math.sqrt(2.0)) - 0.5 * math.erfc(-lo / math.sqrt(2.0))
     if not mass >= _MASS_FLOOR:
         raise SupportMassTooSmall(f"[{lo}, {hi}] has normal mass {mass:.3g} < {_MASS_FLOOR:g}")
     return mass
-
-
-@dataclass(frozen=True)
-class TrueModel:
-    """The standard normal truncated to ``support``: the distribution every sampler here
-    draws, so a true risk is always that of the sampled distribution.
-
-    ``mass`` is the support's normal mass (``normal_mass`` refuses the support first);
-    ``breaks``, the true risk's quadrature panel edges, span the support where the density
-    is nonzero in float64, at most 1 apart.
-    """
-
-    support: tuple[float, float]
-    mass: float = field(init=False)
-    breaks: tuple[float, ...] = field(init=False)
-
-    def __post_init__(self):
-        lo, hi = self.support
-        object.__setattr__(self, "mass", normal_mass(lo, hi))
-        e0, e1 = max(lo, -_NORMAL_EDGE), min(hi, _NORMAL_EDGE)  # panels at most 1 wide
-        breaks = np.linspace(e0, e1, math.ceil(e1 - e0) + 1).tolist()
-        object.__setattr__(self, "breaks", tuple(breaks))
-
-    @staticmethod
-    def truncated_std_normal(lo: float = -3.0, hi: float = 3.0) -> "TrueModel":
-        return TrueModel((float(lo), float(hi)))
-
-    def density(self, y):
-        """Density of the standard normal restricted to the support; 0 outside."""
-        lo, hi = self.support
-        y = np.asarray(y, dtype=float)
-        inside = (y >= lo) & (y <= hi)
-        out = np.where(inside, _std_normal_pdf(y) / self.mass, 0.0)
-        return out if out.shape else float(out)

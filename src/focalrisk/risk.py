@@ -32,15 +32,18 @@ evaluated.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Iterable
 
 import numpy as np
 
 from .conformal import FocalSystem
-from .data_model import BoundedSample, LossKind, LossSpec, ThetaGrid, TrueModel
+from .data_model import BoundedSample, LossKind, LossSpec, ThetaGrid, normal_mass
 from .errors import NonFiniteValue
 from .quadrature import integrate
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_NORMAL_EDGE = 38.6  # exp(-y^2 / 2) underflows to 0 in float64 just beyond it
 _CHUNK_PANELS = 1 << 13  # panels per true-risk pass: 2^17 nodes, 1 MiB of float64
 _BLOCK_CELLS = 1 << 18  # loss values per pass of the focal upper risk
 # float64 cells a chunk budgets per counted cell of a row: at 6 a chunk's draw, closed form
@@ -69,30 +72,36 @@ def empirical_risk_curve(loss: LossSpec, sample: BoundedSample, thetas) -> np.nd
                  thetas)[0] / sample.n
 
 
-def true_risk_curve(loss: LossSpec, model: TrueModel, thetas) -> np.ndarray:
-    """True risk E loss(theta, Y) at every theta, by one quadrature pass, for Y drawn from
-    the model: the truncated standard normal every sampler draws, so this is always the
-    true risk of the sampled distribution.
+def true_risk_curve(loss: LossSpec, support: tuple[float, float], thetas) -> np.ndarray:
+    """True risk E loss(theta, Y) at every theta, by one quadrature pass, for Y the standard
+    normal truncated to the support: the distribution every sampler draws, so this is
+    always the true risk of the sampled distribution.
 
-    Panels run between the model's breaks and theta (the kink of the absolute
-    loss), so the integrand is smooth on each.  A pass takes as many thetas as
-    fit in _CHUNK_PANELS panels.
+    Panels at most 1 wide span the support where the density is nonzero in float64, split
+    at theta (the kink of the absolute loss), so the integrand is smooth on each.  A pass
+    takes as many thetas as fit in _CHUNK_PANELS panels.
     """
+    (lo, hi), mass = support, normal_mass(*support)
     thetas = np.asarray(thetas, dtype=float)
     loss.check_theta(thetas)
-    edges = np.asarray(model.breaks)
+    e0, e1 = max(lo, -_NORMAL_EDGE), min(hi, _NORMAL_EDGE)
+    edges = np.linspace(e0, e1, math.ceil(e1 - e0) + 1)
+
+    def density(y):  # every node lies in the support
+        return np.exp(-0.5 * y**2) / _SQRT_2PI / mass
+
     step, curve = max(1, _CHUNK_PANELS // len(edges)), []
     for t in (thetas[i:i + step, None] for i in range(0, len(thetas), step)):
         ends = np.sort(np.hstack([np.tile(edges, (len(t), 1)), t.clip(edges[0], edges[-1])]))
-        parts = integrate(lambda y: loss(t[..., None], y) * model.density(y),
+        parts = integrate(lambda y: loss(t[..., None], y) * density(y),
                           ends[:, :-1], ends[:, 1:])
         curve.append(parts.sum(axis=1))
     return np.concatenate(curve)
 
 
-def true_risk(loss: LossSpec, model: TrueModel, theta: float) -> float:
+def true_risk(loss: LossSpec, support: tuple[float, float], theta: float) -> float:
     """True risk at one theta: the one-point view of ``true_risk_curve``."""
-    return float(true_risk_curve(loss, model, [theta])[0])
+    return float(true_risk_curve(loss, support, [theta])[0])
 
 
 def focal_upper_risk_curve(loss: LossSpec, focal: FocalSystem, thetas) -> np.ndarray:
@@ -121,8 +130,10 @@ def _below(rows: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.array([row.searchsorted(ti) for row, ti in zip(rows, t)], dtype=np.intp)
 
 
-def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas) -> np.ndarray:
-    """n R_n, (r, k), for (r, n) sorted sample rows, thetas as in the core."""
+def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas,
+          c: np.ndarray | None = None) -> np.ndarray:
+    """n R_n, (r, k), for (r, n) sorted sample rows and thetas (k,) shared by every row or
+    (r, k); c, absolute loss's ``_below`` counts, is counted here unless given."""
     thetas = np.asarray(thetas, dtype=float)
     n = rows.shape[1]
     centre = rows[:, n // 2:n // 2 + 1]  # absolute: each row's median
@@ -132,31 +143,25 @@ def _n_rn(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas) -> np.nd
     if loss.kind is LossKind.SQUARED_ERROR:  # SS + n (mean - theta)^2
         mean = z.sum(axis=1, keepdims=True) / n
         return ((z - mean) ** 2).sum(axis=1, keepdims=True) + n * (mean - t) ** 2
-    c, i = _below(rows, thetas), np.arange(len(rows))[:, None]
+    c = _below(rows, thetas) if c is None else c
+    i = np.arange(len(rows))[:, None]
     sums = np.zeros((len(rows), n + 1))
     np.cumsum(z, axis=1, out=sums[:, 1:])
     below = sums[i, c]  # the data above theta less theta, plus theta less the data below
     return (sums[:, -1:] - below - (n - c) * t) + (c * t - below)
 
 
-def _closed_form_core(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
-    """n R_n and M of the closed form, (r, k), for (r, n) sorted sample rows.
-
-    thetas is (k,), shared by every row, or (r, k).
-    """
+def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
+    """Closed-form upper risk [n R_n + M] / (n + 1), (r, k), for (r, n) sorted sample rows
+    and thetas (k,) shared by every row or (r, k), counting each row's data below theta once."""
     thetas = np.asarray(thetas, dtype=float)
     la, lb = loss(thetas, a), loss(thetas, b)
     # loss(theta, .) is least at y = theta (``LossSpec``): over the data, at a neighbour
     c, i = _below(rows, thetas), np.arange(len(rows))[:, None]
     below_y, above_y = rows[i, np.maximum(c - 1, 0)], rows[i, np.minimum(c, rows.shape[1] - 1)]
     near = np.minimum(loss(thetas, below_y), loss(thetas, above_y))
-    return _n_rn(loss, rows, a, b, thetas), la + lb - np.minimum(np.minimum(la, lb), near)
-
-
-def upper_risk_batch(loss: LossSpec, rows: np.ndarray, a: float, b: float, thetas):
-    """Closed-form upper risk [n R_n + M] / (n + 1), (r, k), shaped as in the core."""
-    n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
-    return (n_rn + m_theta) / (rows.shape[1] + 1)
+    m_theta = la + lb - np.minimum(np.minimum(la, lb), near)
+    return (_n_rn(loss, rows, a, b, thetas, c) + m_theta) / (rows.shape[1] + 1)
 
 
 def batch_cells(n: int, k: int) -> int:
@@ -184,16 +189,16 @@ def risk_curve(
     grid: ThetaGrid,
     kind: RiskKind,
     sample: BoundedSample | None = None,
-    model: TrueModel | None = None,
+    support: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """One of the risk functionals at every point of the parameter grid: the true risk of
-    the model, or the empirical or closed-form upper risk of the sample."""
+    """One of the risk functionals at every point of the parameter grid: the true risk on
+    the support, or the empirical or closed-form upper risk of the sample."""
     loss.check_theta(grid.points)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
         if kind is RiskKind.TRUE:
-            if model is None:
-                raise ValueError("true risk needs a model")
-            vals = true_risk_curve(loss, model, grid.points)
+            if support is None:
+                raise ValueError("true risk needs a support")
+            vals = true_risk_curve(loss, support, grid.points)
         elif sample is None:
             raise ValueError(f"{kind.value} risk needs a sample")
         elif kind is RiskKind.EMPIRICAL:

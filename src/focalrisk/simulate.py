@@ -16,8 +16,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .conformal import NonconformityScore, nested_set_index, rank_rows
-from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, TrueModel, check_values,
-                         linspace, make_sample, normal_mass)
+from .data_model import (MAX_GRID, BoundedSample, LossSpec, ThetaGrid, check_values, linspace,
+                         make_sample, normal_mass)
 from .errors import EmptyInput, EmptySample, GridMismatch, NonFiniteValue, SampleTooLarge
 from .risk import argmin_rows, batch_cells, format_csv, upper_risk_batch
 
@@ -195,7 +195,7 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
 
 @dataclass(frozen=True)
 class SimConfig:
-    model: TrueModel
+    support: tuple[float, float]  # of the standard normal every replication draws
     loss: LossSpec
     n_values: tuple[int, ...]
     replications: int
@@ -205,6 +205,7 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        normal_mass(*self.support)  # first, as each command refuses a support
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.histogram_bins <= MAX_GRID:  # before any draw
@@ -287,7 +288,7 @@ def run_replications(config: SimConfig) -> dict[int, NSummary]:
     per_n: dict[int, NSummary] = {}
     p_lo, p_hi = config.percentiles
     grid, reps = config.theta_grid, config.replications
-    a, b = config.model.support
+    a, b = config.support
     curves = np.empty((reps, grid.count))  # every row rewritten for each n, then sorted
     for n in config.n_values:
         minimizers, done = np.empty(reps), 0
@@ -306,7 +307,7 @@ def run_replications(config: SimConfig) -> dict[int, NSummary]:
     return per_n
 
 
-def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], n: int,
+def coverage_experiment(support: tuple[float, float], scores: Sequence[NonconformityScore], n: int,
                         alphas: Sequence[float], replications: int, seed: int) -> np.ndarray:
     """Monte Carlo hit frequencies of the level-(1-alpha) prediction sets, (alphas, scores).
 
@@ -320,7 +321,7 @@ def coverage_experiment(model: TrueModel, scores: Sequence[NonconformityScore], 
     ks = np.array([nested_set_index(n, alpha) for alpha in alphas], dtype=int)[:, None]
     hits = np.zeros((len(alphas), len(scores)), dtype=int)
     # a row keeps itself live, n + 1 cells; a rank pass adds O(1) per row and score
-    for rows in sample_chunks(model.support, seed, n, replications, n + 1, held_out=1):
+    for rows in sample_chunks(support, seed, n, replications, n + 1, held_out=1):
         for j, score in enumerate(scores):
             ranks = rank_rows(rows[:, :n], rows[:, n:], score)[:, 0]
             hits[:, j] += np.count_nonzero(ranks <= ks, axis=1)
@@ -355,7 +356,7 @@ def write_summary(config: SimConfig, per_n: dict[int, NSummary], out_dir: str | 
         "percentiles": list(config.percentiles),
         "histogram_bins": config.histogram_bins,
         "model": "truncated_std_normal",
-        "support": list(config.model.support),
+        "support": list(map(float, config.support)),
         "loss": config.loss.kind.value,
     }
     (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")

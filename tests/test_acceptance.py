@@ -14,7 +14,6 @@ from focalrisk import (
     NonconformityScore,
     SimConfig,
     ThetaGrid,
-    TrueModel,
     absolute_error_loss,
     constants,
     coverage_experiment,
@@ -39,7 +38,7 @@ from focalrisk.consistency import _loss_range
 from focalrisk.data_model import normal_mass
 from focalrisk.simulate import _raw_draw
 
-MODEL = TrueModel.truncated_std_normal(-3, 3)
+MODEL = (-3.0, 3.0)  # the support of the truncated standard normal
 TRUNC_VAR = 0.97333692466254148
 
 
@@ -116,7 +115,7 @@ def test_criterion_3_rank_uniformity():
 @pytest.fixture(scope="module")
 def study():
     config = SimConfig(
-        model=MODEL,
+        support=MODEL,
         loss=squared_error_loss((-1, 1)),
         n_values=(20, 200),
         replications=1000,

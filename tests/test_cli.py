@@ -450,6 +450,21 @@ def test_negligible_normal_mass_exits_2(tmp_path, command, support):
     assert out.stderr.startswith("SupportMassTooSmall:")
 
 
+@pytest.mark.parametrize("command, bad", [("simulate", ["--theta-count", "0"]),
+                                          ("simulate", ["--replications", "0"]),
+                                          ("verify-bounds", ["--epsilon", "-1"]),
+                                          ("verify-bounds", ["--uniform", "--alpha", "2"]),
+                                          ("coverage", ["--alpha", "2"]),
+                                          ("coverage", ["--score", "no-such-score"])])
+def test_support_is_refused_before_any_other_argument(tmp_path, capsys, command, bad):
+    code = run([command, "--lo", "10", "--hi", "11", *bad, "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("SupportMassTooSmall:")
+    assert code == run([command, *bad, "--out", str(tmp_path)])  # bad on its own too
+    assert not capsys.readouterr().err.startswith("SupportMassTooSmall:")
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_near_mass_floor_finishes(tmp_path):
     # [3, 4] holds normal mass 1.3e-3, just above the floor; a fresh interpreter with a
     # timeout turns a sampler that crawls there into a failure

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from focalrisk import (
     ThetaGrid,
-    TrueModel,
     absolute_error_loss,
     constants,
     hoeffding_bound,
@@ -248,7 +247,7 @@ class TestWitnessUniform:
             witness_uniform(GRID, 1.0, 1.5, 1.0)
 
 
-MODEL = TrueModel.truncated_std_normal(-3, 3)
+MODEL = (-3.0, 3.0)  # the support of the truncated standard normal
 
 
 class TestVerifyPointwise:
@@ -318,7 +317,7 @@ class TestPointwiseReports:
         monkeypatch.setattr(simulate, "_CHUNK_CELLS", 2000)
         n, thetas, epsilons, reps = 30, [0.0, 0.5, -1.0], [0.05, 0.3], 100
         got = pointwise_reports(MODEL, loss, thetas, n, epsilons, reps, 7)
-        consts = constants(loss, MODEL.support, (-1, 1))
+        consts = constants(loss, MODEL, (-1, 1))
         want = []
         for eps in epsilons:
             for theta in thetas:
@@ -363,10 +362,10 @@ class TestPointwiseReports:
         # on [-3, 10] the support's centre lies above most rows: no row may see its chunk
         import focalrisk.simulate as simulate
 
-        model, reports = TrueModel.truncated_std_normal(-3, 10), []
+        reports = []
         for budget in (simulate._CHUNK_CELLS, 2000):
             monkeypatch.setattr(simulate, "_CHUNK_CELLS", budget)
-            reports.append(pointwise_reports(model, loss, [0.0, 0.5, -1.0], 30, [0.05, 0.3],
+            reports.append(pointwise_reports((-3, 10), loss, [0.0, 0.5, -1.0], 30, [0.05, 0.3],
                                              200, 7))
         assert reports[0] == reports[1]
 

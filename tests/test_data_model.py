@@ -8,14 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from focalrisk import (
     ThetaGrid,
-    TrueModel,
     absolute_error_loss,
     make_sample,
     squared_error_loss,
 )
+from focalrisk.data_model import normal_mass
 from focalrisk.errors import (DegenerateSupport, EmptySample, NonFiniteValue, OutOfSupport,
                               SupportMassTooSmall)
-from focalrisk.quadrature import integrate
 
 
 class TestMakeSample:
@@ -53,35 +52,25 @@ class TestMakeSample:
         assert s.values.tolist() == raw
 
 
-class TestTruncatedNormalDensity:
-    density = TrueModel.truncated_std_normal(-3, 3).density
+class TestNormalMass:
+    @pytest.mark.parametrize("lo, hi", [(3.0, 4.0), (-4.0, -3.0), (0.5, 4.0), (-3.0, 3.0)])
+    def test_matches_scipy_tails(self, lo, hi):
+        # a difference of scipy's upper tails on the support's side of 0 does not cancel;
+        # math.erf's form was 6.7e-15 off on [3, 4]
+        from scipy.stats import norm
 
-    def test_value_at_zero(self):
-        # phi(0) / (Phi(3) - Phi(-3)), frozen from a 40-digit erf oracle
-        assert self.density(0) == pytest.approx(0.40002225892128481, abs=1e-12)
+        want = norm.sf(lo) - norm.sf(hi) if lo >= 0 else norm.sf(-hi) - norm.sf(-lo)
+        assert normal_mass(lo, hi) == pytest.approx(want, rel=2e-15, abs=0)
 
-    def test_outside_support(self):
-        assert self.density(4) == 0.0
+    def test_value_at_the_default_support(self):
+        # Phi(3) - Phi(-3), frozen from a 40-digit erf oracle
+        assert normal_mass(-3.0, 3.0) == pytest.approx(0.99730020393673979, rel=1e-15)
 
-    @given(st.floats(0.01, 3))
-    def test_symmetry(self, y):
-        assert self.density(-y) == pytest.approx(self.density(y), rel=1e-12)
-
-    def test_integrates_to_one(self):
-        # one pass over six unit panels, the layout the normal model's true risk uses
-        parts = integrate(self.density, np.arange(-3.0, 3.0), np.arange(-2.0, 4.0))
-        assert parts.shape == (6,)
-        assert parts.sum() == pytest.approx(1.0, abs=1e-14)
-
-    def test_degenerate_support(self):
-        with pytest.raises(DegenerateSupport):
-            TrueModel.truncated_std_normal(2, 2)
-
-    def test_refuses_what_normal_mass_refuses(self):
+    def test_refusals(self):
         for lo, hi, error in ((2, 2, DegenerateSupport), (30, 40, SupportMassTooSmall),
-                              (-np.inf, 3, NonFiniteValue)):
+                              (-np.inf, 3, NonFiniteValue), (3.2, 4, SupportMassTooSmall)):
             with pytest.raises(error):
-                TrueModel.truncated_std_normal(lo, hi)
+                normal_mass(lo, hi)
 
 
 def test_squared_loss_convexity_consequence():

@@ -13,7 +13,6 @@ from focalrisk import (
     NonconformityScore,
     RiskKind,
     ThetaGrid,
-    TrueModel,
     absolute_error_loss,
     focal_sets,
     make_sample,
@@ -25,10 +24,11 @@ from focalrisk import (
     upper_risk_general,
 )
 from focalrisk.data_model import LossSpec
-from focalrisk.errors import EmptyFocalSetWarning, ThetaOutOfDomain
+from focalrisk.errors import (DegenerateSupport, EmptyFocalSetWarning, NonFiniteValue,
+                              SupportMassTooSmall, ThetaOutOfDomain)
 from focalrisk.quadrature import integrate
 from focalrisk.risk import (
-    _closed_form_core,
+    _n_rn,
     argmin_rows,
     closed_form_curve,
     empirical_risk_curve,
@@ -43,6 +43,7 @@ from oracles import (absolute_all_candidates_min, argmin_and_min, focal_sum_uppe
 # truncated standard normal variance on [-3, 3], frozen from the
 # closed form 1 - 6*phi(3)/(2*Phi(3) - 1) at 40-digit precision
 TRUNC_VAR = 0.97333692466254148
+MODEL = (-3.0, 3.0)  # the support of the truncated standard normal
 
 sq01 = squared_error_loss((0, 1))
 sq11 = squared_error_loss((-1, 1))
@@ -157,12 +158,10 @@ class TestEmpiricalRisk:
 
 class TestTrueRisk:
     def test_variance_oracle(self):
-        model = TrueModel.truncated_std_normal(-3, 3)
-        assert true_risk(sq11, model, 0.0) == pytest.approx(TRUNC_VAR, abs=1e-12)
+        assert true_risk(sq11, (-3, 3), 0.0) == pytest.approx(TRUNC_VAR, abs=1e-12)
 
     def test_shift_identity(self):
-        model = TrueModel.truncated_std_normal(-3, 3)
-        assert true_risk(sq11, model, 1.0) == pytest.approx(TRUNC_VAR + 1.0, abs=1e-12)
+        assert true_risk(sq11, (-3, 3), 1.0) == pytest.approx(TRUNC_VAR + 1.0, abs=1e-12)
 
 
 def _phi(y):
@@ -218,17 +217,13 @@ class TestTrueRiskCurve:
     @pytest.mark.parametrize("kind, moment", [("squared", _squared_moment),
                                               ("absolute", _absolute_moment)])
     def test_truncated_normal_moments(self, a, b, kind, moment):
-        # theta outside, at the ends of, and inside the support
+        # theta outside, at the ends of, and inside the support; a density that did not
+        # integrate to 1 would scale every value
         thetas = [a - 1.0, a, a + 0.3 * (b - a), 0.5 * (a + b), b - 0.25, b, b + 1.0]
         loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((a - 1, b + 1))
-        model = TrueModel.truncated_std_normal(a, b)
-        got = true_risk_curve(loss, model, thetas)
+        got = true_risk_curve(loss, (a, b), thetas)
         assert got.tolist() == pytest.approx([moment(a, b, t) for t in thetas],
                                              rel=1e-12, abs=1e-12)
-        # the density integrates to 1 over the model's panels
-        edges = np.array(model.breaks)
-        assert integrate(model.density, edges[:-1], edges[1:]).sum() == \
-            pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["squared", "absolute"])
     def test_tabulated_model_exact(self, kind):
@@ -247,18 +242,30 @@ class TestTrueRiskCurve:
     def test_passes_of_any_size_agree(self, monkeypatch):
         import focalrisk.risk as risk_mod
 
-        model = TrueModel.truncated_std_normal(-3, 3)
         thetas = np.linspace(-1, 1, 101)
-        whole = true_risk_curve(sq11, model, thetas)
-        assert np.array_equal(whole, [true_risk(sq11, model, t) for t in thetas])
+        whole = true_risk_curve(sq11, MODEL, thetas)
+        assert np.array_equal(whole, [true_risk(sq11, MODEL, t) for t in thetas])
         for panels in (1, 100):
             monkeypatch.setattr(risk_mod, "_CHUNK_PANELS", panels)
-            assert np.array_equal(true_risk_curve(sq11, model, thetas), whole)
+            assert np.array_equal(true_risk_curve(sq11, MODEL, thetas), whole)
 
     def test_theta_domain(self):
-        model = TrueModel.truncated_std_normal(-3, 3)
         with pytest.raises(ThetaOutOfDomain):
-            true_risk_curve(sq11, model, [0.0, 1.5])
+            true_risk_curve(sq11, MODEL, [0.0, 1.5])
+
+    @given(st.floats(0.01, 3))
+    def test_symmetric_support_gives_a_symmetric_risk(self, theta):
+        # the truncated normal on [-3, 3] is symmetric, so E loss(-theta, Y) = E loss(theta, Y)
+        for loss in (squared_error_loss((-3, 3)), absolute_error_loss((-3, 3))):
+            left, right = true_risk_curve(loss, MODEL, [-theta, theta])
+            assert left == pytest.approx(right, rel=1e-12)
+
+    def test_refuses_what_normal_mass_refuses(self):
+        # the support is refused before the thetas are looked at
+        for lo, hi, error in ((2, 2, DegenerateSupport), (30, 40, SupportMassTooSmall),
+                              (-np.inf, 3, NonFiniteValue)):
+            with pytest.raises(error):
+                true_risk_curve(sq11, (lo, hi), [0.0, 1.5])
 
 
 class TestSupOnInterval:
@@ -358,9 +365,9 @@ class TestUpperRiskClosedForm:
 
 
 def _core(loss, s, theta):
-    """n R_n and M of the closed form at one theta."""
-    n_rn, m_theta = _closed_form_core(loss, s.values[None], s.support_lo, s.support_hi, [theta])
-    return float(n_rn[0, 0]), float(m_theta[0, 0])
+    """n R_n and M of the closed form at one theta: M as (n + 1) U - n R_n."""
+    n_rn = float(_n_rn(loss, s.values[None], s.support_lo, s.support_hi, [theta])[0, 0])
+    return n_rn, (s.n + 1) * upper_risk_closed_form(loss, s, theta) - n_rn
 
 
 def _random_sample(rng):
@@ -392,8 +399,6 @@ def test_slack_bounds():
         theta = rng.uniform(-1, 1)
         n_rn, m_theta = _core(loss, s, theta)
         la, lb = float(loss(theta, -3.0)), float(loss(theta, 3.0))
-        assert upper_risk_closed_form(loss, s, theta) == pytest.approx(
-            n_rn / (s.n + 1) + m_theta / (s.n + 1), rel=1e-15)
         assert n_rn / s.n == pytest.approx(empirical_risk_curve(loss, s, [theta])[0], rel=1e-14)
         assert -1e-12 <= m_theta <= la + lb + 1e-12
         # M(theta) dominates both endpoint losses
@@ -423,9 +428,8 @@ class TestRiskCurve:
         assert np.max(np.abs(via_focal - via_sample)) <= 1e-12
 
     def test_true_curve_shape(self):
-        model = TrueModel.truncated_std_normal(-3, 3)
         grid = ThetaGrid(-1, 1, 9)
-        c = risk_curve(sq11, grid, RiskKind.TRUE, model=model)
+        c = risk_curve(sq11, grid, RiskKind.TRUE, support=MODEL)
         assert np.allclose(c, TRUNC_VAR + grid.points**2, rtol=0, atol=1e-12)
 
     def test_csv_round_trip(self):
@@ -608,18 +612,17 @@ def _rows_and_thetas(draw):
 
 
 def _check_core(loss, rows, a, b, thetas):
-    from focalrisk.risk import _closed_form_core
-
-    n_rn, m_theta = _closed_form_core(loss, rows, a, b, thetas)
+    n_rn = _n_rn(loss, rows, a, b, thetas)
     want_n_rn, want_m = _table_core(loss, rows, a, b, thetas)
-    assert n_rn.shape == want_n_rn.shape
-    assert m_theta.tobytes() == want_m.tobytes()
+    upper = upper_risk_batch(loss, rows, a, b, thetas)
+    assert n_rn.shape == want_n_rn.shape == upper.shape
+    # M is exact: the closed form adds the table's M to n R_n, bit for bit
+    assert upper.tobytes() == ((n_rn + want_m) / (rows.shape[1] + 1)).tobytes()
     scale = want_n_rn + want_m  # (n+1) times the upper risk, at least M > 0
     # a loss value may be subnormal: 8 ulps for the closed form, and the oracle rounds each
     # of its n loss values by up to half an ulp
     underflow = (8 + rows.shape[1] / 2) * np.finfo(float).smallest_subnormal
     assert np.all(np.abs(n_rn - want_n_rn) <= 1e-13 * scale + underflow)
-    upper = upper_risk_batch(loss, rows, a, b, thetas)
     want = _table_upper(loss, rows, a, b, thetas)
     assert np.all(np.abs(upper - want) <= 1e-13 * want + underflow)
 
@@ -641,8 +644,7 @@ class TestSufficientStatistics:
         rows = np.array([[0.0] * 15 + [5e-324]])
         _check_core(loss, rows, -3.0, 3.0, np.array([0.0]))
         _check_core(loss, rows, -3.0, 3.0, np.zeros((1, 3)))
-        n_rn, _ = _closed_form_core(loss, rows, -3.0, 3.0, [0.0])
-        assert n_rn[0, 0] == 5e-324
+        assert _n_rn(loss, rows, -3.0, 3.0, [0.0])[0, 0] == 5e-324
 
     @pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
     def test_one_observation_and_all_tied(self, loss):
@@ -671,6 +673,18 @@ class TestSufficientStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("loss", EXACT_LOSSES, ids=["squared", "absolute"])
+def test_each_row_is_counted_below_theta_once(loss, monkeypatch):
+    # _below is a Python loop over rows: the closed form hands its counts to n R_n
+    import focalrisk.risk as risk_mod
+
+    calls, below = [], risk_mod._below
+    monkeypatch.setattr(risk_mod, "_below", lambda *a: calls.append(1) or below(*a))
+    rows = np.sort(np.random.default_rng(4).uniform(-3, 3, (7, 30)), axis=1)
+    upper_risk_batch(loss, rows, -3.0, 3.0, np.linspace(-1, 1, 11))
+    assert len(calls) == 1
 
 
 class TestRowsAlone:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -10,7 +11,6 @@ from focalrisk import (
     NonconformityScore,
     SimConfig,
     ThetaGrid,
-    TrueModel,
     aggregate_percentiles,
     coverage_experiment,
     histogram,
@@ -28,7 +28,7 @@ from focalrisk.simulate import (_CHUNK_CELLS, _MAX_ROW, _philox_keys, _raw_draw,
                                 sample_chunks, write_summary)
 from oracles import argmin_and_min
 
-MODEL = TrueModel.truncated_std_normal(-3, 3)
+MODEL = (-3.0, 3.0)  # the support of the truncated standard normal
 TRUNC_VAR = 0.97333692466254148
 _BIG = float(np.finfo(float).max)
 
@@ -88,8 +88,6 @@ class TestSampleTruncatedNormal:
         import focalrisk
 
         for lo, hi in [(10, 11), (40, 41), (3.2, 4)]:
-            with pytest.raises(SupportMassTooSmall):
-                TrueModel.truncated_std_normal(lo, hi)
             code = ("from focalrisk import replication_rng, sample_truncated_normal as f\n"
                     f"f(5, {lo}, {hi}, replication_rng(0, 5, 0))\n")
             env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
@@ -383,15 +381,24 @@ class TestSampleChunks:
         with pytest.raises(SampleTooLarge, match="or 10 replications per run"):
             coverage_experiment(MODEL, [NonconformityScore.identity()], 1, [0.2], 11, 0)
 
+    @pytest.mark.parametrize("support, error", [((2, 2), DegenerateSupport),
+                                                ((30, 40), SupportMassTooSmall),
+                                                ((-np.inf, 3), NonFiniteValue)])
+    def test_support_refused_first(self, support, error):
+        # before the replications, which are refused too
+        with pytest.raises(error):
+            SimConfig(support=support, loss=squared_error_loss(), n_values=(5,), replications=0,
+                      theta_grid=ThetaGrid(-1, 1, 5))
+
     def test_stored_curves_capped_before_any_draw(self, monkeypatch):
         import focalrisk.simulate as simulate
 
         monkeypatch.setattr(simulate, "_MAX_CURVES", 50)
         monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
-        SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
+        SimConfig(support=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
                   theta_grid=ThetaGrid(-1, 1, 5))  # exactly at the cap
         with pytest.raises(SampleTooLarge, match="10 replications times 6 thetas exceeds 50"):
-            SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
+            SimConfig(support=MODEL, loss=squared_error_loss(), n_values=(5,), replications=10,
                       theta_grid=ThetaGrid(-1, 1, 6))
 
 
@@ -406,7 +413,7 @@ class TestSampleChunks:
 
         monkeypatch.setattr(simulate, "_streams", _no_streams)  # no stream to draw
         with pytest.raises(ValueError, match="percentiles|histogram_bins"):
-            run_replications(SimConfig(model=MODEL, loss=squared_error_loss(), n_values=(5,),
+            run_replications(SimConfig(support=MODEL, loss=squared_error_loss(), n_values=(5,),
                                        replications=10, theta_grid=ThetaGrid(-1, 1, 5), **field))
 
 
@@ -553,7 +560,7 @@ class TestHistogram:
 
 def _small_config(reps=5, seed=0):
     return SimConfig(
-        model=MODEL,
+        support=MODEL,
         loss=squared_error_loss((-1, 1)),
         n_values=(10,),
         replications=reps,
@@ -602,7 +609,7 @@ class TestRunReplications:
         n, grid, loss = 300, ThetaGrid(-1, 1, 101), squared_error_loss((-1, 1))
         per_chunk = _CHUNK_CELLS // batch_cells(n, grid.count)
         cfg = SimConfig(
-            model=MODEL, loss=loss, n_values=(n,),
+            support=MODEL, loss=loss, n_values=(n,),
             replications=2 * per_chunk + 3, theta_grid=grid, master_seed=4,
         )
         chunks, sampler = [], simulate.sample_chunks
@@ -631,7 +638,7 @@ class TestRunReplications:
         # on [-3, 10] the support's centre lies above most rows: no row may see its chunk
         import focalrisk.simulate as simulate
 
-        cfg = SimConfig(model=TrueModel.truncated_std_normal(-3, 10),
+        cfg = SimConfig(support=(-3, 10),
                         loss=squared_error_loss((-1, 1)), n_values=(20, 50), replications=60,
                         theta_grid=ThetaGrid(-1, 1, 21), master_seed=2)
         summaries = []
@@ -670,14 +677,14 @@ class TestRunReplications:
         monkeypatch.setattr(simulate, "upper_risk_batch", record)
         loss = {"squared": squared_error_loss(), "absolute": absolute_error_loss()}[kind]
         grid = ThetaGrid(-1, 1, 21)
-        per_n = run_replications(SimConfig(model=MODEL, loss=loss, n_values=(10, 31),
+        per_n = run_replications(SimConfig(support=MODEL, loss=loss, n_values=(10, 31),
                                            replications=40, theta_grid=grid))
         assert all(len(s.minimizers) == 40 for s in per_n.values())
         assert shapes and set(shapes) == {(grid.count,)}
 
     def test_files_parse_back_to_the_summary(self, tmp_path):
         # every number is written %.17g, so float() of each field gives the array back exactly
-        cfg = SimConfig(model=MODEL, loss=squared_error_loss((-1, 1)), n_values=(4, 9),
+        cfg = SimConfig(support=MODEL, loss=squared_error_loss((-1, 1)), n_values=(4, 9),
                         replications=7, theta_grid=ThetaGrid(-1, 1, 11), histogram_bins=5,
                         master_seed=3)
         per_n = run_replications(cfg)
@@ -708,6 +715,12 @@ class TestRunReplications:
             "median_n10.csv", "band_lo_n10.csv", "band_hi_n10.csv",
             "minimizers_n10.csv", "histogram_n10.csv", "meta.json",
         }
+
+    def test_meta_support_is_floats(self, tmp_path):
+        # as the command line writes it, whatever numbers the support was given as
+        cfg = dataclasses.replace(_small_config(reps=3), support=(-3, 3))
+        write_summary(cfg, run_replications(cfg), tmp_path)
+        assert '"support": [\n    -3.0,\n    3.0\n  ]' in (tmp_path / "meta.json").read_text()
 
 
 class TestCoverageExperiment:

@@ -37,7 +37,7 @@ def _uses(scope: ast.AST) -> set[str]:
         if isinstance(node, ast.Name):
             used.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:  # a quoted annotation, such as "TrueModel"
+            try:  # a quoted annotation, such as "ThetaGrid"
                 used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
                          if isinstance(n, ast.Name)}
             except SyntaxError:
