@@ -17,8 +17,8 @@ _EXPORTS = {
                     "min_sample_size", "verify_pointwise", "verify_uniform", "witness_uniform"),
     "data_model": ("BoundedSample", "LossSpec", "ThetaGrid", "absolute_error_loss", "make_sample",
                    "squared_error_loss"),
-    "risk": ("RiskKind", "minimize_upper_risk", "risk_curve", "true_risk",
-             "upper_risk_closed_form", "upper_risk_general"),
+    "risk": ("minimize_upper_risk", "risk_curve", "true_risk", "upper_risk_closed_form",
+             "upper_risk_general"),
     "simulate": ("SimConfig", "aggregate_percentiles", "coverage_experiment", "histogram",
                  "replication_rng", "run_replications", "sample_truncated_normal"),
 }

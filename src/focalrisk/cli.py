@@ -97,12 +97,11 @@ def cmd_risk_curve(args) -> int:
     sample = make_sample(data, args.lo, args.hi)
     loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
     grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
-    emp = risk.risk_curve(loss, grid, risk.RiskKind.EMPIRICAL, sample=sample)
-    upper = risk.risk_curve(loss, grid, risk.RiskKind.UPPER, sample=sample)
-    true_vals = [""] * grid.count
-    if args.model == "truncnorm":
-        true_vals = risk.risk_curve(loss, grid, risk.RiskKind.TRUE, support=(args.lo, args.hi))
-    rows = zip(grid.points, emp, upper, true_vals)
+    support = (args.lo, args.hi) if args.model == "truncnorm" else None
+    columns = risk.risk_curve(loss, grid, sample, support)
+    if support is None:  # no model: the true column is left empty
+        columns.append([""] * grid.count)
+    rows = zip(grid.points, *columns)
     _write(_out_dir(args) / "risk_curve.csv", risk.format_csv("theta,empirical,upper,true", rows))
     return 0
 

@@ -31,7 +31,6 @@ evaluated.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Iterable
 
@@ -49,12 +48,6 @@ _BLOCK_CELLS = 1 << 18  # loss values per pass of the focal upper risk
 # float64 cells a chunk budgets per counted cell of a row: at 6 a chunk's draw, closed form
 # and minimizer peak at 0.54-0.84 of the budget (tracemalloc, both losses); at 5, 0.9999
 _LIVE = 6
-
-
-class RiskKind(enum.Enum):
-    EMPIRICAL = "empirical"
-    TRUE = "true"
-    UPPER = "upper"
 
 
 def format_csv(header: str, rows: Iterable[Iterable]) -> str:
@@ -184,30 +177,22 @@ def closed_form_curve(loss: LossSpec, sample: BoundedSample, thetas: np.ndarray)
                             thetas)[0]
 
 
-def risk_curve(
-    loss: LossSpec,
-    grid: ThetaGrid,
-    kind: RiskKind,
-    sample: BoundedSample | None = None,
-    support: tuple[float, float] | None = None,
-) -> np.ndarray:
-    """One of the risk functionals at every point of the parameter grid: the true risk on
-    the support, or the empirical or closed-form upper risk of the sample."""
+def risk_curve(loss: LossSpec, grid: ThetaGrid, sample: BoundedSample,
+               support: tuple[float, float] | None = None) -> list[np.ndarray]:
+    """The ``risk-curve`` columns on the grid: the sample's empirical and closed-form upper
+    risk, then the true risk on the support if given; each refused unless finite, in order."""
     loss.check_theta(grid.points)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
-        if kind is RiskKind.TRUE:
-            if support is None:
-                raise ValueError("true risk needs a support")
-            vals = true_risk_curve(loss, support, grid.points)
-        elif sample is None:
-            raise ValueError(f"{kind.value} risk needs a sample")
-        elif kind is RiskKind.EMPIRICAL:
-            vals = empirical_risk_curve(loss, sample, grid.points)
-        else:
-            vals = closed_form_curve(loss, sample, grid.points)
-    if not np.isfinite(vals).all():  # the loss overflows somewhere on the grid
-        raise NonFiniteValue(f"{kind.value} risk is not finite on [{grid.lo}, {grid.hi}]")
-    return vals
+    columns = [("empirical", empirical_risk_curve, sample), ("upper", closed_form_curve, sample)]
+    if support is not None:
+        columns.append(("true", true_risk_curve, support))
+    curves = []
+    for name, curve, data in columns:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
+            vals = curve(loss, data, grid.points)
+        if not np.isfinite(vals).all():  # the loss overflows somewhere on the grid
+            raise NonFiniteValue(f"{name} risk is not finite on [{grid.lo}, {grid.hi}]")
+        curves.append(vals)
+    return curves
 
 
 def argmin_rows(loss: LossSpec, rows: np.ndarray, a: float, b: float,

@@ -182,8 +182,8 @@ def sample_chunks(support: tuple[float, float], seed: int, n: int, replications:
     for start in range(0, replications, step):
         rows = np.empty((min(step, replications - start), width))
         if blocks:
-            for first in range(0, len(rows), block):
-                for r in first + _draw_block(rows[first:first + block], streams, batch, lo, hi):
+            for top in range(0, len(rows), block):
+                for r in top + _draw_block(rows[top:top + block], streams, batch, lo, hi):
                     _raw_draw(rows[r], lo, hi, mass, replication_rng(seed, n, start + r))  # rare
         else:  # one at a time, each row finished from its own live stream
             for row, rng in zip(rows, streams):
@@ -206,6 +206,8 @@ class SimConfig:
 
     def __post_init__(self):
         normal_mass(*self.support)  # first, as each command refuses a support
+        if not self.n_values:  # before any draw, and so before any file is written
+            raise EmptyInput("n_values is empty: give at least one sample size")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not 1 <= self.histogram_bins <= MAX_GRID:  # before any draw

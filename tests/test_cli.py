@@ -5,6 +5,7 @@ import io
 import json
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -131,6 +132,16 @@ class TestRiskCurve:
             t, e, u, tv = line.split(",")
             out.append(f"{float(t):.17g},{float(e):.17g},{float(u):.17g},{tv}")
         assert "\n".join(out) + "\n" == text
+
+    def test_empirical_refused_before_the_support(self, tmp_path, capsys):
+        # the support holds no normal mass, but the empirical column is refused first
+        out = tmp_path / "out"
+        assert run(["risk-curve", "--values", "1e200", "--lo", "1e199", "--hi", "1e201",
+                    "--theta-lo", "0", "--theta-hi", "1", "--model", "truncnorm",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "NonFiniteValue: empirical risk is not finite on [0.0, 1.0]\n"
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -711,14 +722,16 @@ def test_literal_choices_are_the_enum_values():
 
 
 def _exit_code(argv):
-    """(exit code, stderr) of one in-process run; an uncaught exception fails the caller."""
+    """(exit code, stderr, files written) of one in-process run; an uncaught exception fails
+    the caller."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err):
         try:
             code = main([*argv, "--out", out])
         except SystemExit as e:  # argparse refuses the argv
             code = e.code
-    return code, err.getvalue()
+        written = sorted(p.name for p in Path(out).rglob("*"))
+    return code, err.getvalue(), written
 
 
 @pytest.mark.parametrize("argv", [
@@ -750,10 +763,14 @@ def _exit_code(argv):
     ["simulate", "--n", "1", "--replications", "262145", "--theta-count", "1"],
     ["coverage", "--n", "1", "--replications", "262145"],
     ["simulate", "--bins", "65537"],
+    # no sample size: with --svg this exited 2 after writing meta.json and risk_curves.svg;
+    # without it, it exited 0 having written meta.json alone
+    ["simulate", "--n", ","],
+    ["simulate", "--n", ",", "--svg"],
 ])
 def test_residual_inputs_exit_2(argv):
-    code, err = _exit_code(argv)
-    assert code == 2
+    code, err, written = _exit_code(argv)
+    assert code == 2 and not written
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -832,6 +849,8 @@ def _argv(draw):
 # a one-point grid plotted: was a ZeroDivisionError in the curves' SVG
 @example(argv=["simulate", "--n", "5", "--replications", "3", "--theta-count", "1",
                "--theta-lo=0", "--theta-hi=0", "--svg"], small_caps=False)
+# no sample size: exited 2 on an empty histogram list, after writing two files
+@example(argv=["simulate", "--n", "", "--replications", "3", "--svg"], small_caps=False)
 def test_exit_code_contract(argv, small_caps):
     # small caps put the sizes drawn above at, or one past, each cap: grid points 64,
     # replications 100, and 100 replications x 5 thetas of stored curves
@@ -845,6 +864,7 @@ def test_exit_code_contract(argv, small_caps):
                 mp.setattr(module, "MAX_GRID", 64)
             mp.setattr(simulate, "_MAX_REPLICATIONS", 100)
             mp.setattr(simulate, "_MAX_CURVES", 500)
-        code, err = _exit_code(argv)
+        code, err, written = _exit_code(argv)
     assert code in (0, 2), (argv, err)
     assert "Traceback" not in err
+    assert code == 0 or not written, (argv, written)  # a refused run writes nothing

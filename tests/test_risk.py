@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from focalrisk import (
     NonconformityScore,
-    RiskKind,
     ThetaGrid,
     absolute_error_loss,
     focal_sets,
@@ -93,7 +92,7 @@ def _empirical_curve_peak(loss):
     grid = ThetaGrid(-1, 1, 65536)
     tracemalloc.start()
     try:
-        risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
+        empirical_risk_curve(loss, s, grid.points)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -116,7 +115,7 @@ class TestEmpiricalRisk:
         # and both equal the correctly rounded mean of the loss values
         for s, grid, losses in _empirical_cases(n):
             for loss in losses:
-                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
+                curve = risk_curve(loss, grid, s)[0]
                 want = np.array([empirical_risk_curve(loss, s, [t])[0] for t in grid.points])
                 assert curve.tobytes() == want.tobytes()
                 _assert_fsum_mean(curve, loss, s, grid)
@@ -129,7 +128,7 @@ class TestEmpiricalRisk:
         # n = 1e5: the bound is ~450 ulps, ~sqrt(n) ulps for the sequential sums
         for s, grid, losses in _empirical_cases(100_000):
             for loss in losses:
-                curve = risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
+                curve = risk_curve(loss, grid, s)[0]
                 _assert_fsum_mean(curve, loss, s, grid)
                 assert empirical_risk_curve(loss, s, [grid.points[3]])[0] == curve[3]
 
@@ -141,7 +140,7 @@ class TestEmpiricalRisk:
             for n in (50, 5000):
                 s = make_sample(np.random.default_rng(n).uniform(-3, 3, n), -3, 3)
                 loss = _CountedLoss(base.kind, base.theta_domain)
-                risk_curve(loss, grid, RiskKind.EMPIRICAL, sample=s)
+                empirical_risk_curve(loss, s, grid.points)
                 sizes[base.kind.value, n] = sum(loss.sizes)
         assert sizes["squared", 5000] == sizes["absolute", 5000] == 0
         for kind in ("squared", "absolute"):
@@ -153,7 +152,7 @@ class TestEmpiricalRisk:
             with pytest.raises(ThetaOutOfDomain):
                 sq11.check_theta(np.array(bad))
         with pytest.raises(ThetaOutOfDomain):
-            risk_curve(sq11, ThetaGrid(-1, 2, 4), RiskKind.EMPIRICAL, sample=make_sample([0.2], -3, 3))
+            risk_curve(sq11, ThetaGrid(-1, 2, 4), make_sample([0.2], -3, 3))
 
 
 class TestTrueRisk:
@@ -424,18 +423,34 @@ class TestRiskCurve:
         grid = ThetaGrid(0, 1, 21)
         f = focal_sets(s, NonconformityScore.identity())
         via_focal = focal_upper_risk_curve(sq01, f, grid.points)
-        via_sample = risk_curve(sq01, grid, RiskKind.UPPER, sample=s)
+        via_sample = risk_curve(sq01, grid, s)[1]
         assert np.max(np.abs(via_focal - via_sample)) <= 1e-12
+
+    def test_columns_in_table_order(self):
+        s, grid = make_sample([-0.4, 0.1, 2.5], -3, 3), ThetaGrid(-1, 1, 9)
+        want = [empirical_risk_curve(sq11, s, grid.points),
+                closed_form_curve(sq11, s, grid.points), true_risk_curve(sq11, MODEL, grid.points)]
+        for support, cols in ((None, want[:2]), (MODEL, want)):
+            got = risk_curve(sq11, grid, s, support)
+            assert [c.tobytes() for c in got] == [c.tobytes() for c in cols]
+
+    @pytest.mark.parametrize("value, support, name", [(1e200, (1e199, 1e201), "empirical"),
+                                                      (0.0, (-1e160, 1e160), "upper")])
+    def test_first_non_finite_column_refused(self, value, support, name):
+        # (1e200 - theta)^2 overflows, and this support holds no normal mass, which the true
+        # column would refuse; (theta + 1e160)^2, the upper risk's loss at a, overflows
+        with pytest.raises(NonFiniteValue, match=f"^{name} risk is not finite on"):
+            risk_curve(sq01, ThetaGrid(0, 1, 3), make_sample([value], *support), support)
 
     def test_true_curve_shape(self):
         grid = ThetaGrid(-1, 1, 9)
-        c = risk_curve(sq11, grid, RiskKind.TRUE, support=MODEL)
+        c = true_risk_curve(sq11, MODEL, grid.points)
         assert np.allclose(c, TRUNC_VAR + grid.points**2, rtol=0, atol=1e-12)
 
     def test_csv_round_trip(self):
         s = make_sample([0.2, 0.8], 0, 1)
         grid = ThetaGrid(0, 1, 5)
-        c = risk_curve(sq01, grid, RiskKind.UPPER, sample=s)
+        c = risk_curve(sq01, grid, s)[1]
         text = format_csv("theta,value,kind", zip(grid.points, c, ["upper"] * 5))
         lines = text.strip().splitlines()[1:]
         parsed = [(float(a), float(b)) for a, b, _ in (l.split(",") for l in lines)]
