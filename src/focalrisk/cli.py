@@ -2,11 +2,11 @@
 
 Subcommands: predict, risk-curve, simulate, verify-bounds, coverage.
 Exit codes: 0 success, 2 validation error, 3 output write failure.
-Flags override an optional key=value config file (--config); the default
-output directory can be set via the FOCALRISK_OUT environment variable.
+The command line is the only way to set a run's values; the default output
+directory can be set via the FOCALRISK_OUT environment variable.
 
 Building the parser loads no numpy: each command imports the numeric modules
-it uses, so --help and every refused argument or config value exit without them.
+it uses, so --help and every refused argument exit without them.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import re
 import sys
 from pathlib import Path
 
-from .errors import FocalRiskError
+from .errors import EmptyInput, FocalRiskError
 
 _LOSSES = ["absolute", "squared"]  # the LossKind values, sorted
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class ValidationFailure(Exception):
@@ -164,11 +163,13 @@ def cmd_verify_bounds(args) -> int:
     if args.uniform:  # before any draw
         conformal.check_alpha(args.alpha)
         grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
-    ns = _parse_list(args.n, int) if thetas and epsilons else []  # no report needs no draw
+    ns = _parse_list(args.n, int) if thetas and epsilons else []  # else no pointwise report
     uniform_ns = [consistency.uniform_n(loss, support, grid, eps, args.alpha)
                   for eps in epsilons] if args.uniform else []
     for n in ns + uniform_ns:  # every sample size before the first draw
         simulate.check_run(n, args.replications, args.seed)
+    if not ns + uniform_ns:
+        raise EmptyInput("no sample size, theta or epsilon: there is no report to write")
     reports = {}  # every report before any file, so a refused run writes none
     for n in ns:
         pointwise = consistency.pointwise_reports(
@@ -197,9 +198,11 @@ def cmd_coverage(args) -> int:
     for name in (s for s in score_names if s not in known):
         raise ValidationFailure(f"UnknownScore: {name}")
     scores, rows = list(map(conformal.NonconformityScore, score_names)), []
-    ns = _parse_list(args.n, int) if alphas and scores else []  # no row to fill needs no draw
+    ns = _parse_list(args.n, int) if alphas and scores else []  # no alpha or score: no row
     for n in ns:  # every n, its held-out draw included, before the first draw
         simulate.check_run(n, args.replications, args.seed, held_out=1)
+    if not ns:
+        raise EmptyInput("no sample size, alpha or score: there is no row to write")
     for n in ns:
         emp = simulate.coverage_experiment((args.lo, args.hi), scores, n, alphas,
                                            args.replications, args.seed)
@@ -225,13 +228,13 @@ def _add_theta(p):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parsing and ``_apply_config`` only read it."""
+    """The one parser of the process; parsing only reads it."""
     parser = argparse.ArgumentParser(
         prog="focalrisk",
         description="Focal-set predictive inference and upper-risk decision tools",
-        allow_abbrev=False,  # an abbreviated flag would escape the --config override check
+        # a flag is known only by its full name, so a new flag never changes an old command
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="key=value config file (flags override)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("predict", help="focal sets, prediction set, contour", allow_abbrev=False)
@@ -297,53 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str) -> dict:
-    out = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise ValidationFailure(f"UnreadableConfig: {e}")
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationFailure(f"BadConfigLine: {line!r}")
-        key, val = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
-
-
-def _apply_config(parser, args, cfg: dict, explicit: set) -> None:
-    """Set config values the command line left unset, checked like their flags."""
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {a.dest: a for a in commands.choices[args.command]._actions}
-    for key, val in cfg.items():
-        action = actions.get(key)
-        if key in explicit or action is None:
-            continue
-        if action.nargs == 0:  # a store_true flag
-            if val.lower() not in _BOOLEANS:
-                raise ValidationFailure(f"BadConfigValue: {key} = {val!r} not a boolean")
-            setattr(args, key, _BOOLEANS[val.lower()])
-            continue
-        try:
-            value = action.type(val) if action.type else val
-        except ValueError:
-            raise ValidationFailure(f"BadConfigValue: {key} = {val!r}")
-        if action.choices is not None and value not in action.choices:
-            raise ValidationFailure(f"BadConfigValue: {key} = {val!r} not in {action.choices}")
-        setattr(args, key, value)
-
-
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            explicit = {a[2:].replace("-", "_").split("=")[0] for a in argv if a[:2] == "--"}
-            _apply_config(parser, args, _load_config(args.config), explicit)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (FocalRiskError, ValidationFailure, ValueError) as e:
         print(f"{type(e).__name__}: {e}" if not isinstance(e, ValidationFailure) else str(e), file=sys.stderr)

@@ -179,7 +179,7 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("NonFiniteValue: upper risk is not finite")
         assert not out.exists()
 
-    def test_bad_config_exits_2(self, tmp_path):
+    def test_zero_replications_exits_2(self, tmp_path):
         assert run([
             "simulate", "--n", "5", "--replications", "0", "--out", str(tmp_path),
         ]) == 2
@@ -357,72 +357,55 @@ class TestCoverage:
         assert len((tmp_path / "coverage.csv").read_text().splitlines()) == 9
 
 
-class TestConfigFile:
-    def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("alpha = 0.5\nlo = 0\nhi = 1\nout = %s\n" % (tmp_path / "cfgout"))
-        assert run([
-            "--config", str(cfg), "predict", "--values", "0.2,0.8",
-            "--alpha", "0.3",
-        ]) == 0
-        # alpha 0.3 (flag) with n=2 gives k=3: whole support
-        line = (tmp_path / "cfgout" / "prediction.txt").read_text().splitlines()[0]
-        assert "k=3" in line
+def test_abbreviated_flag_is_refused(tmp_path):
+    # a flag is known only by its full name: "--rep" does not stand for --replications
+    argv = ["coverage", "--n", "4", "--out", str(tmp_path / "o")]
+    for abbreviated in ([*argv, "--rep", "3"], ["--conf", "x", *argv]):
+        with pytest.raises(SystemExit) as exit_info:
+            run(abbreviated)
+        assert exit_info.value.code == 2
+    assert not (tmp_path / "o").exists()
+    assert run([*argv, "--replications", "3"]) == 0
+    assert (tmp_path / "o" / "coverage.csv").read_text().splitlines()[1].endswith(",3")
 
-    def test_config_booleans(self, tmp_path):
-        # 1/true/yes and 0/false/no, in any case
-        for i, (value, on) in enumerate([("No", False), ("0", False), ("FALSE", False),
-                                         ("Yes", True), ("1", True), ("true", True)]):
-            cfg, out = tmp_path / f"{i}.cfg", tmp_path / str(i)
-            cfg.write_text(f"svg = {value}\n")
-            assert run(["--config", str(cfg), "simulate", "--n", "4", "--replications", "3",
-                        "--theta-count", "3", "--out", str(out)]) == 0
-            assert (out / "risk_curves.svg").exists() is on
 
-    def test_config_supplies_defaults(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"out = {tmp_path / 'o2'}\nalpha = 0.3\nlo = 0\nhi = 1\n")
-        assert run(["--config", str(cfg), "predict", "--values", "0.2,0.8"]) == 0
-        assert (tmp_path / "o2" / "prediction.txt").exists()
+def test_config_file_flag_is_gone(tmp_path):
+    # flags are the only way to set a value: no argument reads them from a file
+    cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+    cfg.write_text("alpha = 0.5\n")
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--config", str(cfg), "predict", "--values", "0.2,0.8", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
 
-    @pytest.mark.parametrize("line, command", [
-        ("loss = cubic", ["risk-curve", "--values", "0.5"]),
-        ("score = bogus", ["predict", "--values", "0.5"]),
-        ("theta-count = many", ["risk-curve", "--values", "0.5"]),
-        # a misspelled boolean was read as false: the run went on without its uniform report
-        ("uniform = ture", ["verify-bounds", "--n", "20", "--replications", "100"]),
-    ])
-    def test_bad_config_value_exits_2(self, tmp_path, capsys, line, command):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{line}\nlo = 0\nhi = 1\n")
-        assert run(["--config", str(cfg), *command, "--out", str(tmp_path / "o")]) == 2
-        assert "BadConfigValue" in capsys.readouterr().err
 
-    def test_abbreviated_flag_is_refused_not_overridden(self, tmp_path):
-        # "--rep" once prefix-matched --replications but was missed by the override check,
-        # so the config's 7 replications ran; abbreviations are now refused
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("replications = 7\n")
-        argv = ["--config", str(cfg), "coverage", "--n", "4", "--out", str(tmp_path / "o")]
-        for abbreviated in ([*argv, "--rep", "3"], ["--conf", *argv[1:]]):
-            with pytest.raises(SystemExit) as exit_info:
-                run(abbreviated)
-            assert exit_info.value.code == 2
-        assert run([*argv, "--replications", "3"]) == 0
-        assert (tmp_path / "o" / "coverage.csv").read_text().splitlines()[1].endswith(",3")
+def test_settable_values_ledger():
+    # every value a run can be given; adding or removing a flag edits this ledger
+    import argparse
 
-    def test_value_equal_to_a_key_is_not_a_flag(self, tmp_path, monkeypatch):
-        # "--out alpha": the value "alpha" does not make the config's alpha explicit
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "run.cfg").write_text("alpha = 0.5\n")
-        assert run(["--config", "run.cfg", "predict", "--values", "0.2,0.8", "--lo", "0",
-                    "--hi", "1", "--out", "alpha"]) == 0
-        # alpha 0.5 (config) with n=2 gives k=2; the default 0.1 would give k=3
-        assert (tmp_path / "alpha" / "prediction.txt").read_text().startswith("# k=2 ")
+    from focalrisk.cli import build_parser
 
-    def test_missing_config_exits_2(self):
-        assert run(["--config", "/nonexistent.cfg", "predict", "--values", "1",
-                    "--lo", "0", "--hi", "2"]) == 2
+    def flags(parser):
+        return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    support, theta = {"--lo", "--hi", "--out"}, {"--loss", "--theta-lo", "--theta-hi",
+                                                 "--theta-count"}
+    assert parser._option_string_actions.keys() == {"-h", "--help"}
+    assert {name: flags(p) for name, p in commands.items()} == {
+        "predict": {*support, "--data", "--values", "--score", "--alpha", "--grid-points"},
+        "risk-curve": {*support, "--data", "--values", *theta, "--model"},
+        "simulate": {*support, "--n", "--replications", "--seed", *theta, "--percentile-lo",
+                     "--percentile-hi", "--bins", "--svg"},
+        "verify-bounds": {*support, *theta, "--theta", "--n", "--epsilon", "--replications",
+                          "--seed", "--uniform", "--alpha"},
+        "coverage": {*support, "--n", "--alpha", "--score", "--replications", "--seed"},
+    }
+    counts = {name: len(flags(p)) for name, p in commands.items()}
+    assert counts == {"predict": 8, "risk-curve": 10, "simulate": 14, "verify-bounds": 14,
+                      "coverage": 8}
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):
@@ -609,20 +592,17 @@ def test_loss_choices_are_the_loss_kinds():
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path):
-    def once(name, argv, config=None):
-        out, pre = tmp_path / name, []
-        if config is not None:
-            (tmp_path / f"{name}.cfg").write_text(config)
-            pre = ["--config", str(tmp_path / f"{name}.cfg")]
-        assert main([*pre, *argv, "--out", str(out)]) == 0
+    def once(name, argv, *flags):
+        out = tmp_path / name
+        assert main([*argv, *flags, "--out", str(out)]) == 0
         return {p.name: p.read_bytes() for p in out.iterdir()}
 
     curve = ["risk-curve", "--values", "0.2,0.8", "--lo", "0", "--hi", "1",
              "--theta-lo", "0", "--theta-hi", "1", "--theta-count", "5"]
     predict = ["predict", "--values", "0.2,0.8", "--lo", "0", "--hi", "1"]
     plain_curve, plain_predict = once("c0", curve), once("p0", predict)
-    assert once("c1", curve, "loss = absolute\n") != plain_curve
-    assert once("p1", predict, "alpha = 0.5\n") != plain_predict
+    assert once("c1", curve, "--loss", "absolute") != plain_curve
+    assert once("p1", predict, "--alpha", "0.5") != plain_predict
     assert once("c2", curve) == plain_curve
     assert once("p2", predict) == plain_predict
 
@@ -642,9 +622,9 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_import_budget(tmp_path):
-    # The parser loads no numpy, so --help and every refused argument or config value exit
-    # without it; each case runs in a fresh interpreter.  A bare np.unique (inside
-    # np.percentile, say) imports numpy.ma: ~9 ms and ~1.3 MiB.
+    # The parser loads no numpy, so --help and every refused argument exit without it; each
+    # case runs in a fresh interpreter.  A bare np.unique (inside np.percentile, say) imports
+    # numpy.ma: ~9 ms and ~1.3 MiB.
     import subprocess
     import sys
     from pathlib import Path
@@ -652,23 +632,21 @@ def test_import_budget(tmp_path):
     import focalrisk
 
     env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
-    config = tmp_path / "bad.cfg"
-    config.write_text("loss = cubic\n")
     run_main = "from focalrisk.cli import main; raise SystemExit(main({}))"
     cases = [  # (statement, exit code)
         ("import focalrisk", 0),
         ("from focalrisk.cli import build_parser; build_parser()", 0),
         (run_main.format(["-h"]), 0),
         (run_main.format(["predict", "--alpha", "x"]), 2),
-        (run_main.format(["--config", str(config), "risk-curve", "--values", "0.1"]), 2),
+        (run_main.format(["risk-curve", "--loss", "cubic", "--values", "0.1"]), 2),
     ]
     for statement, want in cases:
         code = f"import sys\ntry:\n    {statement}\nfinally:\n    print('numpy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60)
         assert (out.returncode, out.stdout.split()[-1]) == (want, "False"), statement
-    # the --config case runs last
-    assert out.stderr == "BadConfigValue: loss = 'cubic' not in ['absolute', 'squared']\n"
+    # the --loss case runs last
+    assert "invalid choice: 'cubic'" in out.stderr
 
     code = """if True:
         import sys
@@ -767,6 +745,12 @@ def _exit_code(argv):
     # without it, it exited 0 having written meta.json alone
     ["simulate", "--n", ","],
     ["simulate", "--n", ",", "--svg"],
+    # a run with no row or report to write is refused, not finished with an empty output
+    ["coverage", "--n", ","],
+    ["coverage", "--alpha", ","],
+    ["coverage", "--score", ","],
+    ["verify-bounds", "--n", ","],
+    ["verify-bounds", "--epsilon", ",", "--uniform"],
 ])
 def test_residual_inputs_exit_2(argv):
     code, err, written = _exit_code(argv)
