@@ -52,23 +52,12 @@ def _read_data(args) -> list[float]:
     raise ValidationFailure("MissingData: provide --data or --values")
 
 
-def _out_dir(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get("FOCALRISK_OUT") or "."
-    return Path(out)
+def _parse_list(raw: str, cast) -> list:
+    """The distinct values of a comma-separated list, in first-seen order."""
+    return list(dict.fromkeys(cast(v) for v in raw.split(",") if v.strip()))
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _parse_list(raw, cast):
-    if isinstance(raw, str):
-        return [cast(v) for v in raw.split(",") if v.strip()]
-    return [cast(raw)]
-
-
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> dict[str, str]:
     from . import conformal, risk
     from .data_model import make_sample
 
@@ -78,17 +67,14 @@ def cmd_predict(args) -> int:
     focal = conformal.focal_sets(sample, conformal.NonconformityScore(args.score),
                                  grid_points=args.grid_points)
     pred = conformal.prediction_set(focal, args.alpha)
-    out = _out_dir(args)
-    _write(out / "focal.txt", conformal.serialize_focal_system(focal))
     pred_text = f"# k={pred.k} nominal_coverage={pred.nominal_coverage:.17g}\n"
     pred_text += conformal.serialize_prediction_set(pred)
-    _write(out / "prediction.txt", pred_text)
     rows = zip(ys.tolist(), conformal.contour(focal, ys).tolist())
-    _write(out / "contour.csv", risk.format_csv("y,contour", rows))
-    return 0
+    return {"focal.txt": conformal.serialize_focal_system(focal), "prediction.txt": pred_text,
+            "contour.csv": risk.format_csv("y,contour", rows)}
 
 
-def cmd_risk_curve(args) -> int:
+def cmd_risk_curve(args) -> dict[str, str]:
     from . import risk
     from .data_model import LossKind, LossSpec, ThetaGrid, make_sample
 
@@ -101,11 +87,10 @@ def cmd_risk_curve(args) -> int:
     if support is None:  # no model: the true column is left empty
         columns.append([""] * grid.count)
     rows = zip(grid.points, *columns)
-    _write(_out_dir(args) / "risk_curve.csv", risk.format_csv("theta,empirical,upper,true", rows))
-    return 0
+    return {"risk_curve.csv": risk.format_csv("theta,empirical,upper,true", rows)}
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict[str, str]:
     from . import risk, simulate
     from .data_model import LossKind, LossSpec, ThetaGrid, normal_mass
 
@@ -122,8 +107,7 @@ def cmd_simulate(args) -> int:
         master_seed=args.seed,
     )
     per_n = simulate.run_replications(config)
-    out = _out_dir(args)
-    simulate.write_summary(config, per_n, out)
+    files = simulate.write_summary(config, per_n)
     if args.svg:
         from . import svgplot
 
@@ -138,25 +122,20 @@ def cmd_simulate(args) -> int:
             curves.append((f"median upper risk, n={n}", color, s.median_curve))
             bands.append((color, s.band_lo, s.band_hi))
             hists.append((f"n={n}", color, s.histogram_edges, s.histogram_counts))
-        _write(
-            out / "risk_curves.svg",
-            svgplot.render_curves(thetas, curves, bands, title="Upper risk across replications"),
-        )
-        _write(
-            out / "minimizer_histograms.svg",
-            svgplot.render_histograms(hists, title="Upper-risk minimizers"),
-        )
-    return 0
+        files["risk_curves.svg"] = svgplot.render_curves(
+            thetas, curves, bands, title="Upper risk across replications")
+        files["minimizer_histograms.svg"] = svgplot.render_histograms(
+            hists, title="Upper-risk minimizers")
+    return files
 
 
-def cmd_verify_bounds(args) -> int:
+def cmd_verify_bounds(args) -> dict[str, str]:
     from . import conformal, consistency, simulate
     from .data_model import LossKind, LossSpec, ThetaGrid, normal_mass
 
     support = (args.lo, args.hi)
     normal_mass(*support)  # a support is refused before any other argument
     loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
-    out = _out_dir(args)
     thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
     for eps in epsilons:
         consistency.check_epsilon(eps)
@@ -170,7 +149,7 @@ def cmd_verify_bounds(args) -> int:
         simulate.check_run(n, args.replications, args.seed)
     if not ns + uniform_ns:
         raise EmptyInput("no sample size, theta or epsilon: there is no report to write")
-    reports = {}  # every report before any file, so a refused run writes none
+    reports = {}
     for n in ns:
         pointwise = consistency.pointwise_reports(
             support, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
@@ -181,12 +160,10 @@ def cmd_verify_bounds(args) -> int:
         reports[f"uniform_eps{eps:g}.json"] = consistency.verify_uniform(
             support, loss, grid, eps, args.alpha, args.seed, replications=args.replications,
         )
-    for name, report in reports.items():
-        _write(out / name, report.to_json() + "\n")
-    return 0
+    return {name: report.to_json() + "\n" for name, report in reports.items()}
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> dict[str, str]:
     from . import conformal, risk, simulate
     from .data_model import normal_mass
 
@@ -211,8 +188,7 @@ def cmd_coverage(args) -> int:
             nominal = conformal.coverage_probability(n, k)
             rows.append((n, alpha, k, nominal, emp[i, j], args.replications))
     header = "n,alpha,k,nominal,empirical,reps"
-    _write(_out_dir(args) / "coverage.csv", risk.format_csv(header, rows))
-    return 0
+    return {"coverage.csv": risk.format_csv(header, rows)}
 
 
 def _add_support(p):
@@ -303,7 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        files = args.func(args)  # every file before the first write: a refused run writes none
+        out = Path(args.out or os.environ.get("FOCALRISK_OUT") or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+        return 0
     except (FocalRiskError, ValidationFailure, ValueError) as e:
         print(f"{type(e).__name__}: {e}" if not isinstance(e, ValidationFailure) else str(e), file=sys.stderr)
         return 2

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -330,21 +329,18 @@ def coverage_experiment(support: tuple[float, float], scores: Sequence[Nonconfor
     return hits / replications
 
 
-def write_summary(config: SimConfig, per_n: dict[int, NSummary], out_dir: str | Path) -> None:
-    """Serialize ``run_replications(config)`` to a directory of CSV files and meta.json."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    thetas = config.theta_grid.points.tolist()
+def write_summary(config: SimConfig, per_n: dict[int, NSummary]) -> dict[str, str]:
+    """``run_replications(config)`` as CSV and meta.json texts, by file name."""
+    thetas, files = config.theta_grid.points.tolist(), {}
     for n, s in per_n.items():
         for name, c in (("median", s.median_curve), ("band_lo", s.band_lo),
                         ("band_hi", s.band_hi)):
-            text = format_csv("theta,value", zip(thetas, c.tolist()))
-            (out / f"{name}_n{n}.csv").write_text(text)
+            files[f"{name}_n{n}.csv"] = format_csv("theta,value", zip(thetas, c.tolist()))
         minimizers = s.minimizers.tolist()
-        (out / f"minimizers_n{n}.csv").write_text("%.17g\n" * len(minimizers) % tuple(minimizers))
+        files[f"minimizers_n{n}.csv"] = "%.17g\n" * len(minimizers) % tuple(minimizers)
         edges = s.histogram_edges.tolist()
         rows = zip(edges[:-1], edges[1:], s.histogram_counts.tolist())
-        (out / f"histogram_n{n}.csv").write_text(format_csv("bin_lo,bin_hi,count", rows))
+        files[f"histogram_n{n}.csv"] = format_csv("bin_lo,bin_hi,count", rows)
     meta = {
         "rng": RNG_ALGORITHM,
         "master_seed": config.master_seed,
@@ -361,4 +357,5 @@ def write_summary(config: SimConfig, per_n: dict[int, NSummary], out_dir: str | 
         "support": list(map(float, config.support)),
         "loss": config.loss.kind.value,
     }
-    (out / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    files["meta.json"] = json.dumps(meta, indent=2) + "\n"
+    return files

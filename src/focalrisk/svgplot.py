@@ -28,18 +28,18 @@ def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * step:
-        out.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return out
+    # by index: far from 0, t += step can fall below half an ulp of t and never advance
+    first = math.ceil(lo / step)
+    ticks = (first * step + i * step
+             for i in range(math.floor((hi + 1e-12 * step) / step) - first + 1))
+    return [0.0 if abs(t) < 1e-12 * step else t for t in ticks]
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi], or [lo - 0.5, hi + 0.5] if it has zero width."""
-    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+    """[lo, hi], or, if it has zero width, widened at each end by 0.5, or by 2 ulps of lo
+    where 0.5 would round away."""
+    pad = max(0.5, 2 * math.ulp(lo))
+    return (lo - pad, hi + pad) if lo == hi else (lo, hi)
 
 
 def _fmt(x: float) -> str:

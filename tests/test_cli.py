@@ -195,6 +195,20 @@ class TestSimulate:
             assert len(rows) == 30 and sum(int(r.split(",")[2]) for r in rows) == 20
         assert (out / "minimizer_histograms.svg").exists()
 
+    def test_ticks_far_from_zero_end(self):
+        # t += step stood still where step is below half an ulp of t; a child interpreter
+        # with a timeout turns that hang into a failure
+        import subprocess
+        import sys
+
+        import focalrisk
+
+        code = "from focalrisk.svgplot import _ticks; print(len(_ticks(1e16, 1e16 + 4)))"
+        env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=30)
+        assert 1 <= int(out.stdout) <= 12, out.stderr
+
 
 class TestVerifyBounds:
     def test_reports(self, tmp_path):
@@ -406,6 +420,15 @@ def test_settable_values_ledger():
     counts = {name: len(flags(p)) for name, p in commands.items()}
     assert counts == {"predict": 8, "risk-curve": 10, "simulate": 14, "verify-bounds": 14,
                       "coverage": 8}
+
+
+def test_a_repeated_list_value_runs_once(tmp_path):
+    assert run(["coverage", "--n", "5,5", "--alpha", "0.2,0.2", "--replications", "50",
+                "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "coverage.csv").read_text().splitlines()) == 2
+    assert run(["simulate", "--n", "7,7", "--replications", "3", "--theta-count", "5",
+                "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "meta.json").read_text())["n_values"] == [7]
 
 
 def test_env_var_default_out(tmp_path, monkeypatch):
@@ -758,6 +781,27 @@ def test_residual_inputs_exit_2(argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("step, argv", [
+    ("conformal.contour", ["predict", "--values", "0.1,0.5"]),
+    ("svgplot.render_histograms", ["simulate", "--n", "5", "--replications", "3",
+                                   "--theta-count", "5", "--svg"]),
+    ("consistency.verify_uniform", ["verify-bounds", "--n", "5", "--replications", "100",
+                                    "--uniform", "--theta-count", "5"]),
+    ("risk.format_csv", ["risk-curve", "--values", "0.1", "--theta-count", "5"]),
+    ("risk.format_csv", ["coverage", "--n", "5", "--replications", "3"]),
+])
+def test_a_refusal_at_the_last_step_writes_nothing(monkeypatch, step, argv):
+    # every file is built before the first is written, whichever step refuses
+    from focalrisk.errors import NonFiniteValue
+
+    def refuse(*args, **kwargs):
+        raise NonFiniteValue("refused at the last step")
+
+    monkeypatch.setattr(f"focalrisk.{step}", refuse)
+    code, err, written = _exit_code(argv)
+    assert (code, err, written) == (2, "NonFiniteValue: refused at the last step\n", [])
+
+
 @pytest.mark.parametrize("flags", [["--alpha", "0.2,1.5"], ["--score", "identity,bogus"]])
 def test_coverage_checks_every_input_before_the_first_experiment(monkeypatch, flags):
     import focalrisk.simulate as simulate
@@ -833,6 +877,9 @@ def _argv(draw):
 # a one-point grid plotted: was a ZeroDivisionError in the curves' SVG
 @example(argv=["simulate", "--n", "5", "--replications", "3", "--theta-count", "1",
                "--theta-lo=0", "--theta-hi=0", "--svg"], small_caps=False)
+# a one-point grid far from 0, where the +-0.5 pad rounds away: was a ZeroDivisionError
+@example(argv=["simulate", "--n", "5", "--replications", "3", "--theta-count", "1",
+               "--theta-lo=1e16", "--theta-hi=1e16", "--svg"], small_caps=False)
 # no sample size: exited 2 on an empty histogram list, after writing two files
 @example(argv=["simulate", "--n", "", "--replications", "3", "--svg"], small_caps=False)
 def test_exit_code_contract(argv, small_caps):

@@ -653,12 +653,10 @@ class TestRunReplications:
             assert np.array_equal(s.minimizers, t.minimizers)
             assert np.array_equal(s.histogram_counts, t.histogram_counts)
 
-    def test_serialization_deterministic(self, tmp_path):
+    def test_serialization_deterministic(self):
         cfg = _small_config(reps=8)
-        write_summary(cfg, run_replications(cfg), tmp_path / "a")
-        write_summary(cfg, run_replications(_small_config(reps=8)), tmp_path / "b")
-        for f in sorted((tmp_path / "a").iterdir()):
-            assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+        files = write_summary(cfg, run_replications(cfg))
+        assert files == write_summary(cfg, run_replications(_small_config(reps=8)))
 
     @pytest.mark.parametrize("kind", ["squared", "absolute"])
     def test_closed_form_only_on_the_grid(self, monkeypatch, kind):
@@ -682,16 +680,16 @@ class TestRunReplications:
         assert all(len(s.minimizers) == 40 for s in per_n.values())
         assert shapes and set(shapes) == {(grid.count,)}
 
-    def test_files_parse_back_to_the_summary(self, tmp_path):
+    def test_files_parse_back_to_the_summary(self):
         # every number is written %.17g, so float() of each field gives the array back exactly
         cfg = SimConfig(support=MODEL, loss=squared_error_loss((-1, 1)), n_values=(4, 9),
                         replications=7, theta_grid=ThetaGrid(-1, 1, 11), histogram_bins=5,
                         master_seed=3)
         per_n = run_replications(cfg)
-        write_summary(cfg, per_n, tmp_path)
+        files = write_summary(cfg, per_n)
 
         def table(name):
-            lines = (tmp_path / name).read_text().splitlines()
+            lines = files[name].splitlines()
             return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
 
         for n, s in per_n.items():
@@ -700,27 +698,25 @@ class TestRunReplications:
                 got = table(f"{name}_n{n}.csv")
                 assert got[:, 0].tobytes() == cfg.theta_grid.points.tobytes()
                 assert got[:, 1].tobytes() == curve.tobytes()
-            minimizers = [float(x) for x in (tmp_path / f"minimizers_n{n}.csv").read_text().split()]
+            minimizers = [float(x) for x in files[f"minimizers_n{n}.csv"].split()]
             assert np.array(minimizers).tobytes() == s.minimizers.tobytes()
             got = table(f"histogram_n{n}.csv")
             assert got[:, 0].tobytes() == s.histogram_edges[:-1].tobytes()
             assert got[:, 1].tobytes() == s.histogram_edges[1:].tobytes()
             assert got[:, 2].astype(int).tolist() == s.histogram_counts.tolist()
 
-    def test_file_inventory(self, tmp_path):
+    def test_file_inventory(self):
         cfg = _small_config(reps=3)
-        write_summary(cfg, run_replications(cfg), tmp_path)
-        names = {p.name for p in tmp_path.iterdir()}
-        assert names == {
+        assert list(write_summary(cfg, run_replications(cfg))) == [
             "median_n10.csv", "band_lo_n10.csv", "band_hi_n10.csv",
             "minimizers_n10.csv", "histogram_n10.csv", "meta.json",
-        }
+        ]
 
-    def test_meta_support_is_floats(self, tmp_path):
+    def test_meta_support_is_floats(self):
         # as the command line writes it, whatever numbers the support was given as
         cfg = dataclasses.replace(_small_config(reps=3), support=(-3, 3))
-        write_summary(cfg, run_replications(cfg), tmp_path)
-        assert '"support": [\n    -3.0,\n    3.0\n  ]' in (tmp_path / "meta.json").read_text()
+        meta = write_summary(cfg, run_replications(cfg))["meta.json"]
+        assert '"support": [\n    -3.0,\n    3.0\n  ]' in meta
 
 
 class TestCoverageExperiment:
