@@ -139,6 +139,9 @@ def cmd_verify_bounds(args) -> dict[str, str]:
     thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
     for eps in epsilons:
         consistency.check_epsilon(eps)
+    for flag, values in (("--theta", thetas), ("--epsilon", epsilons)):  # they name the files
+        if len({f"{v:g}" for v in values}) < len(values):
+            raise ValidationFailure(f"DuplicateName: {flag} values that print alike share a file")
     if args.uniform:  # before any draw
         conformal.check_alpha(args.alpha)
         grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)

@@ -14,7 +14,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,35 +48,26 @@ class NonconformityScore(enum.Enum):
 
 @dataclass(frozen=True, eq=False)  # array fields: == and hash by identity, never ambiguous
 class FocalSystem:
-    """n+1 rank level sets over [a, b] as one table of pieces in scan order: piece i is
-    [lo[i], hi[i]] of set index[i] in 1..n+1, by index, then along y.  A set may have
-    several pieces, or none (a rank that a grid system never attains)."""
+    """n+1 rank level sets over [a, b] = [lo[0], hi[-1]] as one table of pieces along y:
+    piece i is [lo[i], hi[i]] of set index[i] in 1..n+1; lo and hi rise with i and the pieces
+    tile [a, b].  A set may have several pieces, or none (a rank a grid never attains)."""
 
     index: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     n_plus_1: int
-    support_lo: float
-    support_hi: float
 
     def containing_index(self, y):
         """1-based index of the focal set containing y; elementwise for an array.
 
-        The first piece in scan order that holds y wins, so a y on a shared end goes to
-        the lower index.  Pieces that meet only at their ends, as ``focal_sets`` builds
-        them, hold O(n + m) of the distinct ys in all."""
-        flat = _in_support(y, self.support_lo, self.support_hi)
+        The rows holding y run from the first hi >= y to the last lo <= y, and the lowest
+        index among them wins (a y on a shared end goes to the lower index).  A zero-width
+        row holds one distinct y, so the runs of the distinct ys span O(n + m) rows in all."""
+        flat = _in_support(y, self.lo[0], self.hi[-1])
         ys, back = np.unique(flat, return_inverse=True)
-        start = np.searchsorted(ys, self.lo, "left")
-        count = np.maximum(np.searchsorted(ys, self.hi, "right") - start, 0)
-        piece = np.repeat(np.arange(count.size), count)
-        at = np.arange(piece.size) - np.repeat(np.cumsum(count) - count - start, count)
-        first = np.full(ys.size, count.size)
-        np.minimum.at(first, at, piece)
-        first = first[back]
-        if (first == count.size).any():
-            raise OutOfSupport(f"y={flat[first == count.size][0]} not covered by any focal set")
-        v = self.index[first]
+        start, stop = np.searchsorted(self.hi, ys, "left"), np.searchsorted(self.lo, ys, "right")
+        # a run may end past the last row, at the sentinel; the runs between ys are dropped
+        v = np.minimum.reduceat(np.append(self.index, 0), np.ravel([start, stop], "F"))[::2][back]
         return int(v[0]) if np.ndim(y) == 0 else v.reshape(np.shape(y))
 
 
@@ -153,7 +143,7 @@ def y_grid(lo: float, hi: float, points: int) -> np.ndarray:
 
 def focal_sets(sample: BoundedSample, score: NonconformityScore,
                grid_points: int = 2001) -> FocalSystem:
-    """Construct the rank level sets as a piece table.
+    """Construct the rank level sets as a piece table along y.
 
     Identity scores give the exact order-statistic gaps, one piece per set.
     The loo-mean score is resolved on a ``y_grid`` of grid_points points over the
@@ -163,7 +153,7 @@ def focal_sets(sample: BoundedSample, score: NonconformityScore,
     a, b, n = sample.support_lo, sample.support_hi, sample.n
     if score is NonconformityScore.IDENTITY:
         knots = np.concatenate([[a], sample.values, [b]])
-        return FocalSystem(np.arange(1, n + 2), knots[:-1], knots[1:], n + 1, a, b)
+        return FocalSystem(np.arange(1, n + 2), knots[:-1], knots[1:], n + 1)
 
     grid = y_grid(a, b, grid_points)
     half = 0.5 * (grid[1] - grid[0])
@@ -176,23 +166,7 @@ def focal_sets(sample: BoundedSample, score: NonconformityScore,
     empty = np.flatnonzero(np.bincount(ranks, minlength=n + 2)[1:] == 0) + 1
     if empty.size:
         warnings.warn(f"rank values {empty.tolist()} unattained on the grid", EmptyFocalSetWarning)
-    run = ranks[starts]
-    order = np.argsort(run, kind="stable")  # scan order: by rank, then along y
-    return FocalSystem(run[order], los[order], his[order], n + 1, a, b)
-
-
-def merge_intervals(pieces: Sequence[Interval]) -> tuple[Interval, ...]:
-    """Union of intervals with touching/overlapping pieces coalesced."""
-    if not pieces:
-        return ()
-    ordered = sorted(pieces)
-    out = [list(ordered[0])]
-    for lo, hi in ordered[1:]:
-        if lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
+    return FocalSystem(ranks[starts], los, his, n + 1)
 
 
 @dataclass(frozen=True)
@@ -206,11 +180,13 @@ class PredictionSet:
 
 def prediction_set(focal: FocalSystem, alpha: float) -> PredictionSet:
     """Smallest-k prediction set with nominal coverage >= 1 - alpha."""
-    m = focal.n_plus_1
-    k = nested_set_index(m - 1, alpha)
-    first = focal.index <= k
-    region = merge_intervals(list(zip(focal.lo[first].tolist(), focal.hi[first].tolist())))
-    return PredictionSet(k=k, region=region, nominal_coverage=k / m)
+    k = nested_set_index(focal.n_plus_1 - 1, alpha)
+    lo, hi = focal.lo[focal.index <= k], focal.hi[focal.index <= k]  # along y; maybe none
+    starts = lo > np.concatenate([[-np.inf], hi[:-1]])  # the pieces after a gap
+    stops = hi < np.concatenate([lo[1:], [np.inf]])  # the pieces before one
+    ends = np.searchsorted(hi, hi[stops])  # the first hi equal to the last: -0.0 or 0.0 kept
+    region = tuple(zip(lo[starts].tolist(), hi[ends].tolist()))
+    return PredictionSet(k=k, region=region, nominal_coverage=k / focal.n_plus_1)
 
 
 def check_alpha(alpha: float) -> None:
@@ -247,7 +223,8 @@ def serialize_intervals(index, lo, hi) -> str:
 
 
 def serialize_focal_system(focal: FocalSystem) -> str:
-    return serialize_intervals(focal.index, focal.lo, focal.hi)
+    order = np.argsort(focal.index, kind="stable")  # focal.txt's scan order: by index, along y
+    return serialize_intervals(focal.index[order], focal.lo[order], focal.hi[order])
 
 
 def serialize_prediction_set(pred: PredictionSet) -> str:

@@ -32,7 +32,7 @@ def _ticks(lo: float, hi: float) -> list[float]:
     first = math.ceil(lo / step)
     ticks = (first * step + i * step
              for i in range(math.floor((hi + 1e-12 * step) / step) - first + 1))
-    return [0.0 if abs(t) < 1e-12 * step else t for t in ticks]
+    return list(dict.fromkeys(0.0 if abs(t) < 1e-12 * step else t for t in ticks))  # distinct
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:

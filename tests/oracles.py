@@ -7,7 +7,8 @@ replaced.  The focal sum is the per-set, per-piece loop that the batched focal
 upper risk replaced; each piece's sup is the max of the loss at its two ends,
 since both losses are convex in y.  The tests keep them so that the earlier results stay
 reproducible as oracles.  ``argmin_and_min`` is the (argmin, minimum) pair the
-row minimizer returned before it returned the argmin alone.
+row minimizer returned before it returned the argmin alone.  ``union_of_intervals`` is the
+loop that joined a prediction set's pieces.
 """
 
 import numpy as np
@@ -40,11 +41,28 @@ def scalar_golden_section_min(f, lo, hi, tol):
     return x, f(x)
 
 
-def focal_table(sets, lo, hi):
-    """The FocalSystem on [lo, hi] whose set v has the pieces sets[v - 1], in scan order."""
+def focal_table(sets):
+    """The FocalSystem whose set v has the pieces sets[v - 1], its rows sorted by (lo, hi):
+    along y, if the pieces tile an interval."""
     pieces = [(v, a, b) for v, p in enumerate(sets, start=1) for a, b in p]
     index, los, his = np.array(pieces, dtype=float).reshape(-1, 3).T
-    return FocalSystem(index.astype(int), los, his, len(sets), lo, hi)
+    order = np.lexsort((his, los))
+    return FocalSystem(index[order].astype(int), los[order], his[order], len(sets))
+
+
+def union_of_intervals(pieces):
+    """Union of intervals with touching/overlapping pieces coalesced: the sorted loop that
+    built prediction regions before the region came from one pass over the table."""
+    if not pieces:
+        return ()
+    ordered = sorted(pieces)
+    out = [list(ordered[0])]
+    for lo, hi in ordered[1:]:
+        if lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in out)
 
 
 def focal_sum_upper_risk(loss, focal, theta):

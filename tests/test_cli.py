@@ -209,6 +209,16 @@ class TestSimulate:
                              text=True, timeout=30)
         assert 1 <= int(out.stdout) <= 12, out.stderr
 
+    def test_ticks_are_distinct(self):
+        # far from 0, neighbouring ticks rounded to one float: 9 ticks, 3 values
+        from focalrisk.svgplot import _ticks
+
+        far = _ticks(1e16, 1e16 + 4)
+        assert far == [1e16, 1.0000000000000002e16, 1.0000000000000004e16]
+        assert _ticks(-1, 1) == [-1.0, -0.8, -0.6, -0.3999999999999999, -0.19999999999999996, 0.0,
+                                 0.20000000000000018, 0.40000000000000013, 0.6000000000000001,
+                                 0.8, 1.0]
+
 
 class TestVerifyBounds:
     def test_reports(self, tmp_path):
@@ -266,6 +276,18 @@ class TestVerifyBounds:
         out = tmp_path / "out"
         assert run(["verify-bounds", "--n", "20", "--uniform", "--alpha", alpha,
                     "--replications", "100", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--theta", "0", "--epsilon", "0.5,0.5000001"],
+                                       ["--theta", "0.1,0.10000001", "--epsilon", "1"],
+                                       ["--n", "", "--uniform", "--epsilon", "0.5,0.5000001"]])
+    def test_values_that_print_alike_exit_2(self, tmp_path, capsys, flags):
+        # reports are named by {eps:g} and {theta:g}: the second report took the first's file
+        out = tmp_path / "out"
+        assert run(["verify-bounds", "--n", "20", *flags, "--replications", "100",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("DuplicateName: --") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify-bounds", "simulate"])

@@ -1,4 +1,3 @@
-import re
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -18,14 +17,14 @@ from focalrisk import (
 )
 from focalrisk import conformal
 from focalrisk.conformal import (
-    merge_intervals,
+    FocalSystem,
     rank_candidates,
     rank_rows,
     serialize_focal_system,
 )
 from focalrisk.errors import (IndexOutOfRange, InvalidAlpha, MissingGrid, NonFiniteValue,
                               OutOfSupport)
-from oracles import focal_table
+from oracles import focal_table, union_of_intervals
 
 identity = NonconformityScore.identity()
 loo_mean = NonconformityScore.distance_to_loo_mean()
@@ -94,8 +93,34 @@ class TestFocalSets:
         # a run ended at 2.5499999999999994 and the next began at 2.5500000000000003,
         # so contour refused the y in between as not covered
         f = focal_sets(make_sample([2, 2.3], -3, 3), loo_mean, grid_points=21)
-        assert merge_intervals(list(zip(f.lo.tolist(), f.hi.tolist()))) == ((-3.0, 3.0),)
+        assert prediction_set(f, 0.01).region == ((-3.0, 3.0),)
         assert contour(f, 2.55) > 0
+
+    @pytest.mark.filterwarnings("ignore::focalrisk.errors.EmptyFocalSetWarning")
+    @given(raw=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+           support=st.sampled_from([(0.0, 3.0), (-3.0, 12.0), (4e16, 200.0), (-1e17, 1000.0)]),
+           score=st.sampled_from([identity, loo_mean]), points=st.integers(2, 201))
+    @example(raw=[3], support=(4e16, 200.0), score=loo_mean, points=21)
+    def test_the_table_tiles_the_support_along_y(self, raw, support, score, points):
+        # ties among the data, data at both support ends, and supports narrow for their
+        # magnitude, whose grid steps round to zero-width pieces
+        at, width = support
+        s = make_sample([at + x * width / 12 for x in raw], at, at + width)
+        f = focal_sets(s, score, grid_points=points)
+        assert (f.lo[0], f.hi[-1]) == (at, at + width)
+        assert (np.diff(f.lo) >= 0).all() and (np.diff(f.hi) >= 0).all()
+        assert (f.lo <= f.hi).all() and (f.hi[:-1] >= f.lo[1:]).all()
+        assert set(f.index.tolist()) <= set(range(1, s.n + 2))
+
+    def test_zero_width_pieces_far_from_zero(self):
+        # at 4e16 a grid step rounds to 0 or 32: set 1 holds zero-width pieces at 4e16 + 32,
+        # between two pieces of set 2, so y there is in set 1
+        s = make_sample([4.0000000000000104e16], 4e16, 4.00000000000002e16)
+        f = focal_sets(s, loo_mean, grid_points=21)
+        holders = f.index[(f.lo <= 4e16 + 32) & (4e16 + 32 <= f.hi)].tolist()
+        assert 1 in holders and 2 in holders and (f.lo == f.hi).any()
+        assert contour(f, 4e16 + 32) == 1.0
+        assert contour(f, np.array([4e16 + 32, 4e16 + 48])).tolist() == [1.0, 0.5]
 
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=25, unique=True))
     def test_identity_tiling(self, raw):
@@ -124,6 +149,13 @@ class TestPredictionSet:
         p = prediction_set(f, 0.05)
         assert p.k == 191
         assert p.nominal_coverage == pytest.approx(191 / 201)
+
+    def test_region_ends_at_signed_zeros_as_the_union_loop(self):
+        # of the equal ends -0.0 and 0.0, an interval ends at the first, as the loop did
+        f = focal_sets(make_sample([-0.0, 0.0], -1, 1), identity)
+        p = prediction_set(f, 0.4)
+        pieces = list(zip(f.lo.tolist(), f.hi.tolist()))[:p.k]
+        assert str(p.region) == str(union_of_intervals(pieces)) == "((-1.0, -0.0),)"
 
     def test_invalid_alpha(self):
         f = focal_sets(make_sample([0.5], 0, 1), identity)
@@ -212,10 +244,6 @@ def test_rank_uniformity_chi_square():
     assert stat < chi2.ppf(0.999, n)
 
 
-def test_merge_intervals():
-    assert merge_intervals([(0, 1), (1, 2), (3, 4)]) == ((0, 2), (3, 4))
-
-
 def test_serialization_round_trip():
     f = focal_sets(make_sample([0.2, 0.8], 0, 1), identity)
     text = serialize_focal_system(f)
@@ -253,11 +281,21 @@ def _exact_index(sample, y):
 
 
 def _scalar_index(focal, y):
-    """The one-point scan of containing_index, as an oracle: the table in scan order."""
-    for v, lo, hi in zip(focal.index.tolist(), focal.lo.tolist(), focal.hi.tolist()):
-        if lo <= y <= hi:
-            return v
-    raise AssertionError(f"y={y} not covered")
+    """The lowest index among the pieces that hold y, as an oracle."""
+    return min(v for v, lo, hi in zip(focal.index.tolist(), focal.lo.tolist(),
+                                      focal.hi.tolist()) if lo <= y <= hi)
+
+
+@st.composite
+def _tilings(draw):
+    """A table along y that tiles [0, 3] in quarters, with five sets: repeated starts give
+    zero-width pieces, a piece may reach past the next one's start, and the indices come in
+    any order, repeated or left out."""
+    lo = np.array([0] + sorted(draw(st.lists(st.integers(0, 12), max_size=12))))
+    size = st.lists(st.integers(0, 1), min_size=lo.size, max_size=lo.size)
+    hi = np.minimum(np.maximum.accumulate(np.append(lo[1:], 12) + draw(size)), 12)
+    index = draw(st.lists(st.integers(1, 5), min_size=lo.size, max_size=lo.size))
+    return FocalSystem(np.array(index), lo / 4, hi / 4, 5)
 
 
 class TestBatched:
@@ -370,28 +408,29 @@ class TestBatched:
         with pytest.raises(NonFiniteValue):
             rank_rows(np.array([[1.0, np.inf]]), np.array([[0.0]]), loo_mean)
 
-    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12), st.integers(0, 12)),
-                    max_size=12),
-           st.lists(st.integers(0, 24), max_size=20))
-    def test_grid_lookup_matches_scan(self, pieces, ys):
-        # five sets of arbitrary pieces on [0, 3]: overlaps, gaps, several pieces per set
-        # and empty sets; unsorted, repeated ys on piece ends and between them
-        sets = [[] for _ in range(5)]
-        for v, i, j in pieces:
-            sets[v].append((min(i, j) / 4, max(i, j) / 4))
-        f = focal_table(sets, 0.0, 3.0)
+    @given(_tilings(), st.lists(st.integers(0, 24), max_size=20))
+    def test_grid_lookup_matches_scan(self, f, ys):
+        # zero-width pieces between wider ones, overlaps, several pieces per set and empty
+        # sets; unsorted, repeated ys on piece ends and between them
         ys = [y / 8 for y in ys]
-        covered = [bool(np.any((f.lo <= y) & (y <= f.hi))) for y in ys]
-        if all(covered):
-            assert f.containing_index(np.array(ys)).tolist() == [_scalar_index(f, y) for y in ys]
-        else:
-            first = ys[covered.index(False)]
-            with pytest.raises(OutOfSupport, match=re.escape(f"y={first} not covered")):
-                f.containing_index(np.array(ys))
+        assert f.containing_index(np.array(ys)).tolist() == [_scalar_index(f, y) for y in ys]
 
     def test_grid_tie_goes_to_lower_index(self):
-        f = focal_table([[(1.0, 2.0)], [(0.0, 1.0)], [(2.0, 3.0)]], 0.0, 3.0)
+        # the table along y is [(0, 1) -> 2, (1, 2) -> 1, (2, 3) -> 3]
+        f = focal_table([[(1.0, 2.0)], [(0.0, 1.0)], [(2.0, 3.0)]])
+        assert f.index.tolist() == [2, 1, 3]
         assert f.containing_index(np.array([0.5, 1.0, 2.0, 2.5])).tolist() == [2, 1, 1, 3]
+        # a zero-width row of set 1 between two of set 2: the lower of the two neighbours is 2
+        f = focal_table([[(1.0, 1.0)], [(0.0, 1.0), (1.0, 2.0)]])
+        assert f.containing_index(np.array([0.5, 1.0, 1.5])).tolist() == [2, 1, 2]
+
+    @given(_tilings(), st.integers(1, 5))
+    def test_region_matches_the_union_loop(self, f, k):
+        # indices left out of 1..k leave the selection empty, or with gaps
+        pieces = [(lo, hi) for v, lo, hi in zip(f.index.tolist(), f.lo.tolist(), f.hi.tolist())
+                  if v <= k]
+        p = prediction_set(f, (5.5 - k) / 5)
+        assert p.k == k and p.region == union_of_intervals(pieces)
 
     @pytest.mark.parametrize("score", [identity, loo_mean], ids=["score0", "score1"])
     def test_one_out_of_support_y_raises(self, score):
@@ -401,12 +440,6 @@ class TestBatched:
                 contour(f, np.array([0.5, 2.5, bad, 4.5]))
             with pytest.raises(OutOfSupport):
                 rank_candidates(make_sample([1, 2, 3, 4], 0, 5), [1.0, bad], score)
-
-    def test_uncovered_y_raises(self):
-        f = focal_table([[(0.0, 1.0)], [(2.0, 3.0)]], 0.0, 3.0)
-        assert contour(f, np.array([0.5, 2.5])).tolist() == [1.0, 0.5]
-        with pytest.raises(OutOfSupport, match="not covered"):
-            contour(f, np.array([0.5, 1.5, 2.5]))
 
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=40),
            st.lists(st.integers(-1, 7), max_size=30))

@@ -270,15 +270,15 @@ class TestTrueRiskCurve:
 class TestSupOnInterval:
     # the upper risk of a one-piece focal system is the sup of the loss over the piece
     def test_endpoint_max(self):
-        piece = focal_table([[(0.2, 0.8)]], 0.2, 0.8)
+        piece = focal_table([[(0.2, 0.8)]])
         assert focal_upper_risk_curve(sq01, piece, [0.0])[0] == pytest.approx(0.64)
 
     def test_degenerate(self):
-        piece = focal_table([[(0.5, 0.5)]], 0.5, 0.5)
+        piece = focal_table([[(0.5, 0.5)]])
         assert focal_upper_risk_curve(sq01, piece, [0.3])[0] == pytest.approx(0.04)
 
     def test_symmetric_endpoints(self):
-        piece = focal_table([[(0.2, 0.8)]], 0.2, 0.8)
+        piece = focal_table([[(0.2, 0.8)]])
         assert focal_upper_risk_curve(sq01, piece, [0.5])[0] == pytest.approx(0.09)
 
 
@@ -305,7 +305,7 @@ def _focal_case(draw):
         ends = st.integers(-12, 12).map(lambda i: i / 4)
         sets = draw(st.lists(st.lists(st.tuples(ends, ends).map(sorted), max_size=3),
                              min_size=1, max_size=6))
-        focal = focal_table(sets, -3.0, 3.0)
+        focal = focal_table(sets)
     else:
         raw = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=40))
         with warnings.catch_warnings():
