@@ -13,8 +13,8 @@ import importlib
 _EXPORTS = {
     "conformal": ("FocalSystem", "NonconformityScore", "PredictionSet", "contour",
                   "coverage_probability", "focal_sets", "prediction_set", "rank_candidate"),
-    "consistency": ("BoundReport", "ConsistencyConstants", "constants", "hoeffding_bound",
-                    "min_sample_size", "verify_pointwise", "verify_uniform", "witness_uniform"),
+    "consistency": ("constants", "hoeffding_bound", "min_sample_size", "verify_pointwise",
+                    "verify_uniform", "witness_uniform"),
     "data_model": ("BoundedSample", "LossSpec", "ThetaGrid", "absolute_error_loss", "make_sample",
                    "squared_error_loss"),
     "risk": ("minimize_upper_risk", "risk_curve", "true_risk", "upper_risk_closed_form",

@@ -130,40 +130,20 @@ def cmd_simulate(args) -> dict[str, str]:
 
 
 def cmd_verify_bounds(args) -> dict[str, str]:
-    from . import conformal, consistency, simulate
-    from .data_model import LossKind, LossSpec, ThetaGrid, normal_mass
+    import json
+
+    from . import consistency
+    from .data_model import LossKind, LossSpec, normal_mass
 
     support = (args.lo, args.hi)
     normal_mass(*support)  # a support is refused before any other argument
     loss = LossSpec(LossKind(args.loss), (args.theta_lo, args.theta_hi))
-    thetas, epsilons = _parse_list(args.theta, float), _parse_list(args.epsilon, float)
-    for eps in epsilons:
-        consistency.check_epsilon(eps)
-    for flag, values in (("--theta", thetas), ("--epsilon", epsilons)):  # they name the files
-        if len({f"{v:g}" for v in values}) < len(values):
-            raise ValidationFailure(f"DuplicateName: {flag} values that print alike share a file")
-    if args.uniform:  # before any draw
-        conformal.check_alpha(args.alpha)
-        grid = ThetaGrid(args.theta_lo, args.theta_hi, args.theta_count)
-    ns = _parse_list(args.n, int) if thetas and epsilons else []  # else no pointwise report
-    uniform_ns = [consistency.uniform_n(loss, support, grid, eps, args.alpha)
-                  for eps in epsilons] if args.uniform else []
-    for n in ns + uniform_ns:  # every sample size before the first draw
-        simulate.check_run(n, args.replications, args.seed)
-    if not ns + uniform_ns:
-        raise EmptyInput("no sample size, theta or epsilon: there is no report to write")
-    reports = {}
-    for n in ns:
-        pointwise = consistency.pointwise_reports(
-            support, loss, thetas, n, epsilons, replications=args.replications, seed=args.seed,
-        )
-        for report, (eps, theta) in zip(pointwise, itertools.product(epsilons, thetas)):
-            reports[f"bound_n{n}_eps{eps:g}_theta{theta:g}.json"] = report
-    for eps in epsilons if args.uniform else []:
-        reports[f"uniform_eps{eps:g}.json"] = consistency.verify_uniform(
-            support, loss, grid, eps, args.alpha, args.seed, replications=args.replications,
-        )
-    return {name: report.to_json() + "\n" for name, report in reports.items()}
+    reports = consistency.bound_reports(
+        support, loss, _parse_list(args.theta, float), _parse_list(args.epsilon, float),
+        _parse_list(args.n, int), args.replications, args.seed, args.alpha,
+        args.theta_count if args.uniform else None,
+    )
+    return {name: json.dumps(report) + "\n" for name, report in reports.items()}
 
 
 def cmd_coverage(args) -> dict[str, str]:

@@ -41,10 +41,6 @@ class NonconformityScore(enum.Enum):
     def identity() -> "NonconformityScore":
         return NonconformityScore.IDENTITY
 
-    @staticmethod
-    def distance_to_loo_mean() -> "NonconformityScore":
-        return NonconformityScore.DISTANCE_TO_LOO_MEAN
-
 
 @dataclass(frozen=True, eq=False)  # array fields: == and hash by identity, never ambiguous
 class FocalSystem:

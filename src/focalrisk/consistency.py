@@ -8,23 +8,16 @@ violation frequencies respect the bound.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .conformal import check_alpha
 from .data_model import LossSpec, ThetaGrid
-from .errors import NonFiniteValue, NonpositiveEpsilon
+from .errors import DuplicateName, EmptyInput, NonFiniteValue, NonpositiveEpsilon
 from .risk import batch_cells, true_risk_curve, upper_risk_batch
-from .simulate import sample_chunks
-
-
-@dataclass(frozen=True)
-class ConsistencyConstants:
-    M: float
-    L_max: float
+from .simulate import check_run, sample_chunks
 
 
 def _loss_range(loss: LossSpec, thetas, a: float, b: float) -> np.ndarray:
@@ -35,10 +28,9 @@ def _loss_range(loss: LossSpec, thetas, a: float, b: float) -> np.ndarray:
     return vals.max(axis=-1) - np.minimum(vals.min(axis=-1), loss(t, np.clip(t, a, b)))
 
 
-def constants(
-    loss: LossSpec, support: tuple[float, float], span: tuple[float, float]
-) -> ConsistencyConstants:
-    """M = sup loss(., a) + sup loss(., b), and L_max = sup ``_loss_range``, on the theta span.
+def constants(loss: LossSpec, support: tuple[float, float],
+              span: tuple[float, float]) -> tuple[float, float]:
+    """(M, L_max): M = sup loss(., a) + sup loss(., b), L_max = sup ``_loss_range``, on the span.
 
     Both are exact, since loss(., y) is convex and loss(theta, .) convex with its min at
     y = theta (the ``LossSpec`` contract): M's sups are at the span's ends, and so is
@@ -52,7 +44,7 @@ def constants(
         l_max = float(np.max(_loss_range(loss, thetas, a, b)))
     if not (math.isfinite(m) and math.isfinite(l_max)):  # the loss overflows on the span
         raise NonFiniteValue(f"M={m}, L_max={l_max}: loss not finite on the theta span {span}")
-    return ConsistencyConstants(M=m, L_max=l_max)
+    return m, l_max
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -80,20 +72,6 @@ def hoeffding_bound(n: int, epsilon: float, L: float) -> float:
     return 2.0 * float(np.exp(-(2.0 / 9.0) * n * epsilon**2 / L**2))
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    epsilon: float
-    n: int
-    threshold_met: bool
-    bound: float
-    empirical_violation_rate: float
-    replications: int
-    seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
-
 def _deviations(support: tuple[float, float], loss: LossSpec, thetas: np.ndarray, n: int,
                 replications: int, seed: int):
     """|upper risk - true risk| at every theta, as (r, len(thetas)) chunks of replications."""
@@ -106,30 +84,31 @@ def _deviations(support: tuple[float, float], loss: LossSpec, thetas: np.ndarray
 
 
 def pointwise_reports(support: tuple[float, float], loss: LossSpec, thetas, n: int, epsilons,
-                      replications: int, seed: int) -> list[BoundReport]:
+                      replications: int, seed: int) -> list[dict]:
     """Monte Carlo checks of the pointwise deviation bound, in (epsilon, theta) order.
 
-    One draw of replication r (stream keyed by (seed, n, r)) scores every theta
-    and epsilon.  M is taken over the loss's theta domain.
+    One draw of replication r (stream keyed by (seed, n, r)) scores every theta and epsilon.
+    M is taken over the loss's theta domain, and L after the draws refuse a theta outside it.
     """
     for eps in epsilons:
         check_epsilon(eps)
     thetas = np.asarray(thetas, dtype=float)
     if not (len(thetas) and len(epsilons)):
         return []
-    consts = constants(loss, support, loss.theta_domain)
-    met = [n >= min_sample_size(eps, consts.M) for eps in epsilons]  # may refuse: before any draw
-    ranges = _loss_range(loss, thetas, *support).tolist()
+    m, _ = constants(loss, support, loss.theta_domain)
+    met = [n >= min_sample_size(eps, m) for eps in epsilons]  # may refuse: before any draw
     violations = sum(np.count_nonzero(dev > np.reshape(epsilons, (-1, 1, 1)), axis=1)
                      for dev in _deviations(support, loss, thetas, n, replications, seed))
-    return [BoundReport(eps, n, met_eps, hoeffding_bound(n, eps, L), int(count) / replications,
-                        replications, seed)
+    ranges = _loss_range(loss, thetas, *support).tolist()
+    return [dict(epsilon=eps, n=n, threshold_met=met_eps, bound=hoeffding_bound(n, eps, L),
+                 empirical_violation_rate=int(count) / replications, replications=replications,
+                 seed=seed)
             for eps, met_eps, counts in zip(epsilons, met, violations)
             for L, count in zip(ranges, counts)]
 
 
 def verify_pointwise(support: tuple[float, float], loss: LossSpec, theta: float, n: int,
-                     epsilon: float, replications: int, seed: int) -> BoundReport:
+                     epsilon: float, replications: int, seed: int) -> dict:
     """Monte Carlo check of the pointwise bound at one theta; see ``pointwise_reports``."""
     return pointwise_reports(support, loss, [theta], n, [epsilon], replications, seed)[0]
 
@@ -155,23 +134,8 @@ def witness_uniform(
 def uniform_n(loss: LossSpec, support: tuple[float, float], theta_grid: ThetaGrid,
               epsilon: float, alpha: float) -> int:
     """``verify_uniform``'s sample size: max(witness_uniform, min_sample_size)."""
-    consts = constants(loss, support, (theta_grid.lo, theta_grid.hi))
-    return max(witness_uniform(theta_grid, epsilon, alpha, consts.L_max),
-               min_sample_size(epsilon, consts.M))
-
-
-@dataclass(frozen=True)
-class UniformReport:
-    epsilon: float
-    alpha: float
-    n: int
-    estimated_probability: float
-    within_alpha: bool
-    replications: int
-    seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
+    m, l_max = constants(loss, support, (theta_grid.lo, theta_grid.hi))
+    return max(witness_uniform(theta_grid, epsilon, alpha, l_max), min_sample_size(epsilon, m))
 
 
 def verify_uniform(
@@ -182,7 +146,7 @@ def verify_uniform(
     alpha: float,
     seed: int,
     replications: int = 1000,
-) -> UniformReport:
+) -> dict:
     """Monte Carlo estimate of the uniform-deviation probability on the grid.
 
     Uses n = ``uniform_n``, max(witness_uniform, min_sample_size).  The witness n is the
@@ -193,4 +157,38 @@ def verify_uniform(
     n = uniform_n(loss, support, theta_grid, epsilon, alpha)
     devs = _deviations(support, loss, theta_grid.points, n, replications, seed)
     est = sum(int(np.count_nonzero(dev.max(axis=1) > epsilon)) for dev in devs) / replications
-    return UniformReport(epsilon, alpha, n, est, est < alpha, replications, seed)
+    return dict(epsilon=epsilon, alpha=alpha, n=n, estimated_probability=est,
+                within_alpha=est < alpha, replications=replications, seed=seed)
+
+
+def bound_reports(support: tuple[float, float], loss: LossSpec, thetas: list[float],
+                  epsilons: list[float], ns: list[int], replications: int, seed: int,
+                  alpha: float, uniform_count: int | None) -> dict[str, dict]:
+    """``verify-bounds``' reports by file name: ``pointwise_reports`` at each n (none without
+    a theta or an epsilon), then, given a grid count, ``verify_uniform`` at each epsilon on
+    that many points of the theta domain.  Each epsilon, the names, alpha, the grid, each
+    uniform n and each run are checked in that order, all before the first draw."""
+    for eps in epsilons:
+        check_epsilon(eps)
+    for flag, values in (("--theta", thetas), ("--epsilon", epsilons)):  # they name the files
+        if len({f"{v:g}" for v in values}) < len(values):
+            raise DuplicateName(f"{flag} values that print alike share a file")
+    if uniform_count is not None:
+        check_alpha(alpha)
+        grid = ThetaGrid(*loss.theta_domain, uniform_count)
+    uniform_eps = [] if uniform_count is None else epsilons
+    ns = ns if thetas and epsilons else []
+    uniform_ns = [uniform_n(loss, support, grid, eps, alpha) for eps in uniform_eps]
+    for n in ns + uniform_ns:
+        check_run(n, replications, seed)
+    if not ns + uniform_ns:
+        raise EmptyInput("no sample size, theta or epsilon: there is no report to write")
+    reports = {}
+    for n in ns:
+        pointwise = pointwise_reports(support, loss, thetas, n, epsilons, replications, seed)
+        for report, (eps, theta) in zip(pointwise, itertools.product(epsilons, thetas)):
+            reports[f"bound_n{n}_eps{eps:g}_theta{theta:g}.json"] = report
+    for eps in uniform_eps:
+        reports[f"uniform_eps{eps:g}.json"] = verify_uniform(
+            support, loss, grid, eps, alpha, seed, replications=replications)
+    return reports

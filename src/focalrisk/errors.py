@@ -57,5 +57,9 @@ class EmptyInput(FocalRiskError):
     """An aggregation operation received no values."""
 
 
+class DuplicateName(FocalRiskError):
+    """Two values of one list print alike, so their reports would share a file name."""
+
+
 class EmptyFocalSetWarning(UserWarning):
     """A rank value was unattained on the evaluation grid."""

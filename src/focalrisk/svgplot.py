@@ -46,6 +46,13 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _labelled(ticks: list[float]) -> list[tuple[float, str]]:
+    """Each tick with its label, at the least precision from 6 to 17 significant digits
+    at which the ticks' labels differ."""
+    p = next(p for p in range(6, 18) if len({f"{t:.{p}g}" for t in ticks}) == len(ticks))
+    return [(t, f"{t:.{p}g}") for t in ticks]
+
+
 class _Frame:
     def __init__(self, x_lo, x_hi, y_lo, y_hi):
         self.x_lo, self.x_hi = x_lo, x_hi
@@ -69,7 +76,7 @@ def _axes(frame: _Frame, title: str) -> list[str]:
         f'<text x="{WIDTH // 2}" y="20" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    for t in _ticks(frame.x_lo, frame.x_hi):
+    for t, label in _labelled(_ticks(frame.x_lo, frame.x_hi)):
         x = frame.px(t)
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{HEIGHT - MARGIN_B}" '
@@ -77,9 +84,9 @@ def _axes(frame: _Frame, title: str) -> list[str]:
         )
         parts.append(
             f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_B + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for t in _ticks(frame.y_lo, frame.y_hi):
+    for t, label in _labelled(_ticks(frame.y_lo, frame.y_hi)):
         y = frame.py(t)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{_fmt(y)}" '
@@ -87,7 +94,7 @@ def _axes(frame: _Frame, title: str) -> list[str]:
         )
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     return parts
 

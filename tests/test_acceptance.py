@@ -79,7 +79,7 @@ def test_criterion_1_closed_form_equivalence():
     "score_name,score",
     [
         ("identity", NonconformityScore.identity()),
-        ("loo-mean", NonconformityScore.distance_to_loo_mean()),
+        ("loo-mean", NonconformityScore.DISTANCE_TO_LOO_MEAN),
     ],
     ids=["identity-score0", "loo-mean-score1"],
 )
@@ -186,14 +186,14 @@ def test_criterion_5_theorem_bound_respected():
                     MODEL, loss, theta, n, eps,
                     replications=reps, seed=500,
                 )
-                assert rep.threshold_met
-                p = min(rep.bound, 1.0)
+                assert rep["threshold_met"]
+                p = min(rep["bound"], 1.0)
                 allowance = 3.0 * math.sqrt(p * (1.0 - p) / reps)
-                if rep.empirical_violation_rate > rep.bound + allowance:
+                if rep["empirical_violation_rate"] > rep["bound"] + allowance:
                     ok = False
                 lines.append(
                     f"n={n} eps={eps} theta={theta}: rate "
-                    f"{rep.empirical_violation_rate:.4f} <= bound {rep.bound:.3g}"
+                    f"{rep['empirical_violation_rate']:.4f} <= bound {rep['bound']:.3g}"
                 )
     report("Theorem-style bound respected on all configs", ok)
     for line in lines:
@@ -201,16 +201,16 @@ def test_criterion_5_theorem_bound_respected():
 
 
 def test_criterion_6_constants_oracle():
-    c = constants(squared_error_loss((-1, 1)), (-3, 3), (-1, 1))
+    m, _ = constants(squared_error_loss((-1, 1)), (-3, 3), (-1, 1))
     l0 = float(_loss_range(squared_error_loss((-1, 1)), 0.0, -3, 3))
     risk0 = true_risk(squared_error_loss((-1, 1)), MODEL, 0.0)
     ok = (
-        abs(c.M - 32.0) <= 1e-9
+        abs(m - 32.0) <= 1e-9
         and abs(l0 - 9.0) <= 1e-9
         and abs(risk0 - TRUNC_VAR) <= 1e-12
     )
     report(
-        f"constants oracle (M={c.M:.12f}, L(0)={l0:.12f}, R(0)={risk0:.9f})", ok
+        f"constants oracle (M={m:.12f}, L(0)={l0:.12f}, R(0)={risk0:.9f})", ok
     )
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -218,6 +219,19 @@ class TestSimulate:
         assert _ticks(-1, 1) == [-1.0, -0.8, -0.6, -0.3999999999999999, -0.19999999999999996, 0.0,
                                  0.20000000000000018, 0.40000000000000013, 0.6000000000000001,
                                  0.8, 1.0]
+
+    def test_tick_labels_are_distinct(self, tmp_path):
+        # far from 0, six significant digits read 1e+16 for three x ticks of the curves
+        # and five of the histogram, and 1e+32 for five y ticks of the curves
+        assert run(["simulate", "--n", "5", "--replications", "3", "--theta-lo", "1e16",
+                    "--theta-hi", "10000000000000004", "--theta-count", "5", "--svg",
+                    "--out", str(tmp_path)]) == 0
+        for name in ("risk_curves.svg", "minimizer_histograms.svg"):
+            svg = (tmp_path / name).read_text()
+            for anchor in ("middle", "end"):  # the x axis, then the y axis
+                labels = re.findall(f'text-anchor="{anchor}" font-family="sans-serif" '
+                                    'font-size="11">([^<]*)<', svg)
+                assert len(labels) > 1 and len(set(labels)) == len(labels), (name, labels)
 
 
 class TestVerifyBounds:
@@ -595,6 +609,9 @@ def test_every_sample_size_is_refused_before_the_first_draw(tmp_path, monkeypatc
     # a grid to the largest float: linspace's overflow warning came before the loss's error
     (["risk-curve", "--values", "0.1,0.2", "--theta-lo=-1.7976931348623157e308", "--theta-hi",
       "0", "--theta-count", "4"], "NonFiniteValue"),
+    # a theta far outside the domain: its loss range overflowed before the domain was checked
+    *([["verify-bounds", "--n", "20", "--replications", "100", "--theta", theta],
+       "ThetaOutOfDomain"] for theta in ("1e300", "inf")),
 ])
 def test_refusals_print_one_line_in_a_fresh_interpreter(tmp_path, argv, error):
     # a fresh interpreter shows what pytest's warning capture hides, and with a timeout

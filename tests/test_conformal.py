@@ -27,7 +27,7 @@ from focalrisk.errors import (IndexOutOfRange, InvalidAlpha, MissingGrid, NonFin
 from oracles import focal_table, union_of_intervals
 
 identity = NonconformityScore.identity()
-loo_mean = NonconformityScore.distance_to_loo_mean()
+loo_mean = NonconformityScore.DISTANCE_TO_LOO_MEAN
 BIG = np.finfo(float).max
 
 

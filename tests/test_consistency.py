@@ -17,7 +17,7 @@ from focalrisk import (
     verify_uniform,
     witness_uniform,
 )
-from focalrisk.consistency import BoundReport, _loss_range, check_epsilon, pointwise_reports
+from focalrisk.consistency import _loss_range, check_epsilon, pointwise_reports
 from focalrisk.errors import InvalidAlpha, NonFiniteValue, NonpositiveEpsilon
 from oracles import scalar_golden_section_min
 
@@ -32,16 +32,16 @@ def _must_not_run(*args, **kwargs):
 
 class TestConstants:
     def test_squared_loss_M(self):
-        c = constants(sq, (-3, 3), (-1, 1))
-        assert c.M == pytest.approx(32.0, abs=1e-9)
+        m, _ = constants(sq, (-3, 3), (-1, 1))
+        assert m == pytest.approx(32.0, abs=1e-9)
 
     def test_squared_loss_L_at_zero(self):
         assert _loss_range(sq, 0.0, -3, 3) == pytest.approx(9.0, abs=1e-9)
 
     def test_L_max(self):
-        c = constants(sq, (-3, 3), (-1, 1))
+        _, l_max = constants(sq, (-3, 3), (-1, 1))
         # largest range over theta in [-1, 1]: (3 + 1)^2 = 16 at theta = +/-1
-        assert c.L_max == pytest.approx(16.0, abs=1e-9)
+        assert l_max == pytest.approx(16.0, abs=1e-9)
 
     def test_extrema_beyond_ulp_tolerance_terminate(self):
         # Past |x| = 8192 one ulp exceeds 1e-12: the sup of M at theta_hi = 1e4 and the inf
@@ -56,9 +56,9 @@ class TestConstants:
         code = (
             "from focalrisk import constants, squared_error_loss as sq\n"
             "from focalrisk.consistency import _loss_range\n"
-            "c = constants(sq((-1, 1e4)), (-3, 3), (-1, 1e4))\n"
+            "m, l_max = constants(sq((-1, 1e4)), (-3, 3), (-1, 1e4))\n"
             "l_zero = float(_loss_range(sq((-1, 1)), 0.0, -2e4, -9000))\n"
-            "print(repr(c.M), repr(c.L_max), repr(l_zero))\n"
+            "print(repr(m), repr(l_max), repr(l_zero))\n"
         )
         env = {"PYTHONPATH": str(Path(focalrisk.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -75,8 +75,8 @@ class TestLossOverflow:
             loss = squared_error_loss((lo, hi))
             with pytest.raises(NonFiniteValue, match="not finite on the theta span"):
                 constants(loss, (-3, 3), (lo, hi))
-        c = constants(absolute_error_loss((-1, 1e200)), (-3, 3), (-1, 1e200))
-        assert c.M == 2e200 and math.isfinite(c.L_max)  # absolute loss stays finite
+        m, l_max = constants(absolute_error_loss((-1, 1e200)), (-3, 3), (-1, 1e200))
+        assert m == 2e200 and math.isfinite(l_max)  # absolute loss stays finite
 
     def test_refused_before_any_draw(self, monkeypatch):
         import focalrisk.consistency as consistency
@@ -132,7 +132,7 @@ class TestConstantsEqualParent:
                                       ThetaGrid(-1, 1, 41), ThetaGrid(-0.75, 0.9, 7)])
     def test_M(self, loss, grid):
         for support in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5)):
-            got = constants(loss, support, (grid.lo, grid.hi)).M
+            got, _ = constants(loss, support, (grid.lo, grid.hi))
             want = _parent_M(loss, support, grid)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
@@ -154,7 +154,7 @@ class TestConstantsEqualParent:
     def test_L_max(self, loss, grid):
         # the parent took L_max over the grid's points; the span's sup points hold it
         for a, b in ((-3.0, 3.0), (-0.5, 2.0), (1.0, 1.5), (-1.0, 0.8)):
-            got = constants(loss, (a, b), (grid.lo, grid.hi)).L_max
+            _, got = constants(loss, (a, b), (grid.lo, grid.hi))
             want = float(np.max(_loss_range(loss, grid.points, a, b)))
             if loss.kind is ABSOLUTE.kind:  # at most the grid's rounding above, within 2 ulps
                 assert want - 2 * np.spacing(want) <= got <= want
@@ -170,7 +170,7 @@ class TestConstantsExact:
         kind = data.draw(st.sampled_from(["squared", "absolute"]))
         loss = (squared_error_loss if kind == "squared" else absolute_error_loss)((-8, 8))
         lo, hi = sorted(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=2)))
-        l_max = constants(loss, (a, b), (lo, hi)).L_max
+        _, l_max = constants(loss, (a, b), (lo, hi))
         dense = _loss_range(loss, np.linspace(lo, hi, 20001), a, b).max()
         assert l_max >= dense - 1e-12 * max(1.0, dense)
 
@@ -178,8 +178,8 @@ class TestConstantsExact:
         # a theta domain [0, 0] holds no two-point grid: M = 9 + 9, so n = 20 < 53
         loss = squared_error_loss((0.0, 0.0))
         report = verify_pointwise(MODEL, loss, 0.0, 20, 1.0, 100, 1)
-        assert report.n == 20 and not report.threshold_met
-        assert constants(loss, (-3, 3), loss.theta_domain).M == 18.0
+        assert report["n"] == 20 and not report["threshold_met"]
+        assert constants(loss, (-3, 3), loss.theta_domain)[0] == 18.0
 
 
 class TestMinSampleSize:
@@ -255,11 +255,11 @@ class TestVerifyPointwise:
         report = verify_pointwise(
             MODEL, sq, 0.0, n=10, epsilon=1.0, replications=100, seed=1,
         )
-        assert not report.threshold_met  # needs n >= 95
+        assert not report["threshold_met"]  # needs n >= 95
         report = verify_pointwise(
             MODEL, sq, 0.0, n=95, epsilon=1.0, replications=100, seed=1,
         )
-        assert report.threshold_met
+        assert report["threshold_met"]
 
     def test_closed_form_guards(self):
         from focalrisk.errors import ThetaOutOfDomain
@@ -282,7 +282,7 @@ class TestVerifyPointwise:
         report = verify_pointwise(
             MODEL, sq, 0.0, n=20, epsilon=1.0, replications=100, seed=1,
         )
-        keys = list(json.loads(report.to_json()).keys())
+        keys = list(json.loads(json.dumps(report)).keys())
         assert keys == [
             "epsilon", "n", "threshold_met", "bound",
             "empirical_violation_rate", "replications", "seed",
@@ -295,7 +295,7 @@ class TestVerifyUniform:
             MODEL, sq, ThetaGrid(-1, 1, 11), epsilon=2.0, alpha=0.1,
             seed=3, replications=200,
         )
-        assert report.within_alpha
+        assert report["within_alpha"]
 
     def test_huge_epsilon(self):
         # deviation is bounded by M + L_max, so no violation is possible
@@ -303,7 +303,7 @@ class TestVerifyUniform:
             MODEL, sq, ThetaGrid(-1, 1, 5), epsilon=60.0, alpha=0.5,
             seed=4, replications=100,
         )
-        assert report.estimated_probability == 0.0
+        assert report["estimated_probability"] == 0.0
 
 
 class TestPointwiseReports:
@@ -317,7 +317,7 @@ class TestPointwiseReports:
         monkeypatch.setattr(simulate, "_CHUNK_CELLS", 2000)
         n, thetas, epsilons, reps = 30, [0.0, 0.5, -1.0], [0.05, 0.3], 100
         got = pointwise_reports(MODEL, loss, thetas, n, epsilons, reps, 7)
-        consts = constants(loss, MODEL, (-1, 1))
+        m, _ = constants(loss, MODEL, (-1, 1))
         want = []
         for eps in epsilons:
             for theta in thetas:
@@ -325,12 +325,12 @@ class TestPointwiseReports:
                                  for r in range(reps)])
                 upper = upper_risk_batch(loss, rows, -3.0, 3.0, [theta])
                 violations = np.count_nonzero(np.abs(upper - true_risk(loss, MODEL, theta)) > eps)
-                want.append(BoundReport(
-                    epsilon=eps, n=n, threshold_met=n >= min_sample_size(eps, consts.M),
+                want.append(dict(
+                    epsilon=eps, n=n, threshold_met=n >= min_sample_size(eps, m),
                     bound=hoeffding_bound(n, eps, float(_loss_range(loss, theta, -3, 3))),
                     empirical_violation_rate=violations / reps, replications=reps, seed=7))
         assert got == want
-        assert 0 < sum(r.empirical_violation_rate for r in got) < len(got)  # not all 0 or 1
+        assert 0 < sum(r["empirical_violation_rate"] for r in got) < len(got)  # not all 0 or 1
 
     def test_chunks_within_budget(self, monkeypatch):
         # the traced peak from each chunk's draw until the next, its closed form included,

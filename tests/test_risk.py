@@ -310,9 +310,8 @@ def _focal_case(draw):
         raw = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=40))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyFocalSetWarning)
-            score = getattr(NonconformityScore, {"identity": "identity",
-                                                 "loo-mean": "distance_to_loo_mean"}[kind])()
-            focal = focal_sets(make_sample(raw, -3, 3), score, draw(st.integers(2, 61)))
+            focal = focal_sets(make_sample(raw, -3, 3), NonconformityScore(kind),
+                               draw(st.integers(2, 61)))
     loss = draw(st.sampled_from([sq11, abs11]))
     thetas = np.array(draw(st.lists(st.floats(-1, 1), min_size=1, max_size=6)))
     return focal, loss, thetas
@@ -332,7 +331,7 @@ def test_focal_curve_with_empty_sets():
     # a 5-point grid leaves rank 1 unattained: set 1 is empty and adds 0; set 3 has two pieces
     with pytest.warns(EmptyFocalSetWarning, match=r"\[1\]"):
         f = focal_sets(make_sample([-2.0, 0.5, 1.0, 2.0], -3, 3),
-                       NonconformityScore.distance_to_loo_mean(), grid_points=5)
+                       NonconformityScore.DISTANCE_TO_LOO_MEAN, grid_points=5)
     assert np.count_nonzero(f.index == 1) == 0 and np.count_nonzero(f.index == 3) == 2
     thetas = np.linspace(-1, 1, 9)
     for loss in (sq11, abs11):

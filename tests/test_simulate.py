@@ -747,7 +747,7 @@ class TestCoverageExperiment:
         assert abs(emp - nominal) <= half_width + 0.01
 
     @pytest.mark.parametrize("score", [NonconformityScore.identity(),
-                                       NonconformityScore.distance_to_loo_mean()],
+                                       NonconformityScore.DISTANCE_TO_LOO_MEAN],
                              ids=["score0", "score1"])
     def test_hits_equal_per_replication_oracle(self, score):
         # one score's hit counts against a loop over replication_rng(seed, n, r)
@@ -768,7 +768,7 @@ class TestCoverageExperiment:
         from focalrisk import make_sample, rank_candidate
 
         n, alphas, reps, seed = 7, [0.05, 0.3, 0.5], 300, 5
-        scores = [NonconformityScore.identity(), NonconformityScore.distance_to_loo_mean()]
+        scores = [NonconformityScore.identity(), NonconformityScore.DISTANCE_TO_LOO_MEAN]
         ks, hits = [nested_set_index(n, alpha) for alpha in alphas], np.zeros((3, 2), dtype=int)
         for r in range(reps):
             draws = _draws(n + 1, replication_rng(seed, n, r))
@@ -780,7 +780,7 @@ class TestCoverageExperiment:
 
     def test_loo_mean_same_nominal(self):
         [[emp]] = coverage_experiment(
-            MODEL, [NonconformityScore.distance_to_loo_mean()], n=20, alphas=[0.2],
+            MODEL, [NonconformityScore.DISTANCE_TO_LOO_MEAN], n=20, alphas=[0.2],
             replications=1000, seed=2,
         )
         nominal = coverage_probability(20, nested_set_index(20, 0.2))
